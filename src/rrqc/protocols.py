@@ -1,12 +1,19 @@
 """LOCC protocol stack for random-receiver quantum communication.
 
-A run simulates the full density matrix of the receivers' qubits (plus,
-where present, the order control as the last tensor factor), enumerating or
+A run simulates the density matrix of the receivers' qubits (plus, where
+present, the order control as the last tensor factor), enumerating or
 sampling measurement-outcome branches. Transcripts record every local
 operation and classical message. Locality is enforced when events are
 constructed: a LocalUnitary or LocalMeasurement whose factors are not all
 owned by its party raises LocalityError, and NonlocalOperation events are
 rejected unless the protocol's transcript explicitly declares them.
+
+A measured qubit is never touched again, so each branch traces it out as
+soon as its outcome is known (``qcore.measure_and_discard``; the public
+``qcore.measure_projective`` keeps every factor) and carries only its live
+factors. Gates act on one factor at a time, and CNOTs permute basis indices.
+Events always name the original factors. Every intermediate state is still a
+validated ``DensityMatrix``.
 
 Receiver i owns tensor factor i - 1. The retrieval phase shared by all
 protocols is the generalized-GHZ decoding: every party other than the target
@@ -16,6 +23,7 @@ and the target applies Z raised to the outcome sum.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -249,13 +257,38 @@ class ProtocolResult:
 # simulation engine
 # ---------------------------------------------------------------------------
 
+#: Kraus set of the definite-order cascade on one qubit: the equal-X/Y
+#: mixture composed with itself, i.e. full dephasing.
+_CASCADE_KRAUS = tuple(
+    channels.pauli_kraus(channels.compose(channels.N_XY, channels.N_XY))
+)
+
+
+@functools.lru_cache(maxsize=MAX_RECEIVERS)
+def _switched_nxy(n: int) -> qswitch.SwitchedChannel:
+    """The default-control switched channel, built once per receiver count."""
+    return qswitch.closed_form_nxy_n(n)
+
 
 @dataclass
 class _Branch:
+    """One outcome branch. ``live`` lists the original factor ids still in
+    the register, in register order; measured factors have been traced out.
+    Events keep the original ids, ``position`` maps them into ``state``."""
+
     state: DensityMatrix
     probability: float
     outcomes: dict[str, int]
     transcript: Transcript
+    live: tuple[int, ...]
+
+    def position(self, factor: int) -> int:
+        return self.live.index(factor)
+
+
+def _start(state: DensityMatrix, allow_nonlocal: bool = False) -> _Branch:
+    transcript = Transcript(allow_nonlocal=allow_nonlocal)
+    return _Branch(state, 1.0, {}, transcript, tuple(range(len(state.dims))))
 
 
 def _check_run_args(n: int, x: int) -> None:
@@ -269,16 +302,19 @@ def _receivers(n: int) -> dict[int, Party]:
     return {i: Party(i, frozenset({i - 1})) for i in range(1, n + 1)}
 
 
-def _conjugate(branch: _Branch, full: Operator) -> None:
-    mat = full.entries @ branch.state.matrix @ full.entries.conj().T
+def _apply_cnot(branch: _Branch, control: int, target: int) -> None:
+    perm = qcore.cnot_permutation(
+        len(branch.live), branch.position(control), branch.position(target)
+    )
+    state = branch.state
     branch.state = DensityMatrix.from_matrix(
-        mat, branch.state.dims, branch.state.tolerance
+        state.matrix[perm][:, perm], state.dims, state.tolerance
     )
 
 
 def _apply_local(branch: _Branch, party: Party, factor: int, gate: Operator, label: str) -> None:
     branch.transcript.record(LocalUnitary(party, (factor,), gate, label))
-    _conjugate(branch, qcore.embed(gate, factor, branch.state.dims))
+    branch.state = qcore.apply_kraus(branch.state, [gate], factor=branch.position(factor))
 
 
 def _measure_and_tell(
@@ -294,7 +330,8 @@ def _measure_and_tell(
 ) -> list[_Branch]:
     new: list[_Branch] = []
     for br in branches:
-        measured = qcore.measure_projective(br.state, projectors, factor)
+        measured = qcore.measure_and_discard(br.state, projectors, br.position(factor))
+        live = tuple(f for f in br.live if f != factor)
         if policy.kind == "exhaustive":
             chosen = list(measured.outcomes)
         else:
@@ -311,6 +348,7 @@ def _measure_and_tell(
                     br.probability * outcome.probability,
                     {**br.outcomes, key: outcome.label},
                     transcript,
+                    live,
                 )
             )
     return new
@@ -339,7 +377,7 @@ def _retrieval_tail(
         parity = sum(br.outcomes[f"B{y}"] for y in range(1, n + 1) if y != x) % 2
         if parity:
             _apply_local(br, parties[x], carriers[x], qcore.Z, "Z")
-        reduced = qcore.partial_trace(br.state, {carriers[x]})
+        reduced = qcore.partial_trace(br.state, {br.position(carriers[x])})
         results.append(
             BranchResult(
                 probability=br.probability,
@@ -350,12 +388,6 @@ def _retrieval_tail(
             )
         )
     return results
-
-
-def _finish(
-    msg: MessageState, n: int, x: int, policy: OutcomePolicy, results: list[BranchResult]
-) -> ProtocolResult:
-    return ProtocolResult(msg, n, x, policy, tuple(results))
 
 
 def _policy_rng(policy: OutcomePolicy) -> np.random.Generator | None:
@@ -385,10 +417,10 @@ def run_noiseless_protocol(
     policy = _resolve_policy(n, outcome_policy)
     rng = _policy_rng(policy)
     parties = _receivers(n)
-    start = _Branch(ghz_encode(msg, n).density(), 1.0, {}, Transcript())
+    start = _start(ghz_encode(msg, n).density())
     carriers = {i: i - 1 for i in range(1, n + 1)}
     results = _retrieval_tail([start], parties, carriers, n, x, msg, policy, rng)
-    return _finish(msg, n, x, policy, results)
+    return ProtocolResult(msg, n, x, policy, tuple(results))
 
 
 def run_switch_protocol(
@@ -408,9 +440,8 @@ def run_switch_protocol(
     rng = _policy_rng(policy)
     parties = _receivers(n)
     control_party = Party(CONTROL_HOLDER, frozenset({n}))
-    switched = qswitch.closed_form_nxy_n(n)
-    state = switched.apply(ghz_encode(msg, n).density())
-    branches = [_Branch(state, 1.0, {}, Transcript())]
+    state = _switched_nxy(n).apply(ghz_encode(msg, n).density())
+    branches = [_start(state)]
     branches = _measure_and_tell(
         branches,
         control_party,
@@ -427,7 +458,7 @@ def run_switch_protocol(
             _apply_local(br, parties[1], 0, qcore.Z, "Z")
     carriers = {i: i - 1 for i in range(1, n + 1)}
     results = _retrieval_tail(branches, parties, carriers, n, x, msg, policy, rng)
-    return _finish(msg, n, x, policy, results)
+    return ProtocolResult(msg, n, x, policy, tuple(results))
 
 
 def run_definite_order_baseline(
@@ -444,16 +475,13 @@ def run_definite_order_baseline(
     policy = _resolve_policy(n, outcome_policy)
     rng = _policy_rng(policy)
     parties = _receivers(n)
-    cascade = channels.compose(channels.N_XY, channels.N_XY)
-    single = channels.pauli_kraus(cascade)
     state = ghz_encode(msg, n).density()
-    dims = state.dims
     for k in range(n):
-        state = qcore.apply_kraus(state, [qcore.embed(op, k, dims) for op in single])
-    start = _Branch(state, 1.0, {}, Transcript())
+        state = qcore.apply_kraus(state, _CASCADE_KRAUS, factor=k)
+    start = _start(state)
     carriers = {i: i - 1 for i in range(1, n + 1)}
     results = _retrieval_tail([start], parties, carriers, n, x, msg, policy, rng)
-    return _finish(msg, n, x, policy, results)
+    return ProtocolResult(msg, n, x, policy, tuple(results))
 
 
 def run_controlled_ops_protocol(
@@ -482,23 +510,21 @@ def run_controlled_ops_protocol(
     vec = np.zeros(2 ** (n - 1), dtype=complex)
     vec[0] = 1.0
     amplitudes = np.kron(np.kron(msg.ket().amplitudes, vec), qcore.KET_PLUS.amplitudes)
-    branch = _Branch(Ket(amplitudes, dims).density(), 1.0, {}, Transcript(allow_nonlocal=True))
+    branch = _start(Ket(amplitudes, dims).density(), allow_nonlocal=True)
 
     branch.transcript.record(LocalUnitary(sender, (n, 0), qcore.CNOT, "CNOT"))
-    _conjugate(branch, qcore.controlled_not(n + 1, n, 0))
+    _apply_cnot(branch, n, 0)
 
-    cascade = channels.compose(channels.N_XY, channels.N_XY)
-    single = channels.pauli_kraus(cascade)
     for k in range(n):
         branch.state = qcore.apply_kraus(
-            branch.state, [qcore.embed(op, k, dims) for op in single]
+            branch.state, _CASCADE_KRAUS, factor=branch.position(k)
         )
 
     for k in range(1, n):
         branch.transcript.record(
             NonlocalOperation(THIRD_PARTY, (n, k), qcore.CNOT, "CNOT")
         )
-        _conjugate(branch, qcore.controlled_not(n + 1, n, k))
+        _apply_cnot(branch, n, k)
 
     branches = _measure_and_tell(
         [branch],
@@ -519,4 +545,4 @@ def run_controlled_ops_protocol(
 
     carriers = {1: n} | {k: k - 1 for k in range(2, n + 1)}
     results = _retrieval_tail(branches, parties, carriers, n, x, msg, policy, rng)
-    return _finish(msg, n, x, policy, results)
+    return ProtocolResult(msg, n, x, policy, tuple(results))

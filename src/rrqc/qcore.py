@@ -7,6 +7,13 @@ in the last slot. Registers stay at or below 2**(MAX_RECEIVERS + 1)
 dimensions, so everything is dense and every constructed state is cheap to
 validate eagerly.
 
+Single-factor operations (local gates, local Kraus channels, projective
+measurements) go through one factor-local kernel that contracts the touched
+axis in place of a d x d embedding. Two measurements are offered:
+``measure_projective`` keeps every factor in its post-measurement states,
+while ``measure_and_discard`` traces the measured factor out of them, which
+is what LOCC protocols use once a measured qubit is never touched again.
+
 All functions are pure: they never mutate their arguments and are safe to
 call concurrently on distinct inputs.
 """
@@ -138,25 +145,52 @@ def identity(dims: Iterable[int]) -> Operator:
     return Operator(np.eye(math.prod(dims)), dims)
 
 
-def embed(op: Operator, factor: int, dims: Iterable[int]) -> Operator:
-    """Lift a single-factor operator to the full register, identity elsewhere."""
-    dims = _clean_dims(dims)
+def _check_local(op: Operator, factor: int, dims: tuple[int, ...], what: str) -> None:
     if not 0 <= factor < len(dims):
         raise DimensionMismatchError(f"factor {factor} out of range for {dims}")
     if not op.is_square or op.shape[0] != dims[factor]:
         raise DimensionMismatchError(
-            f"operator of shape {op.shape} does not act on factor {factor} of {dims}"
+            f"{what} of shape {op.shape} does not act on factor {factor} of {dims}"
         )
+
+
+def _conjugate_local(
+    mat: np.ndarray, gate: np.ndarray, factor: int, dims: tuple[int, ...]
+) -> np.ndarray:
+    """G_f mat G_f^dag for a gate on one factor, without embedding it.
+
+    With a = prod(dims[:factor]), k = dims[factor] and b the product of the
+    rest, the row index of mat splits as (a, k, b), so G acts on axis 1 of
+    mat reshaped to (a, k, b * d). Applying the same step to the conjugate
+    transpose of the result applies G^dag from the right.
+    """
+    side = mat.shape[0]
+    before = math.prod(dims[:factor])
+    shape = (before, dims[factor], side // (before * dims[factor]) * side)
+    rows = np.matmul(gate, mat.reshape(shape)).reshape(side, side)
+    return np.matmul(gate, rows.conj().T.reshape(shape)).reshape(side, side).conj().T
+
+
+def embed(op: Operator, factor: int, dims: Iterable[int]) -> Operator:
+    """Lift a single-factor operator to the full register, identity elsewhere.
+
+    Dense reference for the factor-local kernels; nothing in the package
+    needs the d x d matrix it builds.
+    """
+    dims = _clean_dims(dims)
+    _check_local(op, factor, dims, "operator")
     before = math.prod(dims[:factor])
     after = math.prod(dims[factor + 1 :])
     full = np.kron(np.kron(np.eye(before), op.entries), np.eye(after))
     return Operator(full, dims)
 
 
-def controlled_not(num_factors: int, control: int, target: int) -> Operator:
-    """CNOT on a register of qubits, as a permutation matrix.
+def cnot_permutation(num_factors: int, control: int, target: int) -> np.ndarray:
+    """Basis-index permutation of CNOT on a register of qubits.
 
-    Factor 0 is the most significant bit of the computational index.
+    Basis state i goes to perm[i]; CNOT is an involution, so conjugating a
+    state by it is the index permutation ``rho[perm][:, perm]``. Factor 0 is
+    the most significant bit of the computational index.
     """
     if control == target or not (
         0 <= control < num_factors and 0 <= target < num_factors
@@ -164,13 +198,17 @@ def controlled_not(num_factors: int, control: int, target: int) -> Operator:
         raise DimensionMismatchError(
             f"bad control/target ({control}, {target}) for {num_factors} qubits"
         )
-    side = 2**num_factors
+    index = np.arange(2**num_factors)
     cbit = num_factors - 1 - control
     tbit = num_factors - 1 - target
-    mat = np.zeros((side, side))
-    for i in range(side):
-        j = i ^ (1 << tbit) if (i >> cbit) & 1 else i
-        mat[j, i] = 1.0
+    return index ^ (((index >> cbit) & 1) << tbit)
+
+
+def controlled_not(num_factors: int, control: int, target: int) -> Operator:
+    """CNOT on a register of qubits, as a permutation matrix."""
+    perm = cnot_permutation(num_factors, control, target)
+    mat = np.zeros((perm.size, perm.size))
+    mat[perm, np.arange(perm.size)] = 1.0
     return Operator(mat, (2,) * num_factors)
 
 
@@ -292,27 +330,45 @@ def kraus_defect(kraus: Sequence[Operator]) -> float:
 
 
 def apply_kraus(
-    rho: DensityMatrix, kraus: Sequence[Operator], atol: float = ATOL
+    rho: DensityMatrix,
+    kraus: Sequence[Operator],
+    atol: float = ATOL,
+    factor: int | None = None,
 ) -> DensityMatrix:
-    """Apply the channel sum(K rho K^dag) for a complete Kraus set."""
+    """Apply the channel sum(K rho K^dag) for a complete Kraus set.
+
+    With ``factor`` given, each K acts on that factor alone (identity on the
+    others) and is applied by the factor-local kernel. Completeness is then
+    checked on the single-factor set, whose defect equals that of the
+    embedded set.
+    """
     if not kraus:
         raise CompletenessError("empty Kraus list")
     shape = kraus[0].shape
     if any(k.shape != shape for k in kraus):
         raise DimensionMismatchError("Kraus operators have mixed shapes")
-    if shape[1] != rho.dim:
+    if factor is not None:
+        _check_local(kraus[0], factor, rho.dims, "Kraus operator")
+    elif shape[1] != rho.dim:
         raise DimensionMismatchError(
             f"Kraus input dimension {shape[1]} does not match state dimension {rho.dim}"
         )
     defect = kraus_defect(kraus)
     if defect > atol:
         raise CompletenessError(f"Kraus set incomplete (defect {defect:.3e})")
-    out = np.zeros((shape[0], shape[0]), dtype=complex)
     mat = rho.matrix
-    for k in kraus:
-        out += k.entries @ mat @ k.entries.conj().T
+    if factor is None:
+        out_dims = kraus[0].dims
+        out = np.zeros((shape[0], shape[0]), dtype=complex)
+        for k in kraus:
+            out += k.entries @ mat @ k.entries.conj().T
+    else:
+        out_dims = rho.dims
+        out = np.zeros_like(mat)
+        for k in kraus:
+            out += _conjugate_local(mat, k.entries, factor, out_dims)
     out = (out + out.conj().T) / 2  # suppress Hermiticity drift
-    return DensityMatrix.from_matrix(out, kraus[0].dims, rho.tolerance)
+    return DensityMatrix.from_matrix(out, out_dims, rho.tolerance)
 
 
 def recombine_kraus(kraus: Sequence[Operator], mixing: np.ndarray) -> list[Operator]:
@@ -360,6 +416,49 @@ class ProjectiveMeasurement:
         return self.outcomes[item]
 
 
+def _projector_stack(
+    projectors: Sequence[Operator], dims: tuple[int, ...], factor: int, atol: float
+) -> np.ndarray:
+    """Check that the projectors on one factor are complete and mutually
+    orthogonal; return their entries stacked along a leading axis."""
+    if not 0 <= factor < len(dims):
+        raise DimensionMismatchError(f"factor {factor} out of range for {dims}")
+    for p in projectors:
+        _check_local(p, factor, dims, "projector")
+    stack = np.array([p.entries for p in projectors]).reshape(-1, dims[factor], dims[factor])
+    if np.abs(stack.sum(axis=0) - np.eye(dims[factor])).max() > atol:
+        raise CompletenessError("projectors do not sum to the identity")
+    for i, p in enumerate(stack):
+        for j, q in enumerate(stack):
+            expected = p if i == j else 0.0
+            if np.abs(p @ q - expected).max() > atol:
+                raise CompletenessError("projector set is not orthogonal")
+    return stack
+
+
+def _collect_outcomes(
+    posts: Iterable[np.ndarray], dims: tuple[int, ...], tolerance: float, atol: float
+) -> ProjectiveMeasurement:
+    """Turn unnormalized post-measurement matrices, in label order, into
+    validated outcomes; drop those below PROB_FLOOR and check that the
+    probabilities sum to 1 within ``atol``."""
+    outcomes, dropped = [], []
+    prob_sum = 0.0
+    for label, post in enumerate(posts):
+        prob = float(np.real(np.trace(post)))
+        prob_sum += prob
+        if prob < PROB_FLOOR:
+            dropped.append(label)
+            continue
+        post = (post + post.conj().T) / 2 / prob
+        outcomes.append(
+            MeasurementOutcome(label, prob, DensityMatrix.from_matrix(post, dims, tolerance))
+        )
+    if abs(prob_sum - 1.0) > atol:
+        raise ValidityError(f"outcome probabilities sum to {prob_sum}, not 1")
+    return ProjectiveMeasurement(tuple(outcomes), tuple(dropped))
+
+
 def measure_projective(
     rho: DensityMatrix,
     projectors: Sequence[Operator],
@@ -372,40 +471,42 @@ def measure_projective(
     probabilities of surviving outcomes sum to 1 within ``atol``.
     """
     dims = rho.dims
-    if not 0 <= factor < len(dims):
-        raise DimensionMismatchError(f"factor {factor} out of range for {dims}")
+    stack = _projector_stack(projectors, dims, factor, atol)
+    posts = (_conjugate_local(rho.matrix, p, factor, dims) for p in stack)
+    return _collect_outcomes(posts, dims, rho.tolerance, atol)
+
+
+def measure_and_discard(
+    rho: DensityMatrix,
+    projectors: Sequence[Operator],
+    factor: int,
+    atol: float = ATOL,
+) -> ProjectiveMeasurement:
+    """Measure one tensor factor and trace it out of every outcome.
+
+    Runs the same projector, ``PROB_FLOOR`` and probability-sum checks as
+    ``measure_projective``. Each outcome state is Tr_f(P rho) / p, a
+    validated state on the remaining factors: the partial trace of the
+    corresponding ``measure_projective`` state. For rank-1 projectors the
+    discarded factor is left in a fixed pure state, so validating the
+    reduced state is equivalent to validating the full post-state.
+    """
+    dims = rho.dims
+    if len(dims) < 2:
+        raise DimensionMismatchError("cannot discard the only factor of a register")
+    stack = _projector_stack(projectors, dims, factor, atol)
+    before = math.prod(dims[:factor])
     side = dims[factor]
-    total = np.zeros((side, side), dtype=complex)
-    for p in projectors:
-        if not p.is_square or p.shape[0] != side:
-            raise DimensionMismatchError(
-                f"projector shape {p.shape} does not act on factor {factor}"
-            )
-        total += p.entries
-    if np.abs(total - np.eye(side)).max() > atol:
-        raise CompletenessError("projectors do not sum to the identity")
-    for i, p in enumerate(projectors):
-        for j, q in enumerate(projectors):
-            expected = p.entries if i == j else 0.0
-            if np.abs(p.entries @ q.entries - expected).max() > atol:
-                raise CompletenessError("projector set is not orthogonal")
-    outcomes, dropped = [], []
-    prob_sum = 0.0
-    for label, p in enumerate(projectors):
-        full = embed(p, factor, dims).entries
-        post = full @ rho.matrix @ full.conj().T
-        prob = float(np.real(np.trace(post)))
-        prob_sum += prob
-        if prob < PROB_FLOOR:
-            dropped.append(label)
-            continue
-        post = (post + post.conj().T) / 2 / prob
-        outcomes.append(
-            MeasurementOutcome(label, prob, DensityMatrix.from_matrix(post, dims, rho.tolerance))
-        )
-    if abs(prob_sum - 1.0) > atol:
-        raise ValidityError(f"outcome probabilities sum to {prob_sum}, not 1")
-    return ProjectiveMeasurement(tuple(outcomes), tuple(dropped))
+    after = rho.dim // (before * side)
+    tensor_form = rho.matrix.reshape(before, side, after, before, side, after)
+    # Tr_f(P rho): row index k of the measured factor meets column index l
+    # through P[l, k]; one pass over all projectors
+    remaining = rho.dim // side
+    posts = np.einsum("mlk,akbcld->mabcd", stack, tensor_form).reshape(
+        len(stack), remaining, remaining
+    )
+    rest = dims[:factor] + dims[factor + 1 :]
+    return _collect_outcomes(posts, rest, rho.tolerance, atol)
 
 
 def fidelity_pure(target: Ket, rho: DensityMatrix) -> float:

@@ -341,3 +341,152 @@ def test_random_density_is_valid_state(seed):
     rho = qcore.random_density((2, 2), np.random.default_rng(seed))
     assert abs(np.trace(rho.matrix) - 1.0) < 1e-9
     assert np.linalg.eigvalsh(rho.matrix).min() > -1e-9
+
+
+# ---------------------------------------------------------------------------
+# factor-local kernels against the dense embedded reference
+# ---------------------------------------------------------------------------
+
+
+def fit_register(dims):
+    """Longest prefix of ``dims`` whose total dimension stays within 128."""
+    while np.prod(dims) > 128:
+        dims = dims[:-1]
+    return tuple(dims)
+
+
+def registers(min_factors=1):
+    """Factor dimensions of 2 or 3 with total dimension 2..128, plus a factor."""
+    dims = st.lists(st.sampled_from([2, 3]), min_size=min_factors, max_size=7).map(
+        fit_register
+    )
+    return dims.flatmap(lambda d: st.tuples(st.just(d), st.integers(0, len(d) - 1)))
+
+
+def dense_conjugate(rho, gate, factor):
+    full = qcore.embed(gate, factor, rho.dims).entries
+    return full @ rho.matrix @ full.conj().T
+
+
+@settings(max_examples=40, deadline=None)
+@given(registers(), st.integers(0, 2**32 - 1))
+def test_local_gate_matches_embedded_gate(register, seed):
+    dims, factor = register
+    rng = np.random.default_rng(seed)
+    rho = qcore.random_density(dims, rng)
+    gate = Operator(qcore.random_unitary(dims[factor], rng), (dims[factor],))
+    out = qcore.apply_kraus(rho, [gate], factor=factor)
+    assert out.dims == rho.dims
+    np.testing.assert_allclose(
+        out.matrix, dense_conjugate(rho, gate, factor), rtol=0, atol=1e-12
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(registers(), st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_local_kraus_matches_embedded_kraus(register, seed, count):
+    dims, factor = register
+    rng = np.random.default_rng(seed)
+    rho = qcore.random_density(dims, rng)
+    kraus = random_cptp_kraus(rng, dims[factor], count)
+    local = qcore.apply_kraus(rho, kraus, factor=factor)
+    dense = qcore.apply_kraus(rho, [qcore.embed(k, factor, dims) for k in kraus])
+    np.testing.assert_allclose(local.matrix, dense.matrix, rtol=0, atol=1e-12)
+    assert abs(
+        qcore.kraus_defect(kraus)
+        - qcore.kraus_defect([qcore.embed(k, factor, dims) for k in kraus])
+    ) < 1e-12
+
+
+def random_basis_projectors(rng, side):
+    basis = qcore.random_unitary(side, rng)
+    return tuple(Operator(np.outer(v, v.conj()), (side,)) for v in basis.T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(registers(), st.integers(0, 2**32 - 1))
+def test_measure_projective_matches_embedded_projectors(register, seed):
+    dims, factor = register
+    rng = np.random.default_rng(seed)
+    rho = qcore.random_density(dims, rng)
+    projectors = random_basis_projectors(rng, dims[factor])
+    measured = qcore.measure_projective(rho, projectors, factor)
+    assert [o.label for o in measured] == list(range(len(projectors)))
+    for outcome, proj in zip(measured, projectors):
+        post = dense_conjugate(rho, proj, factor)
+        prob = np.trace(post).real
+        assert abs(outcome.probability - prob) < 1e-12
+        assert outcome.state.dims == dims
+        np.testing.assert_allclose(outcome.state.matrix, post / prob, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(registers(min_factors=2), st.integers(0, 2**32 - 1), st.booleans())
+def test_measure_and_discard_matches_traced_measure_projective(register, seed, pure):
+    dims, factor = register
+    rng = np.random.default_rng(seed)
+    # pure product states with a basis vector on the measured factor make
+    # some outcomes drop below PROB_FLOOR
+    if pure:
+        kets = [qcore.random_ket((d,), rng).amplitudes for d in dims]
+        kets[factor] = np.eye(dims[factor])[rng.integers(dims[factor])]
+        vec = kets[0]
+        for k in kets[1:]:
+            vec = np.kron(vec, k)
+        rho = Ket(vec, dims).density()
+        projectors = tuple(
+            Operator(np.diag(np.eye(dims[factor])[i]), (dims[factor],))
+            for i in range(dims[factor])
+        )
+    else:
+        rho = qcore.random_density(dims, rng)
+        projectors = random_basis_projectors(rng, dims[factor])
+    kept = [i for i in range(len(dims)) if i != factor]
+    full = qcore.measure_projective(rho, projectors, factor)
+    discarded = qcore.measure_and_discard(rho, projectors, factor)
+    assert discarded.dropped == full.dropped
+    assert [o.label for o in discarded] == [o.label for o in full]
+    for small, big in zip(discarded, full):
+        assert abs(small.probability - big.probability) < 1e-12
+        reduced = qcore.partial_trace(big.state, kept)
+        assert small.state.dims == reduced.dims
+        np.testing.assert_allclose(small.state.matrix, reduced.matrix, rtol=0, atol=1e-12)
+
+
+def test_measure_and_discard_runs_the_projector_checks():
+    rho = bell_density()
+    with pytest.raises(CompletenessError):
+        qcore.measure_and_discard(rho, (qcore.PROJ0,), 0)
+    skew = Operator([[0.5, 0.5], [0.5, 0.5]], (2,))
+    with pytest.raises(CompletenessError):
+        qcore.measure_and_discard(rho, (skew, skew), 0)
+    with pytest.raises(DimensionMismatchError):
+        qcore.measure_and_discard(rho, (qcore.PROJ0, qcore.PROJ1), 2)
+    with pytest.raises(DimensionMismatchError):
+        qcore.measure_and_discard(qcore.KET0.density(), (qcore.PROJ0, qcore.PROJ1), 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True),
+        )
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_cnot_permutation_matches_dense_cnot(register, seed):
+    n, (control, target) = register
+    dims = (2,) * n
+    rho = qcore.random_density(dims, np.random.default_rng(seed))
+    # independent reference: |0><0|_c (x) I + |1><1|_c (x) X_t
+    gate = (
+        qcore.embed(qcore.PROJ0, control, dims)
+        + qcore.embed(qcore.PROJ1, control, dims) @ qcore.embed(qcore.X, target, dims)
+    ).entries
+    np.testing.assert_array_equal(qcore.controlled_not(n, control, target).entries, gate)
+    perm = qcore.cnot_permutation(n, control, target)
+    np.testing.assert_allclose(
+        rho.matrix[perm][:, perm], gate @ rho.matrix @ gate.T, rtol=0, atol=1e-12
+    )
