@@ -59,12 +59,18 @@ def _string_matrix(labels: tuple[str, ...]) -> np.ndarray:
     return mat
 
 
-def pauli_string(labels: Sequence[str]) -> Operator:
-    """Tensor product of single-qubit Paulis, e.g. ("Z", "I", "Z")."""
+def pauli_string_matrix(labels: Sequence[str]) -> np.ndarray:
+    """Read-only matrix of a tensor product of single-qubit Paulis."""
     labels = tuple(labels)
     if not labels or any(l not in PAULI_LABELS for l in labels):
         raise ValueError(f"invalid Pauli string {labels!r}")
-    return Operator(_string_matrix(labels), (2,) * len(labels))
+    return _string_matrix(labels)
+
+
+def pauli_string(labels: Sequence[str]) -> Operator:
+    """Tensor product of single-qubit Paulis, e.g. ("Z", "I", "Z")."""
+    labels = tuple(labels)
+    return Operator(pauli_string_matrix(labels), (2,) * len(labels))
 
 
 @dataclass(frozen=True)

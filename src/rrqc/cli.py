@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -177,19 +178,9 @@ class RunConfig:
         # presentation flags (output path, format) stay out: the report must
         # be byte-identical for identical computational configs
         return {
-            "command": self.command,
-            "n": self.n,
-            "x": self.x,
-            "message": self.message,
-            "variant": self.variant,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "trials": self.trials,
-            "weights": self.weights,
-            "expect": self.expect,
-            "count": self.count,
-            "mean_tolerance": self.mean_tolerance,
-            "transcript": self.transcript,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("output", "format")
         }
 
 
@@ -322,9 +313,7 @@ def cmd_protocol(cfg: RunConfig) -> Report:
     if any(not 1 <= x <= cfg.n for x in xs):
         raise UsageError(f"--x must be in 1..{cfg.n} or ALL")
     messages = resolve_messages(cfg.message or "HAAR(1)", cfg.seed)
-    policy = (
-        OutcomePolicy.exhaustive() if cfg.n <= 4 else OutcomePolicy.sample(cfg.seed)
-    )
+    policy = OutcomePolicy.exhaustive()
     runner = PROTOCOL_RUNNERS[cfg.variant]
     records = []
     fidelities = []
@@ -498,7 +487,10 @@ COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call; parsing leaves it unchanged."""
     parser = _Parser(prog="rrqc", description=__doc__, epilog=CSV_HELP)
     parser.add_argument("--version", action="version", version=f"rrqc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -574,28 +566,10 @@ def build_parser() -> _Parser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {
-        key: getattr(args, key.replace("-", "_"))
-        for key in (
-            "command",
-            "n",
-            "x",
-            "message",
-            "variant",
-            "seed",
-            "tolerance",
-            "trials",
-            "weights",
-            "expect",
-            "count",
-            "mean_tolerance",
-            "transcript",
-            "output",
-            "format",
-        )
-        if hasattr(args, key.replace("-", "_"))
-    }
-    return RunConfig(**fields)
+    # each subcommand defines only the flags it takes
+    return RunConfig(
+        **{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:

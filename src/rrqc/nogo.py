@@ -81,30 +81,44 @@ def fixed_bit_scan(n: int, keep_witnesses: bool = False) -> NogoReport:
     Cells are visited in lexicographic (tau, bits) order. Pass
     ``keep_witnesses=True`` to retain a witness record per cell; this is
     meant for small n, since the scan covers n! * 2**n cells.
+
+    The 2**n bitstrings of one permutation are handled together as the bits
+    of an integer, row r being the r-th string in lexicographic order. The
+    mask ``agree[j][k]`` holds the rows with b_j == b_k, so a permutation's
+    witnessed rows are the OR over j of ``agree[j][perm[j]]``. Witness
+    records are built only for the cells that are reported.
     """
     if not SCAN_MIN <= n <= SCAN_MAX:
         raise ValueError(f"scan supports n in {SCAN_MIN}..{SCAN_MAX}, got {n}")
-    bit_rows = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int8)
+    bit_rows = list(itertools.product((0, 1), repeat=n))
+    agree = [
+        [
+            sum(1 << r for r, bits in enumerate(bit_rows) if bits[j] == bits[k])
+            for k in range(n)
+        ]
+        for j in range(n)
+    ]
+    every_row = (1 << len(bit_rows)) - 1
     counterexamples: list[FixedBitWitness] = []
     witnesses: list[FixedBitWitness] = []
     cells = 0
     witnessed = 0
     for perm in itertools.permutations(range(n)):
-        matches = bit_rows == bit_rows[:, perm]
-        found = matches.any(axis=1)
-        cells += bit_rows.shape[0]
-        witnessed += int(found.sum())
+        slot_masks = [agree[j][k] for j, k in enumerate(perm)]
+        found = 0
+        for mask in slot_masks:
+            found |= mask
+        cells += len(bit_rows)
+        witnessed += found.bit_count()
+        if found == every_row and not keep_witnesses:
+            continue
         pair = PermutationPair(tuple(p + 1 for p in perm), n)
-        if keep_witnesses or not found.all():
-            for row, ok, hit in zip(bit_rows, found, matches):
-                if ok and not keep_witnesses:
-                    continue
-                index = int(np.argmax(hit)) + 1 if ok else None
-                witness = FixedBitWitness(pair, tuple(int(b) for b in row), index)
-                if ok:
-                    witnesses.append(witness)
-                else:
-                    counterexamples.append(witness)
+        for r, bits in enumerate(bit_rows):
+            if not found >> r & 1:
+                counterexamples.append(FixedBitWitness(pair, bits, None))
+            elif keep_witnesses:
+                index = next(j for j, mask in enumerate(slot_masks, 1) if mask >> r & 1)
+                witnesses.append(FixedBitWitness(pair, bits, index))
     return NogoReport(
         n=n,
         cells=cells,

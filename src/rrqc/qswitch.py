@@ -6,7 +6,10 @@ message (x) control through the operators
 
     A_j B_k (x) |0><0|  +  B_k A_j (x) |1><1|,
 
-with the control in the last tensor slot.
+with the control in the last tensor slot. All |A| * |B| of them are built at
+once as one stacked (m, 2d, 2d) array, from one broadcast product for each
+order; the switched output, the Kraus lists and the generic Choi matrix are
+all computed from that stack.
 
 When both channels are products of Pauli channels, every pair product
 A_j B_k is a Pauli string up to a phase, and reversing the order changes at
@@ -22,7 +25,8 @@ collects the even-weight Z strings and C_minus the odd-weight ones, each Z
 string carrying weight 2**-n. ``validate_closed_forms`` cross-checks the
 closed forms against ``switch_generic`` at the level of Choi matrices, which
 is the only trusted route: the closed forms are derived here from the Pauli
-pair algebra, not transcribed from any external table.
+pair algebra, not transcribed from any external table. Both Choi matrices
+are Gram matrices of stacked, flattened Kraus operators.
 """
 
 from __future__ import annotations
@@ -61,18 +65,54 @@ def _check_channel_pair(a: Sequence[Operator], b: Sequence[Operator]) -> tuple[i
     return dims
 
 
+def _switch_stack(
+    a: Sequence[Operator], b: Sequence[Operator]
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Register dims and all |A|*|B| switch Kraus operators, stacked.
+
+    Entry j * |B| + k is A_j B_k (x) |0><0| + B_k A_j (x) |1><1|. The control
+    is the last factor, so its index interleaves both rows and columns.
+    """
+    dims = _check_channel_pair(a, b)
+    stack_a = np.stack([op.entries for op in a])[:, None]
+    stack_b = np.stack([op.entries for op in b])[None, :]
+    side = stack_a.shape[-1]
+    stack = np.zeros((len(a) * len(b), 2 * side, 2 * side), dtype=complex)
+    stack[:, 0::2, 0::2] = (stack_a @ stack_b).reshape(-1, side, side)
+    stack[:, 1::2, 1::2] = (stack_b @ stack_a).reshape(-1, side, side)
+    return dims, stack
+
+
+def _lift_control(stack: np.ndarray, omega: DensityMatrix) -> np.ndarray:
+    """Absorb the control state into stacked message (x) control Kraus
+    operators: each S becomes S (I (x) sqrt(lam) |v>) for every eigenpair of
+    omega above ``PROB_FLOOR``, operator-major."""
+    vals, vecs = np.linalg.eigh(omega.matrix)
+    keep = vals >= PROB_FLOOR
+    amps = vecs[:, keep] * np.sqrt(vals[keep])
+    m, rows, cols = stack.shape
+    side = cols // 2
+    lifted = stack.reshape(m, rows, side, 2) @ amps
+    return lifted.transpose(0, 3, 1, 2).reshape(-1, rows, side)
+
+
+def _check_complete(stack: np.ndarray, what: str) -> None:
+    flat = stack.reshape(-1, stack.shape[-1])
+    defect = float(np.abs(flat.conj().T @ flat - np.eye(stack.shape[-1])).max())
+    if defect > ATOL:
+        raise CompletenessError(f"{what} incomplete (defect {defect:.3e})")
+
+
+def _choi_gram(stack: np.ndarray) -> np.ndarray:
+    """Unit-trace Choi matrix of a complete Kraus set stacked as (m, out, in)."""
+    flat = stack.reshape(stack.shape[0], -1)
+    return flat.T @ flat.conj() / stack.shape[-1]
+
+
 def switch_kraus(a: Sequence[Operator], b: Sequence[Operator]) -> list[Operator]:
     """Kraus operators of the switch of two channels, on message (x) control."""
-    dims = _check_channel_pair(a, b)
-    p0 = qcore.PROJ0.entries
-    p1 = qcore.PROJ1.entries
-    out = []
-    for aj in a:
-        for bk in b:
-            ab = aj.entries @ bk.entries
-            ba = bk.entries @ aj.entries
-            out.append(Operator(np.kron(ab, p0) + np.kron(ba, p1), dims + (2,)))
-    return out
+    dims, stack = _switch_stack(a, b)
+    return [Operator(s, dims + (2,)) for s in stack]
 
 
 def switch_generic(
@@ -82,14 +122,20 @@ def switch_generic(
     omega: DensityMatrix,
 ) -> DensityMatrix:
     """Output state of the switched channel for a given message and control state."""
-    dims = _check_channel_pair(a, b)
+    dims, stack = _switch_stack(a, b)
     if input.dim != a[0].shape[0]:
         raise DimensionMismatchError(
             f"message dimension {input.dim} does not match channels on {dims}"
         )
     if omega.dim != 2:
         raise DimensionMismatchError("the order control must be a qubit")
-    return qcore.apply_kraus(input.tensor(omega), switch_kraus(a, b))
+    _check_complete(stack, "switch Kraus set")
+    joint = np.kron(input.matrix, omega.matrix)
+    out = (stack @ joint @ stack.conj().transpose(0, 2, 1)).sum(axis=0)
+    out = (out + out.conj().T) / 2  # suppress Hermiticity drift
+    return DensityMatrix.from_matrix(
+        out, dims + (2,), max(input.tolerance, omega.tolerance)
+    )
 
 
 def switched_kraus(
@@ -97,19 +143,10 @@ def switched_kraus(
 ) -> list[Operator]:
     """Kraus set of the message -> message (x) control map with the control
     state absorbed (via its spectral decomposition)."""
-    dims = _check_channel_pair(a, b)
+    dims, stack = _switch_stack(a, b)
     if omega.dim != 2:
         raise DimensionMismatchError("the order control must be a qubit")
-    side = a[0].shape[0]
-    vals, vecs = np.linalg.eigh(omega.matrix)
-    out = []
-    for s in switch_kraus(a, b):
-        for lam, vec in zip(vals, vecs.T):
-            if lam < PROB_FLOOR:
-                continue
-            lift = np.kron(np.eye(side), np.sqrt(lam) * vec.reshape(2, 1))
-            out.append(Operator(s.entries @ lift, dims + (2,), dims))
-    return out
+    return [Operator(k, dims + (2,), dims) for k in _lift_control(stack, omega)]
 
 
 def _string_kraus(table: StringTable) -> tuple[Operator, ...]:
@@ -182,29 +219,34 @@ class SwitchedChannel:
         out = (out + out.conj().T) / 2
         return DensityMatrix.from_matrix(out, rho.dims + (2,), rho.tolerance)
 
-    def output_kraus(self) -> list[Operator]:
-        """Kraus set of the message -> message (x) control map."""
-        n = self.num_qubits
-        dims = (2,) * n
-        side = 2**n
-        out = []
+    def _output_stack(self) -> np.ndarray:
+        """Kraus operators of the message -> message (x) control map, stacked
+        as (m, 2 * 2**n, 2**n): sqrt(p * w_s * lam) sigma_s (x) |v> for each
+        branch, eigenpair (lam, |v>) of its control state and string s."""
+        blocks = []
         for prob, table, omega in (
             (self.p_plus, self.plus_strings, self.omega_plus),
             (self.p_minus, self.minus_strings, self.omega_minus),
         ):
             if prob <= 0.0:
                 continue
+            items = sorted(table.items())
+            sigmas = np.stack([channels.pauli_string_matrix(s) for s, _ in items])
+            weights = np.array([w for _, w in items])
+            side = sigmas.shape[-1]
             vals, vecs = np.linalg.eigh(omega.matrix)
             for lam, vec in zip(vals, vecs.T):
                 if lam < PROB_FLOOR:
                     continue
-                lift = np.kron(np.eye(side), vec.reshape(2, 1))
-                for s, w in sorted(table.items()):
-                    k = np.sqrt(prob * w * lam) * (
-                        np.kron(channels.pauli_string(s).entries, np.eye(2)) @ lift
-                    )
-                    out.append(Operator(k, dims + (2,), dims))
-        return out
+                amps = np.sqrt(prob * weights * lam)[:, None, None, None]
+                block = amps * sigmas[:, :, None, :] * vec[None, None, :, None]
+                blocks.append(block.reshape(-1, 2 * side, side))
+        return np.concatenate(blocks)
+
+    def output_kraus(self) -> list[Operator]:
+        """Kraus set of the message -> message (x) control map."""
+        dims = (2,) * self.num_qubits
+        return [Operator(k, dims + (2,), dims) for k in self._output_stack()]
 
 
 def _default_omega() -> DensityMatrix:
@@ -310,24 +352,8 @@ def _generic_choi_matrix(
     Equivalent to ``channels.choi(switched_kraus(a, b, omega)).matrix`` but
     without per-operator bookkeeping, which keeps bulk validation fast.
     """
-    _check_channel_pair(a, b)
-    side = a[0].shape[0]
-    stack_a = np.stack([op.entries for op in a])
-    stack_b = np.stack([op.entries for op in b])
-    ab = np.einsum("jxy,kyz->jkxz", stack_a, stack_b).reshape(-1, side, side)
-    ba = np.einsum("kxy,jyz->jkxz", stack_b, stack_a).reshape(-1, side, side)
-    vals, vecs = np.linalg.eigh(omega.matrix)
-    blocks = []
-    for lam, vec in zip(vals, vecs.T):
-        if lam < PROB_FLOOR:
-            continue
-        lifted = np.zeros((ab.shape[0], 2 * side, side), dtype=complex)
-        # control is the last factor, so its index interleaves the rows
-        lifted[:, 0::2, :] = np.sqrt(lam) * vec[0] * ab
-        lifted[:, 1::2, :] = np.sqrt(lam) * vec[1] * ba
-        blocks.append(lifted)
-    flat = np.concatenate(blocks).reshape(-1, 2 * side * side)
-    return np.einsum("ka,kb->ab", flat, flat.conj()) / side
+    _, stack = _switch_stack(a, b)
+    return _choi_gram(_lift_control(stack, omega))
 
 
 def choi_deviation(
@@ -335,8 +361,9 @@ def choi_deviation(
 ) -> float:
     """Max-entry Choi difference between a closed form and the generic switch."""
     generic = _generic_choi_matrix(a, b, sw.omega_plus)
-    closed = channels.choi(sw.output_kraus())
-    return float(np.abs(generic - closed.matrix).max())
+    closed = sw._output_stack()
+    _check_complete(closed, "closed-form Kraus set")
+    return float(np.abs(generic - _choi_gram(closed)).max())
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,21 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+def test_cached_parser_keeps_successive_calls_independent(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, first = run_json(tmp_path, ["nogo-scan", "--n", "3", "--seed", "4"], "a.json")
+    assert code == EXIT_OK
+    assert main(["nogo-scan"]) == EXIT_USAGE  # --n missing
+    assert "required: --n" in capsys.readouterr().err
+    code, other = run_json(tmp_path, ["eb-check", "--weights", "0,0.5,0.5,0"], "b.json")
+    assert code == EXIT_OK
+    assert other["config"]["command"] == "eb-check"
+    assert other["config"]["n"] is None and other["config"]["seed"] == 0
+    code, again = run_json(tmp_path, ["nogo-scan", "--n", "3", "--seed", "4"], "c.json")
+    assert code == EXIT_OK
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "c.json").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # protocol command
 # ---------------------------------------------------------------------------
@@ -77,6 +92,20 @@ def test_protocol_switch_all_targets(tmp_path):
     assert xs == {1, 2, 3}
     assert report["records"][0]["alpha"] == [0.6, 0.0]
     assert report["records"][0]["beta"] == [0.0, 0.8]
+
+
+def test_protocol_enumerates_every_branch_above_four_receivers(tmp_path):
+    code, report = run_json(
+        tmp_path,
+        ["protocol", "--variant", "switch", "--n", "5", "--x", "ALL",
+         "--message", "HAAR(3)", "--seed", "2"],
+    )
+    assert code == EXIT_OK
+    summary = report["summary"]
+    assert summary["cases"] == 15
+    assert summary["branches"] == 15 * 2**5
+    assert summary["min_fidelity"] >= 1 - summary["tolerance"]
+    assert summary["passed"] is True
 
 
 def test_protocol_noiseless_trivial(tmp_path):

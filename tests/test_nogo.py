@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -79,6 +80,34 @@ def test_counterexamples_decompose_into_alternating_even_cycles():
                 assert len(cycle) % 2 == 0
                 values = [ce.bits[j - 1] for j in cycle]
                 assert all(a != b for a, b in zip(values, values[1:] + values[:1]))
+
+
+def brute_force_scan(n):
+    """Per-cell reference: counterexample cells in (tau, bits) order, the
+    witnessed count and each witnessed cell's first fixed slot."""
+    counterexamples, witnesses = [], []
+    for perm in itertools.permutations(range(1, n + 1)):
+        for bits in itertools.product((0, 1), repeat=n):
+            if any(bits[j] == bits[perm[j] - 1] for j in range(n)):
+                index = next(j + 1 for j in range(n) if bits[j] == bits[perm[j] - 1])
+                witnesses.append((perm, bits, index))
+            else:
+                counterexamples.append((perm, bits, None))
+    return counterexamples, witnesses
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_bitmask_scan_matches_per_cell_brute_force(n):
+    counterexamples, witnesses = brute_force_scan(n)
+    report = fixed_bit_scan(n)
+    assert report.cells == math.factorial(n) * 2**n
+    assert report.witnessed == len(witnesses)
+    assert report.witnesses is None
+    assert [(c.pair.tau, c.bits, c.index) for c in report.counterexamples] == counterexamples
+    if n <= 4:
+        kept = fixed_bit_scan(n, keep_witnesses=True)
+        assert [(w.pair.tau, w.bits, w.index) for w in kept.witnesses] == witnesses
+        assert kept.counterexamples == report.counterexamples
 
 
 def test_witness_invariant_enforced():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrqc import channels, qcore, qswitch
 from rrqc.channels import IDENTITY, N_XY, pauli_kraus, product_pauli_kraus
@@ -272,3 +274,127 @@ def test_validate_closed_forms_report():
 def test_validate_closed_forms_rejects_large_n():
     with pytest.raises(ValueError):
         qswitch.validate_closed_forms(seed=1, trials=1, ns=(4,))
+
+
+# ---------------------------------------------------------------------------
+# stacked construction against literal per-operator references
+# ---------------------------------------------------------------------------
+
+
+def literal_switch_kraus(a, b):
+    p0, p1 = qcore.PROJ0.entries, qcore.PROJ1.entries
+    return [
+        np.kron(aj.entries @ bk.entries, p0) + np.kron(bk.entries @ aj.entries, p1)
+        for aj in a
+        for bk in b
+    ]
+
+
+def literal_switch(a, b, rho, omega):
+    joint = np.kron(rho, omega)
+    return sum(conj(k, joint) for k in literal_switch_kraus(a, b))
+
+
+def literal_switch_choi(a, b, omega):
+    """Choi matrix of the message -> message (x) control map, with omega
+    absorbed one Kraus operator and one eigenvector at a time."""
+    side = a[0].shape[0]
+    dims = a[0].dims
+    vals, vecs = np.linalg.eigh(omega)
+    lifted = [
+        qcore.Operator(k @ np.kron(np.eye(side), np.sqrt(lam) * vec.reshape(2, 1)),
+                       dims + (2,), dims)
+        for k in literal_switch_kraus(a, b)
+        for lam, vec in zip(vals, vecs.T)
+        if lam >= qcore.PROB_FLOOR
+    ]
+    return channels.choi(lifted).matrix
+
+
+def literal_output_kraus(sw):
+    """Per-string Kraus operators sqrt(p w lam) sigma_s (x) |v> of a closed form."""
+    out = []
+    for prob, table, omega in (
+        (sw.p_plus, sw.plus_strings, sw.omega_plus),
+        (sw.p_minus, sw.minus_strings, sw.omega_minus),
+    ):
+        if prob <= 0.0:
+            continue
+        vals, vecs = np.linalg.eigh(omega.matrix)
+        for lam, vec in zip(vals, vecs.T):
+            if lam < qcore.PROB_FLOOR:
+                continue
+            for s, w in sorted(table.items()):
+                k = np.sqrt(prob * w * lam) * np.kron(
+                    channels.pauli_string(s).entries, vec.reshape(2, 1)
+                )
+                out.append(qcore.Operator(k, (2,) * len(s) + (2,), (2,) * len(s)))
+    return out
+
+
+def random_control(rng, pure):
+    return qcore.random_ket((2,), rng).density() if pure else qcore.random_density((2,), rng)
+
+
+def drawn_channel(rng, n, mixed):
+    """Product of n single-qubit Pauli channels, each on a random nonempty
+    subset of I, X, Y, Z, optionally recombined through a random isometry
+    into a non-Pauli Kraus set of the same channel."""
+    factors = []
+    for _ in range(n):
+        support = rng.permutation(4)[: rng.integers(1, 5)]
+        weights = np.zeros(4)
+        weights[support] = rng.dirichlet(np.ones(len(support)))
+        factors.append(channels.PauliChannel(*weights))
+    ops = product_pauli_kraus(factors)
+    if not mixed:
+        return ops
+    rows = len(ops) + int(rng.integers(0, 3))
+    return qcore.recombine_kraus(ops, qcore.random_unitary(rows, rng)[:, : len(ops)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.booleans())
+def test_stacked_switch_matches_literal_kraus_sum(n, seed, mixed_a, mixed_b, pure):
+    rng = np.random.default_rng(seed)
+    a = drawn_channel(rng, n, mixed_a)
+    b = drawn_channel(rng, n, mixed_b)
+    rho = qcore.random_density((2,) * n, rng)
+    omega = random_control(rng, pure)
+    out = qswitch.switch_generic(a, b, rho, omega)
+    assert out.dims == (2,) * n + (2,)
+    np.testing.assert_allclose(
+        out.matrix, literal_switch(a, b, rho.matrix, omega.matrix), rtol=0, atol=1e-12
+    )
+    stacked = [k.entries for k in qswitch.switch_kraus(a, b)]
+    np.testing.assert_allclose(stacked, literal_switch_kraus(a, b), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        qswitch._generic_choi_matrix(a, b, omega),
+        literal_switch_choi(a, b, omega.matrix),
+        rtol=0,
+        atol=1e-12,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 2**32 - 1), st.booleans())
+def test_stacked_closed_form_choi_matches_literal_kraus(n, seed, pure):
+    # n = 0 draws a two-party closed form, n = 1..3 the equal-X/Y one
+    rng = np.random.default_rng(seed)
+    omega = random_control(rng, pure)
+    if n == 0:
+        e1 = channels.random_pauli_channel(rng)
+        e2 = channels.random_pauli_channel(rng)
+        sw = qswitch.closed_form_two_party(e1, e2, omega)
+        pair = product_pauli_kraus([e1, e2])
+    else:
+        sw = qswitch.closed_form_nxy_n(n, omega)
+        pair = nxy_product(n)
+    reference = channels.choi(literal_output_kraus(sw)).matrix
+    np.testing.assert_allclose(
+        channels.choi(sw.output_kraus()).matrix, reference, rtol=0, atol=1e-12
+    )
+    generic = literal_switch_choi(pair, pair, omega.matrix)
+    assert abs(
+        qswitch.choi_deviation(sw, pair, pair) - np.abs(generic - reference).max()
+    ) < 1e-12
