@@ -190,13 +190,6 @@ class OutcomePolicy:
         return cls("sample", seed)
 
 
-def _resolve_policy(n: int, policy: OutcomePolicy | None) -> OutcomePolicy:
-    if policy is not None:
-        return policy
-    # enumeration is cheap up to 2 * 2**(n-1) branches
-    return OutcomePolicy.exhaustive() if n <= 4 else OutcomePolicy.sample(0)
-
-
 @dataclass(frozen=True)
 class BranchResult:
     probability: float
@@ -414,7 +407,7 @@ def run_noiseless_protocol(
 ) -> ProtocolResult:
     """GHZ distribution over noiseless channels plus LOCC retrieval at x."""
     _check_run_args(n, x)
-    policy = _resolve_policy(n, outcome_policy)
+    policy = OutcomePolicy.exhaustive() if outcome_policy is None else outcome_policy
     rng = _policy_rng(policy)
     parties = _receivers(n)
     start = _start(ghz_encode(msg, n).density())
@@ -436,7 +429,7 @@ def run_switch_protocol(
     every branch.
     """
     _check_run_args(n, x)
-    policy = _resolve_policy(n, outcome_policy)
+    policy = OutcomePolicy.exhaustive() if outcome_policy is None else outcome_policy
     rng = _policy_rng(policy)
     parties = _receivers(n)
     control_party = Party(CONTROL_HOLDER, frozenset({n}))
@@ -472,7 +465,7 @@ def run_definite_order_baseline(
     messages.
     """
     _check_run_args(n, x)
-    policy = _resolve_policy(n, outcome_policy)
+    policy = OutcomePolicy.exhaustive() if outcome_policy is None else outcome_policy
     rng = _policy_rng(policy)
     parties = _receivers(n)
     state = ghz_encode(msg, n).density()
@@ -499,7 +492,7 @@ def run_controlled_ops_protocol(
     retrieval.
     """
     _check_run_args(n, x)
-    policy = _resolve_policy(n, outcome_policy)
+    policy = OutcomePolicy.exhaustive() if outcome_policy is None else outcome_policy
     rng = _policy_rng(policy)
     dims = (2,) * (n + 1)
     parties = _receivers(n)

@@ -11,22 +11,26 @@ once as one stacked (m, 2d, 2d) array, from one broadcast product for each
 order; the switched output, the Kraus lists and the generic Choi matrix are
 all computed from that stack.
 
-When both channels are products of Pauli channels, every pair product
-A_j B_k is a Pauli string up to a phase, and reversing the order changes at
-most its sign. Grouping the pairs by that sign gives an exact decomposition
+When both channels are products of single-qubit Pauli channels, one rule
+gives the switched channel exactly. On each qubit sigma_a sigma_b =
++-sigma_b sigma_a, with the minus sign when the two Paulis anticommute, so
+the pair product A_j B_k is a Pauli string and reversing the order changes
+its sign when an odd number of qubits anticommute. Grouping the pairs by
+that parity gives the decomposition
 
     p_plus * C_plus(rho) (x) omega  +  p_minus * C_minus(rho) (x) Z omega Z
 
 into two normalized Pauli-string channels correlated with the control.
-``closed_form_two_party`` builds it for the switch of a two-qubit product
-channel with itself by enumerating all 16 x 16 ordered Kraus pairs.
-``closed_form_nxy_n`` covers n parallel equal-X/Y mixtures, where C_plus
-collects the even-weight Z strings and C_minus the odd-weight ones, each Z
-string carrying weight 2**-n. ``validate_closed_forms`` cross-checks the
-closed forms against ``switch_generic`` at the level of Choi matrices, which
-is the only trusted route: the closed forms are derived here from the Pauli
-pair algebra, not transcribed from any external table. Both Choi matrices
-are Gram matrices of stacked, flattened Kraus operators.
+``closed_form_product`` builds it for any two products, one qubit at a time:
+a per-qubit table of summed pair weights keyed by (product label,
+anticommutes), combined across qubits by a parity-tracked convolution.
+``closed_form_two_party`` (a two-qubit product switched with itself) and
+``closed_form_nxy_n`` (n equal-X/Y mixtures, whose branches are the even-
+and odd-weight Z strings) are its special cases. ``validate_closed_forms``
+cross-checks the closed forms against ``switch_generic`` at the level of
+Choi matrices, which is the only trusted route: the closed forms are derived
+here from the Pauli pair algebra, not transcribed from any external table.
+Both Choi matrices are Gram matrices of stacked, flattened Kraus operators.
 """
 
 from __future__ import annotations
@@ -149,12 +153,6 @@ def switched_kraus(
     return [Operator(k, dims + (2,), dims) for k in _lift_control(stack, omega)]
 
 
-def _string_kraus(table: StringTable) -> tuple[Operator, ...]:
-    return tuple(
-        channels.pauli_string(s) * float(np.sqrt(w)) for s, w in sorted(table.items())
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class SwitchedChannel:
     """Decomposition of a switched Pauli-product channel.
@@ -167,8 +165,6 @@ class SwitchedChannel:
 
     p_plus: float
     p_minus: float
-    c_plus: tuple[Operator, ...]
-    c_minus: tuple[Operator, ...]
     omega_plus: DensityMatrix
     omega_minus: DensityMatrix
     plus_strings: StringTable
@@ -181,17 +177,17 @@ class SwitchedChannel:
             raise ValidityError(
                 f"branch probabilities sum to {self.p_plus + self.p_minus}, not 1"
             )
-        for name, ops in (("C_plus", self.c_plus), ("C_minus", self.c_minus)):
-            defect = qcore.kraus_defect(ops)
-            if defect > ATOL:
-                raise CompletenessError(f"{name} incomplete (defect {defect:.3e})")
+        # a Pauli-string channel is complete iff its weights form a distribution
+        for name, table in (("C_plus", self.plus_strings), ("C_minus", self.minus_strings)):
+            if any(w < 0.0 for w in table.values()) or abs(sum(table.values()) - 1.0) > ATOL:
+                raise CompletenessError(f"{name} weights are not a distribution")
         flipped = qcore.Z.entries @ self.omega_plus.matrix @ qcore.Z.entries
         if np.abs(flipped - self.omega_minus.matrix).max() > ATOL:
             raise ValidityError("omega_minus is not Z omega_plus Z")
 
     @property
     def num_qubits(self) -> int:
-        return len(self.c_plus[0].dims)
+        return len(next(iter(self.plus_strings)))
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Raw (linear) action on a message matrix; used for Choi comparisons."""
@@ -204,7 +200,7 @@ class SwitchedChannel:
                 continue
             branch = np.zeros_like(mat)
             for s, w in table.items():
-                sigma = channels.pauli_string(s).entries
+                sigma = channels.pauli_string_matrix(s)
                 branch += w * (sigma @ mat @ sigma)
             acc += np.kron(prob * branch, omega.matrix)
         return acc
@@ -249,16 +245,47 @@ class SwitchedChannel:
         return [Operator(k, dims + (2,), dims) for k in self._output_stack()]
 
 
-def _default_omega() -> DensityMatrix:
-    return qcore.KET_PLUS.density()
-
-
-def _from_tables(
-    plus: StringTable, minus: StringTable, n: int, omega: DensityMatrix | None
+def closed_form_product(
+    first: Sequence[channels.PauliChannel],
+    second: Sequence[channels.PauliChannel],
+    omega: DensityMatrix | None = None,
 ) -> SwitchedChannel:
-    omega = _default_omega() if omega is None else omega
+    """Switched-channel decomposition for the switch of two n-qubit products
+    of Pauli channels, ``first`` on qubits 1..n against ``second``.
+
+    On each qubit the pairs (sigma_a, sigma_b) with weights w_a * w_b are
+    summed by (label of sigma_a sigma_b, anticommutes); the qubits are then
+    combined keeping the parity of anticommuting factors, and odd-parity
+    strings flip the control coherence (C_minus).
+    """
+    n = len(first)
+    if len(second) != n:
+        raise ValueError(f"channel products on {n} and {len(second)} qubits")
+    if not 1 <= n <= MAX_RECEIVERS:
+        raise ValueError(f"receiver count {n} outside 1..{MAX_RECEIVERS}")
+    labels = channels.PAULI_LABELS
+    # tables[parity] maps the label strings built so far to their weights
+    tables: tuple[StringTable, StringTable] = ({(): 1.0}, {})
+    for a, b in zip(first, second):
+        local: dict[tuple[str, bool], float] = {}
+        for la, wa in enumerate(a.weights):
+            for lb, wb in enumerate(b.weights):
+                if wa == 0.0 or wb == 0.0:
+                    continue
+                _, product = channels.pauli_product(la, lb)
+                key = (labels[product], channels.paulis_anticommute(la, lb))
+                local[key] = local.get(key, 0.0) + wa * wb
+        grown: tuple[StringTable, StringTable] = ({}, {})
+        for parity, table in enumerate(tables):
+            for s, w in table.items():
+                for (label, flip), wl in local.items():
+                    out, key = grown[parity ^ flip], s + (label,)
+                    out[key] = out.get(key, 0.0) + w * wl
+        tables = grown
+
+    omega = qcore.KET_PLUS.density() if omega is None else omega
     sides = []
-    for table in (plus, minus):
+    for table in tables:
         total = sum(table.values())
         if total <= PROB_FLOOR:
             # degenerate branch: zero probability, identity channel placeholder
@@ -274,8 +301,6 @@ def _from_tables(
     return SwitchedChannel(
         p_plus=p_plus,
         p_minus=p_minus,
-        c_plus=_string_kraus(plus_n),
-        c_minus=_string_kraus(minus_n),
         omega_plus=omega,
         omega_minus=omega_minus,
         plus_strings=plus_n,
@@ -288,36 +313,8 @@ def closed_form_two_party(
     e2: channels.PauliChannel,
     omega: DensityMatrix | None = None,
 ) -> SwitchedChannel:
-    """Switched-channel decomposition for the switch of e1 (x) e2 with itself.
-
-    Enumerates the 16 x 16 ordered pairs of product Kraus operators. A pair
-    whose single-qubit factors anticommute an odd number of times flips the
-    control coherence and lands in C_minus; the rest land in C_plus.
-    """
-    w1, w2 = e1.weights, e2.weights
-    plus: StringTable = {}
-    minus: StringTable = {}
-    labels = channels.PAULI_LABELS
-    for l1 in range(4):
-        if w1[l1] == 0.0:
-            continue
-        for l2 in range(4):
-            if w1[l2] == 0.0:
-                continue
-            _, first = channels.pauli_product(l1, l2)
-            flip1 = channels.paulis_anticommute(l1, l2)
-            for m1 in range(4):
-                if w2[m1] == 0.0:
-                    continue
-                for m2 in range(4):
-                    if w2[m2] == 0.0:
-                        continue
-                    _, second = channels.pauli_product(m1, m2)
-                    weight = w1[l1] * w1[l2] * w2[m1] * w2[m2]
-                    key = (labels[first], labels[second])
-                    table = minus if flip1 ^ channels.paulis_anticommute(m1, m2) else plus
-                    table[key] = table.get(key, 0.0) + weight
-    return _from_tables(plus, minus, 2, omega)
+    """Switched-channel decomposition for the switch of e1 (x) e2 with itself."""
+    return closed_form_product((e1, e2), (e1, e2), omega)
 
 
 def closed_form_nxy_n(n: int, omega: DensityMatrix | None = None) -> SwitchedChannel:
@@ -327,40 +324,15 @@ def closed_form_nxy_n(n: int, omega: DensityMatrix | None = None) -> SwitchedCha
     strings leave the control untouched (C_plus), odd-weight strings flip its
     coherence (C_minus). Both branch probabilities are 1/2.
     """
-    if not 1 <= n <= MAX_RECEIVERS:
-        raise ValueError(f"receiver count {n} outside 1..{MAX_RECEIVERS}")
-    weight = 2.0 ** (-n)
-    plus: StringTable = {}
-    minus: StringTable = {}
-    for mask in range(2**n):
-        key = tuple("Z" if (mask >> (n - 1 - k)) & 1 else "I" for k in range(n))
-        table = minus if bin(mask).count("1") % 2 else plus
-        table[key] = weight
-    return _from_tables(plus, minus, n, omega)
-
-
-def _identity_switched(n: int, omega: DensityMatrix | None = None) -> SwitchedChannel:
-    """Switch of the identity channel with itself (orders coincide)."""
-    return _from_tables({("I",) * n: 1.0}, {}, n, omega)
-
-
-def _generic_choi_matrix(
-    a: Sequence[Operator], b: Sequence[Operator], omega: DensityMatrix
-) -> np.ndarray:
-    """Choi matrix of the generic switched map, computed on stacked arrays.
-
-    Equivalent to ``channels.choi(switched_kraus(a, b, omega)).matrix`` but
-    without per-operator bookkeeping, which keeps bulk validation fast.
-    """
-    _, stack = _switch_stack(a, b)
-    return _choi_gram(_lift_control(stack, omega))
+    return closed_form_product((channels.N_XY,) * n, (channels.N_XY,) * n, omega)
 
 
 def choi_deviation(
     sw: SwitchedChannel, a: Sequence[Operator], b: Sequence[Operator]
 ) -> float:
     """Max-entry Choi difference between a closed form and the generic switch."""
-    generic = _generic_choi_matrix(a, b, sw.omega_plus)
+    _, stack = _switch_stack(a, b)
+    generic = _choi_gram(_lift_control(stack, sw.omega_plus))
     closed = sw._output_stack()
     _check_complete(closed, "closed-form Kraus set")
     return float(np.abs(generic - _choi_gram(closed)).max())
@@ -404,10 +376,10 @@ def validate_closed_forms(
         if not 1 <= n <= 3:
             raise ValueError(f"generic validation supports n in 1..3, got {n}")
         ident = [qcore.identity((2,) * n)]
+        identities = (channels.IDENTITY,) * n
+        sw = closed_form_product(identities, identities)
         records.append(
-            ValidationRecord(
-                "identity", n, "", choi_deviation(_identity_switched(n), ident, ident)
-            )
+            ValidationRecord("identity", n, "", choi_deviation(sw, ident, ident))
         )
         nxy_ops = channels.product_pauli_kraus([channels.N_XY] * n)
         sw = closed_form_nxy_n(n)

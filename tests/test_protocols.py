@@ -209,10 +209,10 @@ def test_switch_protocol_sampled_trajectory_matches_enumeration():
     assert abs(sampled.fidelity - exhaustive.fidelity) < 1e-9
 
 
-def test_switch_protocol_default_policy_samples_beyond_four():
+def test_switch_protocol_default_policy_enumerates_beyond_four():
     result = run_switch_protocol(RANDOM_MSG, 5, 2)
-    assert result.policy.kind == "sample"
-    assert len(result.branches) == 1
+    assert result.policy.kind == "exhaustive"
+    assert len(result.branches) == 32
     assert result.min_fidelity > 1 - 1e-9
 
 

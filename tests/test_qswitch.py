@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rrqc import channels, qcore, qswitch
@@ -229,8 +231,6 @@ def test_switched_channel_validates_control_pair():
         qswitch.SwitchedChannel(
             p_plus=sw.p_plus,
             p_minus=sw.p_minus,
-            c_plus=sw.c_plus,
-            c_minus=sw.c_minus,
             omega_plus=sw.omega_plus,
             omega_minus=sw.omega_plus,  # must be Z omega Z
             plus_strings=sw.plus_strings,
@@ -240,8 +240,6 @@ def test_switched_channel_validates_control_pair():
         qswitch.SwitchedChannel(
             p_plus=0.7,
             p_minus=0.7,
-            c_plus=sw.c_plus,
-            c_minus=sw.c_minus,
             omega_plus=sw.omega_plus,
             omega_minus=sw.omega_minus,
             plus_strings=sw.plus_strings,
@@ -249,15 +247,14 @@ def test_switched_channel_validates_control_pair():
         )
 
 
-def test_switched_kraus_agrees_with_stacked_choi_path():
-    rng = np.random.default_rng(10)
-    ops = product_pauli_kraus(
-        [channels.random_pauli_channel(rng), channels.random_pauli_channel(rng)]
-    )
-    omega = qcore.random_density((2,), rng)
-    from_operators = channels.choi(qswitch.switched_kraus(ops, ops, omega)).matrix
-    stacked = qswitch._generic_choi_matrix(ops, ops, omega)
-    assert np.abs(from_operators - stacked).max() < 1e-12
+def test_closed_form_product_rejects_bad_inputs():
+    sw = qswitch.closed_form_nxy_n(1)
+    with pytest.raises(CompletenessError):
+        dataclasses.replace(sw, plus_strings={("I",): 0.9})
+    with pytest.raises(ValueError):
+        qswitch.closed_form_product((N_XY, N_XY), (N_XY,))
+    with pytest.raises(ValueError):
+        qswitch.closed_form_product((), ())
 
 
 def test_validate_closed_forms_report():
@@ -336,17 +333,22 @@ def random_control(rng, pure):
     return qcore.random_ket((2,), rng).density() if pure else qcore.random_density((2,), rng)
 
 
-def drawn_channel(rng, n, mixed):
-    """Product of n single-qubit Pauli channels, each on a random nonempty
-    subset of I, X, Y, Z, optionally recombined through a random isometry
-    into a non-Pauli Kraus set of the same channel."""
+def drawn_factors(rng, n, single=False):
+    """n single-qubit Pauli channels, each on a random nonempty subset of
+    I, X, Y, Z (one label each if ``single``)."""
     factors = []
     for _ in range(n):
-        support = rng.permutation(4)[: rng.integers(1, 5)]
+        support = rng.permutation(4)[: 1 if single else rng.integers(1, 5)]
         weights = np.zeros(4)
         weights[support] = rng.dirichlet(np.ones(len(support)))
         factors.append(channels.PauliChannel(*weights))
-    ops = product_pauli_kraus(factors)
+    return factors
+
+
+def drawn_channel(rng, n, mixed):
+    """Product of n drawn Pauli channels, optionally recombined through a
+    random isometry into a non-Pauli Kraus set of the same channel."""
+    ops = product_pauli_kraus(drawn_factors(rng, n))
     if not mixed:
         return ops
     rows = len(ops) + int(rng.integers(0, 3))
@@ -369,7 +371,7 @@ def test_stacked_switch_matches_literal_kraus_sum(n, seed, mixed_a, mixed_b, pur
     stacked = [k.entries for k in qswitch.switch_kraus(a, b)]
     np.testing.assert_allclose(stacked, literal_switch_kraus(a, b), rtol=0, atol=1e-12)
     np.testing.assert_allclose(
-        qswitch._generic_choi_matrix(a, b, omega),
+        channels.choi(qswitch.switched_kraus(a, b, omega)).matrix,
         literal_switch_choi(a, b, omega.matrix),
         rtol=0,
         atol=1e-12,
@@ -398,3 +400,24 @@ def test_stacked_closed_form_choi_matches_literal_kraus(n, seed, pure):
     assert abs(
         qswitch.choi_deviation(sw, pair, pair) - np.abs(generic - reference).max()
     ) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+@example(2, 8, True, True)  # (Z, X) against (X, Y): two anticommuting qubits, p_minus = 0
+def test_closed_form_product_matches_generic_switch(n, seed, single, pure):
+    # single-label supports often give p_minus = 0
+    rng = np.random.default_rng(seed)
+    first = drawn_factors(rng, n, single)
+    second = drawn_factors(rng, n, single)
+    assume(first != second)
+    omega = random_control(rng, pure)
+    sw = qswitch.closed_form_product(first, second, omega)
+    a, b = product_pauli_kraus(first), product_pauli_kraus(second)
+    assert qswitch.choi_deviation(sw, a, b) < 1e-12
+    np.testing.assert_allclose(
+        channels.choi(literal_output_kraus(sw)).matrix,
+        literal_switch_choi(a, b, omega.matrix),
+        rtol=0,
+        atol=1e-12,
+    )
