@@ -11,6 +11,8 @@ composition free of sign ambiguities.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -110,12 +112,18 @@ def pauli_kraus(ch: PauliChannel) -> list[Operator]:
 
 
 def product_pauli_kraus(factors: Sequence[PauliChannel]) -> list[Operator]:
-    """Kraus set of the tensor product of single-qubit Pauli channels."""
-    ops = [Operator(np.array([[1.0 + 0j]]), (1,))]
-    for ch in factors:
-        ops = [qcore.tensor(op, k) for op in ops for k in pauli_kraus(ch)]
-    n = len(factors)
-    return [Operator(op.entries, (2,) * n) for op in ops]
+    """Kraus set of the tensor product of single-qubit Pauli channels: per
+    string of nonzero-weight labels (first factor slowest), the amplitudes
+    sqrt(w_l) multiplied left to right, times the string's matrix."""
+    terms = [
+        [(np.sqrt(w), label) for w, label in zip(ch.weights, PAULI_LABELS) if w > 0.0]
+        for ch in factors
+    ]
+    ops = []
+    for combo in itertools.product(*terms):
+        amps, labels = zip(*combo)
+        ops.append(Operator(math.prod(amps) * pauli_string_matrix(labels), (2,) * len(labels)))
+    return ops
 
 
 def compose(a: PauliChannel, b: PauliChannel) -> PauliChannel:

@@ -15,10 +15,15 @@ factors. Gates act on one factor at a time, and CNOTs permute basis indices.
 Events always name the original factors. Every intermediate state is still a
 validated ``DensityMatrix``.
 
-Receiver i owns tensor factor i - 1. The retrieval phase shared by all
-protocols is the generalized-GHZ decoding: every party other than the target
-measures its carrier qubit in the |+>/|-> basis, reports the outcome bit,
-and the target applies Z raised to the outcome sum.
+Every variant is a distribution stage plus announced measurements. Its
+``run_*`` function builds the carrier state, the parties and which factor
+each receiver holds, and lists its own announcements: one party measures one
+factor, reports the bit, and on outcome 1 listed parties apply local
+corrections. One interpreter (``_run``) resolves the outcome policy, runs
+those announcements and then the GHZ retrieval shared by all protocols:
+every receiver other than the target x announces its carrier in the |+>/|->
+basis to x, and x applies Z raised to the outcome sum. Receiver i owns
+tensor factor i - 1.
 """
 
 from __future__ import annotations
@@ -229,22 +234,6 @@ class ProtocolResult:
     def min_fidelity(self) -> float:
         return min(br.fidelity for br in self.branches)
 
-    @property
-    def max_fidelity(self) -> float:
-        return max(br.fidelity for br in self.branches)
-
-    @property
-    def transcript(self) -> Transcript:
-        return self.branches[0].transcript
-
-    @property
-    def outcome_branch(self) -> dict[str, int]:
-        return self.branches[0].outcomes
-
-    @property
-    def final_state(self) -> DensityMatrix:
-        return self.branches[0].final_state
-
 
 # ---------------------------------------------------------------------------
 # simulation engine
@@ -255,6 +244,12 @@ class ProtocolResult:
 _CASCADE_KRAUS = tuple(
     channels.pauli_kraus(channels.compose(channels.N_XY, channels.N_XY))
 )
+
+#: Projectors of each announced measurement basis, outcome 0 first.
+_BASES = {
+    "fourier": (qcore.PROJ_PLUS, qcore.PROJ_MINUS),
+    "computational": (qcore.PROJ0, qcore.PROJ1),
+}
 
 
 @functools.lru_cache(maxsize=MAX_RECEIVERS)
@@ -279,6 +274,19 @@ class _Branch:
         return self.live.index(factor)
 
 
+@dataclass(frozen=True)
+class _Announcement:
+    """``party`` measures ``factor`` in ``basis``, reports the bit under
+    ``key`` to ``recipient`` and, on outcome 1, applies ``corrections``."""
+
+    party: Party
+    factor: int
+    basis: str
+    key: str
+    recipient: Union[int, str]
+    corrections: tuple[LocalUnitary, ...] = ()
+
+
 def _start(state: DensityMatrix, allow_nonlocal: bool = False) -> _Branch:
     transcript = Transcript(allow_nonlocal=allow_nonlocal)
     return _Branch(state, 1.0, {}, transcript, tuple(range(len(state.dims))))
@@ -295,7 +303,11 @@ def _receivers(n: int) -> dict[int, Party]:
     return {i: Party(i, frozenset({i - 1})) for i in range(1, n + 1)}
 
 
-def _apply_cnot(branch: _Branch, control: int, target: int) -> None:
+def _apply_cnot(branch: _Branch, gate: Union[LocalUnitary, NonlocalOperation]) -> None:
+    """Record ``gate``, a CNOT on (control, target) = ``gate.factors``, and
+    apply it as a basis-index permutation."""
+    branch.transcript.record(gate)
+    control, target = gate.factors
     perm = qcore.cnot_permutation(
         len(branch.live), branch.position(control), branch.position(target)
     )
@@ -305,27 +317,26 @@ def _apply_cnot(branch: _Branch, control: int, target: int) -> None:
     )
 
 
-def _apply_local(branch: _Branch, party: Party, factor: int, gate: Operator, label: str) -> None:
-    branch.transcript.record(LocalUnitary(party, (factor,), gate, label))
-    branch.state = qcore.apply_kraus(branch.state, [gate], factor=branch.position(factor))
+def _apply_local(branch: _Branch, gate: LocalUnitary) -> None:
+    branch.transcript.record(gate)
+    (factor,) = gate.factors
+    branch.state = qcore.apply_kraus(
+        branch.state, [gate.operator], factor=branch.position(factor)
+    )
 
 
-def _measure_and_tell(
-    branches: list[_Branch],
-    party: Party,
-    factor: int,
-    projectors: tuple[Operator, ...],
-    basis: str,
-    key: str,
-    recipient,
-    policy: OutcomePolicy,
-    rng: np.random.Generator | None,
+def _announce(
+    branches: list[_Branch], step: _Announcement, rng: np.random.Generator | None
 ) -> list[_Branch]:
+    """Run one announcement on every branch: all outcomes without ``rng``,
+    one drawn outcome with it."""
     new: list[_Branch] = []
     for br in branches:
-        measured = qcore.measure_and_discard(br.state, projectors, br.position(factor))
-        live = tuple(f for f in br.live if f != factor)
-        if policy.kind == "exhaustive":
+        measured = qcore.measure_and_discard(
+            br.state, _BASES[step.basis], br.position(step.factor)
+        )
+        live = tuple(f for f in br.live if f != step.factor)
+        if rng is None:
             chosen = list(measured.outcomes)
         else:
             probs = np.array([o.probability for o in measured.outcomes])
@@ -333,43 +344,59 @@ def _measure_and_tell(
             chosen = [measured.outcomes[pick]]
         for outcome in chosen:
             transcript = br.transcript.copy() if len(chosen) > 1 else br.transcript
-            transcript.record(LocalMeasurement(party, (factor,), basis, outcome.label))
-            transcript.record(ClassicalMessage(party.id, recipient, (outcome.label,)))
-            new.append(
-                _Branch(
-                    outcome.state,
-                    br.probability * outcome.probability,
-                    {**br.outcomes, key: outcome.label},
-                    transcript,
-                    live,
-                )
+            transcript.record(
+                LocalMeasurement(step.party, (step.factor,), step.basis, outcome.label)
             )
+            transcript.record(ClassicalMessage(step.party.id, step.recipient, (outcome.label,)))
+            child = _Branch(
+                outcome.state,
+                br.probability * outcome.probability,
+                {**br.outcomes, step.key: outcome.label},
+                transcript,
+                live,
+            )
+            if outcome.label == 1:
+                for gate in step.corrections:
+                    _apply_local(child, gate)
+            new.append(child)
     return new
 
 
-def _retrieval_tail(
-    branches: list[_Branch],
-    parties: dict[int, Party],
-    carriers: dict[int, int],
+def _run(
+    msg: MessageState,
     n: int,
     x: int,
-    msg: MessageState,
-    policy: OutcomePolicy,
-    rng: np.random.Generator | None,
-) -> list[BranchResult]:
-    fourier = (qcore.PROJ_PLUS, qcore.PROJ_MINUS)
-    for y in range(1, n + 1):
-        if y == x:
-            continue
-        branches = _measure_and_tell(
-            branches, parties[y], carriers[y], fourier, "fourier", f"B{y}", x, policy, rng
-        )
+    outcome_policy: OutcomePolicy | None,
+    start: _Branch,
+    parties: dict[int, Party],
+    carriers: dict[int, int] | None = None,
+    announcements: tuple[_Announcement, ...] = (),
+) -> ProtocolResult:
+    """Run a distributed carrier to the end: the variant's announcements,
+    then the GHZ retrieval at ``x``.
+
+    Receiver y's carrier is factor ``carriers[y]`` (default y - 1). Every
+    receiver other than ``x`` announces its carrier in the Fourier basis to
+    ``x``, which applies Z raised to the sum of those bits.
+    """
+    policy = OutcomePolicy.exhaustive() if outcome_policy is None else outcome_policy
+    rng = np.random.default_rng(policy.seed) if policy.kind == "sample" else None
+    if carriers is None:
+        carriers = {y: y - 1 for y in parties}
+    retrieval = tuple(
+        _Announcement(parties[y], carriers[y], "fourier", f"B{y}", x)
+        for y in range(1, n + 1)
+        if y != x
+    )
+    branches = [start]
+    for step in announcements + retrieval:
+        branches = _announce(branches, step, rng)
     target = msg.ket()
+    z_at_target = LocalUnitary(parties[x], (carriers[x],), qcore.Z, "Z")
     results = []
     for br in branches:
-        parity = sum(br.outcomes[f"B{y}"] for y in range(1, n + 1) if y != x) % 2
-        if parity:
-            _apply_local(br, parties[x], carriers[x], qcore.Z, "Z")
+        if sum(br.outcomes[step.key] for step in retrieval) % 2:
+            _apply_local(br, z_at_target)
         reduced = qcore.partial_trace(br.state, {br.position(carriers[x])})
         results.append(
             BranchResult(
@@ -380,11 +407,7 @@ def _retrieval_tail(
                 transcript=br.transcript,
             )
         )
-    return results
-
-
-def _policy_rng(policy: OutcomePolicy) -> np.random.Generator | None:
-    return np.random.default_rng(policy.seed) if policy.kind == "sample" else None
+    return ProtocolResult(msg, n, x, policy, tuple(results))
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +430,8 @@ def run_noiseless_protocol(
 ) -> ProtocolResult:
     """GHZ distribution over noiseless channels plus LOCC retrieval at x."""
     _check_run_args(n, x)
-    policy = OutcomePolicy.exhaustive() if outcome_policy is None else outcome_policy
-    rng = _policy_rng(policy)
-    parties = _receivers(n)
     start = _start(ghz_encode(msg, n).density())
-    carriers = {i: i - 1 for i in range(1, n + 1)}
-    results = _retrieval_tail([start], parties, carriers, n, x, msg, policy, rng)
-    return ProtocolResult(msg, n, x, policy, tuple(results))
+    return _run(msg, n, x, outcome_policy, start, _receivers(n))
 
 
 def run_switch_protocol(
@@ -429,29 +447,19 @@ def run_switch_protocol(
     every branch.
     """
     _check_run_args(n, x)
-    policy = OutcomePolicy.exhaustive() if outcome_policy is None else outcome_policy
-    rng = _policy_rng(policy)
     parties = _receivers(n)
-    control_party = Party(CONTROL_HOLDER, frozenset({n}))
     state = _switched_nxy(n).apply(ghz_encode(msg, n).density())
-    branches = [_start(state)]
-    branches = _measure_and_tell(
-        branches,
-        control_party,
+    control = _Announcement(
+        Party(CONTROL_HOLDER, frozenset({n})),
         n,
-        (qcore.PROJ_PLUS, qcore.PROJ_MINUS),
         "fourier",
         "control",
         BROADCAST,
-        policy,
-        rng,
+        (LocalUnitary(parties[1], (0,), qcore.Z, "Z"),),
     )
-    for br in branches:
-        if br.outcomes["control"] == 1:
-            _apply_local(br, parties[1], 0, qcore.Z, "Z")
-    carriers = {i: i - 1 for i in range(1, n + 1)}
-    results = _retrieval_tail(branches, parties, carriers, n, x, msg, policy, rng)
-    return ProtocolResult(msg, n, x, policy, tuple(results))
+    return _run(
+        msg, n, x, outcome_policy, _start(state), parties, announcements=(control,)
+    )
 
 
 def run_definite_order_baseline(
@@ -465,16 +473,10 @@ def run_definite_order_baseline(
     messages.
     """
     _check_run_args(n, x)
-    policy = OutcomePolicy.exhaustive() if outcome_policy is None else outcome_policy
-    rng = _policy_rng(policy)
-    parties = _receivers(n)
     state = ghz_encode(msg, n).density()
     for k in range(n):
         state = qcore.apply_kraus(state, _CASCADE_KRAUS, factor=k)
-    start = _start(state)
-    carriers = {i: i - 1 for i in range(1, n + 1)}
-    results = _retrieval_tail([start], parties, carriers, n, x, msg, policy, rng)
-    return ProtocolResult(msg, n, x, policy, tuple(results))
+    return _run(msg, n, x, outcome_policy, _start(state), _receivers(n))
 
 
 def run_controlled_ops_protocol(
@@ -492,9 +494,6 @@ def run_controlled_ops_protocol(
     retrieval.
     """
     _check_run_args(n, x)
-    policy = OutcomePolicy.exhaustive() if outcome_policy is None else outcome_policy
-    rng = _policy_rng(policy)
-    dims = (2,) * (n + 1)
     parties = _receivers(n)
     # receiver 1 also ends up holding the control qubit (last factor)
     parties[1] = Party(1, frozenset({0, n}))
@@ -503,39 +502,18 @@ def run_controlled_ops_protocol(
     vec = np.zeros(2 ** (n - 1), dtype=complex)
     vec[0] = 1.0
     amplitudes = np.kron(np.kron(msg.ket().amplitudes, vec), qcore.KET_PLUS.amplitudes)
-    branch = _start(Ket(amplitudes, dims).density(), allow_nonlocal=True)
+    branch = _start(Ket(amplitudes, (2,) * (n + 1)).density(), allow_nonlocal=True)
 
-    branch.transcript.record(LocalUnitary(sender, (n, 0), qcore.CNOT, "CNOT"))
-    _apply_cnot(branch, n, 0)
-
+    _apply_cnot(branch, LocalUnitary(sender, (n, 0), qcore.CNOT, "CNOT"))
     for k in range(n):
         branch.state = qcore.apply_kraus(
             branch.state, _CASCADE_KRAUS, factor=branch.position(k)
         )
-
     for k in range(1, n):
-        branch.transcript.record(
-            NonlocalOperation(THIRD_PARTY, (n, k), qcore.CNOT, "CNOT")
-        )
-        _apply_cnot(branch, n, k)
+        _apply_cnot(branch, NonlocalOperation(THIRD_PARTY, (n, k), qcore.CNOT, "CNOT"))
 
-    branches = _measure_and_tell(
-        [branch],
-        parties[1],
-        0,
-        (qcore.PROJ0, qcore.PROJ1),
-        "computational",
-        "B1_bit",
-        BROADCAST,
-        policy,
-        rng,
-    )
-    for br in branches:
-        if br.outcomes["B1_bit"] == 1:
-            for k in range(2, n + 1):
-                _apply_local(br, parties[k], k - 1, qcore.X, "X")
-            _apply_local(br, parties[1], n, qcore.X, "X")
-
+    flips = [LocalUnitary(parties[k], (k - 1,), qcore.X, "X") for k in range(2, n + 1)]
+    flips.append(LocalUnitary(parties[1], (n,), qcore.X, "X"))
+    readout = _Announcement(parties[1], 0, "computational", "B1_bit", BROADCAST, tuple(flips))
     carriers = {1: n} | {k: k - 1 for k in range(2, n + 1)}
-    results = _retrieval_tail(branches, parties, carriers, n, x, msg, policy, rng)
-    return ProtocolResult(msg, n, x, policy, tuple(results))
+    return _run(msg, n, x, outcome_policy, branch, parties, carriers, (readout,))

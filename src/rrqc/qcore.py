@@ -100,16 +100,6 @@ class Operator:
     def is_square(self) -> bool:
         return self.entries.shape[0] == self.entries.shape[1]
 
-    @property
-    def dag(self) -> "Operator":
-        return Operator(self.entries.conj().T, self.col_dims, self.dims)
-
-    @property
-    def trace(self) -> complex:
-        if not self.is_square:
-            raise DimensionMismatchError("trace of a non-square operator")
-        return complex(np.trace(self.entries))
-
     def __matmul__(self, other: "Operator") -> "Operator":
         if self.shape[1] != other.shape[0]:
             raise DimensionMismatchError(
@@ -264,10 +254,6 @@ class DensityMatrix:
     def from_matrix(cls, matrix, dims, tolerance: float = ATOL) -> "DensityMatrix":
         return cls(Operator(matrix, _clean_dims(dims)), tolerance)
 
-    @classmethod
-    def from_ket(cls, ket: Ket) -> "DensityMatrix":
-        return ket.density()
-
     @property
     def matrix(self) -> np.ndarray:
         return self.op.entries
@@ -279,13 +265,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
-        return DensityMatrix.from_matrix(
-            np.kron(self.matrix, other.matrix),
-            self.dims + other.dims,
-            max(self.tolerance, other.tolerance),
-        )
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:

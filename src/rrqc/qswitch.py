@@ -189,9 +189,14 @@ class SwitchedChannel:
     def num_qubits(self) -> int:
         return len(next(iter(self.plus_strings)))
 
-    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Raw (linear) action on a message matrix; used for Choi comparisons."""
-        acc = np.zeros((mat.shape[0] * 2, mat.shape[1] * 2), dtype=complex)
+    def apply(self, rho: DensityMatrix) -> DensityMatrix:
+        """Total switched-channel output on message (x) control."""
+        if rho.dim != 2**self.num_qubits:
+            raise DimensionMismatchError(
+                f"message dimension {rho.dim} does not match {self.num_qubits} qubits"
+            )
+        mat = rho.matrix
+        out = np.zeros((mat.shape[0] * 2, mat.shape[1] * 2), dtype=complex)
         for prob, table, omega in (
             (self.p_plus, self.plus_strings, self.omega_plus),
             (self.p_minus, self.minus_strings, self.omega_minus),
@@ -202,16 +207,7 @@ class SwitchedChannel:
             for s, w in table.items():
                 sigma = channels.pauli_string_matrix(s)
                 branch += w * (sigma @ mat @ sigma)
-            acc += np.kron(prob * branch, omega.matrix)
-        return acc
-
-    def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        """Total switched-channel output on message (x) control."""
-        if rho.dim != 2**self.num_qubits:
-            raise DimensionMismatchError(
-                f"message dimension {rho.dim} does not match {self.num_qubits} qubits"
-            )
-        out = self.apply_matrix(rho.matrix)
+            out += np.kron(prob * branch, omega.matrix)
         out = (out + out.conj().T) / 2
         return DensityMatrix.from_matrix(out, rho.dims + (2,), rho.tolerance)
 

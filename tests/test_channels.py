@@ -99,6 +99,21 @@ def test_pauli_kraus_always_complete(ch):
     assert qcore.kraus_defect(pauli_kraus(ch)) < 1e-12
 
 
+@settings(max_examples=50)
+@given(st.lists(channel_strategy(), min_size=1, max_size=3))
+def test_product_pauli_kraus_matches_kronecker_chain(factors):
+    # reference: Kronecker products of the factors' Kraus sets, first slowest;
+    # the amplitudes multiply in the same order, so entries agree exactly
+    ref = [qcore.Operator(np.array([[1.0 + 0j]]), (1,))]
+    for ch in factors:
+        ref = [qcore.tensor(op, k) for op in ref for k in pauli_kraus(ch)]
+    ops = channels.product_pauli_kraus(factors)
+    assert len(ops) == len(ref)
+    for op, expected in zip(ops, ref):
+        assert op.dims == (2,) * len(factors)
+        np.testing.assert_array_equal(op.entries, expected.entries)
+
+
 # ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ from rrqc import channels, qcore
 from rrqc.protocols import (
     BROADCAST,
     CONTROL_HOLDER,
+    SENDER,
     THIRD_PARTY,
+    ClassicalMessage,
     LocalityError,
     LocalMeasurement,
     LocalUnitary,
@@ -305,3 +307,65 @@ def test_final_state_matches_message_for_switch():
     target = msg.ket().density().matrix
     for branch in result.branches:
         np.testing.assert_allclose(branch.final_state.matrix, target, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# pinned transcripts
+# ---------------------------------------------------------------------------
+
+
+def _event_row(event):
+    if isinstance(event, LocalUnitary):
+        return ("U", event.party.id, event.factors, event.label)
+    if isinstance(event, LocalMeasurement):
+        return ("M", event.party.id, event.factors, event.basis, event.outcome)
+    if isinstance(event, ClassicalMessage):
+        return ("C", event.sender, event.recipient, event.bits)
+    return ("N", event.actor, event.factors, event.label, event.flagged)
+
+
+_RETRIEVAL_ALL_ONES = [
+    ("M", 1, (0,), "fourier", 1),
+    ("C", 1, 2, (1,)),
+    ("M", 3, (2,), "fourier", 1),
+    ("C", 3, 2, (1,)),
+]
+
+PINNED_TRANSCRIPTS = {
+    run_noiseless_protocol: _RETRIEVAL_ALL_ONES,
+    run_definite_order_baseline: _RETRIEVAL_ALL_ONES,
+    run_switch_protocol: [
+        ("M", CONTROL_HOLDER, (3,), "fourier", 1),
+        ("C", CONTROL_HOLDER, BROADCAST, (1,)),
+        ("U", 1, (0,), "Z"),
+    ]
+    + _RETRIEVAL_ALL_ONES,
+    run_controlled_ops_protocol: [
+        ("U", SENDER, (3, 0), "CNOT"),
+        ("N", THIRD_PARTY, (3, 1), "CNOT", True),
+        ("N", THIRD_PARTY, (3, 2), "CNOT", True),
+        ("M", 1, (0,), "computational", 1),
+        ("C", 1, BROADCAST, (1,)),
+        ("U", 2, (1,), "X"),
+        ("U", 3, (2,), "X"),
+        ("U", 1, (3,), "X"),
+        ("M", 1, (3,), "fourier", 1),
+        ("C", 1, 2, (1,)),
+        ("M", 3, (2,), "fourier", 1),
+        ("C", 3, 2, (1,)),
+    ],
+}
+
+
+@pytest.mark.parametrize("runner", list(PINNED_TRANSCRIPTS), ids=lambda r: r.__name__)
+def test_all_ones_branch_transcript_is_pinned(runner):
+    # n = 3, x = 2: the branch with every outcome 1 fires each conditional
+    # correction; its two retrieval bits have even parity, so no final Z
+    result = runner(RANDOM_MSG, 3, 2)
+    (branch,) = [b for b in result.branches if set(b.outcomes.values()) == {1}]
+    assert [_event_row(e) for e in branch.transcript.events] == PINNED_TRANSCRIPTS[runner]
+    # an odd retrieval parity ends the transcript with the target's Z
+    odd = [b for b in result.branches if b.outcomes["B1"] != b.outcomes["B3"]]
+    assert odd
+    for b in odd:
+        assert _event_row(b.transcript.events[-1]) == ("U", 2, (1,), "Z")
