@@ -8,12 +8,17 @@ constructed: a LocalUnitary or LocalMeasurement whose factors are not all
 owned by its party raises LocalityError, and NonlocalOperation events are
 rejected unless the protocol's transcript explicitly declares them.
 
-A measured qubit is never touched again, so each branch traces it out as
-soon as its outcome is known (``qcore.measure_and_discard``; the public
-``qcore.measure_projective`` keeps every factor) and carries only its live
-factors. Gates act on one factor at a time, and CNOTs permute basis indices.
-Events always name the original factors. Every intermediate state is still a
-validated ``DensityMatrix``.
+One run holds all of its live branches as one (B, d, d) stack of states,
+with a probability and a tuple of outcome bits per branch. A measured
+qubit is never touched again, so each announcement measures it on the whole
+stack and traces it out (``qcore.project_and_discard``), giving up to two
+children per branch, parent-major with outcome 0 first. Gates act on one
+factor of the whole stack at a time, and CNOTs permute basis indices.
+Every stack the engine produces, after every gate, cascade, correction and
+measurement, passes ``qcore.check_states``: finite, Hermitian, unit trace
+and positive semidefinite. Transcripts are built at the end from the shared
+distribution prefix and each branch's bits; events always name the
+original factors.
 
 Every variant is a distribution stage plus announced measurements. Its
 ``run_*`` function builds the carrier state, the parties and which factor
@@ -38,6 +43,7 @@ from . import channels, qcore, qswitch
 from .qcore import (
     ATOL,
     MAX_RECEIVERS,
+    PROB_FLOOR,
     DensityMatrix,
     Ket,
     Operator,
@@ -105,6 +111,8 @@ class LocalUnitary:
             raise LocalityError(
                 f"party {self.party.id} does not own all of factors {self.factors}"
             )
+        if not self.operator.is_square or qcore.kraus_defect([self.operator]) > ATOL:
+            raise ValidityError(f"operator {self.label!r} is not unitary")
 
 
 @dataclass(frozen=True)
@@ -239,16 +247,24 @@ class ProtocolResult:
 # simulation engine
 # ---------------------------------------------------------------------------
 
-#: Kraus set of the definite-order cascade on one qubit: the equal-X/Y
-#: mixture composed with itself, i.e. full dephasing.
-_CASCADE_KRAUS = tuple(
-    channels.pauli_kraus(channels.compose(channels.N_XY, channels.N_XY))
-)
+def _cascade_kraus() -> tuple[np.ndarray, ...]:
+    """Kraus entries of the definite-order cascade on one qubit: the equal-X/Y
+    mixture composed with itself, i.e. full dephasing. Its completeness is
+    checked here, once, not on every use."""
+    kraus = channels.pauli_kraus(channels.compose(channels.N_XY, channels.N_XY))
+    defect = qcore.kraus_defect(kraus)
+    if defect > ATOL:
+        raise qcore.CompletenessError(f"cascade Kraus set incomplete (defect {defect:.3e})")
+    return tuple(k.entries for k in kraus)
 
-#: Projectors of each announced measurement basis, outcome 0 first.
+
+_CASCADE_KRAUS = _cascade_kraus()
+
+#: Projectors of each announced measurement basis, outcome 0 first, checked
+#: once by ``projector_set``.
 _BASES = {
-    "fourier": (qcore.PROJ_PLUS, qcore.PROJ_MINUS),
-    "computational": (qcore.PROJ0, qcore.PROJ1),
+    "fourier": qcore.projector_set((qcore.PROJ_PLUS, qcore.PROJ_MINUS)),
+    "computational": qcore.projector_set((qcore.PROJ0, qcore.PROJ1)),
 }
 
 
@@ -256,22 +272,6 @@ _BASES = {
 def _switched_nxy(n: int) -> qswitch.SwitchedChannel:
     """The default-control switched channel, built once per receiver count."""
     return qswitch.closed_form_nxy_n(n)
-
-
-@dataclass
-class _Branch:
-    """One outcome branch. ``live`` lists the original factor ids still in
-    the register, in register order; measured factors have been traced out.
-    Events keep the original ids, ``position`` maps them into ``state``."""
-
-    state: DensityMatrix
-    probability: float
-    outcomes: dict[str, int]
-    transcript: Transcript
-    live: tuple[int, ...]
-
-    def position(self, factor: int) -> int:
-        return self.live.index(factor)
 
 
 @dataclass(frozen=True)
@@ -286,10 +286,96 @@ class _Announcement:
     recipient: Union[int, str]
     corrections: tuple[LocalUnitary, ...] = ()
 
+    def events(self, outcome: int) -> tuple[Event, ...]:
+        """The transcript events of this step on one outcome."""
+        heard = (
+            LocalMeasurement(self.party, (self.factor,), self.basis, outcome),
+            ClassicalMessage(self.party.id, self.recipient, (outcome,)),
+        )
+        return heard + self.corrections if outcome else heard
 
-def _start(state: DensityMatrix, allow_nonlocal: bool = False) -> _Branch:
-    transcript = Transcript(allow_nonlocal=allow_nonlocal)
-    return _Branch(state, 1.0, {}, transcript, tuple(range(len(state.dims))))
+
+class _Batch:
+    """Every live branch of one run, as one (B, d, d) stack of states.
+
+    ``live`` lists the original factor ids still in the register, in
+    register order. It is shared by all branches, because every branch
+    measures the same factor at each step; events keep the original ids and
+    ``position`` maps them into the register. ``bits[b]`` holds branch b's
+    announced outcomes, one per announcement so far; ``prefix`` records the
+    distribution stage, which every branch shares. Every stack the batch
+    produces passes ``qcore.check_states``.
+    """
+
+    def __init__(self, state: DensityMatrix, allow_nonlocal: bool = False):
+        self.states = state.matrix[None]
+        self.tolerance = state.tolerance
+        self.dims = state.dims
+        self.live = tuple(range(len(state.dims)))
+        self.probabilities = np.ones(1)
+        self.bits: list[tuple[int, ...]] = [()]
+        self.prefix = Transcript(allow_nonlocal=allow_nonlocal)
+
+    def position(self, factor: int) -> int:
+        return self.live.index(factor)
+
+    def _checked(self, states: np.ndarray) -> np.ndarray:
+        qcore.check_states(states, self.tolerance)
+        return states
+
+    def cnot(self, gate: Union[LocalUnitary, NonlocalOperation]) -> None:
+        """Record ``gate``, a CNOT on (control, target) = ``gate.factors``, and
+        apply it to every branch as a basis-index permutation."""
+        self.prefix.record(gate)
+        control, target = gate.factors
+        perm = qcore.cnot_permutation(
+            len(self.live), self.position(control), self.position(target)
+        )
+        self.states = self._checked(self.states[:, perm][:, :, perm])
+
+    def cascade(self, factor: int) -> None:
+        """Send ``factor`` through the definite-order cascade (not an event)."""
+        self.states = self._checked(
+            qcore.local_channel(self.states, _CASCADE_KRAUS, self.position(factor), self.dims)
+        )
+
+    def correct(self, gate: LocalUnitary, rows: np.ndarray) -> None:
+        """Apply a single-factor unitary to the branches ``rows``."""
+        (factor,) = gate.factors
+        self.states[rows] = self._checked(
+            qcore.local_channel(
+                self.states[rows], (gate.operator.entries,), self.position(factor), self.dims
+            )
+        )
+
+    def announce(self, step: _Announcement, rng: np.random.Generator | None) -> None:
+        """Measure and discard ``step.factor`` on every branch. Without ``rng``
+        every outcome above ``PROB_FLOOR`` becomes a child, parent-major with
+        outcome 0 first; with it each parent draws one child before any child
+        state is renormalized."""
+        index = self.position(step.factor)
+        probs, posts = qcore.project_and_discard(
+            self.states, _BASES[step.basis], index, self.dims
+        )
+        if rng is None:
+            parents, labels = np.nonzero(probs >= PROB_FLOOR)
+        else:
+            parents = np.arange(len(probs))
+            labels = np.empty_like(parents)
+            for b, row in enumerate(probs):
+                (alive,) = np.nonzero(row >= PROB_FLOOR)
+                kept = row[alive]
+                labels[b] = alive[rng.choice(len(alive), p=kept / kept.sum())]
+        chosen = probs[parents, labels]
+        self.live = self.live[:index] + self.live[index + 1 :]
+        self.dims = self.dims[:index] + self.dims[index + 1 :]
+        self.states = self._checked(qcore.renormalize(posts[parents, labels], chosen))
+        self.probabilities = self.probabilities[parents] * chosen
+        self.bits = [self.bits[p] + (l,) for p, l in zip(parents.tolist(), labels.tolist())]
+        (ones,) = np.nonzero(labels == 1)
+        if ones.size:
+            for gate in step.corrections:
+                self.correct(gate, ones)
 
 
 def _check_run_args(n: int, x: int) -> None:
@@ -303,71 +389,12 @@ def _receivers(n: int) -> dict[int, Party]:
     return {i: Party(i, frozenset({i - 1})) for i in range(1, n + 1)}
 
 
-def _apply_cnot(branch: _Branch, gate: Union[LocalUnitary, NonlocalOperation]) -> None:
-    """Record ``gate``, a CNOT on (control, target) = ``gate.factors``, and
-    apply it as a basis-index permutation."""
-    branch.transcript.record(gate)
-    control, target = gate.factors
-    perm = qcore.cnot_permutation(
-        len(branch.live), branch.position(control), branch.position(target)
-    )
-    state = branch.state
-    branch.state = DensityMatrix.from_matrix(
-        state.matrix[perm][:, perm], state.dims, state.tolerance
-    )
-
-
-def _apply_local(branch: _Branch, gate: LocalUnitary) -> None:
-    branch.transcript.record(gate)
-    (factor,) = gate.factors
-    branch.state = qcore.apply_kraus(
-        branch.state, [gate.operator], factor=branch.position(factor)
-    )
-
-
-def _announce(
-    branches: list[_Branch], step: _Announcement, rng: np.random.Generator | None
-) -> list[_Branch]:
-    """Run one announcement on every branch: all outcomes without ``rng``,
-    one drawn outcome with it."""
-    new: list[_Branch] = []
-    for br in branches:
-        measured = qcore.measure_and_discard(
-            br.state, _BASES[step.basis], br.position(step.factor)
-        )
-        live = tuple(f for f in br.live if f != step.factor)
-        if rng is None:
-            chosen = list(measured.outcomes)
-        else:
-            probs = np.array([o.probability for o in measured.outcomes])
-            pick = rng.choice(len(measured.outcomes), p=probs / probs.sum())
-            chosen = [measured.outcomes[pick]]
-        for outcome in chosen:
-            transcript = br.transcript.copy() if len(chosen) > 1 else br.transcript
-            transcript.record(
-                LocalMeasurement(step.party, (step.factor,), step.basis, outcome.label)
-            )
-            transcript.record(ClassicalMessage(step.party.id, step.recipient, (outcome.label,)))
-            child = _Branch(
-                outcome.state,
-                br.probability * outcome.probability,
-                {**br.outcomes, step.key: outcome.label},
-                transcript,
-                live,
-            )
-            if outcome.label == 1:
-                for gate in step.corrections:
-                    _apply_local(child, gate)
-            new.append(child)
-    return new
-
-
 def _run(
     msg: MessageState,
     n: int,
     x: int,
     outcome_policy: OutcomePolicy | None,
-    start: _Branch,
+    batch: _Batch,
     parties: dict[int, Party],
     carriers: dict[int, int] | None = None,
     announcements: tuple[_Announcement, ...] = (),
@@ -377,7 +404,8 @@ def _run(
 
     Receiver y's carrier is factor ``carriers[y]`` (default y - 1). Every
     receiver other than ``x`` announces its carrier in the Fourier basis to
-    ``x``, which applies Z raised to the sum of those bits.
+    ``x``, which applies Z raised to the sum of those bits. Transcripts are
+    built at the end from the shared prefix and each branch's outcome bits.
     """
     policy = OutcomePolicy.exhaustive() if outcome_policy is None else outcome_policy
     rng = np.random.default_rng(policy.seed) if policy.kind == "sample" else None
@@ -388,23 +416,36 @@ def _run(
         for y in range(1, n + 1)
         if y != x
     )
-    branches = [start]
-    for step in announcements + retrieval:
-        branches = _announce(branches, step, rng)
-    target = msg.ket()
+    steps = announcements + retrieval
+    for step in steps:
+        batch.announce(step, rng)
     z_at_target = LocalUnitary(parties[x], (carriers[x],), qcore.Z, "Z")
+    odd = [sum(bits[len(announcements) :]) % 2 == 1 for bits in batch.bits]
+    (odd_rows,) = np.nonzero(odd)
+    if odd_rows.size:
+        batch.correct(z_at_target, odd_rows)
+
+    events = [(step.events(0), step.events(1)) for step in steps]
+    target = msg.ket()
     results = []
-    for br in branches:
-        if sum(br.outcomes[step.key] for step in retrieval) % 2:
-            _apply_local(br, z_at_target)
-        reduced = qcore.partial_trace(br.state, {br.position(carriers[x])})
+    for state, probability, bits, flip in zip(
+        batch.states, batch.probabilities, batch.bits, odd
+    ):
+        transcript = batch.prefix.copy()
+        for step_events, bit in zip(events, bits):
+            for event in step_events[bit]:
+                transcript.record(event)
+        if flip:
+            transcript.record(z_at_target)
+        full = DensityMatrix.from_matrix(state, batch.dims, batch.tolerance)
+        reduced = qcore.partial_trace(full, {batch.position(carriers[x])})
         results.append(
             BranchResult(
-                probability=br.probability,
-                outcomes=dict(br.outcomes),
+                probability=float(probability),
+                outcomes={step.key: bit for step, bit in zip(steps, bits)},
                 fidelity=qcore.fidelity_pure(target, reduced),
                 final_state=reduced,
-                transcript=br.transcript,
+                transcript=transcript,
             )
         )
     return ProtocolResult(msg, n, x, policy, tuple(results))
@@ -430,8 +471,8 @@ def run_noiseless_protocol(
 ) -> ProtocolResult:
     """GHZ distribution over noiseless channels plus LOCC retrieval at x."""
     _check_run_args(n, x)
-    start = _start(ghz_encode(msg, n).density())
-    return _run(msg, n, x, outcome_policy, start, _receivers(n))
+    batch = _Batch(ghz_encode(msg, n).density())
+    return _run(msg, n, x, outcome_policy, batch, _receivers(n))
 
 
 def run_switch_protocol(
@@ -458,7 +499,7 @@ def run_switch_protocol(
         (LocalUnitary(parties[1], (0,), qcore.Z, "Z"),),
     )
     return _run(
-        msg, n, x, outcome_policy, _start(state), parties, announcements=(control,)
+        msg, n, x, outcome_policy, _Batch(state), parties, announcements=(control,)
     )
 
 
@@ -473,10 +514,10 @@ def run_definite_order_baseline(
     messages.
     """
     _check_run_args(n, x)
-    state = ghz_encode(msg, n).density()
+    batch = _Batch(ghz_encode(msg, n).density())
     for k in range(n):
-        state = qcore.apply_kraus(state, _CASCADE_KRAUS, factor=k)
-    return _run(msg, n, x, outcome_policy, _start(state), _receivers(n))
+        batch.cascade(k)
+    return _run(msg, n, x, outcome_policy, batch, _receivers(n))
 
 
 def run_controlled_ops_protocol(
@@ -502,18 +543,16 @@ def run_controlled_ops_protocol(
     vec = np.zeros(2 ** (n - 1), dtype=complex)
     vec[0] = 1.0
     amplitudes = np.kron(np.kron(msg.ket().amplitudes, vec), qcore.KET_PLUS.amplitudes)
-    branch = _start(Ket(amplitudes, (2,) * (n + 1)).density(), allow_nonlocal=True)
+    batch = _Batch(Ket(amplitudes, (2,) * (n + 1)).density(), allow_nonlocal=True)
 
-    _apply_cnot(branch, LocalUnitary(sender, (n, 0), qcore.CNOT, "CNOT"))
+    batch.cnot(LocalUnitary(sender, (n, 0), qcore.CNOT, "CNOT"))
     for k in range(n):
-        branch.state = qcore.apply_kraus(
-            branch.state, _CASCADE_KRAUS, factor=branch.position(k)
-        )
+        batch.cascade(k)
     for k in range(1, n):
-        _apply_cnot(branch, NonlocalOperation(THIRD_PARTY, (n, k), qcore.CNOT, "CNOT"))
+        batch.cnot(NonlocalOperation(THIRD_PARTY, (n, k), qcore.CNOT, "CNOT"))
 
     flips = [LocalUnitary(parties[k], (k - 1,), qcore.X, "X") for k in range(2, n + 1)]
     flips.append(LocalUnitary(parties[1], (n,), qcore.X, "X"))
     readout = _Announcement(parties[1], 0, "computational", "B1_bit", BROADCAST, tuple(flips))
     carriers = {1: n} | {k: k - 1 for k in range(2, n + 1)}
-    return _run(msg, n, x, outcome_policy, branch, parties, carriers, (readout,))
+    return _run(msg, n, x, outcome_policy, batch, parties, carriers, (readout,))

@@ -7,12 +7,20 @@ in the last slot. Registers stay at or below 2**(MAX_RECEIVERS + 1)
 dimensions, so everything is dense and every constructed state is cheap to
 validate eagerly.
 
+States are validated by one check that works on a stack of shape (B, d, d):
+``check_states`` tests finiteness, Hermiticity and unit trace, and
+positivity through one batched Cholesky factorization of S + tol * I, with
+a batched ``eigvalsh`` deciding only when that fails. ``DensityMatrix``
+runs it on a stack of one.
+
 Single-factor operations (local gates, local Kraus channels, projective
 measurements) go through one factor-local kernel that contracts the touched
-axis in place of a d x d embedding. Two measurements are offered:
-``measure_projective`` keeps every factor in its post-measurement states,
-while ``measure_and_discard`` traces the measured factor out of them, which
-is what LOCC protocols use once a measured qubit is never touched again.
+axis of every state in a stack, in place of a d x d embedding;
+``apply_kraus`` and ``measure_projective`` call it on a stack of one, and
+``local_channel`` on a whole stack. ``project_and_discard`` measures one
+factor of every state in a stack and traces it out, which is what LOCC
+protocols do once a measured qubit is never touched again; its projector
+set is checked once by ``projector_set``.
 
 All functions are pure: they never mutate their arguments and are safe to
 call concurrently on distinct inputs.
@@ -20,6 +28,7 @@ call concurrently on distinct inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 import string
 from dataclasses import dataclass
@@ -144,21 +153,84 @@ def _check_local(op: Operator, factor: int, dims: tuple[int, ...], what: str) ->
         )
 
 
+def _check_stack(stack: np.ndarray, dims: tuple[int, ...]) -> None:
+    side = math.prod(dims)
+    if stack.ndim != 3 or stack.shape[1:] != (side, side):
+        raise DimensionMismatchError(f"stack of shape {stack.shape} does not match dims {dims}")
+
+
+def _dagger(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
+
+
 def _conjugate_local(
-    mat: np.ndarray, gate: np.ndarray, factor: int, dims: tuple[int, ...]
+    stack: np.ndarray, gate: np.ndarray, factor: int, dims: tuple[int, ...]
 ) -> np.ndarray:
-    """G_f mat G_f^dag for a gate on one factor, without embedding it.
+    """G_f S G_f^dag for every S of a (B, d, d) stack, with G on one factor,
+    without embedding it.
 
     With a = prod(dims[:factor]), k = dims[factor] and b the product of the
-    rest, the row index of mat splits as (a, k, b), so G acts on axis 1 of
-    mat reshaped to (a, k, b * d). Applying the same step to the conjugate
-    transpose of the result applies G^dag from the right.
+    rest, the row index of S splits as (a, k, b), so G acts on axis 2 of the
+    stack reshaped to (B, a, k, b * d). Applying the same step to the
+    conjugate transpose of the result applies G^dag from the right.
     """
-    side = mat.shape[0]
+    count, side = stack.shape[0], stack.shape[-1]
     before = math.prod(dims[:factor])
-    shape = (before, dims[factor], side // (before * dims[factor]) * side)
-    rows = np.matmul(gate, mat.reshape(shape)).reshape(side, side)
-    return np.matmul(gate, rows.conj().T.reshape(shape)).reshape(side, side).conj().T
+    shape = (count, before, dims[factor], side // (before * dims[factor]) * side)
+    rows = np.matmul(gate, stack.reshape(shape)).reshape(count, side, side)
+    return _dagger(np.matmul(gate, _dagger(rows).reshape(shape)).reshape(count, side, side))
+
+
+def local_channel(
+    stack: np.ndarray, kraus: Sequence[np.ndarray], factor: int, dims: tuple[int, ...]
+) -> np.ndarray:
+    """sum_K K_f S K_f^dag for every S of a (B, d, d) stack, each K acting on
+    one factor, Hermitian-symmetrized.
+
+    ``kraus`` holds the k x k entries of a set whose completeness the caller
+    has checked; the output stack is not validated.
+    """
+    _check_stack(stack, dims)
+    if not 0 <= factor < len(dims) or any(k.shape != (dims[factor],) * 2 for k in kraus):
+        raise DimensionMismatchError(f"Kraus set does not act on factor {factor} of {dims}")
+    out = _conjugate_local(stack, kraus[0], factor, dims)
+    for k in kraus[1:]:
+        out = out + _conjugate_local(stack, k, factor, dims)
+    return (out + _dagger(out)) / 2  # suppress Hermiticity drift
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(side: int) -> np.ndarray:
+    eye = np.eye(side)
+    eye.setflags(write=False)
+    return eye
+
+
+def check_states(stack: np.ndarray, tolerance: float = ATOL) -> None:
+    """Raise ValidityError unless every matrix of a (B, d, d) stack is a state:
+    finite, Hermitian and of unit trace within ``tolerance``, with no
+    eigenvalue below -``tolerance``.
+
+    Positivity is decided by one batched Cholesky factorization of
+    S + tolerance * I, which succeeds exactly when every eigenvalue of every
+    S exceeds -tolerance. When it fails, a batched ``eigvalsh`` gives the
+    verdict and the reported eigenvalue. Errors name the first failing state.
+    """
+    if not np.isfinite(stack).all():
+        raise ValidityError("entries contain NaN or Inf")
+    if np.abs(stack - _dagger(stack)).max() > tolerance:
+        raise ValidityError("state is not Hermitian within tolerance")
+    traces = stack.trace(axis1=1, axis2=2)
+    errors = np.abs(traces - 1.0)
+    if errors.max() > tolerance:
+        raise ValidityError(f"state trace {traces[np.argmax(errors > tolerance)]} is not 1")
+    try:
+        np.linalg.cholesky(stack + tolerance * _identity(stack.shape[-1]))
+    except np.linalg.LinAlgError:
+        lowest = np.linalg.eigvalsh(stack).min(axis=1)
+        if lowest.min() < -tolerance:
+            lo = float(lowest[np.argmax(lowest < -tolerance)])
+            raise ValidityError(f"state has negative eigenvalue {lo}") from None
 
 
 def embed(op: Operator, factor: int, dims: Iterable[int]) -> Operator:
@@ -240,15 +312,7 @@ class DensityMatrix:
     def __post_init__(self):
         if not self.op.is_square or self.op.col_dims != self.op.dims:
             raise DimensionMismatchError("density matrix must be square")
-        mat = self.op.entries
-        tol = self.tolerance
-        if np.abs(mat - mat.conj().T).max() > tol:
-            raise ValidityError("state is not Hermitian within tolerance")
-        if abs(np.trace(mat) - 1.0) > tol:
-            raise ValidityError(f"state trace {np.trace(mat)} is not 1")
-        lo = float(np.linalg.eigvalsh(mat).min())
-        if lo < -tol:
-            raise ValidityError(f"state has negative eigenvalue {lo}")
+        check_states(self.op.entries[None], self.tolerance)
 
     @classmethod
     def from_matrix(cls, matrix, dims, tolerance: float = ATOL) -> "DensityMatrix":
@@ -336,18 +400,14 @@ def apply_kraus(
     if defect > atol:
         raise CompletenessError(f"Kraus set incomplete (defect {defect:.3e})")
     mat = rho.matrix
-    if factor is None:
-        out_dims = kraus[0].dims
-        out = np.zeros((shape[0], shape[0]), dtype=complex)
-        for k in kraus:
-            out += k.entries @ mat @ k.entries.conj().T
-    else:
-        out_dims = rho.dims
-        out = np.zeros_like(mat)
-        for k in kraus:
-            out += _conjugate_local(mat, k.entries, factor, out_dims)
+    if factor is not None:
+        out = local_channel(mat[None], [k.entries for k in kraus], factor, rho.dims)
+        return DensityMatrix.from_matrix(out[0], rho.dims, rho.tolerance)
+    out = np.zeros((shape[0], shape[0]), dtype=complex)
+    for k in kraus:
+        out += k.entries @ mat @ k.entries.conj().T
     out = (out + out.conj().T) / 2  # suppress Hermiticity drift
-    return DensityMatrix.from_matrix(out, out_dims, rho.tolerance)
+    return DensityMatrix.from_matrix(out, kraus[0].dims, rho.tolerance)
 
 
 def recombine_kraus(kraus: Sequence[Operator], mixing: np.ndarray) -> list[Operator]:
@@ -395,47 +455,46 @@ class ProjectiveMeasurement:
         return self.outcomes[item]
 
 
-def _projector_stack(
-    projectors: Sequence[Operator], dims: tuple[int, ...], factor: int, atol: float
-) -> np.ndarray:
-    """Check that the projectors on one factor are complete and mutually
-    orthogonal; return their entries stacked along a leading axis."""
-    if not 0 <= factor < len(dims):
-        raise DimensionMismatchError(f"factor {factor} out of range for {dims}")
-    for p in projectors:
-        _check_local(p, factor, dims, "projector")
-    stack = np.array([p.entries for p in projectors]).reshape(-1, dims[factor], dims[factor])
-    if np.abs(stack.sum(axis=0) - np.eye(dims[factor])).max() > atol:
+def projector_set(projectors: Sequence[Operator], atol: float = ATOL) -> np.ndarray:
+    """Entries of a complete, mutually orthogonal set of projectors on one
+    factor, stacked as a read-only (m, k, k) array in label order.
+
+    Raises CompletenessError for an incomplete or non-orthogonal set, so a
+    constant set needs checking only once.
+    """
+    if not projectors:
+        raise CompletenessError("empty projector set")
+    side = projectors[0].shape[0]
+    if any(not p.is_square or p.shape[0] != side for p in projectors):
+        raise DimensionMismatchError("projectors act on different spaces")
+    stack = np.array([p.entries for p in projectors])
+    if np.abs(stack.sum(axis=0) - np.eye(side)).max() > atol:
         raise CompletenessError("projectors do not sum to the identity")
     for i, p in enumerate(stack):
         for j, q in enumerate(stack):
             expected = p if i == j else 0.0
             if np.abs(p @ q - expected).max() > atol:
                 raise CompletenessError("projector set is not orthogonal")
+    stack.setflags(write=False)
     return stack
 
 
-def _collect_outcomes(
-    posts: Iterable[np.ndarray], dims: tuple[int, ...], tolerance: float, atol: float
-) -> ProjectiveMeasurement:
-    """Turn unnormalized post-measurement matrices, in label order, into
-    validated outcomes; drop those below PROB_FLOOR and check that the
-    probabilities sum to 1 within ``atol``."""
-    outcomes, dropped = [], []
-    prob_sum = 0.0
-    for label, post in enumerate(posts):
-        prob = float(np.real(np.trace(post)))
-        prob_sum += prob
-        if prob < PROB_FLOOR:
-            dropped.append(label)
-            continue
-        post = (post + post.conj().T) / 2 / prob
-        outcomes.append(
-            MeasurementOutcome(label, prob, DensityMatrix.from_matrix(post, dims, tolerance))
-        )
-    if abs(prob_sum - 1.0) > atol:
-        raise ValidityError(f"outcome probabilities sum to {prob_sum}, not 1")
-    return ProjectiveMeasurement(tuple(outcomes), tuple(dropped))
+def _outcome_probabilities(posts: np.ndarray, atol: float) -> np.ndarray:
+    """Probabilities of unnormalized post-measurement states stacked as
+    (B, m, d, d), one row per measured state; each row must sum to 1 within
+    ``atol``."""
+    probs = np.trace(posts, axis1=-2, axis2=-1).real
+    sums = probs.sum(axis=-1)
+    bad = np.abs(sums - 1.0) > atol
+    if bad.any():
+        raise ValidityError(f"outcome probabilities sum to {sums[bad][0]}, not 1")
+    return probs
+
+
+def renormalize(posts: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Hermitian-symmetrized post-measurement states (k, d, d) divided by
+    their probabilities (k,)."""
+    return (posts + _dagger(posts)) / 2 / probs[:, None, None]
 
 
 def measure_projective(
@@ -450,42 +509,59 @@ def measure_projective(
     probabilities of surviving outcomes sum to 1 within ``atol``.
     """
     dims = rho.dims
-    stack = _projector_stack(projectors, dims, factor, atol)
-    posts = (_conjugate_local(rho.matrix, p, factor, dims) for p in stack)
-    return _collect_outcomes(posts, dims, rho.tolerance, atol)
+    for p in projectors:
+        _check_local(p, factor, dims, "projector")
+    stack = projector_set(projectors, atol)
+    mat = rho.matrix[None]
+    posts = np.concatenate([_conjugate_local(mat, p, factor, dims) for p in stack])
+    probs = _outcome_probabilities(posts[None], atol)[0]
+    kept = probs >= PROB_FLOOR
+    states = renormalize(posts[kept], probs[kept])
+    outcomes = tuple(
+        MeasurementOutcome(
+            label, float(probs[label]), DensityMatrix.from_matrix(state, dims, rho.tolerance)
+        )
+        for label, state in zip(np.flatnonzero(kept).tolist(), states)
+    )
+    return ProjectiveMeasurement(outcomes, tuple(np.flatnonzero(~kept).tolist()))
 
 
-def measure_and_discard(
-    rho: DensityMatrix,
-    projectors: Sequence[Operator],
+def project_and_discard(
+    stack: np.ndarray,
+    projectors: np.ndarray,
     factor: int,
+    dims: tuple[int, ...],
     atol: float = ATOL,
-) -> ProjectiveMeasurement:
-    """Measure one tensor factor and trace it out of every outcome.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measure one factor of every state of a (B, d, d) stack and trace it out.
 
-    Runs the same projector, ``PROB_FLOOR`` and probability-sum checks as
-    ``measure_projective``. Each outcome state is Tr_f(P rho) / p, a
-    validated state on the remaining factors: the partial trace of the
-    corresponding ``measure_projective`` state. For rank-1 projectors the
-    discarded factor is left in a fixed pure state, so validating the
-    reduced state is equivalent to validating the full post-state.
+    ``projectors`` is a set checked by ``projector_set``. Returns the
+    outcome probabilities, shaped (B, m), and the unnormalized reduced
+    states Tr_f(P S), shaped (B, m, d / k, d / k); each row of probabilities
+    must sum to 1 within ``atol``. For rank-1 projectors the discarded factor
+    is left in a fixed pure state, so validating a renormalized reduced
+    state is equivalent to validating the full post-measurement state.
     """
-    dims = rho.dims
     if len(dims) < 2:
         raise DimensionMismatchError("cannot discard the only factor of a register")
-    stack = _projector_stack(projectors, dims, factor, atol)
-    before = math.prod(dims[:factor])
+    if not 0 <= factor < len(dims):
+        raise DimensionMismatchError(f"factor {factor} out of range for {dims}")
+    _check_stack(stack, dims)
     side = dims[factor]
-    after = rho.dim // (before * side)
-    tensor_form = rho.matrix.reshape(before, side, after, before, side, after)
-    # Tr_f(P rho): row index k of the measured factor meets column index l
-    # through P[l, k]; one pass over all projectors
-    remaining = rho.dim // side
-    posts = np.einsum("mlk,akbcld->mabcd", stack, tensor_form).reshape(
-        len(stack), remaining, remaining
+    if projectors.shape[1:] != (side, side):
+        raise DimensionMismatchError(
+            f"projectors of shape {projectors.shape[1:]} do not act on factor {factor} of {dims}"
+        )
+    before = math.prod(dims[:factor])
+    after = stack.shape[-1] // (before * side)
+    tensor_form = stack.reshape(-1, before, side, after, before, side, after)
+    # Tr_f(P S): row index k of the measured factor meets column index l
+    # through P[l, k]; one pass over all states and projectors
+    remaining = stack.shape[-1] // side
+    posts = np.einsum("mlk,Nakbcld->Nmabcd", projectors, tensor_form).reshape(
+        stack.shape[0], len(projectors), remaining, remaining
     )
-    rest = dims[:factor] + dims[factor + 1 :]
-    return _collect_outcomes(posts, rest, rho.tolerance, atol)
+    return _outcome_probabilities(posts, atol), posts
 
 
 def fidelity_pure(target: Ket, rho: DensityMatrix) -> float:

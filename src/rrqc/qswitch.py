@@ -35,6 +35,7 @@ Both Choi matrices are Gram matrices of stacked, flattened Kraus operators.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -196,20 +197,47 @@ class SwitchedChannel:
                 f"message dimension {rho.dim} does not match {self.num_qubits} qubits"
             )
         mat = rho.matrix
-        out = np.zeros((mat.shape[0] * 2, mat.shape[1] * 2), dtype=complex)
+        side = 2 * mat.shape[0]
+        out = np.zeros((side, side), dtype=complex)
+        for prob, groups, omega in self._flip_groups:
+            branch = np.zeros_like(mat)
+            for inverse, mask in groups:
+                branch += (mask * mat)[inverse][:, inverse]
+            # the Kronecker product (prob * branch) (x) omega
+            out += (prob * branch[:, None, :, None] * omega.matrix[:, None]).reshape(side, side)
+        out = (out + out.conj().T) / 2
+        return DensityMatrix.from_matrix(out, rho.dims + (2,), rho.tolerance)
+
+    @functools.cached_property
+    def _flip_groups(self):
+        """Each branch of positive probability with its string table grouped
+        by flip pattern.
+
+        A Pauli string is, up to a global phase, X^u D with u its flip
+        pattern (the qubits carrying X or Y) and D diagonal with entries
+        c = +-1 (a sign for each Z or Y). So sigma rho sigma^dag is
+        (c c^T * rho) permuted by i -> i ^ u on rows and columns, and each
+        group u applies as one summed mask sum_s w_s c_s c_s^T and one
+        index permutation.
+        """
+        size = 2**self.num_qubits
+        out = []
         for prob, table, omega in (
             (self.p_plus, self.plus_strings, self.omega_plus),
             (self.p_minus, self.minus_strings, self.omega_minus),
         ):
             if prob <= 0.0:
                 continue
-            branch = np.zeros_like(mat)
-            for s, w in table.items():
-                sigma = channels.pauli_string_matrix(s)
-                branch += w * (sigma @ mat @ sigma)
-            out += np.kron(prob * branch, omega.matrix)
-        out = (out + out.conj().T) / 2
-        return DensityMatrix.from_matrix(out, rho.dims + (2,), rho.tolerance)
+            masks: dict[int, np.ndarray] = {}
+            for labels, w in table.items():
+                flip, signs = 0, np.ones(1)
+                for label in labels:
+                    flip = 2 * flip + (label in "XY")
+                    signs = np.kron(signs, (1.0, -1.0) if label in "YZ" else (1.0, 1.0))
+                masks[flip] = masks.get(flip, 0.0) + w * np.outer(signs, signs)
+            groups = tuple((np.arange(size) ^ flip, mask) for flip, mask in masks.items())
+            out.append((prob, groups, omega))
+        return tuple(out)
 
     def _output_stack(self) -> np.ndarray:
         """Kraus operators of the message -> message (x) control map, stacked

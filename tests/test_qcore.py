@@ -421,49 +421,63 @@ def test_measure_projective_matches_embedded_projectors(register, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(registers(min_factors=2), st.integers(0, 2**32 - 1), st.booleans())
-def test_measure_and_discard_matches_traced_measure_projective(register, seed, pure):
+@given(
+    registers(min_factors=2), st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 3)
+)
+def test_project_and_discard_matches_traced_measure_projective(register, seed, pure, count):
     dims, factor = register
     rng = np.random.default_rng(seed)
     # pure product states with a basis vector on the measured factor make
     # some outcomes drop below PROB_FLOOR
+    states = []
+    for _ in range(count):
+        if pure:
+            kets = [qcore.random_ket((d,), rng).amplitudes for d in dims]
+            kets[factor] = np.eye(dims[factor])[rng.integers(dims[factor])]
+            vec = kets[0]
+            for k in kets[1:]:
+                vec = np.kron(vec, k)
+            states.append(Ket(vec, dims).density())
+        else:
+            states.append(qcore.random_density(dims, rng))
     if pure:
-        kets = [qcore.random_ket((d,), rng).amplitudes for d in dims]
-        kets[factor] = np.eye(dims[factor])[rng.integers(dims[factor])]
-        vec = kets[0]
-        for k in kets[1:]:
-            vec = np.kron(vec, k)
-        rho = Ket(vec, dims).density()
         projectors = tuple(
             Operator(np.diag(np.eye(dims[factor])[i]), (dims[factor],))
             for i in range(dims[factor])
         )
     else:
-        rho = qcore.random_density(dims, rng)
         projectors = random_basis_projectors(rng, dims[factor])
     kept = [i for i in range(len(dims)) if i != factor]
-    full = qcore.measure_projective(rho, projectors, factor)
-    discarded = qcore.measure_and_discard(rho, projectors, factor)
-    assert discarded.dropped == full.dropped
-    assert [o.label for o in discarded] == [o.label for o in full]
-    for small, big in zip(discarded, full):
-        assert abs(small.probability - big.probability) < 1e-12
-        reduced = qcore.partial_trace(big.state, kept)
-        assert small.state.dims == reduced.dims
-        np.testing.assert_allclose(small.state.matrix, reduced.matrix, rtol=0, atol=1e-12)
+    stack = np.stack([rho.matrix for rho in states])
+    probs, posts = qcore.project_and_discard(
+        stack, qcore.projector_set(projectors), factor, dims
+    )
+    assert probs.shape == (count, len(projectors))
+    for rho, row, row_posts in zip(states, probs, posts):
+        full = qcore.measure_projective(rho, projectors, factor)
+        labels = [label for label, p in enumerate(row) if p >= qcore.PROB_FLOOR]
+        assert tuple(label for label, p in enumerate(row) if p < qcore.PROB_FLOOR) == full.dropped
+        assert labels == [o.label for o in full]
+        for label, big in zip(labels, full):
+            assert abs(row[label] - big.probability) < 1e-12
+            small = qcore.renormalize(row_posts[label : label + 1], row[label : label + 1])[0]
+            reduced = qcore.partial_trace(big.state, kept)
+            assert small.shape == reduced.matrix.shape
+            np.testing.assert_allclose(small, reduced.matrix, rtol=0, atol=1e-12)
 
 
-def test_measure_and_discard_runs_the_projector_checks():
+def test_project_and_discard_runs_the_projector_checks():
     rho = bell_density()
     with pytest.raises(CompletenessError):
-        qcore.measure_and_discard(rho, (qcore.PROJ0,), 0)
+        qcore.projector_set((qcore.PROJ0,))
     skew = Operator([[0.5, 0.5], [0.5, 0.5]], (2,))
     with pytest.raises(CompletenessError):
-        qcore.measure_and_discard(rho, (skew, skew), 0)
+        qcore.projector_set((skew, skew))
+    basis = qcore.projector_set((qcore.PROJ0, qcore.PROJ1))
     with pytest.raises(DimensionMismatchError):
-        qcore.measure_and_discard(rho, (qcore.PROJ0, qcore.PROJ1), 2)
+        qcore.project_and_discard(rho.matrix[None], basis, 2, rho.dims)
     with pytest.raises(DimensionMismatchError):
-        qcore.measure_and_discard(qcore.KET0.density(), (qcore.PROJ0, qcore.PROJ1), 0)
+        qcore.project_and_discard(qcore.KET0.density().matrix[None], basis, 0, (2,))
 
 
 @settings(max_examples=40, deadline=None)
@@ -490,3 +504,102 @@ def test_cnot_permutation_matches_dense_cnot(register, seed):
     np.testing.assert_allclose(
         rho.matrix[perm][:, perm], gate @ rho.matrix @ gate.T, rtol=0, atol=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# stacked state check
+# ---------------------------------------------------------------------------
+
+
+def per_state_verdict(mat, tol=qcore.ATOL):
+    """The one-state check that ``check_states`` replaced: its error
+    message, or None for a valid state."""
+    if np.abs(mat - mat.conj().T).max() > tol:
+        return "state is not Hermitian within tolerance"
+    if abs(np.trace(mat) - 1.0) > tol:
+        return f"state trace {np.trace(mat)} is not 1"
+    lo = float(np.linalg.eigvalsh(mat).min())
+    if lo < -tol:
+        return f"state has negative eigenvalue {lo}"
+    return None
+
+
+def stacked_verdict(stack):
+    try:
+        qcore.check_states(stack)
+    except ValidityError as exc:
+        return str(exc)
+    return None
+
+
+def boundary_state(rng, side, lowest):
+    """U diag(lambda) U^dag with smallest eigenvalue ``lowest`` and unit trace."""
+    rest = rng.uniform(0.1, 1.0, size=side - 1)
+    lam = np.concatenate(([lowest], rest / rest.sum() * (1.0 - lowest)))
+    u = qcore.random_unitary(side, rng)
+    mat = (u * lam) @ u.conj().T
+    return (mat + mat.conj().T) / 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 128),
+    st.integers(1, 64),
+    st.floats(1e-12, 1e-10),
+    st.integers(0, 2**32 - 1),
+)
+def test_check_states_cholesky_verdict_matches_eigvalsh(side, count, delta, seed):
+    rng = np.random.default_rng(seed)
+    # each state sits just above or just below the -tol positivity boundary
+    below = rng.random(count) < 0.5
+    lowest = np.where(below, -qcore.ATOL - delta, -qcore.ATOL + delta)
+    stack = np.stack([boundary_state(rng, side, lo) for lo in lowest])
+    eigen_lows = np.linalg.eigvalsh(stack).min(axis=1)
+    expected_fail = bool(eigen_lows.min() < -qcore.ATOL)
+    assert expected_fail == bool(below.any())
+    verdict = stacked_verdict(stack)
+    if expected_fail:
+        first = float(eigen_lows[np.argmax(eigen_lows < -qcore.ATOL)])
+        assert verdict == f"state has negative eigenvalue {first}"
+    else:
+        assert verdict is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 32),
+    st.integers(1, 16),
+    st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 0)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_check_states_rejects_nonfinite_entries(side, count, value, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.stack([qcore.random_density((side,), rng).matrix for _ in range(count)])
+    stack[rng.integers(count), rng.integers(side), rng.integers(side)] = value
+    with pytest.raises(ValidityError, match="NaN or Inf"):
+        qcore.check_states(stack)
+
+
+def test_check_states_messages_match_the_per_state_check():
+    rng = np.random.default_rng(21)
+    invalid = [
+        np.array([[0.5, 0.5j], [0.5j, 0.5]]),
+        np.eye(2),
+        np.diag([1.5, -0.5]),
+        qcore.random_density((3,), rng).matrix * 1.1,
+        boundary_state(rng, 8, -1e-6),
+    ]
+    skew = qcore.random_density((4,), rng).matrix.copy()
+    skew[0, 1] += 1e-6
+    invalid.append(skew)
+    for mat in invalid:
+        mat = mat.astype(complex)
+        message = per_state_verdict(mat)
+        assert message is not None
+        assert stacked_verdict(mat[None]) == message
+        with pytest.raises(ValidityError) as caught:
+            DensityMatrix.from_matrix(mat, (mat.shape[0],))
+        assert str(caught.value) == message
+        # a valid state ahead of it in a stack leaves the message unchanged
+        valid = np.eye(mat.shape[0]) / mat.shape[0]
+        assert stacked_verdict(np.stack([valid, mat])) == message

@@ -421,3 +421,27 @@ def test_closed_form_product_matches_generic_switch(n, seed, single, pure):
         rtol=0,
         atol=1e-12,
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.booleans())
+def test_masked_switched_apply_matches_literal_string_sum(n, seed, single, pure, equal):
+    # drawn supports put X and Y on qubits, so strings carry nontrivial flip
+    # patterns and phases; ``equal`` switches a product with itself
+    rng = np.random.default_rng(seed)
+    first = drawn_factors(rng, n, single)
+    second = first if equal else drawn_factors(rng, n, single)
+    omega = random_control(rng, pure)
+    sw = qswitch.closed_form_product(first, second, omega)
+    rho = qcore.random_density((2,) * n, rng)
+    expected = np.zeros((2 ** (n + 1),) * 2, dtype=complex)
+    for prob, table, control in (
+        (sw.p_plus, sw.plus_strings, sw.omega_plus),
+        (sw.p_minus, sw.minus_strings, sw.omega_minus),
+    ):
+        for s, w in table.items():
+            sigma = channels.pauli_string(s).entries
+            expected += prob * w * np.kron(conj(sigma, rho.matrix), control.matrix)
+    out = sw.apply(rho)
+    assert out.dims == (2,) * n + (2,)
+    np.testing.assert_allclose(out.matrix, expected, rtol=0, atol=1e-12)
