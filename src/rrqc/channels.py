@@ -21,7 +21,6 @@ import numpy as np
 from . import qcore
 from .qcore import (
     ATOL,
-    CompletenessError,
     DensityMatrix,
     DimensionMismatchError,
     Operator,
@@ -88,7 +87,7 @@ class PauliChannel:
         weights = self.weights
         if any(w < 0 for w in weights):
             raise ValidityError(f"negative Pauli weight in {weights}")
-        if abs(sum(weights) - 1.0) > WEIGHT_ATOL:
+        if not abs(sum(weights) - 1.0) <= WEIGHT_ATOL:  # NaN fails too
             raise ValidityError(f"Pauli weights {weights} do not sum to 1")
 
     @property
@@ -173,9 +172,7 @@ def choi(kraus: Sequence[Operator]) -> ChoiMatrix:
     The reference factor has the channel's input dimension; the result is
     normalized to unit trace.
     """
-    defect = qcore.kraus_defect(kraus)
-    if defect > ATOL:
-        raise CompletenessError(f"Kraus set incomplete (defect {defect:.3e})")
+    qcore.check_complete(kraus)
     d_out, d_in = kraus[0].shape
     flat = np.stack([k.entries.reshape(-1) for k in kraus])
     mat = np.einsum("ka,kb->ab", flat, flat.conj()) / d_in
@@ -187,18 +184,19 @@ class EBVerdict(NamedTuple):
     witness: float  # minimum eigenvalue of the partially transposed Choi matrix
 
 
-def is_entanglement_breaking_qubit(ch: ChoiMatrix, atol: float = ATOL) -> EBVerdict:
+def is_entanglement_breaking_qubit(ch: ChoiMatrix) -> EBVerdict:
     """PPT test on a qubit-channel Choi matrix.
 
     Positivity under partial transposition is equivalent to separability for
     two qubits, so the verdict is exact here. The witness is the minimum
-    eigenvalue of the partial transpose.
+    eigenvalue of the partial transpose; it counts as non-negative down to
+    -ATOL.
     """
     if ch.op.dims != (2, 2):
         raise DimensionMismatchError(f"need a 2x2 Choi matrix, got dims {ch.op.dims}")
     swapped = ch.matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
     witness = float(np.linalg.eigvalsh(swapped).min())
-    return EBVerdict(witness >= -atol, witness)
+    return EBVerdict(witness >= -ATOL, witness)
 
 
 def random_pauli_channel(rng: np.random.Generator) -> PauliChannel:

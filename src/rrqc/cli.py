@@ -112,6 +112,16 @@ def _x_value(text: str):
         raise argparse.ArgumentTypeError(f"x must be an integer or ALL, got {text!r}") from exc
 
 
+def _seed_value(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from exc
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def parse_complex(token: str) -> complex:
     """Parse a complex literal like '0.6', '0.8i', '-0.3+0.2i'."""
     cleaned = token.strip().replace("i", "j")
@@ -403,7 +413,7 @@ def cmd_eb_check(cfg: RunConfig) -> Report:
     if len(weights) != 4:
         raise UsageError("exactly four weights are required")
     total = sum(weights)
-    if abs(total - 1.0) > 1e-9 or any(w < 0 for w in weights):
+    if not abs(total - 1.0) <= ATOL or any(w < 0 for w in weights):  # NaN fails too
         raise UsageError(f"weights must be non-negative and sum to 1, got {weights}")
     weights = [w / total for w in weights]
     channel = channels.PauliChannel(*weights)
@@ -496,9 +506,16 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def common(p: argparse.ArgumentParser):
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         p.add_argument(
-            "--tolerance", type=float, default=ATOL, help=f"check tolerance (default {ATOL})"
+            "--seed", type=_seed_value, default=0, help="non-negative RNG seed (default 0)"
+        )
+        p.add_argument(
+            "--tolerance",
+            type=float,
+            default=ATOL,
+            help="pass threshold of the protocol and baseline-sweep summaries and of "
+            f"validate-switch's Choi deviation (default {ATOL}); nogo-scan and eb-check "
+            "echo it unused, and no validity check reads it",
         )
         p.add_argument("--output", help="write the report to this path instead of stdout")
         p.add_argument(

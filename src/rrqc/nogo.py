@@ -165,13 +165,13 @@ def routed_state(pair: PermutationPair, bits: Sequence[int], msg: MessageState) 
 
 
 def routed_channel_state_scan(
-    n: int, tau: PermutationPair, msg: MessageState, atol: float = ATOL
+    n: int, tau: PermutationPair, msg: MessageState
 ) -> RoutedScanReport:
     """Simulate every computational branch of a controlled routing and check
     which receivers end up message-independent.
 
     A receiver j is pinned when its reduced state equals |b_j><b_j| within
-    ``atol``; for a non-degenerate message this happens exactly at the
+    ``ATOL``; for a non-degenerate message this happens exactly at the
     fixed-bit slots, so the simulation is cross-checked against the
     combinatorial witness on every branch.
     """
@@ -190,7 +190,7 @@ def routed_channel_state_scan(
         for j in range(1, n + 1):
             reduced = qcore.partial_trace(state, {j - 1})
             pin = qcore.PROJ1.entries if bits[j - 1] else qcore.PROJ0.entries
-            if np.abs(reduced.matrix - pin).max() <= atol:
+            if np.abs(reduced.matrix - pin).max() <= ATOL:
                 pinned.append(j)
         agree = set(fixed) <= set(pinned)
         all_agree = all_agree and agree
@@ -210,13 +210,12 @@ class ProportionalityReport:
     """Per-term identity-proportionality of a composed Kraus family.
 
     ``passed`` requires every composite term L_i M_j R_k to sit within
-    tolerance of scale * identity, with the squared scales summing to 1 (the
+    ``ATOL`` of scale * identity, with the squared scales summing to 1 (the
     completeness of the composite channel concentrated on identity terms).
     """
 
     terms: tuple[TermVerdict, ...]
     weight_sum: float
-    tolerance: float
 
     @property
     def max_residual(self) -> float:
@@ -224,17 +223,13 @@ class ProportionalityReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.max_residual < self.tolerance
-            and abs(self.weight_sum - 1.0) < self.tolerance
-        )
+        return self.max_residual < ATOL and abs(self.weight_sum - 1.0) < ATOL
 
 
 def check_term_proportionality(
     left: Sequence[Operator],
     mid: Sequence[Operator],
     right: Sequence[Operator],
-    tolerance: float = ATOL,
 ) -> ProportionalityReport:
     """Check every composite term L_i M_j R_k against scale * identity.
 
@@ -263,4 +258,4 @@ def check_term_proportionality(
                 residual = float(np.abs(composite - scale * np.eye(d)).max())
                 weight_sum += abs(scale) ** 2
                 terms.append(TermVerdict((i, j, k), scale, residual))
-    return ProportionalityReport(tuple(terms), weight_sum, tolerance)
+    return ProportionalityReport(tuple(terms), weight_sum)

@@ -7,11 +7,12 @@ in the last slot. Registers stay at or below 2**(MAX_RECEIVERS + 1)
 dimensions, so everything is dense and every constructed state is cheap to
 validate eagerly.
 
-States are validated by one check that works on a stack of shape (B, d, d):
+Every validity check uses the fixed tolerance ``ATOL``. States are
+validated by one check that works on a stack of shape (B, d, d):
 ``check_states`` tests finiteness, Hermiticity and unit trace, and
-positivity through one batched Cholesky factorization of S + tol * I, with
+positivity through one batched Cholesky factorization of S + ATOL * I, with
 a batched ``eigvalsh`` deciding only when that fails. ``DensityMatrix``
-runs it on a stack of one.
+runs it on a stack of one. Kraus sets pass one check, ``check_complete``.
 
 Single-factor operations (local gates, local Kraus channels, projective
 measurements) go through one factor-local kernel that contracts the touched
@@ -36,7 +37,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-#: Absolute tolerance for equality and validity checks.
+#: Absolute tolerance of every equality and validity check; not settable.
 ATOL = 1e-9
 #: Probability below which a measurement branch counts as numerically zero.
 PROB_FLOOR = 1e-12
@@ -206,30 +207,30 @@ def _identity(side: int) -> np.ndarray:
     return eye
 
 
-def check_states(stack: np.ndarray, tolerance: float = ATOL) -> None:
+def check_states(stack: np.ndarray) -> None:
     """Raise ValidityError unless every matrix of a (B, d, d) stack is a state:
-    finite, Hermitian and of unit trace within ``tolerance``, with no
-    eigenvalue below -``tolerance``.
+    finite, Hermitian and of unit trace within ``ATOL``, with no eigenvalue
+    below -``ATOL``.
 
     Positivity is decided by one batched Cholesky factorization of
-    S + tolerance * I, which succeeds exactly when every eigenvalue of every
-    S exceeds -tolerance. When it fails, a batched ``eigvalsh`` gives the
-    verdict and the reported eigenvalue. Errors name the first failing state.
+    S + ATOL * I, which succeeds exactly when every eigenvalue of every S
+    exceeds -ATOL. When it fails, a batched ``eigvalsh`` gives the verdict
+    and the reported eigenvalue. Errors name the first failing state.
     """
     if not np.isfinite(stack).all():
         raise ValidityError("entries contain NaN or Inf")
-    if np.abs(stack - _dagger(stack)).max() > tolerance:
+    if np.abs(stack - _dagger(stack)).max() > ATOL:
         raise ValidityError("state is not Hermitian within tolerance")
     traces = stack.trace(axis1=1, axis2=2)
     errors = np.abs(traces - 1.0)
-    if errors.max() > tolerance:
-        raise ValidityError(f"state trace {traces[np.argmax(errors > tolerance)]} is not 1")
+    if errors.max() > ATOL:
+        raise ValidityError(f"state trace {traces[np.argmax(errors > ATOL)]} is not 1")
     try:
-        np.linalg.cholesky(stack + tolerance * _identity(stack.shape[-1]))
+        np.linalg.cholesky(stack + ATOL * _identity(stack.shape[-1]))
     except np.linalg.LinAlgError:
         lowest = np.linalg.eigvalsh(stack).min(axis=1)
-        if lowest.min() < -tolerance:
-            lo = float(lowest[np.argmax(lowest < -tolerance)])
+        if lowest.min() < -ATOL:
+            lo = float(lowest[np.argmax(lowest < -ATOL)])
             raise ValidityError(f"state has negative eigenvalue {lo}") from None
 
 
@@ -304,19 +305,18 @@ class Ket:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Validated quantum state: Hermitian, unit trace, positive within tolerance."""
+    """Validated quantum state: Hermitian, unit trace, positive within ATOL."""
 
     op: Operator
-    tolerance: float = ATOL
 
     def __post_init__(self):
         if not self.op.is_square or self.op.col_dims != self.op.dims:
             raise DimensionMismatchError("density matrix must be square")
-        check_states(self.op.entries[None], self.tolerance)
+        check_states(self.op.entries[None])
 
     @classmethod
-    def from_matrix(cls, matrix, dims, tolerance: float = ATOL) -> "DensityMatrix":
-        return cls(Operator(matrix, _clean_dims(dims)), tolerance)
+    def from_matrix(cls, matrix, dims) -> "DensityMatrix":
+        return cls(Operator(matrix, _clean_dims(dims)))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -356,26 +356,35 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     reduced = np.einsum(f"{''.join(row)}{''.join(col)}->{out}", tensor_form)
     new_dims = tuple(dims[i] for i in kept)
     side = math.prod(new_dims)
-    return DensityMatrix.from_matrix(reduced.reshape(side, side), new_dims, rho.tolerance)
+    return DensityMatrix.from_matrix(reduced.reshape(side, side), new_dims)
 
 
-def kraus_defect(kraus: Sequence[Operator]) -> float:
-    """Max-entry deviation of sum(K^dag K) from the identity on the input space."""
-    if not kraus:
+def kraus_defect(kraus: Sequence[Operator] | np.ndarray) -> float:
+    """Max-entry deviation of sum(K^dag K) from the identity on the input space,
+    for Operators or an (m, out, in) array: with the K stacked row-wise into
+    one matrix F, the sum is the single product F^dag F."""
+    if len(kraus) == 0:
         raise CompletenessError("empty Kraus list")
-    cols = kraus[0].shape[1]
-    acc = np.zeros((cols, cols), dtype=complex)
-    for k in kraus:
-        if k.shape[1] != cols:
+    if isinstance(kraus, np.ndarray):
+        flat = kraus.reshape(-1, kraus.shape[-1])
+    else:
+        cols = kraus[0].shape[1]
+        if any(k.shape[1] != cols for k in kraus):
             raise DimensionMismatchError("Kraus operators act on different spaces")
-        acc += k.entries.conj().T @ k.entries
-    return float(np.abs(acc - np.eye(cols)).max())
+        flat = np.concatenate([k.entries for k in kraus])
+    return float(np.abs(flat.conj().T @ flat - _identity(flat.shape[1])).max())
+
+
+def check_complete(kraus: Sequence[Operator] | np.ndarray, what: str = "Kraus set") -> None:
+    """Raise CompletenessError unless ``kraus_defect`` is within ATOL (NaN fails)."""
+    defect = kraus_defect(kraus)
+    if not defect <= ATOL:
+        raise CompletenessError(f"{what} incomplete (defect {defect:.3e})")
 
 
 def apply_kraus(
     rho: DensityMatrix,
     kraus: Sequence[Operator],
-    atol: float = ATOL,
     factor: int | None = None,
 ) -> DensityMatrix:
     """Apply the channel sum(K rho K^dag) for a complete Kraus set.
@@ -396,18 +405,16 @@ def apply_kraus(
         raise DimensionMismatchError(
             f"Kraus input dimension {shape[1]} does not match state dimension {rho.dim}"
         )
-    defect = kraus_defect(kraus)
-    if defect > atol:
-        raise CompletenessError(f"Kraus set incomplete (defect {defect:.3e})")
+    check_complete(kraus)
     mat = rho.matrix
     if factor is not None:
         out = local_channel(mat[None], [k.entries for k in kraus], factor, rho.dims)
-        return DensityMatrix.from_matrix(out[0], rho.dims, rho.tolerance)
+        return DensityMatrix.from_matrix(out[0], rho.dims)
     out = np.zeros((shape[0], shape[0]), dtype=complex)
     for k in kraus:
         out += k.entries @ mat @ k.entries.conj().T
     out = (out + out.conj().T) / 2  # suppress Hermiticity drift
-    return DensityMatrix.from_matrix(out, kraus[0].dims, rho.tolerance)
+    return DensityMatrix.from_matrix(out, kraus[0].dims)
 
 
 def recombine_kraus(kraus: Sequence[Operator], mixing: np.ndarray) -> list[Operator]:
@@ -455,7 +462,7 @@ class ProjectiveMeasurement:
         return self.outcomes[item]
 
 
-def projector_set(projectors: Sequence[Operator], atol: float = ATOL) -> np.ndarray:
+def projector_set(projectors: Sequence[Operator]) -> np.ndarray:
     """Entries of a complete, mutually orthogonal set of projectors on one
     factor, stacked as a read-only (m, k, k) array in label order.
 
@@ -468,24 +475,24 @@ def projector_set(projectors: Sequence[Operator], atol: float = ATOL) -> np.ndar
     if any(not p.is_square or p.shape[0] != side for p in projectors):
         raise DimensionMismatchError("projectors act on different spaces")
     stack = np.array([p.entries for p in projectors])
-    if np.abs(stack.sum(axis=0) - np.eye(side)).max() > atol:
+    if np.abs(stack.sum(axis=0) - np.eye(side)).max() > ATOL:
         raise CompletenessError("projectors do not sum to the identity")
     for i, p in enumerate(stack):
         for j, q in enumerate(stack):
             expected = p if i == j else 0.0
-            if np.abs(p @ q - expected).max() > atol:
+            if np.abs(p @ q - expected).max() > ATOL:
                 raise CompletenessError("projector set is not orthogonal")
     stack.setflags(write=False)
     return stack
 
 
-def _outcome_probabilities(posts: np.ndarray, atol: float) -> np.ndarray:
+def _outcome_probabilities(posts: np.ndarray) -> np.ndarray:
     """Probabilities of unnormalized post-measurement states stacked as
     (B, m, d, d), one row per measured state; each row must sum to 1 within
-    ``atol``."""
+    ``ATOL``."""
     probs = np.trace(posts, axis1=-2, axis2=-1).real
     sums = probs.sum(axis=-1)
-    bad = np.abs(sums - 1.0) > atol
+    bad = np.abs(sums - 1.0) > ATOL
     if bad.any():
         raise ValidityError(f"outcome probabilities sum to {sums[bad][0]}, not 1")
     return probs
@@ -501,26 +508,23 @@ def measure_projective(
     rho: DensityMatrix,
     projectors: Sequence[Operator],
     factor: int,
-    atol: float = ATOL,
 ) -> ProjectiveMeasurement:
     """Measure one tensor factor with a complete orthogonal projector set.
 
     Post-measurement states keep every factor and are renormalized. Branch
-    probabilities of surviving outcomes sum to 1 within ``atol``.
+    probabilities of all outcomes sum to 1 within ``ATOL``.
     """
     dims = rho.dims
     for p in projectors:
         _check_local(p, factor, dims, "projector")
-    stack = projector_set(projectors, atol)
+    stack = projector_set(projectors)
     mat = rho.matrix[None]
     posts = np.concatenate([_conjugate_local(mat, p, factor, dims) for p in stack])
-    probs = _outcome_probabilities(posts[None], atol)[0]
+    probs = _outcome_probabilities(posts[None])[0]
     kept = probs >= PROB_FLOOR
     states = renormalize(posts[kept], probs[kept])
     outcomes = tuple(
-        MeasurementOutcome(
-            label, float(probs[label]), DensityMatrix.from_matrix(state, dims, rho.tolerance)
-        )
+        MeasurementOutcome(label, float(probs[label]), DensityMatrix.from_matrix(state, dims))
         for label, state in zip(np.flatnonzero(kept).tolist(), states)
     )
     return ProjectiveMeasurement(outcomes, tuple(np.flatnonzero(~kept).tolist()))
@@ -531,14 +535,13 @@ def project_and_discard(
     projectors: np.ndarray,
     factor: int,
     dims: tuple[int, ...],
-    atol: float = ATOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Measure one factor of every state of a (B, d, d) stack and trace it out.
 
     ``projectors`` is a set checked by ``projector_set``. Returns the
     outcome probabilities, shaped (B, m), and the unnormalized reduced
     states Tr_f(P S), shaped (B, m, d / k, d / k); each row of probabilities
-    must sum to 1 within ``atol``. For rank-1 projectors the discarded factor
+    must sum to 1 within ``ATOL``. For rank-1 projectors the discarded factor
     is left in a fixed pure state, so validating a renormalized reduced
     state is equivalent to validating the full post-measurement state.
     """
@@ -561,7 +564,7 @@ def project_and_discard(
     posts = np.einsum("mlk,Nakbcld->Nmabcd", projectors, tensor_form).reshape(
         stack.shape[0], len(projectors), remaining, remaining
     )
-    return _outcome_probabilities(posts, atol), posts
+    return _outcome_probabilities(posts), posts
 
 
 def fidelity_pure(target: Ket, rho: DensityMatrix) -> float:

@@ -63,10 +63,8 @@ def _check_channel_pair(a: Sequence[Operator], b: Sequence[Operator]) -> tuple[i
     for op in list(a) + list(b):
         if not op.is_square or op.dims != dims:
             raise DimensionMismatchError("channel Kraus sets act on different registers")
-    for name, ops in (("first", a), ("second", b)):
-        defect = qcore.kraus_defect(ops)
-        if defect > ATOL:
-            raise CompletenessError(f"{name} Kraus set incomplete (defect {defect:.3e})")
+    qcore.check_complete(a, "first Kraus set")
+    qcore.check_complete(b, "second Kraus set")
     return dims
 
 
@@ -101,13 +99,6 @@ def _lift_control(stack: np.ndarray, omega: DensityMatrix) -> np.ndarray:
     return lifted.transpose(0, 3, 1, 2).reshape(-1, rows, side)
 
 
-def _check_complete(stack: np.ndarray, what: str) -> None:
-    flat = stack.reshape(-1, stack.shape[-1])
-    defect = float(np.abs(flat.conj().T @ flat - np.eye(stack.shape[-1])).max())
-    if defect > ATOL:
-        raise CompletenessError(f"{what} incomplete (defect {defect:.3e})")
-
-
 def _choi_gram(stack: np.ndarray) -> np.ndarray:
     """Unit-trace Choi matrix of a complete Kraus set stacked as (m, out, in)."""
     flat = stack.reshape(stack.shape[0], -1)
@@ -134,13 +125,11 @@ def switch_generic(
         )
     if omega.dim != 2:
         raise DimensionMismatchError("the order control must be a qubit")
-    _check_complete(stack, "switch Kraus set")
+    qcore.check_complete(stack, "switch Kraus set")
     joint = np.kron(input.matrix, omega.matrix)
     out = (stack @ joint @ stack.conj().transpose(0, 2, 1)).sum(axis=0)
     out = (out + out.conj().T) / 2  # suppress Hermiticity drift
-    return DensityMatrix.from_matrix(
-        out, dims + (2,), max(input.tolerance, omega.tolerance)
-    )
+    return DensityMatrix.from_matrix(out, dims + (2,))
 
 
 def switched_kraus(
@@ -206,7 +195,7 @@ class SwitchedChannel:
             # the Kronecker product (prob * branch) (x) omega
             out += (prob * branch[:, None, :, None] * omega.matrix[:, None]).reshape(side, side)
         out = (out + out.conj().T) / 2
-        return DensityMatrix.from_matrix(out, rho.dims + (2,), rho.tolerance)
+        return DensityMatrix.from_matrix(out, rho.dims + (2,))
 
     @functools.cached_property
     def _flip_groups(self):
@@ -319,9 +308,8 @@ def closed_form_product(
                 (total, {s: w / total for s, w in sorted(table.items()) if w > 0.0})
             )
     (p_plus, plus_n), (p_minus, minus_n) = sides
-    omega_minus = DensityMatrix.from_matrix(
-        qcore.Z.entries @ omega.matrix @ qcore.Z.entries, (2,), omega.tolerance
-    )
+    flipped = qcore.Z.entries @ omega.matrix @ qcore.Z.entries
+    omega_minus = DensityMatrix.from_matrix(flipped, (2,))
     return SwitchedChannel(
         p_plus=p_plus,
         p_minus=p_minus,
@@ -341,14 +329,15 @@ def closed_form_two_party(
     return closed_form_product((e1, e2), (e1, e2), omega)
 
 
-def closed_form_nxy_n(n: int, omega: DensityMatrix | None = None) -> SwitchedChannel:
-    """Switched channel for n parallel equal-X/Y mixtures against themselves.
+def closed_form_nxy_n(n: int) -> SwitchedChannel:
+    """Switched channel for n parallel equal-X/Y mixtures against themselves,
+    with the default |+> control.
 
     Every Z string on the n qubits appears with weight 2**-n; even-weight
     strings leave the control untouched (C_plus), odd-weight strings flip its
     coherence (C_minus). Both branch probabilities are 1/2.
     """
-    return closed_form_product((channels.N_XY,) * n, (channels.N_XY,) * n, omega)
+    return closed_form_product((channels.N_XY,) * n, (channels.N_XY,) * n)
 
 
 def choi_deviation(
@@ -358,7 +347,7 @@ def choi_deviation(
     _, stack = _switch_stack(a, b)
     generic = _choi_gram(_lift_control(stack, sw.omega_plus))
     closed = sw._output_stack()
-    _check_complete(closed, "closed-form Kraus set")
+    qcore.check_complete(closed, "closed-form Kraus set")
     return float(np.abs(generic - _choi_gram(closed)).max())
 
 

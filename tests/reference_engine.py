@@ -94,7 +94,7 @@ def measure_and_discard(
             continue
         post = (post + post.conj().T) / 2 / prob
         outcomes.append(
-            MeasurementOutcome(label, prob, DensityMatrix.from_matrix(post, rest, rho.tolerance))
+            MeasurementOutcome(label, prob, DensityMatrix.from_matrix(post, rest))
         )
     if abs(prob_sum - 1.0) > atol:
         raise ValidityError(f"outcome probabilities sum to {prob_sum}, not 1")
@@ -117,7 +117,7 @@ def switched_apply(sw: qswitch.SwitchedChannel, rho: DensityMatrix) -> DensityMa
             branch += w * (sigma @ mat @ sigma)
         out += np.kron(prob * branch, omega.matrix)
     out = (out + out.conj().T) / 2
-    return DensityMatrix.from_matrix(out, rho.dims + (2,), rho.tolerance)
+    return DensityMatrix.from_matrix(out, rho.dims + (2,))
 
 
 @dataclass
@@ -159,7 +159,7 @@ def _apply_cnot(branch: _Branch, gate) -> None:
     )
     state = branch.state
     branch.state = DensityMatrix.from_matrix(
-        state.matrix[perm][:, perm], state.dims, state.tolerance
+        state.matrix[perm][:, perm], state.dims
     )
 
 

@@ -73,6 +73,12 @@ def test_weights_must_be_normalized_and_nonnegative():
         PauliChannel(0.5, 0.5, 0.5, 0.5)
 
 
+@pytest.mark.parametrize("weights", [(np.nan, 0, 0, 1), (0.5, np.nan, 0.0, 0.5)])
+def test_nan_weight_is_rejected(weights):
+    with pytest.raises(ValidityError):
+        PauliChannel(*weights)
+
+
 def test_pauli_kraus_identity_channel():
     ops = pauli_kraus(IDENTITY)
     assert len(ops) == 1

@@ -58,6 +58,28 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+def test_nan_weights_are_a_usage_error(capsys):
+    assert main(["eb-check", "--weights", "nan,0,0,1"]) == EXIT_USAGE
+    assert "weights must be non-negative and sum to 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["protocol", "--variant", "switch", "--n", "2", "--message", "HAAR(2)"],
+        ["baseline-sweep", "--n", "2", "--count", "5"],
+        ["validate-switch", "--n", "1", "--trials", "2"],
+        ["nogo-scan", "--n", "3"],
+        ["eb-check", "--weights", "0,0.5,0.5,0"],
+    ],
+)
+def test_negative_seed_is_a_usage_error(args, capsys):
+    assert main(args + ["--seed", "-1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: rrqc ")
+    assert "--seed: seed must be non-negative, got -1" in err
+
+
 def test_cached_parser_keeps_successive_calls_independent(tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
     code, first = run_json(tmp_path, ["nogo-scan", "--n", "3", "--seed", "4"], "a.json")

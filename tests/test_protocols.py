@@ -49,6 +49,12 @@ def test_message_state_requires_unit_norm():
         MessageState(1.0, 1.0)
 
 
+@pytest.mark.parametrize("amplitudes", [(np.nan, 0.0), (0.6, complex(np.nan, 0.8))])
+def test_message_state_rejects_nan(amplitudes):
+    with pytest.raises(ValidityError):
+        MessageState(*amplitudes)
+
+
 def test_haar_message_is_seeded():
     a = haar_message(np.random.default_rng(1))
     b = haar_message(np.random.default_rng(1))

@@ -1,9 +1,12 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrqc import qcore
+from rrqc import channels, nogo, protocols, qcore, qswitch
 from rrqc.qcore import (
     CompletenessError,
     DensityMatrix,
@@ -603,3 +606,93 @@ def test_check_states_messages_match_the_per_state_check():
         # a valid state ahead of it in a stack leaves the message unchanged
         valid = np.eye(mat.shape[0]) / mat.shape[0]
         assert stacked_verdict(np.stack([valid, mat])) == message
+
+
+# ---------------------------------------------------------------------------
+# one completeness check, one tolerance
+# ---------------------------------------------------------------------------
+
+
+def literal_defect(mats):
+    acc = np.zeros((mats[0].shape[1],) * 2, dtype=complex)
+    for k in mats:
+        acc += k.conj().T @ k
+    return float(np.abs(acc - np.eye(acc.shape[0])).max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("complete", "shrunk", "random")),
+)
+def test_kraus_defect_matches_literal_sum(cols, outs, seed, kind):
+    # operator k maps C^cols to C^outs[k]; unequal outs exist only as a list
+    rng = np.random.default_rng(seed)
+    rows = sum(outs)
+    flat = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    if kind != "random" and rows >= cols:
+        flat = np.linalg.qr(flat)[0]  # an isometry splits into a complete set
+        if kind == "shrunk":
+            flat = flat * rng.uniform(0.3, 0.9)
+    mats = np.split(flat, np.cumsum(outs)[:-1])
+    expected = literal_defect(mats)
+    ops = [Operator(m, (m.shape[0],), (cols,)) for m in mats]
+    assert abs(qcore.kraus_defect(ops) - expected) <= 1e-12
+    if len(set(outs)) == 1:
+        assert abs(qcore.kraus_defect(np.stack(mats)) - expected) <= 1e-12
+    if abs(expected - qcore.ATOL) > 1e-12:
+        if expected < qcore.ATOL:
+            qcore.check_complete(ops)
+        else:
+            with pytest.raises(CompletenessError, match=r"^Kraus set incomplete \(defect"):
+                qcore.check_complete(ops)
+    wider = Operator(np.ones((1, cols + 1)), (1,), (cols + 1,))
+    with pytest.raises(DimensionMismatchError):
+        qcore.kraus_defect(ops + [wider])
+
+
+def test_completeness_check_rejects_empty_and_nan_sets():
+    for empty in ([], np.zeros((0, 2, 2))):
+        with pytest.raises(CompletenessError, match="empty Kraus list"):
+            qcore.kraus_defect(empty)
+        with pytest.raises(CompletenessError, match="empty Kraus list"):
+            qcore.check_complete(empty)
+    with pytest.raises(CompletenessError, match=r"^stack incomplete \(defect nan\)"):
+        qcore.check_complete(np.full((1, 2, 2), np.nan), "stack")
+
+
+#: The only settable tolerances: validate-switch's pass threshold for Choi
+#: deviations, which the CLI's --tolerance sets.
+SETTABLE = {"rrqc.qswitch.validate_closed_forms", "rrqc.qswitch.ClosedFormValidation"}
+
+
+def tolerance_takers():
+    """Every function, class (constructor, methods, dataclass fields) or
+    cached function defined in the simulator modules that takes ``atol`` or
+    ``tolerance``."""
+    found = set()
+    for module in (qcore, channels, qswitch, protocols, nogo):
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                params = set()
+                if dataclasses.is_dataclass(obj):
+                    params = {f.name for f in dataclasses.fields(obj)}
+                for attr in vars(obj):
+                    member = getattr(obj, attr)
+                    if inspect.isfunction(member) or inspect.ismethod(member):
+                        params |= set(inspect.signature(member).parameters)
+            elif callable(obj):
+                params = set(inspect.signature(obj).parameters)
+            else:
+                continue
+            if params & {"atol", "tolerance"}:
+                found.add(f"{module.__name__}.{name}")
+    return found
+
+
+def test_validity_checks_take_no_tolerance():
+    assert tolerance_takers() == SETTABLE

@@ -390,7 +390,7 @@ def test_stacked_closed_form_choi_matches_literal_kraus(n, seed, pure):
         sw = qswitch.closed_form_two_party(e1, e2, omega)
         pair = product_pauli_kraus([e1, e2])
     else:
-        sw = qswitch.closed_form_nxy_n(n, omega)
+        sw = qswitch.closed_form_product((N_XY,) * n, (N_XY,) * n, omega)
         pair = nxy_product(n)
     reference = channels.choi(literal_output_kraus(sw)).matrix
     np.testing.assert_allclose(
