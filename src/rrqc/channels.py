@@ -154,14 +154,6 @@ class ChoiMatrix:
             )
 
     @property
-    def output_dim(self) -> int:
-        return self.op.dims[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.op.dims[1]
-
-    @property
     def matrix(self) -> np.ndarray:
         return self.op.matrix
 

@@ -17,7 +17,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -47,6 +47,8 @@ EXIT_CHECK_FAILED = 2
 EXIT_VALIDITY = 3
 
 SCHEMA_VERSION = 1
+#: Records a text report lists before it elides the rest.
+MAX_TEXT_RECORDS = 20
 
 PROTOCOL_RUNNERS = {
     "noiseless": run_noiseless_protocol,
@@ -199,13 +201,11 @@ class Report:
     config: dict
     records: list[dict]
     summary: dict
-    schema_version: int = SCHEMA_VERSION
-    version: str = field(default=__version__)
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
-            "version": self.version,
+            "schema_version": SCHEMA_VERSION,
+            "version": __version__,
             "config": self.config,
             "records": self.records,
             "summary": self.summary,
@@ -230,21 +230,21 @@ class Report:
             writer.writerow(row)
         return buffer.getvalue()
 
-    def to_text(self, max_records: int = 20) -> str:
+    def to_text(self) -> str:
         lines = [f"command: {self.config['command']}"]
         for key, value in self.config.items():
             if key != "command" and value is not None:
                 lines.append(f"  {key}: {value}")
         lines.append(f"records: {len(self.records)}")
-        for record in self.records[:max_records]:
+        for record in self.records[:MAX_TEXT_RECORDS]:
             body = ", ".join(
                 f"{k}={json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v}"
                 for k, v in record.items()
                 if k not in ("command", "transcript") and v is not None
             )
             lines.append(f"  - {body}")
-        if len(self.records) > max_records:
-            lines.append(f"  ... ({len(self.records) - max_records} more)")
+        if len(self.records) > MAX_TEXT_RECORDS:
+            lines.append(f"  ... ({len(self.records) - MAX_TEXT_RECORDS} more)")
         lines.append("summary:")
         for key, value in self.summary.items():
             lines.append(f"  {key}: {value}")

@@ -3,10 +3,11 @@
 A run simulates the density matrix of the receivers' qubits (plus, where
 present, the order control as the last tensor factor), enumerating or
 sampling measurement-outcome branches. Transcripts record every local
-operation and classical message. Locality is enforced when events are
-constructed: a LocalUnitary or LocalMeasurement whose factors are not all
-owned by its party raises LocalityError, and NonlocalOperation events are
-rejected unless the protocol's transcript explicitly declares them.
+operation and classical message. Locality is enforced when events and
+transcripts are constructed: a LocalUnitary or LocalMeasurement whose
+factors are not all owned by its party raises LocalityError, and so does a
+Transcript holding a NonlocalOperation unless it declares them
+(``allow_nonlocal``).
 
 One run holds all of its live branches as one (B, d, d) stack of states,
 with a probability and a tuple of outcome bits per branch. A measured
@@ -16,9 +17,10 @@ children per branch, parent-major with outcome 0 first. Gates act on one
 factor of the whole stack at a time, and CNOTs permute basis indices.
 Every stack the engine produces, after every gate, cascade, correction and
 measurement, passes ``qcore.check_states``: finite, Hermitian, unit trace
-and positive semidefinite. Transcripts are built at the end from the shared
-distribution prefix and each branch's bits; events always name the
-original factors.
+and positive semidefinite. Each branch's transcript is built once, at the
+end, from the shared distribution prefix and the branch's bits, and its
+construction runs the nonlocal guard; events always name the original
+factors.
 
 Every variant is a distribution stage plus announced measurements. Its
 ``run_*`` function builds the carrier state, the parties and which factor
@@ -34,7 +36,7 @@ tensor factor i - 1.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -151,20 +153,19 @@ class NonlocalOperation:
 Event = Union[LocalUnitary, LocalMeasurement, ClassicalMessage, NonlocalOperation]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Transcript:
-    """Ordered event log of one protocol branch."""
+    """Ordered event log of one protocol branch. NonlocalOperation events are
+    admitted only when the transcript declares them."""
 
-    events: list[Event] = field(default_factory=list)
+    events: tuple[Event, ...] = ()
     allow_nonlocal: bool = False
 
-    def record(self, event: Event) -> None:
-        if isinstance(event, NonlocalOperation) and not self.allow_nonlocal:
+    def __post_init__(self):
+        # held as a tuple, so no event can be added after the guard has run
+        object.__setattr__(self, "events", tuple(self.events))
+        if not self.allow_nonlocal and self.nonlocal_events():
             raise LocalityError("this protocol does not declare nonlocal operations")
-        self.events.append(event)
-
-    def copy(self) -> "Transcript":
-        return Transcript(list(self.events), self.allow_nonlocal)
 
     def nonlocal_events(self) -> list[NonlocalOperation]:
         return [e for e in self.events if isinstance(e, NonlocalOperation)]
@@ -300,9 +301,10 @@ class _Batch:
     register order. It is shared by all branches, because every branch
     measures the same factor at each step; events keep the original ids and
     ``position`` maps them into the register. ``bits[b]`` holds branch b's
-    announced outcomes, one per announcement so far; ``prefix`` records the
-    distribution stage, which every branch shares. Every stack the batch
-    produces passes ``qcore.check_states``.
+    announced outcomes, one per announcement so far; ``prefix`` holds the
+    events of the distribution stage, which every branch shares, and
+    ``allow_nonlocal`` whether its transcripts declare nonlocal events. Every
+    stack the batch produces passes ``qcore.check_states``.
     """
 
     def __init__(self, state: DensityMatrix, allow_nonlocal: bool = False):
@@ -311,7 +313,8 @@ class _Batch:
         self.live = tuple(range(len(state.dims)))
         self.probabilities = np.ones(1)
         self.bits: list[tuple[int, ...]] = [()]
-        self.prefix = Transcript(allow_nonlocal=allow_nonlocal)
+        self.prefix: tuple[Event, ...] = ()
+        self.allow_nonlocal = allow_nonlocal
 
     def position(self, factor: int) -> int:
         return self.live.index(factor)
@@ -321,9 +324,9 @@ class _Batch:
         return states
 
     def cnot(self, gate: Union[LocalUnitary, NonlocalOperation]) -> None:
-        """Record ``gate``, a CNOT on (control, target) = ``gate.factors``, and
-        apply it to every branch as a basis-index permutation."""
-        self.prefix.record(gate)
+        """Add ``gate``, a CNOT on (control, target) = ``gate.factors``, to the
+        prefix and apply it to every branch as a basis-index permutation."""
+        self.prefix += (gate,)
         control, target = gate.factors
         perm = qcore.cnot_permutation(
             len(self.live), self.position(control), self.position(target)
@@ -428,12 +431,10 @@ def _run(
     for state, probability, bits, flip in zip(
         batch.states, batch.probabilities, batch.bits, odd
     ):
-        transcript = batch.prefix.copy()
-        for step_events, bit in zip(events, bits):
-            for event in step_events[bit]:
-                transcript.record(event)
-        if flip:
-            transcript.record(z_at_target)
+        heard = (event for pair, bit in zip(events, bits) for event in pair[bit])
+        transcript = Transcript(
+            (*batch.prefix, *heard, *((z_at_target,) if flip else ())), batch.allow_nonlocal
+        )
         # the retrieval has discarded every factor but x's carrier
         final = DensityMatrix.from_matrix(state, batch.dims)
         results.append(

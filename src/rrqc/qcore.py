@@ -591,7 +591,6 @@ CNOT = controlled_not(2, 0, 1)
 KET0 = Ket([1, 0], (2,))
 KET1 = Ket([0, 1], (2,))
 KET_PLUS = Ket([1 / math.sqrt(2), 1 / math.sqrt(2)], (2,))
-KET_MINUS = Ket([1 / math.sqrt(2), -1 / math.sqrt(2)], (2,))
 
 PROJ0 = Operator([[1, 0], [0, 0]], (2,))
 PROJ1 = Operator([[0, 0], [0, 1]], (2,))

@@ -156,24 +156,28 @@ class SwitchedChannel:
     p_plus: float
     p_minus: float
     omega_plus: DensityMatrix
-    omega_minus: DensityMatrix
     plus_strings: StringTable
     minus_strings: StringTable
 
     def __post_init__(self):
-        if self.p_plus < -ATOL or self.p_minus < -ATOL:
+        # every check is written so that NaN fails it
+        if not (self.p_plus >= -ATOL and self.p_minus >= -ATOL):
             raise ValidityError("negative branch probability")
-        if abs(self.p_plus + self.p_minus - 1.0) > ATOL:
+        if not abs(self.p_plus + self.p_minus - 1.0) <= ATOL:
             raise ValidityError(
                 f"branch probabilities sum to {self.p_plus + self.p_minus}, not 1"
             )
         # a Pauli-string channel is complete iff its weights form a distribution
         for name, table in (("C_plus", self.plus_strings), ("C_minus", self.minus_strings)):
-            if any(w < 0.0 for w in table.values()) or abs(sum(table.values()) - 1.0) > ATOL:
+            weights = table.values()
+            if not (all(w >= 0.0 for w in weights) and abs(sum(weights) - 1.0) <= ATOL):
                 raise CompletenessError(f"{name} weights are not a distribution")
+
+    @functools.cached_property
+    def omega_minus(self) -> DensityMatrix:
+        """The control state of the minus branch, Z omega_plus Z."""
         flipped = qcore.Z.entries @ self.omega_plus.matrix @ qcore.Z.entries
-        if np.abs(flipped - self.omega_minus.matrix).max() > ATOL:
-            raise ValidityError("omega_minus is not Z omega_plus Z")
+        return DensityMatrix.from_matrix(flipped, (2,))
 
     @property
     def num_qubits(self) -> int:
@@ -308,13 +312,10 @@ def closed_form_product(
                 (total, {s: w / total for s, w in sorted(table.items()) if w > 0.0})
             )
     (p_plus, plus_n), (p_minus, minus_n) = sides
-    flipped = qcore.Z.entries @ omega.matrix @ qcore.Z.entries
-    omega_minus = DensityMatrix.from_matrix(flipped, (2,))
     return SwitchedChannel(
         p_plus=p_plus,
         p_minus=p_minus,
         omega_plus=omega,
-        omega_minus=omega_minus,
         plus_strings=plus_n,
         minus_strings=minus_n,
     )

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,7 @@ from rrqc.protocols import (
     run_noiseless_protocol,
     run_switch_protocol,
 )
-from rrqc.qcore import ValidityError
+from rrqc.qcore import Operator, ValidityError
 
 
 def messages():
@@ -121,12 +124,15 @@ def test_locality_guard_over_random_constructions():
 
 
 def test_transcript_rejects_undeclared_nonlocal_events():
-    t = Transcript()
+    gate = NonlocalOperation(THIRD_PARTY, (0, 1), qcore.CNOT)
     with pytest.raises(LocalityError):
-        t.record(NonlocalOperation(THIRD_PARTY, (0, 1), qcore.CNOT))
-    declared = Transcript(allow_nonlocal=True)
-    declared.record(NonlocalOperation(THIRD_PARTY, (0, 1), qcore.CNOT))
-    assert len(declared.nonlocal_events()) == 1
+        Transcript(events=(gate,))
+    declared = Transcript(events=(gate,), allow_nonlocal=True)
+    assert declared.nonlocal_events() == [gate]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        declared.events = ()
+    # a list handed in is held as a tuple, so the guard cannot be bypassed
+    assert isinstance(Transcript(events=[]).events, tuple)
 
 
 def test_outcome_policy_sampling_requires_seed():
@@ -375,3 +381,113 @@ def test_all_ones_branch_transcript_is_pinned(runner):
     assert odd
     for b in odd:
         assert _event_row(b.transcript.events[-1]) == ("U", 2, (1,), "Z")
+
+
+# ---------------------------------------------------------------------------
+# the engine against exact physics
+# ---------------------------------------------------------------------------
+
+RUNNERS = {
+    "noiseless": run_noiseless_protocol,
+    "switch": run_switch_protocol,
+    "baseline": run_definite_order_baseline,
+    "controlled-ops": run_controlled_ops_protocol,
+}
+
+def _protocol_rule(variant, n, x):
+    """The events every branch of ``variant`` at (n, x) follows: the shared
+    distribution prefix; the announcements in order, each as (key, party,
+    factor, basis, recipient, corrections on outcome 1), the retrieval last;
+    and the Z that x applies when the retrieval bits have odd parity."""
+    receivers = {i: Party(i, frozenset({i - 1})) for i in range(1, n + 1)}
+    carriers = {i: i - 1 for i in receivers}
+    prefix, steps = (), []
+    if variant == "switch":
+        z_at_1 = LocalUnitary(receivers[1], (0,), qcore.Z, "Z")
+        control = Party(CONTROL_HOLDER, frozenset({n}))
+        steps.append(("control", control, n, "fourier", BROADCAST, (z_at_1,)))
+    elif variant == "controlled-ops":
+        receivers[1] = Party(1, frozenset({0, n}))
+        carriers[1] = n
+        sender = Party(SENDER, frozenset(range(n + 1)))
+        prefix = (LocalUnitary(sender, (n, 0), qcore.CNOT, "CNOT"),) + tuple(
+            NonlocalOperation(THIRD_PARTY, (n, k), qcore.CNOT, "CNOT") for k in range(1, n)
+        )
+        flips = tuple(
+            LocalUnitary(receivers[k], (k - 1,), qcore.X, "X") for k in range(2, n + 1)
+        ) + (LocalUnitary(receivers[1], (n,), qcore.X, "X"),)
+        steps.append(("B1_bit", receivers[1], 0, "computational", BROADCAST, flips))
+    steps += [
+        (f"B{y}", receivers[y], carriers[y], "fourier", x, ()) for y in receivers if y != x
+    ]
+    z_at_x = LocalUnitary(receivers[x], (carriers[x],), qcore.Z, "Z")
+    return prefix, steps, z_at_x
+
+
+def _expected_events(rule, n, bits):
+    prefix, steps, z_at_x = rule
+    events = list(prefix)
+    for (_, party, factor, basis, recipient, corrections), bit in zip(steps, bits):
+        events.append(LocalMeasurement(party, (factor,), basis, bit))
+        events.append(ClassicalMessage(party.id, recipient, (bit,)))
+        if bit:
+            events.extend(corrections)
+    # the retrieval is the last n - 1 announcements
+    if sum(bits[len(bits) - (n - 1) :]) % 2:
+        events.append(z_at_x)
+    return events
+
+
+def _rows(events):
+    """Type and every field of each event; operators compare by entries."""
+    rows = []
+    for event in events:
+        values = []
+        for f in dataclasses.fields(event):
+            value = getattr(event, f.name)
+            if isinstance(value, Operator):
+                value = (value.entries.tobytes(), value.dims, value.col_dims)
+            values.append((f.name, value))
+        rows.append((type(event), tuple(values)))
+    return rows
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("variant", list(RUNNERS))
+def test_engine_sweep_is_exact(variant, n):
+    # every outcome of every announcement has probability 1/2, so each branch
+    # is one outcome-bit tuple and no branch falls below the probability floor
+    msg = haar_message(np.random.default_rng(n))
+    a2, b2 = abs(msg.alpha) ** 2, abs(msg.beta) ** 2
+    if variant == "baseline":
+        fidelity, state = a2**2 + b2**2, np.diag([a2, b2])
+    else:
+        fidelity, state = 1.0, msg.ket().density().matrix
+    for x in range(1, n + 1):
+        rule = _protocol_rule(variant, n, x)
+        keys = [step[0] for step in rule[1]]
+        result = RUNNERS[variant](msg, n, x, OutcomePolicy.exhaustive())
+        every_bits = list(itertools.product((0, 1), repeat=len(keys)))
+        assert [list(b.outcomes) for b in result.branches] == [keys] * len(every_bits)
+        assert [tuple(b.outcomes.values()) for b in result.branches] == every_bits
+        for branch, bits in zip(result.branches, every_bits):
+            assert abs(branch.probability - 2.0 ** -len(keys)) < 1e-12
+            assert abs(branch.fidelity - fidelity) < 1e-12
+            assert branch.final_state.dims == (2,)
+            np.testing.assert_allclose(branch.final_state.matrix, state, rtol=0, atol=1e-12)
+            assert branch.transcript.allow_nonlocal == (variant == "controlled-ops")
+            assert _rows(branch.transcript.events) == _rows(_expected_events(rule, n, bits))
+        by_bits = dict(zip(every_bits, result.branches))
+        for seed in (0, 1, 2):
+            rng = np.random.default_rng(seed)
+            drawn = tuple(int(rng.choice(2, p=[0.5, 0.5])) for _ in keys)
+            (sampled,) = RUNNERS[variant](msg, n, x, OutcomePolicy.sample(seed)).branches
+            assert list(sampled.outcomes) == keys
+            assert tuple(sampled.outcomes.values()) == drawn
+            twin = by_bits[drawn]
+            assert abs(sampled.probability - twin.probability) < 1e-12
+            assert abs(sampled.fidelity - twin.fidelity) < 1e-12
+            np.testing.assert_allclose(
+                sampled.final_state.matrix, twin.final_state.matrix, rtol=0, atol=1e-12
+            )
+            assert _rows(sampled.transcript.events) == _rows(twin.transcript.events)

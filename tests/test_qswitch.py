@@ -229,22 +229,25 @@ def test_switched_channel_validates_control_pair():
     sw = qswitch.closed_form_nxy_n(1)
     with pytest.raises(ValidityError):
         qswitch.SwitchedChannel(
-            p_plus=sw.p_plus,
-            p_minus=sw.p_minus,
-            omega_plus=sw.omega_plus,
-            omega_minus=sw.omega_plus,  # must be Z omega Z
-            plus_strings=sw.plus_strings,
-            minus_strings=sw.minus_strings,
-        )
-    with pytest.raises(ValidityError):
-        qswitch.SwitchedChannel(
             p_plus=0.7,
             p_minus=0.7,
             omega_plus=sw.omega_plus,
-            omega_minus=sw.omega_minus,
             plus_strings=sw.plus_strings,
             minus_strings=sw.minus_strings,
         )
+
+
+@pytest.mark.parametrize(
+    "changes, error",
+    [
+        ({"p_plus": np.nan, "p_minus": np.nan}, ValidityError),
+        ({"plus_strings": {("I",): np.nan}}, CompletenessError),
+    ],
+    ids=["probabilities", "string-weight"],
+)
+def test_switched_channel_rejects_nan(changes, error):
+    with pytest.raises(error):
+        dataclasses.replace(qswitch.closed_form_nxy_n(1), **changes)
 
 
 def test_closed_form_product_rejects_bad_inputs():
