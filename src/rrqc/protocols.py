@@ -9,35 +9,53 @@ factors are not all owned by its party raises LocalityError, and so does a
 Transcript holding a NonlocalOperation unless it declares them
 (``allow_nonlocal``).
 
-One run holds all of its live branches as one (B, d, d) stack of states,
-with a probability and a tuple of outcome bits per branch. A measured
-qubit is never touched again, so each announcement measures it on the whole
-stack and traces it out (``qcore.project_and_discard``), giving up to two
-children per branch, parent-major with outcome 0 first. Gates act on one
-factor of the whole stack at a time, and CNOTs permute basis indices.
-Every stack the engine produces, after every gate, cascade, correction and
-measurement, passes ``qcore.check_states``: finite, Hermitian, unit trace
-and positive semidefinite. Each branch's transcript is built once, at the
-end, from the shared distribution prefix and the branch's bits, and its
-construction runs the nonlocal guard; events always name the original
-factors.
-
 Every variant is a distribution stage plus announced measurements. Its
-``run_*`` function builds the carrier state, the parties and which factor
-each receiver holds, and lists its own announcements: one party measures one
+stage function builds the carrier state, the parties and which factor each
+receiver holds, and lists its own announcements: one party measures one
 factor, reports the bit, and on outcome 1 listed parties apply local
-corrections. One interpreter (``_run``) resolves the outcome policy, runs
-those announcements and then the GHZ retrieval shared by all protocols:
-every receiver other than the target x announces its carrier in the |+>/|->
-basis to x, and x applies Z raised to the outcome sum. Receiver i owns
-tensor factor i - 1.
+corrections. One engine (``_simulate``) runs those announcements and then
+the GHZ retrieval shared by all protocols: every receiver other than the
+target x announces its carrier in the |+>/|-> basis to x, and x applies Z
+raised to the outcome sum. Receiver i owns tensor factor i - 1.
+
+The engine holds all of its live branches as one (B, d, d) stack of states,
+with a probability and a tuple of outcome bits per branch. A measured qubit
+is never touched again, so each announcement measures it on the whole stack
+and traces it out (``qcore.project_and_discard``), giving up to two children
+per branch, parent-major with outcome 0 first. Gates act on one factor of
+the whole stack at a time, and CNOTs permute basis indices. Each branch's
+transcript is built once, at the end, from the shared distribution prefix
+and the branch's bits, and its construction runs the nonlocal guard; events
+always name the original factors.
+
+Every protocol is linear in the message up to the final renormalization, so
+each (variant, n, x) is a fixed set of qubit maps E_b, one per branch
+(``BranchMap``). ``branch_map`` builds them once per key and keeps them for
+the process: it runs the engine, every branch enumerated, on four messages
+whose density matrices span the qubit operators, one message at a time, and
+reads each E_b off the unnormalized final states. Every ``run_*`` call then
+evaluates its message through those maps: p_b = Tr E_b(psi), the final
+state E_b(psi) / p_b and its fidelity, for all branches at once. A branch is
+dropped where a conditional probability along its path falls below
+``PROB_FLOOR``, as the engine drops it, and a sampled run draws one branch by
+a seeded walk down the same tree: one ``rng.choice`` per announcement, over
+the outcomes whose conditional probability reaches ``PROB_FLOOR``.
+
+Validity checks run in three places. During a map build, every stack the
+engine produces, after every gate, cascade, correction and measurement,
+passes ``qcore.check_states``: finite, Hermitian, unit trace and positive
+semidefinite. Once per map, ``check_branch_maps`` checks that every Choi
+matrix J_b is positive semidefinite (complete positivity) and that sum_b E_b
+preserves the trace. Once per result, the final states of its branches pass
+``check_states`` as one stack (``DensityMatrix.from_stack``).
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -46,6 +64,7 @@ from .qcore import (
     ATOL,
     MAX_RECEIVERS,
     PROB_FLOOR,
+    CompletenessError,
     DensityMatrix,
     Ket,
     Operator,
@@ -226,12 +245,15 @@ class ProtocolResult:
     def __post_init__(self):
         if not self.branches:
             raise ValidityError("protocol produced no branches")
+        # every check is written so that NaN fails it
         for br in self.branches:
-            if br.fidelity < 0.0 or br.fidelity > 1.0 + ATOL:
+            if not 0.0 <= br.fidelity <= 1.0 + ATOL:
                 raise ValidityError(f"branch fidelity {br.fidelity} outside [0, 1]")
+            if not 0.0 <= br.probability <= 1.0 + ATOL:
+                raise ValidityError(f"branch probability {br.probability} outside [0, 1]")
         if self.policy.kind == "exhaustive":
             total = sum(br.probability for br in self.branches)
-            if abs(total - 1.0) > ATOL:
+            if not abs(total - 1.0) <= ATOL:
                 raise ValidityError(f"branch probabilities sum to {total}, not 1")
 
     @property
@@ -348,24 +370,15 @@ class _Batch:
             )
         )
 
-    def announce(self, step: _Announcement, rng: np.random.Generator | None) -> None:
-        """Measure and discard ``step.factor`` on every branch. Without ``rng``
-        every outcome above ``PROB_FLOOR`` becomes a child, parent-major with
-        outcome 0 first; with it each parent draws one child before any child
-        state is renormalized."""
+    def announce(self, step: _Announcement) -> None:
+        """Measure and discard ``step.factor`` on every branch. Every outcome
+        above ``PROB_FLOOR`` becomes a child, parent-major with outcome 0
+        first."""
         index = self.position(step.factor)
         probs, posts = qcore.project_and_discard(
             self.states, _BASES[step.basis], index, self.dims
         )
-        if rng is None:
-            parents, labels = np.nonzero(probs >= PROB_FLOOR)
-        else:
-            parents = np.arange(len(probs))
-            labels = np.empty_like(parents)
-            for b, row in enumerate(probs):
-                (alive,) = np.nonzero(row >= PROB_FLOOR)
-                kept = row[alive]
-                labels[b] = alive[rng.choice(len(alive), p=kept / kept.sum())]
+        parents, labels = np.nonzero(probs >= PROB_FLOOR)
         chosen = probs[parents, labels]
         self.live = self.live[:index] + self.live[index + 1 :]
         self.dims = self.dims[:index] + self.dims[index + 1 :]
@@ -389,26 +402,64 @@ def _receivers(n: int) -> dict[int, Party]:
     return {i: Party(i, frozenset({i - 1})) for i in range(1, n + 1)}
 
 
-def _run(
-    msg: MessageState,
-    n: int,
-    x: int,
-    outcome_policy: OutcomePolicy | None,
-    batch: _Batch,
-    parties: dict[int, Party],
-    carriers: dict[int, int] | None = None,
-    announcements: tuple[_Announcement, ...] = (),
-) -> ProtocolResult:
-    """Run a distributed carrier to the end: the variant's announcements,
-    then the GHZ retrieval at ``x``.
+class _Stage(NamedTuple):
+    """A distributed carrier: the batch after the distribution stage, the
+    parties, which factor each receiver's carrier is (None: receiver y holds
+    factor y - 1) and the variant's own announcements."""
 
-    Receiver y's carrier is factor ``carriers[y]`` (default y - 1). Every
-    receiver other than ``x`` announces its carrier in the Fourier basis to
-    ``x``, which applies Z raised to the sum of those bits. Transcripts are
-    built at the end from the shared prefix and each branch's outcome bits.
+    batch: _Batch
+    parties: dict[int, Party]
+    carriers: dict[int, int] | None = None
+    announcements: tuple[_Announcement, ...] = ()
+
+
+@dataclass(frozen=True)
+class _Pass:
+    """One exhaustive engine run on one message: the announcements, the
+    branch bits and probabilities after each of them (the root first), each
+    final branch's normalized state, and what its transcript is built from:
+    the distribution prefix, the Z that x applies on odd retrieval parity and
+    whether nonlocal events are declared."""
+
+    steps: tuple[_Announcement, ...]
+    levels: tuple[tuple[tuple[tuple[int, ...], ...], np.ndarray], ...]
+    states: np.ndarray
+    prefix: tuple[Event, ...]
+    z_at_target: LocalUnitary
+    retrieval_start: int
+    allow_nonlocal: bool
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        return tuple(step.key for step in self.steps)
+
+    def transcripts(self) -> tuple[Transcript, ...]:
+        """Each final branch's transcript, built once from the shared prefix
+        and the branch's bits; its construction runs the nonlocal guard."""
+        events = [(step.events(0), step.events(1)) for step in self.steps]
+        return tuple(
+            Transcript(
+                (
+                    *self.prefix,
+                    *(event for pair, bit in zip(events, bits) for event in pair[bit]),
+                    *((self.z_at_target,) if sum(bits[self.retrieval_start :]) % 2 else ()),
+                ),
+                self.allow_nonlocal,
+            )
+            for bits in self.levels[-1][0]
+        )
+
+
+def _simulate(variant: str, msg: MessageState, n: int, x: int) -> _Pass:
+    """Run ``variant``'s distribution stage on ``msg``, then its announcements
+    and the GHZ retrieval at ``x``, enumerating every branch.
+
+    Every receiver other than ``x`` announces its carrier in the Fourier
+    basis to ``x``, which applies Z raised to the sum of those bits. The
+    retrieval discards every factor but x's carrier, so each final state is
+    a qubit.
     """
-    policy = OutcomePolicy.exhaustive() if outcome_policy is None else outcome_policy
-    rng = np.random.default_rng(policy.seed) if policy.kind == "sample" else None
+    batch, parties, carriers, announcements = _STAGES[variant](msg, n)
     if carriers is None:
         carriers = {y: y - 1 for y in parties}
     retrieval = tuple(
@@ -417,36 +468,206 @@ def _run(
         if y != x
     )
     steps = announcements + retrieval
+    levels = [(tuple(batch.bits), batch.probabilities)]
     for step in steps:
-        batch.announce(step, rng)
+        batch.announce(step)
+        levels.append((tuple(batch.bits), batch.probabilities))
     z_at_target = LocalUnitary(parties[x], (carriers[x],), qcore.Z, "Z")
-    odd = [sum(bits[len(announcements) :]) % 2 == 1 for bits in batch.bits]
-    (odd_rows,) = np.nonzero(odd)
+    (odd_rows,) = np.nonzero([sum(bits[len(announcements) :]) % 2 for bits in batch.bits])
     if odd_rows.size:
         batch.correct(z_at_target, odd_rows)
+    return _Pass(
+        steps,
+        tuple(levels),
+        batch.states,
+        batch.prefix,
+        z_at_target,
+        len(announcements),
+        batch.allow_nonlocal,
+    )
 
-    events = [(step.events(0), step.events(1)) for step in steps]
-    target = msg.ket()
-    results = []
-    for state, probability, bits, flip in zip(
-        batch.states, batch.probabilities, batch.bits, odd
-    ):
-        heard = (event for pair, bit in zip(events, bits) for event in pair[bit])
-        transcript = Transcript(
-            (*batch.prefix, *heard, *((z_at_target,) if flip else ())), batch.allow_nonlocal
-        )
-        # the retrieval has discarded every factor but x's carrier
-        final = DensityMatrix.from_matrix(state, batch.dims)
-        results.append(
+
+# ---------------------------------------------------------------------------
+# exact branch maps
+# ---------------------------------------------------------------------------
+
+#: |0>, |1>, |+> and |+i>: messages whose density matrices span the qubit
+#: operators, so a protocol's value on them fixes its value on every message.
+_SPANNING = (
+    MessageState(1.0, 0.0),
+    MessageState(0.0, 1.0),
+    MessageState(1 / np.sqrt(2), 1 / np.sqrt(2)),
+    MessageState(1 / np.sqrt(2), 1j / np.sqrt(2)),
+)
+
+
+def _matrix_units(values: np.ndarray) -> np.ndarray:
+    """Values of a linear map at the four ``_SPANNING`` inputs, stacked on
+    axis 0, turned into its values at the matrix units |j><k|, on new axes
+    1 and 2: |0><1| = P_+ + i P_+i - (1 + i) I / 2, and |1><0| its adjoint."""
+    zero, one, plus, plus_i = values
+    half = (zero + one) / 2
+    upper = plus + 1j * plus_i - (1 + 1j) * half
+    lower = plus - 1j * plus_i - (1 - 1j) * half
+    units = np.array([[zero, upper], [lower, one]], dtype=complex)
+    return np.moveaxis(units, (0, 1), (1, 2))
+
+
+def _choi_matrices(transfer: np.ndarray) -> np.ndarray:
+    """Choi matrices J_b of qubit maps given as transfer[b, j, k] = E_b(|j><k|),
+    on output (x) reference as in ``channels.choi``: J_b is
+    (E_b (x) id)(|Phi+><Phi+|), so a channel's has unit trace."""
+    return transfer.transpose(0, 3, 1, 4, 2).reshape(-1, 4, 4) / 2
+
+
+def check_branch_maps(transfer: np.ndarray) -> None:
+    """Raise unless the qubit maps transfer[b, j, k] = E_b(|j><k|) are an
+    instrument: every Choi matrix J_b Hermitian and positive semidefinite
+    within ``ATOL`` (ValidityError), and sum_b E_b trace preserving, i.e.
+    sum_b Tr E_b(|j><k|) = delta_jk within ``ATOL`` (CompletenessError).
+    Every check is written so that NaN fails it."""
+    choi = _choi_matrices(transfer)
+    if not np.abs(choi - choi.conj().swapaxes(1, 2)).max() <= ATOL:
+        raise ValidityError("branch map is not Hermitian preserving")
+    lowest = float(np.linalg.eigvalsh(choi).min())
+    if not lowest >= -ATOL:
+        raise ValidityError(f"branch map is not completely positive (Choi eigenvalue {lowest})")
+    defect = float(np.abs(np.einsum("bjkxx->jk", transfer) - np.eye(2)).max())
+    if not defect <= ATOL:
+        raise CompletenessError(f"branch maps are not trace preserving (defect {defect:.3e})")
+
+
+@dataclass(frozen=True, eq=False)
+class BranchMap:
+    """One protocol at one (n, x) as exact qubit maps, one per branch.
+
+    The branch tree has one node per announced-outcome prefix, the root
+    first and each level in the engine's order; its last level holds the
+    branches. ``effects[v]`` gives node v's probability on any message,
+    p_v = sum_jk rho_jk effects[v, j, k], and ``transfer[b, j, k]`` is
+    E_b(|j><k|), the unnormalized state that branch b leaves at x.
+    ``parents`` maps each node to its parent (the root to itself),
+    ``children`` each node to its outcome-0 and outcome-1 child (-1 where
+    there is none) and ``paths`` each branch to its nodes below the root.
+    """
+
+    n: int
+    x: int
+    keys: tuple[str, ...]
+    bits: tuple[tuple[int, ...], ...]
+    transcripts: tuple[Transcript, ...]
+    transfer: np.ndarray
+    effects: np.ndarray
+    parents: np.ndarray
+    children: np.ndarray
+    paths: np.ndarray
+
+    @property
+    def choi(self) -> np.ndarray:
+        """The Choi matrix J_b = (E_b (x) id)(|Phi+><Phi+|) of every branch
+        map, stacked as (B, 4, 4) on output (x) reference as in
+        ``channels.choi``; their sum has unit trace."""
+        return _choi_matrices(self.transfer)
+
+    def __post_init__(self):
+        # one map serves every later call, so no caller may change it
+        for array in (self.transfer, self.effects, self.parents, self.children, self.paths):
+            array.setflags(write=False)
+
+    def evaluate(
+        self, msg: MessageState, outcome_policy: OutcomePolicy | None = None
+    ) -> ProtocolResult:
+        """The run of this protocol on ``msg``: every branch whose conditional
+        probabilities along its path all reach ``PROB_FLOOR``, or the one
+        branch a seeded walk down the tree draws."""
+        policy = OutcomePolicy.exhaustive() if outcome_policy is None else outcome_policy
+        vec = np.array((msg.alpha, msg.beta), dtype=complex)
+        rho = (vec[:, None] * vec.conj()).reshape(4)
+        probs = (self.effects.reshape(-1, 4) @ rho).real
+        if policy.kind == "sample":
+            rows = np.array([self._walk(probs, np.random.default_rng(policy.seed))])
+        else:
+            # p_child >= PROB_FLOOR * p_parent: the conditional reaches the floor
+            reached = probs >= PROB_FLOOR * probs[self.parents]
+            (rows,) = np.nonzero(reached[self.paths].all(axis=1))
+        # the branches are the last len(self.bits) nodes
+        chosen = probs[len(probs) - len(self.bits) + rows]
+        outputs = (rho @ self.transfer[rows].reshape(-1, 4, 4)).reshape(-1, 2, 2)
+        finals = qcore.renormalize(outputs, chosen)
+        states = DensityMatrix.from_stack(finals, (2,))
+        fidelities = qcore.fidelities_pure(vec, finals)
+        branches = tuple(
             BranchResult(
-                probability=float(probability),
-                outcomes={step.key: bit for step, bit in zip(steps, bits)},
-                fidelity=qcore.fidelity_pure(target, final),
-                final_state=final,
-                transcript=transcript,
+                probability=float(chosen[i]),
+                outcomes=dict(zip(self.keys, self.bits[row])),
+                fidelity=float(fidelities[i]),
+                final_state=states[i],
+                transcript=self.transcripts[row],
             )
+            for i, row in enumerate(rows.tolist())
         )
-    return ProtocolResult(msg, n, x, policy, tuple(results))
+        return ProtocolResult(msg, self.n, self.x, policy, branches)
+
+    def _walk(self, probs: np.ndarray, rng: np.random.Generator) -> int:
+        """The branch reached by drawing each announced outcome from its
+        conditional probabilities, outcomes below ``PROB_FLOOR`` excluded, with
+        one ``rng.choice`` per announcement."""
+        node = 0
+        for _ in range(self.paths.shape[1]):
+            kids = self.children[node]
+            row = np.where(kids >= 0, probs[kids] / probs[node], 0.0)
+            (alive,) = np.nonzero(row >= PROB_FLOOR)
+            kept = row[alive]
+            node = kids[alive[rng.choice(len(alive), p=kept / kept.sum())]]
+        return int(node) - (len(probs) - len(self.bits))
+
+
+def _build_map(variant: str, n: int, x: int) -> BranchMap:
+    """Run the engine on each ``_SPANNING`` message, one at a time, and turn
+    the four runs into the branch tree and maps, checked by
+    ``check_branch_maps``."""
+    passes = [_simulate(variant, msg, n, x) for msg in _SPANNING]
+    first = passes[0]
+    tree = [bits for bits, _ in first.levels]
+    if any([bits for bits, _ in p.levels] != tree for p in passes[1:]):
+        raise ValidityError(f"{variant} at n={n}, x={x}: spanning inputs reach different branches")
+    nodes = [bits for level in tree for bits in level]
+    index = {bits: i for i, bits in enumerate(nodes)}
+    leaves = tree[-1]
+    depth = len(first.keys)
+    probabilities = np.array([np.concatenate([probs for _, probs in p.levels]) for p in passes])
+    outputs = np.array([p.levels[-1][1][:, None, None] * p.states for p in passes])
+    transfer = _matrix_units(outputs)
+    check_branch_maps(transfer)
+    return BranchMap(
+        n=n,
+        x=x,
+        keys=first.keys,
+        bits=leaves,
+        transcripts=first.transcripts(),
+        transfer=transfer,
+        effects=_matrix_units(probabilities),
+        parents=np.array([index[bits[:-1]] if bits else 0 for bits in nodes]),
+        children=np.array([[index.get(bits + (o,), -1) for o in (0, 1)] for bits in nodes]),
+        paths=np.array(
+            [[index[bits[:i]] for i in range(1, depth + 1)] for bits in leaves], dtype=np.intp
+        ).reshape(len(leaves), depth),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_map(variant: str, n: int, x: int) -> BranchMap:
+    return _build_map(variant, n, x)
+
+
+def branch_map(variant: str, n: int, x: int) -> BranchMap:
+    """The exact branch maps of ``variant`` (noiseless, switch, baseline or
+    controlled-ops) at (n, x), built on first use and kept for the process."""
+    if variant not in _STAGES:
+        raise ValueError(f"unknown protocol variant {variant!r}")
+    n, x = operator.index(n), operator.index(x)  # integers only, one cache key each
+    _check_run_args(n, x)
+    return _cached_map(variant, n, x)
 
 
 # ---------------------------------------------------------------------------
@@ -464,28 +685,21 @@ def ghz_encode(msg: MessageState, n: int) -> Ket:
     return Ket(vec, (2,) * n)
 
 
-def run_noiseless_protocol(
-    msg: MessageState, n: int, x: int, outcome_policy: OutcomePolicy | None = None
-) -> ProtocolResult:
-    """GHZ distribution over noiseless channels plus LOCC retrieval at x."""
-    _check_run_args(n, x)
-    batch = _Batch(ghz_encode(msg, n).density())
-    return _run(msg, n, x, outcome_policy, batch, _receivers(n))
+def ghz_encode(msg: MessageState, n: int) -> Ket:
+    """Generalized GHZ encoding alpha|0...0> + beta|1...1> on n qubits."""
+    if not 1 <= n <= MAX_RECEIVERS:
+        raise ValueError(f"receiver count {n} outside 1..{MAX_RECEIVERS}")
+    vec = np.zeros(2**n, dtype=complex)
+    vec[0] = msg.alpha
+    vec[-1] = msg.beta
+    return Ket(vec, (2,) * n)
 
 
-def run_switch_protocol(
-    msg: MessageState, n: int, x: int, outcome_policy: OutcomePolicy | None = None
-) -> ProtocolResult:
-    """Distribution through the switched equal-X/Y noise, unlocked by one
-    measurement on the order control.
+def _noiseless_stage(msg: MessageState, n: int) -> _Stage:
+    return _Stage(_Batch(ghz_encode(msg, n).density()), _receivers(n))
 
-    The control holder measures the order qubit in the |+>/|-> basis and
-    broadcasts the bit; on the minus outcome receiver 1 applies Z, which maps
-    the odd-Z-string branch channel onto the even one. The GHZ carrier is
-    invariant under even Z strings, so the usual retrieval then succeeds on
-    every branch.
-    """
-    _check_run_args(n, x)
+
+def _switch_stage(msg: MessageState, n: int) -> _Stage:
     parties = _receivers(n)
     state = _switched_nxy(n).apply(ghz_encode(msg, n).density())
     control = _Announcement(
@@ -496,43 +710,17 @@ def run_switch_protocol(
         BROADCAST,
         (LocalUnitary(parties[1], (0,), qcore.Z, "Z"),),
     )
-    return _run(
-        msg, n, x, outcome_policy, _Batch(state), parties, announcements=(control,)
-    )
+    return _Stage(_Batch(state), parties, announcements=(control,))
 
 
-def run_definite_order_baseline(
-    msg: MessageState, n: int, x: int, outcome_policy: OutcomePolicy | None = None
-) -> ProtocolResult:
-    """Same pipeline with the two noise layers cascaded in a fixed order.
-
-    Each qubit then sees the composition of the equal-X/Y mixture with
-    itself, i.e. full dephasing; no control qubit exists, so nothing can be
-    corrected and the reported fidelity is degraded for non-classical
-    messages.
-    """
-    _check_run_args(n, x)
+def _baseline_stage(msg: MessageState, n: int) -> _Stage:
     batch = _Batch(ghz_encode(msg, n).density())
     for k in range(n):
         batch.cascade(k)
-    return _run(msg, n, x, outcome_policy, batch, _receivers(n))
+    return _Stage(batch, _receivers(n))
 
 
-def run_controlled_ops_protocol(
-    msg: MessageState, n: int, x: int, outcome_policy: OutcomePolicy | None = None
-) -> ProtocolResult:
-    """Definite-order protocol that bypasses the noise with controlled gates.
-
-    The sender entangles the message with a |+> control via CNOT, sends the
-    message plus n - 1 blank qubits through the cascaded noise (full
-    dephasing), and CNOTs from the control onto the blanks rebuild GHZ
-    correlations. Those CNOTs span separated receivers, so they are recorded
-    as flagged NonlocalOperation events attributed to a third party. Receiver
-    1 then reads out its (dephased) qubit, everyone bit-flips on outcome 1,
-    and the control takes receiver 1's place as a GHZ carrier for the usual
-    retrieval.
-    """
-    _check_run_args(n, x)
+def _controlled_ops_stage(msg: MessageState, n: int) -> _Stage:
     parties = _receivers(n)
     # receiver 1 also ends up holding the control qubit (last factor)
     parties[1] = Party(1, frozenset({0, n}))
@@ -553,4 +741,65 @@ def run_controlled_ops_protocol(
     flips.append(LocalUnitary(parties[1], (n,), qcore.X, "X"))
     readout = _Announcement(parties[1], 0, "computational", "B1_bit", BROADCAST, tuple(flips))
     carriers = {1: n} | {k: k - 1 for k in range(2, n + 1)}
-    return _run(msg, n, x, outcome_policy, batch, parties, carriers, (readout,))
+    return _Stage(batch, parties, carriers, (readout,))
+
+
+#: Each variant's distribution stage, by the name ``branch_map`` takes.
+_STAGES = {
+    "noiseless": _noiseless_stage,
+    "switch": _switch_stage,
+    "baseline": _baseline_stage,
+    "controlled-ops": _controlled_ops_stage,
+}
+
+
+def run_noiseless_protocol(
+    msg: MessageState, n: int, x: int, outcome_policy: OutcomePolicy | None = None
+) -> ProtocolResult:
+    """GHZ distribution over noiseless channels plus LOCC retrieval at x."""
+    return branch_map("noiseless", n, x).evaluate(msg, outcome_policy)
+
+
+def run_switch_protocol(
+    msg: MessageState, n: int, x: int, outcome_policy: OutcomePolicy | None = None
+) -> ProtocolResult:
+    """Distribution through the switched equal-X/Y noise, unlocked by one
+    measurement on the order control.
+
+    The control holder measures the order qubit in the |+>/|-> basis and
+    broadcasts the bit; on the minus outcome receiver 1 applies Z, which maps
+    the odd-Z-string branch channel onto the even one. The GHZ carrier is
+    invariant under even Z strings, so the usual retrieval then succeeds on
+    every branch.
+    """
+    return branch_map("switch", n, x).evaluate(msg, outcome_policy)
+
+
+def run_definite_order_baseline(
+    msg: MessageState, n: int, x: int, outcome_policy: OutcomePolicy | None = None
+) -> ProtocolResult:
+    """Same pipeline with the two noise layers cascaded in a fixed order.
+
+    Each qubit then sees the composition of the equal-X/Y mixture with
+    itself, i.e. full dephasing; no control qubit exists, so nothing can be
+    corrected and the reported fidelity is degraded for non-classical
+    messages.
+    """
+    return branch_map("baseline", n, x).evaluate(msg, outcome_policy)
+
+
+def run_controlled_ops_protocol(
+    msg: MessageState, n: int, x: int, outcome_policy: OutcomePolicy | None = None
+) -> ProtocolResult:
+    """Definite-order protocol that bypasses the noise with controlled gates.
+
+    The sender entangles the message with a |+> control via CNOT, sends the
+    message plus n - 1 blank qubits through the cascaded noise (full
+    dephasing), and CNOTs from the control onto the blanks rebuild GHZ
+    correlations. Those CNOTs span separated receivers, so they are recorded
+    as flagged NonlocalOperation events attributed to a third party. Receiver
+    1 then reads out its (dephased) qubit, everyone bit-flips on outcome 1,
+    and the control takes receiver 1's place as a GHZ carrier for the usual
+    retrieval.
+    """
+    return branch_map("controlled-ops", n, x).evaluate(msg, outcome_policy)

@@ -12,7 +12,9 @@ validated by one check that works on a stack of shape (B, d, d):
 ``check_states`` tests finiteness, Hermiticity and unit trace, and
 positivity through one batched Cholesky factorization of S + ATOL * I, with
 a batched ``eigvalsh`` deciding only when that fails. ``DensityMatrix``
-runs it on a stack of one. Kraus sets pass one check, ``check_complete``.
+runs it on a stack of one, and ``DensityMatrix.from_stack`` once on a whole
+stack whose rows it then wraps. Kraus sets pass one check,
+``check_complete``.
 
 Single-factor operations (local gates, local Kraus channels, projective
 measurements) go through one factor-local kernel that contracts the touched
@@ -70,10 +72,19 @@ def _frozen_array(values, shape_check=None) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected a {shape_check}-dimensional array, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValidityError("entries contain NaN or Inf")
     arr.setflags(write=False)
     return arr
+
+
+def _prechecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` from fields its caller has
+    already validated, without running ``__post_init__``."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,6 +218,14 @@ def _identity(side: int) -> np.ndarray:
     return eye
 
 
+@functools.lru_cache(maxsize=None)
+def _shifted_identity(side: int) -> np.ndarray:
+    """ATOL * I, the shift of the positivity test."""
+    shift = ATOL * np.eye(side)
+    shift.setflags(write=False)
+    return shift
+
+
 def check_states(stack: np.ndarray) -> None:
     """Raise ValidityError unless every matrix of a (B, d, d) stack is a state:
     finite, Hermitian and of unit trace within ``ATOL``, with no eigenvalue
@@ -226,7 +245,7 @@ def check_states(stack: np.ndarray) -> None:
     if errors.max() > ATOL:
         raise ValidityError(f"state trace {traces[np.argmax(errors > ATOL)]} is not 1")
     try:
-        np.linalg.cholesky(stack + ATOL * _identity(stack.shape[-1]))
+        np.linalg.cholesky(stack + _shifted_identity(stack.shape[-1]))
     except np.linalg.LinAlgError:
         lowest = np.linalg.eigvalsh(stack).min(axis=1)
         if lowest.min() < -ATOL:
@@ -317,6 +336,21 @@ class DensityMatrix:
     @classmethod
     def from_matrix(cls, matrix, dims) -> "DensityMatrix":
         return cls(Operator(matrix, _clean_dims(dims)))
+
+    @classmethod
+    def from_stack(cls, stack: np.ndarray, dims) -> tuple["DensityMatrix", ...]:
+        """Every state of a (B, d, d) stack, validated by one ``check_states``
+        call and then wrapped row by row without checking each again; the
+        rows are read-only views of one copy of the stack."""
+        dims = _clean_dims(dims)
+        frozen = np.array(stack, dtype=complex)
+        _check_stack(frozen, dims)
+        check_states(frozen)
+        frozen.setflags(write=False)
+        return tuple(
+            _prechecked(cls, op=_prechecked(Operator, entries=m, dims=dims, col_dims=dims))
+            for m in frozen
+        )
 
     @property
     def matrix(self) -> np.ndarray:
@@ -573,11 +607,22 @@ def fidelity_pure(target: Ket, rho: DensityMatrix) -> float:
         raise DimensionMismatchError(
             f"target dimension {target.dim} does not match state dimension {rho.dim}"
         )
-    vec = target.amplitudes
-    value = float(np.real(vec.conj() @ rho.matrix @ vec))
-    if value < -ATOL or value > 1.0 + ATOL:
-        raise ValidityError(f"fidelity {value} outside [0, 1]")
-    return max(value, 0.0)
+    return float(fidelities_pure(target.amplitudes, rho.matrix[None])[0])
+
+
+def fidelities_pure(amplitudes: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Overlaps <psi| S |psi> of every state S of a (B, d, d) stack with the
+    unit vector ``amplitudes``, clipped at 0; a value outside
+    [-ATOL, 1 + ATOL] (or NaN) raises ValidityError."""
+    if stack.ndim != 3 or stack.shape[1:] != (amplitudes.size,) * 2:
+        raise DimensionMismatchError(
+            f"stack of shape {stack.shape} does not match a target of size {amplitudes.size}"
+        )
+    values = ((stack @ amplitudes) @ amplitudes.conj()).real
+    if not (values.min() >= -ATOL and values.max() <= 1.0 + ATOL):  # NaN fails too
+        bad = values[~((values >= -ATOL) & (values <= 1.0 + ATOL))][0]
+        raise ValidityError(f"fidelity {bad} outside [0, 1]")
+    return np.maximum(values, 0.0)
 
 
 # Single-qubit constants. X, Y, Z are the Pauli matrices; the +/- kets span

@@ -211,9 +211,15 @@ class SwitchedChannel:
         c = +-1 (a sign for each Z or Y). So sigma rho sigma^dag is
         (c c^T * rho) permuted by i -> i ^ u on rows and columns, and each
         group u applies as one summed mask sum_s w_s c_s c_s^T and one
-        index permutation.
+        index permutation. With z the bitmask of the qubits carrying Z or Y
+        (qubit 0 the most significant bit), c_i = (-1)^popcount(i & z), read
+        from a parity table of the indices.
         """
         size = 2**self.num_qubits
+        index = np.arange(size)
+        parity = np.zeros(size, dtype=np.int64)  # popcount(i) mod 2
+        for bit in range(self.num_qubits):
+            parity ^= (index >> bit) & 1
         out = []
         for prob, table, omega in (
             (self.p_plus, self.plus_strings, self.omega_plus),
@@ -223,12 +229,13 @@ class SwitchedChannel:
                 continue
             masks: dict[int, np.ndarray] = {}
             for labels, w in table.items():
-                flip, signs = 0, np.ones(1)
+                flip = zmask = 0
                 for label in labels:
                     flip = 2 * flip + (label in "XY")
-                    signs = np.kron(signs, (1.0, -1.0) if label in "YZ" else (1.0, 1.0))
+                    zmask = 2 * zmask + (label in "YZ")
+                signs = 1.0 - 2.0 * parity[index & zmask]
                 masks[flip] = masks.get(flip, 0.0) + w * np.outer(signs, signs)
-            groups = tuple((np.arange(size) ^ flip, mask) for flip, mask in masks.items())
+            groups = tuple((index ^ flip, mask) for flip, mask in masks.items())
             out.append((prob, groups, omega))
         return tuple(out)
 

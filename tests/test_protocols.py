@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrqc import channels, qcore
+from rrqc import channels, protocols, qcore
 from rrqc.protocols import (
     BROADCAST,
+    BranchResult,
     CONTROL_HOLDER,
     SENDER,
     THIRD_PARTY,
@@ -20,7 +21,9 @@ from rrqc.protocols import (
     NonlocalOperation,
     OutcomePolicy,
     Party,
+    ProtocolResult,
     Transcript,
+    branch_map,
     ghz_encode,
     haar_message,
     run_controlled_ops_protocol,
@@ -28,7 +31,7 @@ from rrqc.protocols import (
     run_noiseless_protocol,
     run_switch_protocol,
 )
-from rrqc.qcore import Operator, ValidityError
+from rrqc.qcore import CompletenessError, Operator, ValidityError
 
 
 def messages():
@@ -491,3 +494,203 @@ def test_engine_sweep_is_exact(variant, n):
                 sampled.final_state.matrix, twin.final_state.matrix, rtol=0, atol=1e-12
             )
             assert _rows(sampled.transcript.events) == _rows(twin.transcript.events)
+
+
+# ---------------------------------------------------------------------------
+# result validation
+# ---------------------------------------------------------------------------
+
+POLICIES = [OutcomePolicy.exhaustive(), OutcomePolicy.sample(0)]
+
+
+def _branch(probability, fidelity):
+    state = qcore.DensityMatrix.from_matrix(np.eye(2) / 2, (2,))
+    return BranchResult(probability, {}, fidelity, state, Transcript())
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.kind)
+@pytest.mark.parametrize(
+    "probabilities, fidelity",
+    [
+        ((1.0,), np.nan),
+        ((np.nan,), 1.0),
+        ((-0.5, 1.5), 1.0),
+        ((1.0 + 1e-6,), 1.0),
+    ],
+    ids=["nan-fidelity", "nan-probability", "negative-probability", "probability-above-1"],
+)
+def test_protocol_result_rejects_bad_branches_under_every_policy(policy, probabilities, fidelity):
+    branches = tuple(_branch(p, fidelity) for p in probabilities)
+    with pytest.raises(ValidityError):
+        ProtocolResult(RANDOM_MSG, 1, 1, policy, branches)
+
+
+# ---------------------------------------------------------------------------
+# exact branch maps
+# ---------------------------------------------------------------------------
+
+#: The six Pauli eigenstates, a qubit 2-design: the mean of any quadratic
+#: function of |psi><psi| over them is its Haar mean.
+PAULI_EIGENSTATES = [
+    MessageState(1.0, 0.0),
+    MessageState(0.0, 1.0),
+    MessageState(1 / np.sqrt(2), 1 / np.sqrt(2)),
+    MessageState(1 / np.sqrt(2), -1 / np.sqrt(2)),
+    MessageState(1 / np.sqrt(2), 1j / np.sqrt(2)),
+    MessageState(1 / np.sqrt(2), -1j / np.sqrt(2)),
+]
+KEYS = [(n, x) for n in range(1, 7) for x in range(1, n + 1)]
+PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+
+
+def _entanglement_fidelity(variant, n, x):
+    """<Phi+| sum_b J_b |Phi+>, with the unit-trace Choi matrix of the whole
+    instrument."""
+    total = branch_map(variant, n, x).choi.sum(axis=0)
+    return float(np.real(PHI_PLUS @ total @ PHI_PLUS))
+
+
+@pytest.mark.parametrize("n, x", KEYS)
+def test_baseline_exact_values_through_maps(n, x):
+    plus = run_definite_order_baseline(MessageState.plus(), n, x)
+    assert abs(plus.fidelity - 0.5) < 1e-12
+    haar = np.mean([run_definite_order_baseline(m, n, x).fidelity for m in PAULI_EIGENSTATES])
+    assert abs(haar - 2 / 3) < 1e-12
+    assert abs(_entanglement_fidelity("baseline", n, x) - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("n, x", KEYS)
+@pytest.mark.parametrize("variant", ["noiseless", "switch", "controlled-ops"])
+def test_perfect_variants_exact_through_maps(variant, n, x):
+    for msg in PAULI_EIGENSTATES + [RANDOM_MSG]:
+        result = RUNNERS[variant](msg, n, x)
+        assert abs(result.min_fidelity - 1.0) < 1e-12
+    # every branch map is p_b times the identity channel
+    for choi in branch_map(variant, n, x).choi:
+        probability = np.trace(choi).real
+        np.testing.assert_allclose(
+            choi, probability * np.outer(PHI_PLUS, PHI_PLUS), rtol=0, atol=1e-12
+        )
+
+
+@pytest.mark.parametrize("n, x", KEYS)
+@pytest.mark.parametrize("variant", list(RUNNERS))
+def test_average_fidelity_matches_entanglement_fidelity(variant, n, x):
+    # Nielsen: the Haar-average fidelity of a channel is (2 F_e + 1) / 3
+    mean = np.mean([RUNNERS[variant](m, n, x).fidelity for m in PAULI_EIGENSTATES])
+    assert abs(mean - (2 * _entanglement_fidelity(variant, n, x) + 1) / 3) < 1e-12
+
+
+def test_branch_maps_are_built_once_per_key():
+    first = branch_map("switch", 3, 2)
+    assert branch_map("switch", n=3, x=2) is first
+    assert branch_map("switch", np.int64(3), np.int64(2)) is first
+    with pytest.raises(ValueError):
+        branch_map("teleport", 3, 2)
+    with pytest.raises(ValueError):
+        branch_map("switch", 3, 4)
+    with pytest.raises(TypeError):
+        run_switch_protocol(RANDOM_MSG, 2.5, 1)
+    assert protocols._cached_map.cache_info().currsize <= 4 * len(KEYS)
+    # results share the cached transcripts, each with its own outcomes dict
+    a = run_switch_protocol(RANDOM_MSG, 3, 2)
+    b = run_switch_protocol(RANDOM_MSG, 3, 2)
+    assert all(x.transcript is y.transcript for x, y in zip(a.branches, b.branches))
+    a.branches[0].outcomes["control"] = 7
+    assert b.branches[0].outcomes["control"] == 0
+    assert run_switch_protocol(RANDOM_MSG, 3, 2).branches[0].outcomes["control"] == 0
+
+
+def test_branch_map_check_rejects_a_scaled_map():
+    transfer = branch_map("switch", 2, 1).transfer.copy()
+    protocols.check_branch_maps(transfer)
+    transfer[0] *= 1 + 1e-6
+    with pytest.raises(CompletenessError):
+        protocols.check_branch_maps(transfer)
+
+
+def test_branch_map_check_rejects_conjugated_off_diagonal_inputs(monkeypatch):
+    # |-i> in place of |+i> swaps the images of |0><1| and |1><0|: the
+    # branch maps become the switch's identity channels composed with the
+    # transpose, which is not completely positive
+    spanning = protocols._SPANNING[:3] + (MessageState(1 / np.sqrt(2), -1j / np.sqrt(2)),)
+    monkeypatch.setattr(protocols, "_SPANNING", spanning)
+    with pytest.raises(ValidityError, match="completely positive"):
+        protocols._build_map("switch", 2, 1)
+
+
+def _drop_last(bits, probabilities, states):
+    return bits[:-1], probabilities[:-1], states[:-1]
+
+
+def _reverse(bits, probabilities, states):
+    return bits[::-1], probabilities[::-1], states[::-1]
+
+
+@pytest.mark.parametrize("tamper", [_drop_last, _reverse], ids=["drop", "reorder"])
+def test_branch_map_build_rejects_passes_that_disagree(monkeypatch, tamper):
+    # the second pass reaches other branches (or the same ones in another
+    # order); its outputs must not be paired with the first pass's branches
+    engine = protocols._simulate
+    calls = []
+
+    def tampered_second_pass(*args):
+        run = engine(*args)
+        calls.append(run)
+        if len(calls) != 2:
+            return run
+        bits, probabilities, states = tamper(*run.levels[-1], run.states)
+        levels = run.levels[:-1] + ((bits, probabilities),)
+        return dataclasses.replace(run, levels=levels, states=states)
+
+    monkeypatch.setattr(protocols, "_simulate", tampered_second_pass)
+    with pytest.raises(ValidityError, match="different branches"):
+        protocols._build_map("switch", 2, 1)
+    assert len(calls) == 4
+
+
+def _replayed_bits(run, seed):
+    """The outcome bits a seeded walk draws from the engine's own branch
+    probabilities: one ``rng.choice`` per announcement over the outcomes whose
+    conditional probability reaches the floor."""
+    rng = np.random.default_rng(seed)
+    probability = {
+        bits: p for level_bits, ps in run.levels for bits, p in zip(level_bits, ps)
+    }
+    node = ()
+    for _ in run.keys:
+        row = np.array([probability.get(node + (o,), 0.0) / probability[node] for o in (0, 1)])
+        (alive,) = np.nonzero(row >= qcore.PROB_FLOOR)
+        kept = row[alive]
+        node += (int(alive[rng.choice(len(alive), p=kept / kept.sum())]),)
+    return node
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    messages(),
+    st.sampled_from(list(RUNNERS)),
+    st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.integers(0, 2**31 - 1),
+)
+def test_maps_match_the_engine_on_drawn_messages(msg, variant, key, seed):
+    n, x = key
+    run = protocols._simulate(variant, msg, n, x)
+    bits, probabilities = run.levels[-1]
+    transcripts = run.transcripts()
+    vec = msg.ket().amplitudes
+    result = RUNNERS[variant](msg, n, x, OutcomePolicy.exhaustive())
+    assert [tuple(b.outcomes.values()) for b in result.branches] == list(bits)
+    for branch, p, state, transcript in zip(result.branches, probabilities, run.states, transcripts):
+        assert list(branch.outcomes) == list(run.keys)
+        assert abs(branch.probability - p) < 1e-12
+        np.testing.assert_allclose(branch.final_state.matrix, state, rtol=0, atol=1e-12)
+        assert abs(branch.fidelity - np.real(vec.conj() @ state @ vec)) < 1e-12
+        assert _rows(branch.transcript.events) == _rows(transcript.events)
+    (sampled,) = RUNNERS[variant](msg, n, x, OutcomePolicy.sample(seed)).branches
+    drawn = _replayed_bits(run, seed)
+    assert tuple(sampled.outcomes.values()) == drawn
+    twin = list(bits).index(drawn)
+    assert abs(sampled.probability - probabilities[twin]) < 1e-12
+    np.testing.assert_allclose(sampled.final_state.matrix, run.states[twin], rtol=0, atol=1e-12)
+    assert _rows(sampled.transcript.events) == _rows(transcripts[twin].events)

@@ -282,6 +282,33 @@ def test_fidelity_after_full_dephasing_of_plus():
 def test_fidelity_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         qcore.fidelity_pure(qcore.KET0, bell_density())
+    with pytest.raises(DimensionMismatchError):
+        qcore.fidelities_pure(qcore.KET0.amplitudes, bell_density().matrix[None])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_stacked_fidelities_match_the_per_state_overlap(qubits, count, seed):
+    rng = np.random.default_rng(seed)
+    dims = (2,) * qubits
+    target = qcore.random_ket(dims, rng)
+    stack = np.stack([qcore.random_density(dims, rng).matrix for _ in range(count)])
+    stack[0] = target.density().matrix
+    vec = target.amplitudes
+    values = qcore.fidelities_pure(vec, stack)
+    literal = [float(np.real(vec.conj() @ state @ vec)) for state in stack]
+    np.testing.assert_allclose(values, literal, rtol=0, atol=1e-15)
+    assert abs(values[0] - 1.0) < 1e-12
+    single = qcore.fidelity_pure(target, DensityMatrix.from_matrix(stack[-1], dims))
+    assert abs(single - values[-1]) < 1e-15
+
+
+@pytest.mark.parametrize("value", [np.nan, 1.5, -0.5])
+def test_stacked_fidelities_reject_values_outside_the_unit_interval(value):
+    # overlaps of non-states, which no validated state can give
+    stack = np.array([np.eye(2) / 2, np.diag([value, 0.0])], dtype=complex)
+    with pytest.raises(ValidityError, match="outside"):
+        qcore.fidelities_pure(qcore.KET0.amplitudes, stack)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +345,32 @@ def test_density_matrix_rejects_invalid_states():
         DensityMatrix.from_matrix(np.eye(2), (2,))
     with pytest.raises(ValidityError):
         DensityMatrix.from_matrix(np.diag([1.5, -0.5]), (2,))
+
+
+def test_density_matrices_from_a_stack_are_checked_once_as_a_stack(monkeypatch):
+    rng = np.random.default_rng(22)
+    stack = np.stack([qcore.random_density((2, 2), rng).matrix for _ in range(3)])
+    checked = []
+    check = qcore.check_states
+    monkeypatch.setattr(qcore, "check_states", lambda s: checked.append(s.shape) or check(s))
+    states = DensityMatrix.from_stack(stack, (2, 2))
+    assert checked == [(3, 4, 4)]
+    assert [s.dims for s in states] == [(2, 2)] * 3
+    for state, matrix in zip(states, stack):
+        assert isinstance(state, DensityMatrix)
+        assert state.matrix.tobytes() == matrix.tobytes()
+        assert not state.matrix.flags.writeable
+    stack[0] = np.eye(4) / 4  # the states hold their own copy
+    assert states[0].matrix.tobytes() != stack[0].tobytes()
+
+
+def test_density_matrices_from_a_stack_reject_any_invalid_row():
+    good = np.eye(2) / 2
+    for bad in (np.diag([1.5, -0.5]), np.eye(2), np.array([[0.5, 0.5j], [0.5j, 0.5]])):
+        with pytest.raises(ValidityError):
+            DensityMatrix.from_stack(np.array([good, bad, good], dtype=complex), (2,))
+    with pytest.raises(DimensionMismatchError):
+        DensityMatrix.from_stack(np.array([good]), (2, 2))
 
 
 def test_controlled_not_action_on_basis():

@@ -448,3 +448,38 @@ def test_masked_switched_apply_matches_literal_string_sum(n, seed, single, pure,
     out = sw.apply(rho)
     assert out.dims == (2,) * n + (2,)
     np.testing.assert_allclose(out.matrix, expected, rtol=0, atol=1e-12)
+
+
+def literal_flip_masks(table):
+    """Flip pattern -> summed sign mask of a string table, built with one
+    Kronecker product per qubit, in table order."""
+    masks = {}
+    for labels, w in table.items():
+        flip, signs = 0, np.ones(1)
+        for label in labels:
+            flip = 2 * flip + (label in "XY")
+            signs = np.kron(signs, (1.0, -1.0) if label in "YZ" else (1.0, 1.0))
+        masks[flip] = masks.get(flip, 0.0) + w * np.outer(signs, signs)
+    return masks
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_flip_group_masks_match_kron_construction_bit_for_bit(n, seed, single, pure):
+    rng = np.random.default_rng(seed)
+    first = drawn_factors(rng, n, single)
+    second = drawn_factors(rng, n, single)
+    sw = qswitch.closed_form_product(first, second, random_control(rng, pure))
+    tables = [
+        table
+        for prob, table in ((sw.p_plus, sw.plus_strings), (sw.p_minus, sw.minus_strings))
+        if prob > 0.0
+    ]
+    assert len(sw._flip_groups) == len(tables)
+    index = np.arange(2**n)
+    for (_, groups, _), table in zip(sw._flip_groups, tables):
+        expected = literal_flip_masks(table)
+        assert len(groups) == len(expected)
+        for (inverse, mask), (flip, literal) in zip(groups, expected.items()):
+            assert np.array_equal(inverse, index ^ flip)
+            assert mask.dtype == literal.dtype and mask.tobytes() == literal.tobytes()
