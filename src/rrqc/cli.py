@@ -28,10 +28,7 @@ from .protocols import (
     OutcomePolicy,
     ProtocolResult,
     haar_message,
-    run_controlled_ops_protocol,
     run_definite_order_baseline,
-    run_noiseless_protocol,
-    run_switch_protocol,
 )
 from .qcore import (
     ATOL,
@@ -50,12 +47,6 @@ SCHEMA_VERSION = 1
 #: Records a text report lists before it elides the rest.
 MAX_TEXT_RECORDS = 20
 
-PROTOCOL_RUNNERS = {
-    "noiseless": run_noiseless_protocol,
-    "switch": run_switch_protocol,
-    "baseline": run_definite_order_baseline,
-    "controlled-ops": run_controlled_ops_protocol,
-}
 #: Variants whose every branch must reach fidelity 1.
 PERFECT_VARIANTS = ("noiseless", "switch", "controlled-ops")
 
@@ -315,7 +306,7 @@ def _protocol_records(
 
 
 def cmd_protocol(cfg: RunConfig) -> Report:
-    if cfg.variant not in PROTOCOL_RUNNERS:
+    if cfg.variant not in protocols.VARIANTS:
         raise UsageError(f"unknown protocol variant {cfg.variant!r}")
     if cfg.n is None or not 1 <= cfg.n <= MAX_RECEIVERS:
         raise UsageError(f"--n must be in 1..{MAX_RECEIVERS}")
@@ -324,13 +315,11 @@ def cmd_protocol(cfg: RunConfig) -> Report:
         raise UsageError(f"--x must be in 1..{cfg.n} or ALL")
     messages = resolve_messages(cfg.message or "HAAR(1)", cfg.seed)
     policy = OutcomePolicy.exhaustive()
-    runner = PROTOCOL_RUNNERS[cfg.variant]
     records = []
     fidelities = []
     case = 0
-    for x in xs:
-        for msg in messages:
-            result = runner(msg, cfg.n, x, policy)
+    for x, maps in zip(xs, protocols.branch_maps(cfg.variant, cfg.n, xs)):
+        for msg, result in zip(messages, maps.evaluate_many(messages, policy)):
             records.extend(_protocol_records(cfg, case, x, msg, result))
             fidelities.append(result.fidelity)
             case += 1
@@ -453,11 +442,13 @@ def cmd_baseline_sweep(cfg: RunConfig) -> Report:
         raise UsageError("--count must be positive")
     mean_tol = 0.01 if cfg.mean_tolerance is None else cfg.mean_tolerance
     rng = np.random.default_rng(cfg.seed)
+    messages = [haar_message(rng) for _ in range(count)]
+    results = protocols.branch_map("baseline", n, x).evaluate_many(
+        messages, OutcomePolicy.sample(cfg.seed)
+    )
     records = []
     fidelities = []
-    for case in range(count):
-        msg = haar_message(rng)
-        result = run_definite_order_baseline(msg, n, x, OutcomePolicy.sample(cfg.seed))
+    for case, (msg, result) in enumerate(zip(messages, results)):
         fidelities.append(result.fidelity)
         records.append(
             {
@@ -524,7 +515,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("protocol", help="run a communication protocol", epilog=CSV_HELP)
     p.add_argument(
-        "--variant", required=True, choices=sorted(PROTOCOL_RUNNERS), help="protocol to run"
+        "--variant", required=True, choices=sorted(protocols.VARIANTS), help="protocol to run"
     )
     p.add_argument("--n", type=int, required=True, help="receiver count")
     p.add_argument("--x", type=_x_value, default="ALL", help="target receiver or ALL")

@@ -33,25 +33,34 @@ each (variant, n, x) is a fixed set of qubit maps E_b, one per branch
 (``BranchMap``). ``branch_map`` builds them once per key and keeps them for
 the process: it runs the engine, every branch enumerated, on four messages
 whose density matrices span the qubit operators, one message at a time, and
-reads each E_b off the unnormalized final states. Every ``run_*`` call then
-evaluates its message through those maps: p_b = Tr E_b(psi), the final
-state E_b(psi) / p_b and its fidelity, for all branches at once. A branch is
-dropped where a conditional probability along its path falls below
-``PROB_FLOOR``, as the engine drops it, and a sampled run draws one branch by
-a seeded walk down the same tree: one ``rng.choice`` per announcement, over
-the outcomes whose conditional probability reaches ``PROB_FLOOR``.
+reads each E_b off the unnormalized final states. The part of those runs
+before the retrieval does not depend on x, so ``branch_maps`` builds the
+maps of several x of one (variant, n) from one such part per message. A
+key's first use thus costs four engine runs where a direct run on one
+message costs one; the maps pay off when a process evaluates several
+messages for the same key, or, through ``branch_maps``, several x.
+Every ``run_*`` call evaluates its message through the maps: p_b =
+Tr E_b(psi), the final state E_b(psi) / p_b and its fidelity, for all
+branches at once, and ``BranchMap.evaluate_many`` does so for many messages
+in the same array operations. A branch is dropped where a conditional
+probability along its path falls below ``PROB_FLOOR``, as the engine drops
+it, and a sampled run draws one branch by a seeded walk down the same tree:
+one ``rng.choice`` per announcement, over the outcomes whose conditional
+probability reaches ``PROB_FLOOR``.
 
 Validity checks run in three places. During a map build, every stack the
 engine produces, after every gate, cascade, correction and measurement,
 passes ``qcore.check_states``: finite, Hermitian, unit trace and positive
 semidefinite. Once per map, ``check_branch_maps`` checks that every Choi
 matrix J_b is positive semidefinite (complete positivity) and that sum_b E_b
-preserves the trace. Once per result, the final states of its branches pass
-``check_states`` as one stack (``DensityMatrix.from_stack``).
+preserves the trace. Once per evaluation, the final states of every branch
+of every message evaluated pass ``check_states`` as one stack
+(``DensityMatrix.from_stack``).
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import operator
 from dataclasses import dataclass
@@ -450,16 +459,40 @@ class _Pass:
         )
 
 
-def _simulate(variant: str, msg: MessageState, n: int, x: int) -> _Pass:
-    """Run ``variant``'s distribution stage on ``msg``, then its announcements
-    and the GHZ retrieval at ``x``, enumerating every branch.
+class _Distributed(NamedTuple):
+    """A variant's run on one message up to the retrieval, the only part
+    that depends on x: the stage, its batch after the variant's own
+    announcements, and the branch bits and probabilities after each of them
+    (the root first)."""
+
+    stage: _Stage
+    levels: tuple[tuple[tuple[tuple[int, ...], ...], np.ndarray], ...]
+
+
+def _distribute(variant: str, msg: MessageState, n: int) -> _Distributed:
+    """Run ``variant``'s distribution stage on ``msg`` and then its own
+    announcements, enumerating every branch."""
+    stage = _STAGES[variant](msg, n)
+    batch = stage.batch
+    levels = [(tuple(batch.bits), batch.probabilities)]
+    for step in stage.announcements:
+        batch.announce(step)
+        levels.append((tuple(batch.bits), batch.probabilities))
+    return _Distributed(stage, tuple(levels))
+
+
+def _retrieve(run: _Distributed, n: int, x: int) -> _Pass:
+    """The GHZ retrieval at ``x`` after ``run``, enumerating every branch.
 
     Every receiver other than ``x`` announces its carrier in the Fourier
     basis to ``x``, which applies Z raised to the sum of those bits. The
     retrieval discards every factor but x's carrier, so each final state is
     a qubit.
     """
-    batch, parties, carriers, announcements = _STAGES[variant](msg, n)
+    (batch, parties, carriers, announcements), levels = run
+    # steps rebind the batch's fields, so ``run`` keeps its own; a step that
+    # wrote into its (read-only) states would raise
+    batch = copy.copy(batch)
     if carriers is None:
         carriers = {y: y - 1 for y in parties}
     retrieval = tuple(
@@ -467,9 +500,8 @@ def _simulate(variant: str, msg: MessageState, n: int, x: int) -> _Pass:
         for y in range(1, n + 1)
         if y != x
     )
-    steps = announcements + retrieval
-    levels = [(tuple(batch.bits), batch.probabilities)]
-    for step in steps:
+    levels = list(levels)
+    for step in retrieval:
         batch.announce(step)
         levels.append((tuple(batch.bits), batch.probabilities))
     z_at_target = LocalUnitary(parties[x], (carriers[x],), qcore.Z, "Z")
@@ -477,7 +509,7 @@ def _simulate(variant: str, msg: MessageState, n: int, x: int) -> _Pass:
     if odd_rows.size:
         batch.correct(z_at_target, odd_rows)
     return _Pass(
-        steps,
+        announcements + retrieval,
         tuple(levels),
         batch.states,
         batch.prefix,
@@ -485,6 +517,12 @@ def _simulate(variant: str, msg: MessageState, n: int, x: int) -> _Pass:
         len(announcements),
         batch.allow_nonlocal,
     )
+
+
+def _simulate(variant: str, msg: MessageState, n: int, x: int) -> _Pass:
+    """Run ``variant`` on ``msg`` at (n, x), enumerating every branch: its
+    distribution stage and own announcements, then the GHZ retrieval."""
+    return _retrieve(_distribute(variant, msg, n), n, x)
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +584,9 @@ class BranchMap:
     branches. ``effects[v]`` gives node v's probability on any message,
     p_v = sum_jk rho_jk effects[v, j, k], and ``transfer[b, j, k]`` is
     E_b(|j><k|), the unnormalized state that branch b leaves at x.
-    ``parents`` maps each node to its parent (the root to itself),
-    ``children`` each node to its outcome-0 and outcome-1 child (-1 where
-    there is none) and ``paths`` each branch to its nodes below the root.
+    ``children`` maps each node to its outcome-0 and outcome-1 child (-1
+    where there is none) and ``paths`` each branch to its nodes, from the
+    root down to its leaf.
     """
 
     n: int
@@ -558,7 +596,6 @@ class BranchMap:
     transcripts: tuple[Transcript, ...]
     transfer: np.ndarray
     effects: np.ndarray
-    parents: np.ndarray
     children: np.ndarray
     paths: np.ndarray
 
@@ -571,7 +608,7 @@ class BranchMap:
 
     def __post_init__(self):
         # one map serves every later call, so no caller may change it
-        for array in (self.transfer, self.effects, self.parents, self.children, self.paths):
+        for array in (self.transfer, self.effects, self.children, self.paths):
             array.setflags(write=False)
 
     def evaluate(
@@ -580,23 +617,36 @@ class BranchMap:
         """The run of this protocol on ``msg``: every branch whose conditional
         probabilities along its path all reach ``PROB_FLOOR``, or the one
         branch a seeded walk down the tree draws."""
+        (result,) = self.evaluate_many((msg,), outcome_policy)
+        return result
+
+    def evaluate_many(
+        self, messages, outcome_policy: OutcomePolicy | None = None
+    ) -> tuple[ProtocolResult, ...]:
+        """``evaluate`` on each of ``messages``, with the same values bit for
+        bit; the final states of all the runs pass one ``check_states``."""
         policy = OutcomePolicy.exhaustive() if outcome_policy is None else outcome_policy
-        vec = np.array((msg.alpha, msg.beta), dtype=complex)
-        rho = (vec[:, None] * vec.conj()).reshape(4)
-        probs = (self.effects.reshape(-1, 4) @ rho).real
+        messages = tuple(messages)
+        if not messages:
+            return ()
+        vecs = np.array([(m.alpha, m.beta) for m in messages], dtype=complex)
+        rhos = (vecs[:, :, None] * vecs[:, None, :].conj()).reshape(-1, 4)
+        # elementwise products and sums, so each message's values do not
+        # depend on how many are evaluated together
+        probs = (rhos[:, None, :] * self.effects.reshape(1, -1, 4)).sum(axis=-1).real
         if policy.kind == "sample":
-            rows = np.array([self._walk(probs, np.random.default_rng(policy.seed))])
+            cases = np.arange(len(messages))
+            rows = np.array([self._walk(row, np.random.default_rng(policy.seed)) for row in probs])
         else:
             # p_child >= PROB_FLOOR * p_parent: the conditional reaches the floor
-            reached = probs >= PROB_FLOOR * probs[self.parents]
-            (rows,) = np.nonzero(reached[self.paths].all(axis=1))
-        # the branches are the last len(self.bits) nodes
-        chosen = probs[len(probs) - len(self.bits) + rows]
-        outputs = (rho @ self.transfer[rows].reshape(-1, 4, 4)).reshape(-1, 2, 2)
-        finals = qcore.renormalize(outputs, chosen)
+            along = probs[:, self.paths]
+            cases, rows = np.nonzero((along[..., 1:] >= PROB_FLOOR * along[..., :-1]).all(axis=-1))
+        chosen = probs[cases, self.paths[rows, -1]]
+        outputs = (rhos[cases, :, None] * self.transfer[rows].reshape(-1, 4, 4)).sum(axis=1)
+        finals = qcore.renormalize(outputs.reshape(-1, 2, 2), chosen)
         states = DensityMatrix.from_stack(finals, (2,))
-        fidelities = qcore.fidelities_pure(vec, finals)
-        branches = tuple(
+        fidelities = qcore.fidelities_pure(vecs[cases], finals)
+        branches = [
             BranchResult(
                 probability=float(chosen[i]),
                 outcomes=dict(zip(self.keys, self.bits[row])),
@@ -605,15 +655,19 @@ class BranchMap:
                 transcript=self.transcripts[row],
             )
             for i, row in enumerate(rows.tolist())
+        ]
+        ends = np.bincount(cases, minlength=len(messages)).cumsum().tolist()
+        return tuple(
+            ProtocolResult(msg, self.n, self.x, policy, tuple(branches[start:end]))
+            for msg, start, end in zip(messages, [0] + ends[:-1], ends)
         )
-        return ProtocolResult(msg, self.n, self.x, policy, branches)
 
     def _walk(self, probs: np.ndarray, rng: np.random.Generator) -> int:
         """The branch reached by drawing each announced outcome from its
         conditional probabilities, outcomes below ``PROB_FLOOR`` excluded, with
         one ``rng.choice`` per announcement."""
         node = 0
-        for _ in range(self.paths.shape[1]):
+        for _ in range(self.paths.shape[1] - 1):
             kids = self.children[node]
             row = np.where(kids >= 0, probs[kids] / probs[node], 0.0)
             (alive,) = np.nonzero(row >= PROB_FLOOR)
@@ -622,11 +676,23 @@ class BranchMap:
         return int(node) - (len(probs) - len(self.bits))
 
 
-def _build_map(variant: str, n: int, x: int) -> BranchMap:
-    """Run the engine on each ``_SPANNING`` message, one at a time, and turn
-    the four runs into the branch tree and maps, checked by
-    ``check_branch_maps``."""
-    passes = [_simulate(variant, msg, n, x) for msg in _SPANNING]
+def _build_maps(variant: str, n: int, xs) -> list[BranchMap]:
+    """The branch maps at every x in ``xs``, checked by ``check_branch_maps``.
+
+    The engine runs on each ``_SPANNING`` message, one at a time, up to the
+    retrieval, which alone depends on x; the retrieval at each x then runs
+    after that one run. Each x's four runs become its branch tree and maps.
+    """
+    passes: dict[int, list[_Pass]] = {x: [] for x in xs}
+    for msg in _SPANNING:
+        run = _distribute(variant, msg, n)
+        run.stage.batch.states.setflags(write=False)  # every x retrieves from it
+        for x in passes:
+            passes[x].append(_retrieve(run, n, x))
+    return [_branch_map_from(variant, n, x, passes[x]) for x in xs]
+
+
+def _branch_map_from(variant: str, n: int, x: int, passes: list[_Pass]) -> BranchMap:
     first = passes[0]
     tree = [bits for bits, _ in first.levels]
     if any([bits for bits, _ in p.levels] != tree for p in passes[1:]):
@@ -647,42 +713,42 @@ def _build_map(variant: str, n: int, x: int) -> BranchMap:
         transcripts=first.transcripts(),
         transfer=transfer,
         effects=_matrix_units(probabilities),
-        parents=np.array([index[bits[:-1]] if bits else 0 for bits in nodes]),
         children=np.array([[index.get(bits + (o,), -1) for o in (0, 1)] for bits in nodes]),
-        paths=np.array(
-            [[index[bits[:i]] for i in range(1, depth + 1)] for bits in leaves], dtype=np.intp
-        ).reshape(len(leaves), depth),
+        paths=np.array([[index[bits[:i]] for i in range(depth + 1)] for bits in leaves]),
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _cached_map(variant: str, n: int, x: int) -> BranchMap:
-    return _build_map(variant, n, x)
+#: Every branch map built so far, by (variant, n, x): at most 4 x 21 keys.
+_MAPS: dict[tuple[str, int, int], BranchMap] = {}
+
+
+def branch_maps(variant: str, n: int, xs) -> tuple[BranchMap, ...]:
+    """The exact branch maps of ``variant`` (noiseless, switch, baseline or
+    controlled-ops) at n for each target in ``xs``, built on first use and
+    kept for the process. Those not yet built are built together
+    (``_build_maps``), sharing the engine runs up to the retrieval."""
+    if variant not in _STAGES:
+        raise ValueError(f"unknown protocol variant {variant!r}")
+    n = operator.index(n)  # integers only, one key each
+    xs = [operator.index(x) for x in xs]
+    for x in xs:
+        _check_run_args(n, x)
+    missing = [x for x in dict.fromkeys(xs) if (variant, n, x) not in _MAPS]
+    if missing:
+        for x, maps in zip(missing, _build_maps(variant, n, missing)):
+            _MAPS[variant, n, x] = maps
+    return tuple(_MAPS[variant, n, x] for x in xs)
 
 
 def branch_map(variant: str, n: int, x: int) -> BranchMap:
-    """The exact branch maps of ``variant`` (noiseless, switch, baseline or
-    controlled-ops) at (n, x), built on first use and kept for the process."""
-    if variant not in _STAGES:
-        raise ValueError(f"unknown protocol variant {variant!r}")
-    n, x = operator.index(n), operator.index(x)  # integers only, one cache key each
-    _check_run_args(n, x)
-    return _cached_map(variant, n, x)
+    """``branch_maps`` at the one target ``x``."""
+    (maps,) = branch_maps(variant, n, (x,))
+    return maps
 
 
 # ---------------------------------------------------------------------------
 # protocols
 # ---------------------------------------------------------------------------
-
-
-def ghz_encode(msg: MessageState, n: int) -> Ket:
-    """Generalized GHZ encoding alpha|0...0> + beta|1...1> on n qubits."""
-    if not 1 <= n <= MAX_RECEIVERS:
-        raise ValueError(f"receiver count {n} outside 1..{MAX_RECEIVERS}")
-    vec = np.zeros(2**n, dtype=complex)
-    vec[0] = msg.alpha
-    vec[-1] = msg.beta
-    return Ket(vec, (2,) * n)
 
 
 def ghz_encode(msg: MessageState, n: int) -> Ket:
@@ -751,6 +817,8 @@ _STAGES = {
     "baseline": _baseline_stage,
     "controlled-ops": _controlled_ops_stage,
 }
+#: The protocol variants, by the name ``branch_map`` takes.
+VARIANTS = tuple(_STAGES)
 
 
 def run_noiseless_protocol(

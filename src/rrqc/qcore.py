@@ -611,14 +611,16 @@ def fidelity_pure(target: Ket, rho: DensityMatrix) -> float:
 
 
 def fidelities_pure(amplitudes: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Overlaps <psi| S |psi> of every state S of a (B, d, d) stack with the
-    unit vector ``amplitudes``, clipped at 0; a value outside
-    [-ATOL, 1 + ATOL] (or NaN) raises ValidityError."""
-    if stack.ndim != 3 or stack.shape[1:] != (amplitudes.size,) * 2:
+    """Overlaps <psi| S |psi> of every state S of a (B, d, d) stack with a
+    unit vector, clipped at 0: ``amplitudes`` is one target (d,) for every
+    state or one per state (B, d). A value outside [-ATOL, 1 + ATOL] (or NaN)
+    raises ValidityError."""
+    if stack.ndim != 3 or amplitudes.shape not in ((stack.shape[2],), stack.shape[:2]):
         raise DimensionMismatchError(
-            f"stack of shape {stack.shape} does not match a target of size {amplitudes.size}"
+            f"stack of shape {stack.shape} does not match targets of shape {amplitudes.shape}"
         )
-    values = ((stack @ amplitudes) @ amplitudes.conj()).real
+    products = amplitudes.conj()[..., :, None] * stack * amplitudes[..., None, :]
+    values = products.reshape(len(stack), -1).sum(axis=-1).real
     if not (values.min() >= -ATOL and values.max() <= 1.0 + ATOL):  # NaN fails too
         bad = values[~((values >= -ATOL) & (values <= 1.0 + ATOL))][0]
         raise ValidityError(f"fidelity {bad} outside [0, 1]")

@@ -24,6 +24,7 @@ from rrqc.protocols import (
     ProtocolResult,
     Transcript,
     branch_map,
+    branch_maps,
     ghz_encode,
     haar_message,
     run_controlled_ops_protocol,
@@ -581,7 +582,7 @@ def test_average_fidelity_matches_entanglement_fidelity(variant, n, x):
     assert abs(mean - (2 * _entanglement_fidelity(variant, n, x) + 1) / 3) < 1e-12
 
 
-def test_branch_maps_are_built_once_per_key():
+def test_branch_maps_are_built_once_per_key(monkeypatch):
     first = branch_map("switch", 3, 2)
     assert branch_map("switch", n=3, x=2) is first
     assert branch_map("switch", np.int64(3), np.int64(2)) is first
@@ -591,7 +592,10 @@ def test_branch_maps_are_built_once_per_key():
         branch_map("switch", 3, 4)
     with pytest.raises(TypeError):
         run_switch_protocol(RANDOM_MSG, 2.5, 1)
-    assert protocols._cached_map.cache_info().currsize <= 4 * len(KEYS)
+    assert len(protocols._MAPS) <= 4 * len(KEYS)
+    monkeypatch.setattr(protocols, "_build_maps", None)  # a build would raise
+    assert branch_maps("switch", 3, [2, 2]) == (first, first)
+    run_switch_protocol(RANDOM_MSG, 3, 2)
     # results share the cached transcripts, each with its own outcomes dict
     a = run_switch_protocol(RANDOM_MSG, 3, 2)
     b = run_switch_protocol(RANDOM_MSG, 3, 2)
@@ -616,7 +620,7 @@ def test_branch_map_check_rejects_conjugated_off_diagonal_inputs(monkeypatch):
     spanning = protocols._SPANNING[:3] + (MessageState(1 / np.sqrt(2), -1j / np.sqrt(2)),)
     monkeypatch.setattr(protocols, "_SPANNING", spanning)
     with pytest.raises(ValidityError, match="completely positive"):
-        protocols._build_map("switch", 2, 1)
+        protocols._build_maps("switch", 2, [1])
 
 
 def _drop_last(bits, probabilities, states):
@@ -631,7 +635,7 @@ def _reverse(bits, probabilities, states):
 def test_branch_map_build_rejects_passes_that_disagree(monkeypatch, tamper):
     # the second pass reaches other branches (or the same ones in another
     # order); its outputs must not be paired with the first pass's branches
-    engine = protocols._simulate
+    engine = protocols._retrieve
     calls = []
 
     def tampered_second_pass(*args):
@@ -643,10 +647,29 @@ def test_branch_map_build_rejects_passes_that_disagree(monkeypatch, tamper):
         levels = run.levels[:-1] + ((bits, probabilities),)
         return dataclasses.replace(run, levels=levels, states=states)
 
-    monkeypatch.setattr(protocols, "_simulate", tampered_second_pass)
+    monkeypatch.setattr(protocols, "_retrieve", tampered_second_pass)
     with pytest.raises(ValidityError, match="different branches"):
-        protocols._build_map("switch", 2, 1)
+        protocols._build_maps("switch", 2, [1])
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("variant", list(RUNNERS))
+def test_maps_built_together_equal_maps_built_alone(variant):
+    # the x of one build retrieve from the same engine runs, which no
+    # retrieval may change
+    n, order = 3, (1, 2, 3, 1)
+    together = protocols._build_maps(variant, n, order)
+    for built, x in zip(together, order):
+        (alone,) = protocols._build_maps(variant, n, [x])
+        assert built.bits == alone.bits and built.keys == alone.keys
+        assert built.transfer.tobytes() == alone.transfer.tobytes()
+        assert built.effects.tobytes() == alone.effects.tobytes()
+        assert [_rows(t.events) for t in built.transcripts] == [
+            _rows(t.events) for t in alone.transcripts
+        ]
+    maps = branch_maps(variant, n, [2, 1, 2])
+    assert maps == (branch_map(variant, n, 2), branch_map(variant, n, 1), maps[0])
+    assert branch_maps(variant, n, []) == ()
 
 
 def _replayed_bits(run, seed):
@@ -694,3 +717,36 @@ def test_maps_match_the_engine_on_drawn_messages(msg, variant, key, seed):
     assert abs(sampled.probability - probabilities[twin]) < 1e-12
     np.testing.assert_allclose(sampled.final_state.matrix, run.states[twin], rtol=0, atol=1e-12)
     assert _rows(sampled.transcript.events) == _rows(transcripts[twin].events)
+
+
+def _values(result):
+    """Every value of a result, floats and states as their bits."""
+    return [
+        (
+            branch.probability.hex(),
+            branch.fidelity.hex(),
+            tuple(branch.outcomes.items()),
+            branch.final_state.matrix.tobytes(),
+            branch.transcript,
+        )
+        for branch in result.branches
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(messages(), min_size=1, max_size=6),
+    st.sampled_from(list(RUNNERS)),
+    st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.integers(0, 2**31 - 1),
+)
+def test_evaluating_many_messages_matches_one_at_a_time(msgs, variant, key, seed):
+    # each message's values must not depend on the batch it is evaluated in
+    maps = branch_map(variant, *key)
+    for policy in (OutcomePolicy.exhaustive(), OutcomePolicy.sample(seed)):
+        together = maps.evaluate_many(msgs, policy)
+        assert [r.message for r in together] == msgs
+        assert all(r.policy == policy and (r.n, r.x) == key for r in together)
+        for msg, result in zip(msgs, together):
+            assert _values(result) == _values(maps.evaluate(msg, policy))
+    assert maps.evaluate_many([]) == ()

@@ -301,6 +301,15 @@ def test_stacked_fidelities_match_the_per_state_overlap(qubits, count, seed):
     assert abs(values[0] - 1.0) < 1e-12
     single = qcore.fidelity_pure(target, DensityMatrix.from_matrix(stack[-1], dims))
     assert abs(single - values[-1]) < 1e-15
+    # one target per state; a shared target gives the same bits as its copies
+    targets = np.stack([qcore.random_ket(dims, rng).amplitudes for _ in range(count)])
+    per_state = qcore.fidelities_pure(targets, stack)
+    literal = [float(np.real(v.conj() @ state @ v)) for v, state in zip(targets, stack)]
+    np.testing.assert_allclose(per_state, literal, rtol=0, atol=1e-15)
+    copies = qcore.fidelities_pure(np.tile(vec, (count, 1)), stack)
+    assert copies.tobytes() == values.tobytes()
+    with pytest.raises(DimensionMismatchError):
+        qcore.fidelities_pure(targets[:-1] if count > 1 else targets[:, :1], stack)
 
 
 @pytest.mark.parametrize("value", [np.nan, 1.5, -0.5])
