@@ -15,6 +15,7 @@ from rrqc import channels, nogo, qswitch
 from rrqc.protocols import (
     MessageState,
     OutcomePolicy,
+    branch_map,
     haar_message,
     run_controlled_ops_protocol,
     run_definite_order_baseline,
@@ -88,13 +89,11 @@ def main():
     banner("definite-order gap")
     plus = run_definite_order_baseline(MessageState.plus(), 2, 1)
     print(f"baseline fidelity for |+>: {plus.fidelity:.6f} (expected 0.5)")
-    total = 0.0
-    for _ in range(args.haar_samples):
-        total += run_definite_order_baseline(
-            haar_message(rng), 2, 1, OutcomePolicy.sample(0)
-        ).fidelity
+    messages = [haar_message(rng) for _ in range(args.haar_samples)]
+    results = branch_map("baseline", 2, 1).evaluate_many(messages, OutcomePolicy.sample(0))
     print(
-        f"baseline Haar-mean fidelity: {total / args.haar_samples:.4f} over "
+        f"baseline Haar-mean fidelity: "
+        f"{sum(r.fidelity for r in results) / args.haar_samples:.4f} over "
         f"{args.haar_samples} samples (expected 2/3); the switch protocol "
         "stays at 1 for every message"
     )

@@ -111,18 +111,24 @@ def pauli_kraus(ch: PauliChannel) -> list[Operator]:
 
 
 def product_pauli_kraus(factors: Sequence[PauliChannel]) -> list[Operator]:
-    """Kraus set of the tensor product of single-qubit Pauli channels: per
-    string of nonzero-weight labels (first factor slowest), the amplitudes
-    sqrt(w_l) multiplied left to right, times the string's matrix."""
+    """Kraus set of the tensor product of single-qubit Pauli channels, one
+    Operator per row of ``product_pauli_stack``."""
+    dims = (2,) * len(factors)
+    return [Operator(k, dims) for k in product_pauli_stack(factors)]
+
+
+def product_pauli_stack(factors: Sequence[PauliChannel]) -> np.ndarray:
+    """Kraus operators of a product of single-qubit Pauli channels, stacked
+    as (m, d, d): per string of nonzero-weight labels (first factor slowest),
+    the amplitudes sqrt(w_l) multiplied left to right, times the string's
+    matrix."""
     terms = [
         [(np.sqrt(w), label) for w, label in zip(ch.weights, PAULI_LABELS) if w > 0.0]
         for ch in factors
     ]
-    ops = []
-    for combo in itertools.product(*terms):
-        amps, labels = zip(*combo)
-        ops.append(Operator(math.prod(amps) * pauli_string_matrix(labels), (2,) * len(labels)))
-    return ops
+    combos = [tuple(zip(*combo)) for combo in itertools.product(*terms)]
+    amps = np.array([math.prod(a) for a, _ in combos])
+    return amps[:, None, None] * np.stack([pauli_string_matrix(l) for _, l in combos])
 
 
 def compose(a: PauliChannel, b: PauliChannel) -> PauliChannel:

@@ -13,6 +13,7 @@ only if every composite Kraus term is itself proportional to the identity;
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -73,6 +74,33 @@ class NogoReport:
         return len(self.counterexamples)
 
 
+def _permutations(n: int) -> np.ndarray:
+    """Every permutation of 0..n-1 as the rows of an (n!, n) array, in
+    lexicographic order: the permutations of size k are, for each first
+    value f in turn, f followed by those of size k - 1 with every value
+    >= f raised by one."""
+    perms = np.zeros((1, 0), dtype=np.int8)
+    for size in range(1, n + 1):
+        first = np.repeat(np.arange(size, dtype=np.int8), len(perms))
+        rest = np.tile(perms, (size, 1))
+        perms = np.column_stack((first, rest + (rest >= first[:, None])))
+    return perms
+
+
+@functools.lru_cache(maxsize=None)
+def _scan_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only tables of the scan at n: the bitstrings as rows of an
+    (2**n, n) array, slot 1 the most significant bit; ``agree[j, k, r]``,
+    b_j == b_k on row r; ``agree`` packed eight rows to a byte; and the
+    lexicographic (n!, n) permutation array."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    agree = bits.T[:, None, :] == bits.T[None, :, :]
+    tables = (bits, agree, np.packbits(agree, axis=-1), _permutations(n))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def fixed_bit_scan(n: int, keep_witnesses: bool = False) -> NogoReport:
     """Scan every permutation and bitstring for a fixed-bit slot.
 
@@ -82,49 +110,50 @@ def fixed_bit_scan(n: int, keep_witnesses: bool = False) -> NogoReport:
     ``keep_witnesses=True`` to retain a witness record per cell; this is
     meant for small n, since the scan covers n! * 2**n cells.
 
-    The 2**n bitstrings of one permutation are handled together as the bits
-    of an integer, row r being the r-th string in lexicographic order. The
-    mask ``agree[j][k]`` holds the rows with b_j == b_k, so a permutation's
-    witnessed rows are the OR over j of ``agree[j][perm[j]]``. Witness
-    records are built only for the cells that are reported.
+    The whole scan is one boolean array ``found[p, r]`` over the n! x 2**n
+    cells, p the p-th permutation and r the r-th bitstring in lexicographic
+    order, and ``perms`` is the (n!, n) array of permutations. The table
+    ``agree[j, k, r]`` holds b_j == b_k on row r, so ``found`` is the OR over
+    slots j of ``agree[j, perms[p, j], r]``, taken on rows packed eight cells
+    to a byte and unpacked once. ``cells`` and ``witnessed`` are its size and
+    its count of True cells, the counterexamples are its False cells in
+    row-major order, and a witness's first slot is the argmax over j of the
+    same slot table. Records are built only for the cells that are reported.
     """
     if not SCAN_MIN <= n <= SCAN_MAX:
         raise ValueError(f"scan supports n in {SCAN_MIN}..{SCAN_MAX}, got {n}")
-    bit_rows = list(itertools.product((0, 1), repeat=n))
-    agree = [
-        [
-            sum(1 << r for r, bits in enumerate(bit_rows) if bits[j] == bits[k])
-            for k in range(n)
-        ]
-        for j in range(n)
-    ]
-    every_row = (1 << len(bit_rows)) - 1
-    counterexamples: list[FixedBitWitness] = []
-    witnesses: list[FixedBitWitness] = []
-    cells = 0
-    witnessed = 0
-    for perm in itertools.permutations(range(n)):
-        slot_masks = [agree[j][k] for j, k in enumerate(perm)]
-        found = 0
-        for mask in slot_masks:
-            found |= mask
-        cells += len(bit_rows)
-        witnessed += found.bit_count()
-        if found == every_row and not keep_witnesses:
-            continue
-        pair = PermutationPair(tuple(p + 1 for p in perm), n)
-        for r, bits in enumerate(bit_rows):
-            if not found >> r & 1:
-                counterexamples.append(FixedBitWitness(pair, bits, None))
-            elif keep_witnesses:
-                index = next(j for j, mask in enumerate(slot_masks, 1) if mask >> r & 1)
-                witnesses.append(FixedBitWitness(pair, bits, index))
+    rows = 2**n
+    bits, agree, packed, perms = _scan_tables(n)
+    found_bits = np.take(packed[0], perms[:, 0], axis=0)
+    for j in range(1, n):
+        found_bits |= np.take(packed[j], perms[:, j], axis=0)
+    found = np.unpackbits(found_bits, axis=-1, count=rows).view(bool)
+    bit_rows = [tuple(row) for row in bits.tolist()]
+    pairs: dict[int, PermutationPair] = {}
+
+    def records(cells: np.ndarray, first: np.ndarray | None = None):
+        """Witness records of the True cells of an (n!, 2**n) mask, in
+        (tau, bits) order, with first slots read from ``first``."""
+        out = []
+        for p, r in zip(*(side.tolist() for side in np.divmod(np.flatnonzero(cells), rows))):
+            pair = pairs.get(p)
+            if pair is None:
+                pair = pairs[p] = PermutationPair(tuple((perms[p] + 1).tolist()), n)
+            index = None if first is None else int(first[p, r])
+            out.append(FixedBitWitness(pair, bit_rows[r], index))
+        return tuple(out)
+
+    witnesses = None
+    if keep_witnesses:
+        witnesses = records(found, agree[np.arange(n), perms].argmax(axis=1) + 1)
+    witnessed = int(np.count_nonzero(found))
     return NogoReport(
         n=n,
-        cells=cells,
+        cells=found.size,
         witnessed=witnessed,
-        counterexamples=tuple(counterexamples),
-        witnesses=tuple(witnesses) if keep_witnesses else None,
+        # with every cell witnessed, skip inverting the n! x 2**n array
+        counterexamples=records(~found) if witnessed < found.size else (),
+        witnesses=witnesses,
     )
 
 

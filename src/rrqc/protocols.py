@@ -46,7 +46,9 @@ in the same array operations. A branch is dropped where a conditional
 probability along its path falls below ``PROB_FLOOR``, as the engine drops
 it, and a sampled run draws one branch by a seeded walk down the same tree:
 one ``rng.choice`` per announcement, over the outcomes whose conditional
-probability reaches ``PROB_FLOOR``.
+probability reaches ``PROB_FLOOR``. ``evaluate_many`` walks its messages in
+order on one generator seeded once, so each message draws its own
+trajectory.
 
 Validity checks run in three places. During a map build, every stack the
 engine produces, after every gate, cascade, correction and measurement,
@@ -623,8 +625,14 @@ class BranchMap:
     def evaluate_many(
         self, messages, outcome_policy: OutcomePolicy | None = None
     ) -> tuple[ProtocolResult, ...]:
-        """``evaluate`` on each of ``messages``, with the same values bit for
-        bit; the final states of all the runs pass one ``check_states``."""
+        """``evaluate`` on each of ``messages``; the final states of all the
+        runs pass one ``check_states``.
+
+        Exhaustively, each message gets the same values bit for bit as
+        ``evaluate`` gives it alone. A sampled policy walks the messages in
+        order with one generator seeded once, so each draws its own
+        trajectory; the first message, and a single one, draws exactly what
+        ``evaluate`` draws."""
         policy = OutcomePolicy.exhaustive() if outcome_policy is None else outcome_policy
         messages = tuple(messages)
         if not messages:
@@ -636,7 +644,8 @@ class BranchMap:
         probs = (rhos[:, None, :] * self.effects.reshape(1, -1, 4)).sum(axis=-1).real
         if policy.kind == "sample":
             cases = np.arange(len(messages))
-            rows = np.array([self._walk(row, np.random.default_rng(policy.seed)) for row in probs])
+            rng = np.random.default_rng(policy.seed)
+            rows = np.array([self._walk(row, rng) for row in probs])
         else:
             # p_child >= PROB_FLOOR * p_parent: the conditional reaches the floor
             along = probs[:, self.paths]

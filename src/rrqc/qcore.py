@@ -655,10 +655,20 @@ def random_ket(dims: Iterable[int], rng: np.random.Generator) -> Ket:
 def random_density(dims: Iterable[int], rng: np.random.Generator) -> DensityMatrix:
     """Random full-rank mixed state (normalized Ginibre square)."""
     dims = _clean_dims(dims)
-    size = math.prod(dims)
-    g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-    mat = g @ g.conj().T
-    return DensityMatrix.from_matrix(mat / np.trace(mat), dims)
+    return DensityMatrix.from_matrix(random_density_stack(dims, rng, 1)[0], dims)
+
+
+def random_density_stack(
+    dims: Iterable[int], rng: np.random.Generator, count: int
+) -> np.ndarray:
+    """``count`` draws of ``random_density`` in turn, as an unvalidated
+    (count, d, d) stack: the generator advances exactly as it would over
+    ``count`` calls."""
+    size = math.prod(_clean_dims(dims))
+    parts = rng.normal(size=(count, 2, size, size))  # real then imaginary, per draw
+    g = parts[:, 0] + 1j * parts[:, 1]
+    mats = g @ _dagger(g)
+    return mats / mats.trace(axis1=1, axis2=2)[:, None, None]
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -8,8 +8,11 @@ message (x) control through the operators
 
 with the control in the last tensor slot. All |A| * |B| of them are built at
 once as one stacked (m, 2d, 2d) array, from one broadcast product for each
-order; the switched output, the Kraus lists and the generic Choi matrix are
-all computed from that stack.
+order, and the stack is checked complete once, when it is built; the
+switched outputs, the Kraus lists and the generic Choi matrix are all
+computed from it. Switched outputs are computed for a (T, d, d) stack of
+messages at a time, accumulated over the Kraus operators, and
+``switch_generic`` is the one-message case.
 
 When both channels are products of single-qubit Pauli channels, one rule
 gives the switched channel exactly. On each qubit sigma_a sigma_b =
@@ -27,10 +30,13 @@ anticommutes), combined across qubits by a parity-tracked convolution.
 ``closed_form_two_party`` (a two-qubit product switched with itself) and
 ``closed_form_nxy_n`` (n equal-X/Y mixtures, whose branches are the even-
 and odd-weight Z strings) are its special cases. ``validate_closed_forms``
-cross-checks the closed forms against ``switch_generic`` at the level of
+cross-checks the closed forms against the generic switch at the level of
 Choi matrices, which is the only trusted route: the closed forms are derived
 here from the Pauli pair algebra, not transcribed from any external table.
 Both Choi matrices are Gram matrices of stacked, flattened Kraus operators.
+It builds one switch Kraus stack per n for the Choi comparison and every
+random-input trial, and runs the trials as stacked passes through the
+generic switch and ``SwitchedChannel.apply_stack``.
 """
 
 from __future__ import annotations
@@ -55,35 +61,53 @@ from .qcore import (
 
 StringTable = dict[tuple[str, ...], float]
 
+# trials per stacked pass of ``validate_closed_forms``
+_BLOCK = 16
 
-def _check_channel_pair(a: Sequence[Operator], b: Sequence[Operator]) -> tuple[int, ...]:
+
+def _switch_stack(
+    a: Sequence[Operator], b: Sequence[Operator]
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Register dims and all |A|*|B| switch Kraus operators of two Operator
+    lists, stacked by ``_switch_of``."""
     if not a or not b:
         raise CompletenessError("empty Kraus list")
     dims = a[0].dims
     for op in list(a) + list(b):
         if not op.is_square or op.dims != dims:
             raise DimensionMismatchError("channel Kraus sets act on different registers")
-    qcore.check_complete(a, "first Kraus set")
-    qcore.check_complete(b, "second Kraus set")
-    return dims
+    return dims, _switch_of(np.stack([op.entries for op in a]), np.stack([op.entries for op in b]))
 
 
-def _switch_stack(
-    a: Sequence[Operator], b: Sequence[Operator]
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Register dims and all |A|*|B| switch Kraus operators, stacked.
+def _switch_of(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
+    """All switch Kraus operators of two stacked Kraus sets on one register.
 
     Entry j * |B| + k is A_j B_k (x) |0><0| + B_k A_j (x) |1><1|. The control
-    is the last factor, so its index interleaves both rows and columns.
+    is the last factor, so its index interleaves both rows and columns. Both
+    sets and the result are checked complete.
     """
-    dims = _check_channel_pair(a, b)
-    stack_a = np.stack([op.entries for op in a])[:, None]
-    stack_b = np.stack([op.entries for op in b])[None, :]
+    qcore.check_complete(stack_a, "first Kraus set")
+    qcore.check_complete(stack_b, "second Kraus set")
     side = stack_a.shape[-1]
-    stack = np.zeros((len(a) * len(b), 2 * side, 2 * side), dtype=complex)
-    stack[:, 0::2, 0::2] = (stack_a @ stack_b).reshape(-1, side, side)
-    stack[:, 1::2, 1::2] = (stack_b @ stack_a).reshape(-1, side, side)
-    return dims, stack
+    stack = np.zeros((len(stack_a) * len(stack_b), 2 * side, 2 * side), dtype=complex)
+    stack[:, 0::2, 0::2] = (stack_a[:, None] @ stack_b[None, :]).reshape(-1, side, side)
+    stack[:, 1::2, 1::2] = (stack_b[None, :] @ stack_a[:, None]).reshape(-1, side, side)
+    qcore.check_complete(stack, "switch Kraus set")
+    return stack
+
+
+def _switch_outputs(stack: np.ndarray, rhos: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """sum_S S (rho (x) omega) S^dag for every message rho of a (T, d, d)
+    stack, accumulated one switch Kraus operator S at a time and
+    Hermitian-symmetrized; the outputs are not validated."""
+    count, side = rhos.shape[:2]
+    # the Kronecker products rho (x) omega, the control as the last factor
+    joint = (rhos[:, :, None, :, None] * omega[:, None]).reshape(count, 2 * side, 2 * side)
+    adjoints = stack.conj().transpose(0, 2, 1)
+    out = stack[0] @ joint @ adjoints[0]
+    for s, s_dag in zip(stack[1:], adjoints[1:]):
+        out += s @ joint @ s_dag
+    return (out + out.conj().transpose(0, 2, 1)) / 2  # suppress Hermiticity drift
 
 
 def _lift_control(stack: np.ndarray, omega: DensityMatrix) -> np.ndarray:
@@ -125,11 +149,8 @@ def switch_generic(
         )
     if omega.dim != 2:
         raise DimensionMismatchError("the order control must be a qubit")
-    qcore.check_complete(stack, "switch Kraus set")
-    joint = np.kron(input.matrix, omega.matrix)
-    out = (stack @ joint @ stack.conj().transpose(0, 2, 1)).sum(axis=0)
-    out = (out + out.conj().T) / 2  # suppress Hermiticity drift
-    return DensityMatrix.from_matrix(out, dims + (2,))
+    out = _switch_outputs(stack, input.matrix[None], omega.matrix)
+    return DensityMatrix.from_matrix(out[0], dims + (2,))
 
 
 def switched_kraus(
@@ -185,21 +206,29 @@ class SwitchedChannel:
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         """Total switched-channel output on message (x) control."""
-        if rho.dim != 2**self.num_qubits:
+        out = self.apply_stack(rho.matrix[None])
+        return DensityMatrix.from_matrix(out[0], rho.dims + (2,))
+
+    def apply_stack(self, rhos: np.ndarray) -> np.ndarray:
+        """Total switched-channel output on message (x) control for every
+        message of a (T, d, d) stack, Hermitian-symmetrized; the outputs are
+        not validated."""
+        size = 2**self.num_qubits
+        if rhos.ndim != 3 or rhos.shape[1:] != (size, size):
             raise DimensionMismatchError(
-                f"message dimension {rho.dim} does not match {self.num_qubits} qubits"
+                f"message dimension {rhos.shape[-1]} does not match {self.num_qubits} qubits"
             )
-        mat = rho.matrix
-        side = 2 * mat.shape[0]
-        out = np.zeros((side, side), dtype=complex)
+        count, side = len(rhos), 2 * size
+        out = np.zeros((count, side, side), dtype=complex)
         for prob, groups, omega in self._flip_groups:
-            branch = np.zeros_like(mat)
+            branch = np.zeros_like(rhos, dtype=complex)
             for inverse, mask in groups:
-                branch += (mask * mat)[inverse][:, inverse]
-            # the Kronecker product (prob * branch) (x) omega
-            out += (prob * branch[:, None, :, None] * omega.matrix[:, None]).reshape(side, side)
-        out = (out + out.conj().T) / 2
-        return DensityMatrix.from_matrix(out, rho.dims + (2,))
+                branch += (mask * rhos)[:, inverse][:, :, inverse]
+            # the Kronecker products (prob * branch) (x) omega
+            out += (prob * branch[:, :, None, :, None] * omega.matrix[:, None]).reshape(
+                count, side, side
+            )
+        return (out + out.conj().transpose(0, 2, 1)) / 2
 
     @functools.cached_property
     def _flip_groups(self):
@@ -353,6 +382,12 @@ def choi_deviation(
 ) -> float:
     """Max-entry Choi difference between a closed form and the generic switch."""
     _, stack = _switch_stack(a, b)
+    return _choi_deviation(sw, stack)
+
+
+def _choi_deviation(sw: SwitchedChannel, stack: np.ndarray) -> float:
+    """``choi_deviation`` against a switch Kraus stack built and checked by
+    ``_switch_of``; the closed form's Kraus set is checked complete."""
     generic = _choi_gram(_lift_control(stack, sw.omega_plus))
     closed = sw._output_stack()
     qcore.check_complete(closed, "closed-form Kraus set")
@@ -390,6 +425,17 @@ def validate_closed_forms(
     sanity case and the equal-X/Y mixture, runs ``trials`` random-input spot
     checks of the latter, and at n = 2 additionally draws ``trials`` random
     two-party Pauli channel pairs with random pure control states.
+
+    The equal-X/Y switch Kraus stack is built and checked complete once per
+    n; it serves the Choi comparison and every input trial. Trials run in
+    blocks of ``_BLOCK``, so memory does not grow with ``trials``: a block's
+    messages are drawn in turn and checked as one stack, pass through the
+    generic switch and ``SwitchedChannel.apply_stack`` as (T, d, d) stacks,
+    and each side's outputs pass one ``qcore.check_states``. A two-party
+    block draws every (e1, e2, omega) first and checks the control states as
+    one stack; each trial then checks both Kraus sets, its switch stack and
+    its closed-form Kraus set complete. The random draws come in the same
+    order as one trial at a time.
     """
     rng = np.random.default_rng(seed)
     records: list[ValidationRecord] = []
@@ -402,28 +448,19 @@ def validate_closed_forms(
         records.append(
             ValidationRecord("identity", n, "", choi_deviation(sw, ident, ident))
         )
-        nxy_ops = channels.product_pauli_kraus([channels.N_XY] * n)
+        nxy_ops = channels.product_pauli_stack([channels.N_XY] * n)
+        stack = _switch_of(nxy_ops, nxy_ops)
         sw = closed_form_nxy_n(n)
-        records.append(
-            ValidationRecord("nxy-choi", n, "", choi_deviation(sw, nxy_ops, nxy_ops))
+        records.append(ValidationRecord("nxy-choi", n, "", _choi_deviation(sw, stack)))
+        records.extend(
+            ValidationRecord("nxy-input", n, f"trial {t}", dev)
+            for t, dev in enumerate(_input_deviations(sw, stack, trials, rng))
         )
-        for t in range(trials):
-            rho = qcore.random_density((2,) * n, rng)
-            out = switch_generic(nxy_ops, nxy_ops, rho, sw.omega_plus)
-            dev = float(np.abs(sw.apply(rho).matrix - out.matrix).max())
-            records.append(ValidationRecord("nxy-input", n, f"trial {t}", dev))
         if n == 2:
-            for t in range(trials):
-                e1 = channels.random_pauli_channel(rng)
-                e2 = channels.random_pauli_channel(rng)
-                omega = qcore.random_ket((2,), rng).density()
-                pair = channels.product_pauli_kraus([e1, e2])
-                sw2 = closed_form_two_party(e1, e2, omega)
-                records.append(
-                    ValidationRecord(
-                        "two-party", 2, f"trial {t}", choi_deviation(sw2, pair, pair)
-                    )
-                )
+            records.extend(
+                ValidationRecord("two-party", 2, f"trial {t}", dev)
+                for t, dev in enumerate(_two_party_deviations(trials, rng))
+            )
     max_dev = max(r.deviation for r in records)
     return ClosedFormValidation(
         seed=seed,
@@ -433,3 +470,45 @@ def validate_closed_forms(
         max_deviation=max_dev,
         passed=max_dev < tolerance,
     )
+
+
+def _blocks(trials: int):
+    """The trial count of each block of at most ``_BLOCK`` trials."""
+    for start in range(0, trials, _BLOCK):
+        yield min(_BLOCK, trials - start)
+
+
+def _input_deviations(sw: SwitchedChannel, stack: np.ndarray, trials: int, rng):
+    """Max-entry output difference between the closed form and the generic
+    switch stack on each of ``trials`` random messages, a block at a time."""
+    dims = (2,) * sw.num_qubits
+    for count in _blocks(trials):
+        rhos = qcore.random_density_stack(dims, rng, count)
+        qcore.check_states(rhos)
+        generic = _switch_outputs(stack, rhos, sw.omega_plus.matrix)
+        closed = sw.apply_stack(rhos)
+        qcore.check_states(generic)
+        qcore.check_states(closed)
+        yield from np.abs(closed - generic).reshape(count, -1).max(axis=1).tolist()
+
+
+def _two_party_deviations(trials: int, rng):
+    """Choi deviation of the closed form for each of ``trials`` random
+    two-party Pauli channel pairs with random pure controls, a block at a
+    time: a block draws every (e1, e2, omega) first and checks the control
+    states as one stack."""
+    for count in _blocks(trials):
+        draws = [
+            (
+                channels.random_pauli_channel(rng),
+                channels.random_pauli_channel(rng),
+                qcore.random_ket((2,), rng).amplitudes,
+            )
+            for _ in range(count)
+        ]
+        kets = np.stack([ket for _, _, ket in draws])
+        omegas = DensityMatrix.from_stack(kets[:, :, None] * kets[:, None, :].conj(), (2,))
+        for (e1, e2, _), omega in zip(draws, omegas):
+            pair = channels.product_pauli_stack([e1, e2])
+            sw = closed_form_two_party(e1, e2, omega)
+            yield _choi_deviation(sw, _switch_of(pair, pair))

@@ -17,6 +17,7 @@ from rrqc.protocols import (
     MessageState,
     OutcomePolicy,
     Party,
+    branch_map,
     haar_message,
     run_controlled_ops_protocol,
     run_definite_order_baseline,
@@ -92,13 +93,10 @@ def test_c03_switch_protocol_perfect_on_every_branch():
 def test_c04_definite_order_gap():
     plus = run_definite_order_baseline(MessageState.plus(), 2, 1)
     rng = np.random.default_rng(7)
-    total = 0.0
     count = 10_000
-    for _ in range(count):
-        total += run_definite_order_baseline(
-            haar_message(rng), 2, 1, OutcomePolicy.sample(0)
-        ).fidelity
-    mean = total / count
+    messages = [haar_message(rng) for _ in range(count)]
+    results = branch_map("baseline", 2, 1).evaluate_many(messages, OutcomePolicy.sample(0))
+    mean = sum(r.fidelity for r in results) / count
     passed = abs(plus.fidelity - 0.5) < TOL and abs(mean - 2 / 3) < 0.01
     _report(
         4,

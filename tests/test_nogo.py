@@ -104,10 +104,17 @@ def test_bitmask_scan_matches_per_cell_brute_force(n):
     assert report.witnessed == len(witnesses)
     assert report.witnesses is None
     assert [(c.pair.tau, c.bits, c.index) for c in report.counterexamples] == counterexamples
-    if n <= 4:
+    if n <= 5:
         kept = fixed_bit_scan(n, keep_witnesses=True)
         assert [(w.pair.tau, w.bits, w.index) for w in kept.witnesses] == witnesses
         assert kept.counterexamples == report.counterexamples
+
+
+def test_scan_at_seven_witnesses_every_cell():
+    report = fixed_bit_scan(7)
+    assert report.cells == math.factorial(7) * 2**7
+    assert report.witnessed == report.cells
+    assert report.counterexample_count == 0
 
 
 def test_witness_invariant_enforced():

@@ -672,11 +672,10 @@ def test_maps_built_together_equal_maps_built_alone(variant):
     assert branch_maps(variant, n, []) == ()
 
 
-def _replayed_bits(run, seed):
+def _replayed_bits(run, rng):
     """The outcome bits a seeded walk draws from the engine's own branch
     probabilities: one ``rng.choice`` per announcement over the outcomes whose
     conditional probability reaches the floor."""
-    rng = np.random.default_rng(seed)
     probability = {
         bits: p for level_bits, ps in run.levels for bits, p in zip(level_bits, ps)
     }
@@ -711,7 +710,7 @@ def test_maps_match_the_engine_on_drawn_messages(msg, variant, key, seed):
         assert abs(branch.fidelity - np.real(vec.conj() @ state @ vec)) < 1e-12
         assert _rows(branch.transcript.events) == _rows(transcript.events)
     (sampled,) = RUNNERS[variant](msg, n, x, OutcomePolicy.sample(seed)).branches
-    drawn = _replayed_bits(run, seed)
+    drawn = _replayed_bits(run, np.random.default_rng(seed))
     assert tuple(sampled.outcomes.values()) == drawn
     twin = list(bits).index(drawn)
     assert abs(sampled.probability - probabilities[twin]) < 1e-12
@@ -741,12 +740,37 @@ def _values(result):
     st.integers(0, 2**31 - 1),
 )
 def test_evaluating_many_messages_matches_one_at_a_time(msgs, variant, key, seed):
-    # each message's values must not depend on the batch it is evaluated in
+    # exhaustively, each message's values must not depend on the batch it is
+    # evaluated in
     maps = branch_map(variant, *key)
-    for policy in (OutcomePolicy.exhaustive(), OutcomePolicy.sample(seed)):
-        together = maps.evaluate_many(msgs, policy)
+    exhaustive = maps.evaluate_many(msgs, OutcomePolicy.exhaustive())
+    for msg, result in zip(msgs, exhaustive):
+        assert _values(result) == _values(maps.evaluate(msg))
+    # sampled, the messages walk in order on one generator seeded once: a
+    # replay of one stream over the engine's own probabilities picks each
+    # branch, whose values are the exhaustive ones bit for bit
+    policy = OutcomePolicy.sample(seed)
+    sampled = maps.evaluate_many(msgs, policy)
+    stream = np.random.default_rng(seed)
+    for msg, result, full in zip(msgs, sampled, exhaustive):
+        drawn = _replayed_bits(protocols._simulate(variant, msg, *key), stream)
+        (branch,) = [b for b in full.branches if tuple(b.outcomes.values()) == drawn]
+        alone = dataclasses.replace(full, policy=policy, branches=(branch,))
+        assert _values(result) == _values(alone)
+    assert _values(sampled[0]) == _values(maps.evaluate(msgs[0], policy))
+    for together, used in ((exhaustive, OutcomePolicy.exhaustive()), (sampled, policy)):
         assert [r.message for r in together] == msgs
-        assert all(r.policy == policy and (r.n, r.x) == key for r in together)
-        for msg, result in zip(msgs, together):
-            assert _values(result) == _values(maps.evaluate(msg, policy))
+        assert all(r.policy == used and (r.n, r.x) == key for r in together)
     assert maps.evaluate_many([]) == ()
+
+
+def test_sampled_sweep_reaches_both_baseline_branches():
+    # the messages of `baseline-sweep --count 2000 --seed 3` each draw their
+    # own trajectory, so both branches occur
+    rng = np.random.default_rng(3)
+    messages = [haar_message(rng) for _ in range(2000)]
+    results = branch_map("baseline", 2, 1).evaluate_many(messages, OutcomePolicy.sample(3))
+    reached = [tuple(r.branches[0].outcomes.items()) for r in results]
+    assert set(reached) == {(("B2", 0),), (("B2", 1),)}
+    # the drawn outcomes follow the branch probabilities, here 1/2 each
+    assert abs(reached.count((("B2", 0),)) - 1000) < 150

@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -274,6 +275,87 @@ def test_validate_closed_forms_report():
 def test_validate_closed_forms_rejects_large_n():
     with pytest.raises(ValueError):
         qswitch.validate_closed_forms(seed=1, trials=1, ns=(4,))
+
+
+def literal_validation(seed, trials, ns):
+    """(kind, n, detail, deviation) of every comparison, one trial at a time
+    through the public entry points, on one generator in the validation's
+    draw order."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for n in ns:
+        ident = [qcore.identity((2,) * n)]
+        identities = (IDENTITY,) * n
+        sw = qswitch.closed_form_product(identities, identities)
+        records.append(("identity", n, "", qswitch.choi_deviation(sw, ident, ident)))
+        nxy = nxy_product(n)
+        sw = qswitch.closed_form_nxy_n(n)
+        records.append(("nxy-choi", n, "", qswitch.choi_deviation(sw, nxy, nxy)))
+        for t in range(trials):
+            rho = qcore.random_density((2,) * n, rng)
+            out = qswitch.switch_generic(nxy, nxy, rho, sw.omega_plus)
+            dev = np.abs(sw.apply(rho).matrix - out.matrix).max()
+            records.append(("nxy-input", n, f"trial {t}", dev))
+        if n == 2:
+            for t in range(trials):
+                e1 = channels.random_pauli_channel(rng)
+                e2 = channels.random_pauli_channel(rng)
+                omega = qcore.random_ket((2,), rng).density()
+                pair = product_pauli_kraus([e1, e2])
+                sw2 = qswitch.closed_form_two_party(e1, e2, omega)
+                dev = qswitch.choi_deviation(sw2, pair, pair)
+                records.append(("two-party", 2, f"trial {t}", dev))
+    return records
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 4),
+    st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True),
+    st.integers(1, 3),
+)
+def test_stacked_validation_matches_literal_per_trial_loop(seed, trials, ns, block):
+    # a small block size puts trials on both sides of block boundaries
+    with mock.patch.object(qswitch, "_BLOCK", block):
+        report = qswitch.validate_closed_forms(seed, trials, ns)
+    literal = literal_validation(seed, trials, ns)
+    assert [(r.kind, r.n, r.detail) for r in report.records] == [r[:3] for r in literal]
+    for rec, (*_, dev) in zip(report.records, literal):
+        assert abs(rec.deviation - dev) <= 1e-15
+    assert report.max_deviation == max(r.deviation for r in report.records)
+    assert (report.seed, report.trials, report.passed) == (seed, trials, True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.booleans(),
+    st.booleans(),
+)
+def test_stacked_switched_apply_matches_apply_row_by_row(n, seed, count, single, pure):
+    rng = np.random.default_rng(seed)
+    first = drawn_factors(rng, n, single)
+    second = drawn_factors(rng, n, single)
+    sw = qswitch.closed_form_product(first, second, random_control(rng, pure))
+    rhos = qcore.random_density_stack((2,) * n, rng, count)
+    out = sw.apply_stack(rhos)
+    assert out.shape == (count, 2 ** (n + 1), 2 ** (n + 1))
+    for rho, row in zip(rhos, out):
+        single_out = sw.apply(qcore.DensityMatrix.from_matrix(rho, (2,) * n))
+        assert single_out.matrix.tobytes() == row.tobytes()
+
+
+def test_stacked_switched_apply_rejects_wrong_shapes():
+    sw = qswitch.closed_form_nxy_n(2)
+    with pytest.raises(DimensionMismatchError):
+        sw.apply_stack(np.zeros((1, 2, 2), dtype=complex))
+    with pytest.raises(DimensionMismatchError):
+        sw.apply_stack(np.zeros((4, 4), dtype=complex))
+    with pytest.raises(DimensionMismatchError):
+        sw.apply(qcore.random_density((2,), np.random.default_rng(0)))
 
 
 # ---------------------------------------------------------------------------
