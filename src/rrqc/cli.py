@@ -115,6 +115,18 @@ def _seed_value(text: str) -> int:
     return seed
 
 
+def _tolerance_value(text: str) -> float:
+    try:
+        tolerance = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"tolerance must be a number, got {text!r}") from exc
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and non-negative, got {text!r}"
+        )
+    return tolerance
+
+
 def parse_complex(token: str) -> complex:
     """Parse a complex literal like '0.6', '0.8i', '-0.3+0.2i'."""
     cleaned = token.strip().replace("i", "j")
@@ -502,7 +514,7 @@ def build_parser() -> _Parser:
         )
         p.add_argument(
             "--tolerance",
-            type=float,
+            type=_tolerance_value,
             default=ATOL,
             help="pass threshold of the protocol and baseline-sweep summaries and of "
             f"validate-switch's Choi deviation (default {ATOL}); nogo-scan and eb-check "
@@ -565,7 +577,7 @@ def build_parser() -> _Parser:
     p.add_argument("--count", type=int, help="number of Haar samples (default 2000)")
     p.add_argument(
         "--mean-tolerance",
-        type=float,
+        type=_tolerance_value,
         help="allowed deviation of the Haar mean from 2/3 (default 0.01)",
     )
     common(p)
@@ -599,8 +611,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     elapsed = time.perf_counter() - started
     rendered = report.render(cfg.format)
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(cfg.output, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            sys.stderr.write(f"rrqc: error: cannot write report to {cfg.output}: {exc}\n")
+            return EXIT_USAGE
     else:
         sys.stdout.write(rendered)
     sys.stderr.write(f"elapsed {elapsed:.3f}s\n")

@@ -9,22 +9,24 @@ factors are not all owned by its party raises LocalityError, and so does a
 Transcript holding a NonlocalOperation unless it declares them
 (``allow_nonlocal``).
 
-Every variant is a distribution stage plus announced measurements. Its
-stage function builds the carrier state, the parties and which factor each
-receiver holds, and lists its own announcements: one party measures one
-factor, reports the bit, and on outcome 1 listed parties apply local
-corrections. One engine (``_simulate``) runs those announcements and then
-the GHZ retrieval shared by all protocols: every receiver other than the
-target x announces its carrier in the |+>/|-> basis to x, and x applies Z
-raised to the outcome sum. Receiver i owns tensor factor i - 1.
+One record (``_Batch``) carries a run from start to end. Each variant's
+stage function creates it with the carrier state, the parties and which
+factor each receiver's carrier is (receiver i holds factor i - 1 unless the
+stage says otherwise), and then runs the variant's own announcements on it:
+one party measures one factor, reports the bit, and on outcome 1 listed
+parties apply local corrections. ``_retrieve`` then runs the GHZ retrieval
+shared by all protocols on a copy of the batch: every receiver other than
+the target x announces its carrier in the |+>/|-> basis to x, and x applies
+Z raised to the outcome sum.
 
-The engine holds all of its live branches as one (B, d, d) stack of states,
-with a probability and a tuple of outcome bits per branch. A measured qubit
-is never touched again, so each announcement measures it on the whole stack
-and traces it out (``qcore.project_and_discard``), giving up to two children
-per branch, parent-major with outcome 0 first. Gates act on one factor of
-the whole stack at a time, and CNOTs permute basis indices. Each branch's
-transcript is built once, at the end, from the shared distribution prefix
+The batch holds all of its live branches as one (B, d, d) stack of states.
+A measured qubit is never touched again, so each announcement measures it
+on the whole stack and traces it out (``qcore.project_and_discard``), giving
+up to two children per branch, parent-major with outcome 0 first; the batch
+records the announcement and the new level of its branch tree, every
+branch's outcome bits and probability. Gates act on one factor of the whole
+stack at a time, and CNOTs permute basis indices. Each branch's transcript
+is built once, at the end, from the shared distribution prefix, the steps
 and the branch's bits, and its construction runs the nonlocal guard; events
 always name the original factors.
 
@@ -32,13 +34,14 @@ Every protocol is linear in the message up to the final renormalization, so
 each (variant, n, x) is a fixed set of qubit maps E_b, one per branch
 (``BranchMap``). ``branch_map`` builds them once per key and keeps them for
 the process: it runs the engine, every branch enumerated, on four messages
-whose density matrices span the qubit operators, one message at a time, and
-reads each E_b off the unnormalized final states. The part of those runs
-before the retrieval does not depend on x, so ``branch_maps`` builds the
-maps of several x of one (variant, n) from one such part per message. A
-key's first use thus costs four engine runs where a direct run on one
-message costs one; the maps pay off when a process evaluates several
-messages for the same key, or, through ``branch_maps``, several x.
+whose density matrices span the qubit operators, one message at a time. A
+stage's batch does not depend on x, so ``branch_maps`` retrieves the maps of
+several x of one (variant, n) from one stage batch per message; each x's
+four retrieved batches give its branch tree, from their levels, and each E_b,
+from their unnormalized final states. A key's first use thus costs four
+engine runs where a direct run on one message costs one; the maps pay off
+when a process evaluates several messages for the same key, or, through
+``branch_maps``, several x.
 Every ``run_*`` call evaluates its message through the maps: p_b =
 Tr E_b(psi), the final state E_b(psi) / p_b and its fidelity, for all
 branches at once, and ``BranchMap.evaluate_many`` does so for many messages
@@ -66,7 +69,7 @@ import copy
 import functools
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -328,26 +331,74 @@ class _Announcement:
 
 
 class _Batch:
-    """Every live branch of one run, as one (B, d, d) stack of states.
+    """One run: every live branch as one (B, d, d) stack of states, and
+    what its transcripts are built from.
 
     ``live`` lists the original factor ids still in the register, in
     register order. It is shared by all branches, because every branch
     measures the same factor at each step; events keep the original ids and
-    ``position`` maps them into the register. ``bits[b]`` holds branch b's
-    announced outcomes, one per announcement so far; ``prefix`` holds the
-    events of the distribution stage, which every branch shares, and
-    ``allow_nonlocal`` whether its transcripts declare nonlocal events. Every
-    stack the batch produces passes ``qcore.check_states``.
+    ``position`` maps them into the register. ``parties`` are the run's
+    participants and ``carriers`` which factor each receiver's carrier is
+    (by default receiver y holds factor y - 1). ``steps`` lists the
+    announcements so far and ``levels`` the branch bits and probabilities
+    after each of them, the root first; the last level is the live
+    branches'. ``prefix`` holds the events of the distribution stage, which
+    every branch shares, and ``allow_nonlocal`` whether its transcripts
+    declare nonlocal events. Every stack the batch produces passes
+    ``qcore.check_states``.
     """
 
-    def __init__(self, state: DensityMatrix, allow_nonlocal: bool = False):
+    #: set by ``_retrieve``: the index of the retrieval's first step and the
+    #: Z that x applies on odd retrieval parity
+    retrieval_start: int
+    z_at_target: LocalUnitary
+
+    def __init__(
+        self,
+        state: DensityMatrix,
+        parties: dict[int, Party],
+        carriers: dict[int, int] | None = None,
+        allow_nonlocal: bool = False,
+    ):
         self.states = state.matrix[None]
         self.dims = state.dims
         self.live = tuple(range(len(state.dims)))
-        self.probabilities = np.ones(1)
-        self.bits: list[tuple[int, ...]] = [()]
-        self.prefix: tuple[Event, ...] = ()
+        self.parties = parties
+        self.carriers = {y: y - 1 for y in parties} if carriers is None else carriers
         self.allow_nonlocal = allow_nonlocal
+        self.prefix: tuple[Event, ...] = ()
+        self.steps: tuple[_Announcement, ...] = ()
+        self.levels = ((((),), np.ones(1)),)
+
+    @property
+    def bits(self) -> tuple[tuple[int, ...], ...]:
+        """Each live branch's announced outcomes, one per step so far."""
+        return self.levels[-1][0]
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        return self.levels[-1][1]
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        return tuple(step.key for step in self.steps)
+
+    def transcripts(self) -> tuple[Transcript, ...]:
+        """Each branch's transcript after the retrieval, built once from the
+        shared prefix and the branch's bits; its construction runs the
+        nonlocal guard."""
+        events = [(step.events(0), step.events(1)) for step in self.steps]
+        return tuple(
+            Transcript(
+                (
+                    *self.prefix,
+                    *(event for pair, bit in zip(events, bits) for event in pair[bit]),
+                    *((self.z_at_target,) if sum(bits[self.retrieval_start :]) % 2 else ()),
+                ),
+                self.allow_nonlocal,
+            )
+            for bits in self.bits
+        )
 
     def position(self, factor: int) -> int:
         return self.live.index(factor)
@@ -382,9 +433,9 @@ class _Batch:
         )
 
     def announce(self, step: _Announcement) -> None:
-        """Measure and discard ``step.factor`` on every branch. Every outcome
-        above ``PROB_FLOOR`` becomes a child, parent-major with outcome 0
-        first."""
+        """Measure and discard ``step.factor`` on every branch and record the
+        step and its level. Every outcome above ``PROB_FLOOR`` becomes a
+        child, parent-major with outcome 0 first."""
         index = self.position(step.factor)
         probs, posts = qcore.project_and_discard(
             self.states, _BASES[step.basis], index, self.dims
@@ -394,8 +445,10 @@ class _Batch:
         self.live = self.live[:index] + self.live[index + 1 :]
         self.dims = self.dims[:index] + self.dims[index + 1 :]
         self.states = self._checked(qcore.renormalize(posts[parents, labels], chosen))
-        self.probabilities = self.probabilities[parents] * chosen
-        self.bits = [self.bits[p] + (l,) for p, l in zip(parents.tolist(), labels.tolist())]
+        bits, probabilities = self.levels[-1]
+        children = tuple(bits[p] + (l,) for p, l in zip(parents.tolist(), labels.tolist()))
+        self.steps += (step,)
+        self.levels += ((children, probabilities[parents] * chosen),)
         (ones,) = np.nonzero(labels == 1)
         if ones.size:
             for gate in step.corrections:
@@ -413,118 +466,34 @@ def _receivers(n: int) -> dict[int, Party]:
     return {i: Party(i, frozenset({i - 1})) for i in range(1, n + 1)}
 
 
-class _Stage(NamedTuple):
-    """A distributed carrier: the batch after the distribution stage, the
-    parties, which factor each receiver's carrier is (None: receiver y holds
-    factor y - 1) and the variant's own announcements."""
-
-    batch: _Batch
-    parties: dict[int, Party]
-    carriers: dict[int, int] | None = None
-    announcements: tuple[_Announcement, ...] = ()
-
-
-@dataclass(frozen=True)
-class _Pass:
-    """One exhaustive engine run on one message: the announcements, the
-    branch bits and probabilities after each of them (the root first), each
-    final branch's normalized state, and what its transcript is built from:
-    the distribution prefix, the Z that x applies on odd retrieval parity and
-    whether nonlocal events are declared."""
-
-    steps: tuple[_Announcement, ...]
-    levels: tuple[tuple[tuple[tuple[int, ...], ...], np.ndarray], ...]
-    states: np.ndarray
-    prefix: tuple[Event, ...]
-    z_at_target: LocalUnitary
-    retrieval_start: int
-    allow_nonlocal: bool
-
-    @property
-    def keys(self) -> tuple[str, ...]:
-        return tuple(step.key for step in self.steps)
-
-    def transcripts(self) -> tuple[Transcript, ...]:
-        """Each final branch's transcript, built once from the shared prefix
-        and the branch's bits; its construction runs the nonlocal guard."""
-        events = [(step.events(0), step.events(1)) for step in self.steps]
-        return tuple(
-            Transcript(
-                (
-                    *self.prefix,
-                    *(event for pair, bit in zip(events, bits) for event in pair[bit]),
-                    *((self.z_at_target,) if sum(bits[self.retrieval_start :]) % 2 else ()),
-                ),
-                self.allow_nonlocal,
-            )
-            for bits in self.levels[-1][0]
-        )
-
-
-class _Distributed(NamedTuple):
-    """A variant's run on one message up to the retrieval, the only part
-    that depends on x: the stage, its batch after the variant's own
-    announcements, and the branch bits and probabilities after each of them
-    (the root first)."""
-
-    stage: _Stage
-    levels: tuple[tuple[tuple[tuple[int, ...], ...], np.ndarray], ...]
-
-
-def _distribute(variant: str, msg: MessageState, n: int) -> _Distributed:
-    """Run ``variant``'s distribution stage on ``msg`` and then its own
-    announcements, enumerating every branch."""
-    stage = _STAGES[variant](msg, n)
-    batch = stage.batch
-    levels = [(tuple(batch.bits), batch.probabilities)]
-    for step in stage.announcements:
-        batch.announce(step)
-        levels.append((tuple(batch.bits), batch.probabilities))
-    return _Distributed(stage, tuple(levels))
-
-
-def _retrieve(run: _Distributed, n: int, x: int) -> _Pass:
-    """The GHZ retrieval at ``x`` after ``run``, enumerating every branch.
+def _retrieve(batch: _Batch, n: int, x: int) -> _Batch:
+    """A copy of ``batch`` after the GHZ retrieval at ``x``, every branch
+    enumerated.
 
     Every receiver other than ``x`` announces its carrier in the Fourier
     basis to ``x``, which applies Z raised to the sum of those bits. The
     retrieval discards every factor but x's carrier, so each final state is
     a qubit.
     """
-    (batch, parties, carriers, announcements), levels = run
-    # steps rebind the batch's fields, so ``run`` keeps its own; a step that
-    # wrote into its (read-only) states would raise
+    # steps rebind the batch's fields, so ``batch`` keeps its own; a step
+    # that wrote into its (read-only) states would raise
     batch = copy.copy(batch)
-    if carriers is None:
-        carriers = {y: y - 1 for y in parties}
-    retrieval = tuple(
-        _Announcement(parties[y], carriers[y], "fourier", f"B{y}", x)
-        for y in range(1, n + 1)
-        if y != x
-    )
-    levels = list(levels)
-    for step in retrieval:
-        batch.announce(step)
-        levels.append((tuple(batch.bits), batch.probabilities))
-    z_at_target = LocalUnitary(parties[x], (carriers[x],), qcore.Z, "Z")
-    (odd_rows,) = np.nonzero([sum(bits[len(announcements) :]) % 2 for bits in batch.bits])
+    batch.retrieval_start = len(batch.steps)
+    parties, carriers = batch.parties, batch.carriers
+    for y in range(1, n + 1):
+        if y != x:
+            batch.announce(_Announcement(parties[y], carriers[y], "fourier", f"B{y}", x))
+    batch.z_at_target = LocalUnitary(parties[x], (carriers[x],), qcore.Z, "Z")
+    (odd_rows,) = np.nonzero([sum(bits[batch.retrieval_start :]) % 2 for bits in batch.bits])
     if odd_rows.size:
-        batch.correct(z_at_target, odd_rows)
-    return _Pass(
-        announcements + retrieval,
-        tuple(levels),
-        batch.states,
-        batch.prefix,
-        z_at_target,
-        len(announcements),
-        batch.allow_nonlocal,
-    )
+        batch.correct(batch.z_at_target, odd_rows)
+    return batch
 
 
-def _simulate(variant: str, msg: MessageState, n: int, x: int) -> _Pass:
+def _simulate(variant: str, msg: MessageState, n: int, x: int) -> _Batch:
     """Run ``variant`` on ``msg`` at (n, x), enumerating every branch: its
     distribution stage and own announcements, then the GHZ retrieval."""
-    return _retrieve(_distribute(variant, msg, n), n, x)
+    return _retrieve(_STAGES[variant](msg, n), n, x)
 
 
 # ---------------------------------------------------------------------------
@@ -692,26 +661,26 @@ def _build_maps(variant: str, n: int, xs) -> list[BranchMap]:
     retrieval, which alone depends on x; the retrieval at each x then runs
     after that one run. Each x's four runs become its branch tree and maps.
     """
-    passes: dict[int, list[_Pass]] = {x: [] for x in xs}
+    runs: dict[int, list[_Batch]] = {x: [] for x in xs}
     for msg in _SPANNING:
-        run = _distribute(variant, msg, n)
-        run.stage.batch.states.setflags(write=False)  # every x retrieves from it
-        for x in passes:
-            passes[x].append(_retrieve(run, n, x))
-    return [_branch_map_from(variant, n, x, passes[x]) for x in xs]
+        batch = _STAGES[variant](msg, n)
+        batch.states.setflags(write=False)  # every x retrieves from it
+        for x in runs:
+            runs[x].append(_retrieve(batch, n, x))
+    return [_branch_map_from(variant, n, x, runs[x]) for x in xs]
 
 
-def _branch_map_from(variant: str, n: int, x: int, passes: list[_Pass]) -> BranchMap:
-    first = passes[0]
+def _branch_map_from(variant: str, n: int, x: int, runs: list[_Batch]) -> BranchMap:
+    first = runs[0]
     tree = [bits for bits, _ in first.levels]
-    if any([bits for bits, _ in p.levels] != tree for p in passes[1:]):
+    if any([bits for bits, _ in run.levels] != tree for run in runs[1:]):
         raise ValidityError(f"{variant} at n={n}, x={x}: spanning inputs reach different branches")
     nodes = [bits for level in tree for bits in level]
     index = {bits: i for i, bits in enumerate(nodes)}
     leaves = tree[-1]
     depth = len(first.keys)
-    probabilities = np.array([np.concatenate([probs for _, probs in p.levels]) for p in passes])
-    outputs = np.array([p.levels[-1][1][:, None, None] * p.states for p in passes])
+    probabilities = np.array([np.concatenate([probs for _, probs in run.levels]) for run in runs])
+    outputs = np.array([run.probabilities[:, None, None] * run.states for run in runs])
     transfer = _matrix_units(outputs)
     check_branch_maps(transfer)
     return BranchMap(
@@ -770,41 +739,39 @@ def ghz_encode(msg: MessageState, n: int) -> Ket:
     return Ket(vec, (2,) * n)
 
 
-def _noiseless_stage(msg: MessageState, n: int) -> _Stage:
-    return _Stage(_Batch(ghz_encode(msg, n).density()), _receivers(n))
+def _noiseless_stage(msg: MessageState, n: int) -> _Batch:
+    return _Batch(ghz_encode(msg, n).density(), _receivers(n))
 
 
-def _switch_stage(msg: MessageState, n: int) -> _Stage:
+def _switch_stage(msg: MessageState, n: int) -> _Batch:
     parties = _receivers(n)
-    state = _switched_nxy(n).apply(ghz_encode(msg, n).density())
-    control = _Announcement(
-        Party(CONTROL_HOLDER, frozenset({n})),
-        n,
-        "fourier",
-        "control",
-        BROADCAST,
-        (LocalUnitary(parties[1], (0,), qcore.Z, "Z"),),
-    )
-    return _Stage(_Batch(state), parties, announcements=(control,))
+    batch = _Batch(_switched_nxy(n).apply(ghz_encode(msg, n).density()), parties)
+    control_holder = Party(CONTROL_HOLDER, frozenset({n}))
+    flip = LocalUnitary(parties[1], (0,), qcore.Z, "Z")
+    batch.announce(_Announcement(control_holder, n, "fourier", "control", BROADCAST, (flip,)))
+    return batch
 
 
-def _baseline_stage(msg: MessageState, n: int) -> _Stage:
-    batch = _Batch(ghz_encode(msg, n).density())
+def _baseline_stage(msg: MessageState, n: int) -> _Batch:
+    batch = _Batch(ghz_encode(msg, n).density(), _receivers(n))
     for k in range(n):
         batch.cascade(k)
-    return _Stage(batch, _receivers(n))
+    return batch
 
 
-def _controlled_ops_stage(msg: MessageState, n: int) -> _Stage:
+def _controlled_ops_stage(msg: MessageState, n: int) -> _Batch:
     parties = _receivers(n)
-    # receiver 1 also ends up holding the control qubit (last factor)
+    # receiver 1 also ends up holding the control qubit (last factor), which
+    # takes its place as a GHZ carrier
     parties[1] = Party(1, frozenset({0, n}))
+    carriers = {1: n} | {k: k - 1 for k in range(2, n + 1)}
     sender = Party(SENDER, frozenset(range(n + 1)))
 
     vec = np.zeros(2 ** (n - 1), dtype=complex)
     vec[0] = 1.0
     amplitudes = np.kron(np.kron(msg.ket().amplitudes, vec), qcore.KET_PLUS.amplitudes)
-    batch = _Batch(Ket(amplitudes, (2,) * (n + 1)).density(), allow_nonlocal=True)
+    state = Ket(amplitudes, (2,) * (n + 1)).density()
+    batch = _Batch(state, parties, carriers, allow_nonlocal=True)
 
     batch.cnot(LocalUnitary(sender, (n, 0), qcore.CNOT, "CNOT"))
     for k in range(n):
@@ -814,9 +781,8 @@ def _controlled_ops_stage(msg: MessageState, n: int) -> _Stage:
 
     flips = [LocalUnitary(parties[k], (k - 1,), qcore.X, "X") for k in range(2, n + 1)]
     flips.append(LocalUnitary(parties[1], (n,), qcore.X, "X"))
-    readout = _Announcement(parties[1], 0, "computational", "B1_bit", BROADCAST, tuple(flips))
-    carriers = {1: n} | {k: k - 1 for k in range(2, n + 1)}
-    return _Stage(batch, parties, carriers, (readout,))
+    batch.announce(_Announcement(parties[1], 0, "computational", "B1_bit", BROADCAST, tuple(flips)))
+    return batch
 
 
 #: Each variant's distribution stage, by the name ``branch_map`` takes.

@@ -181,6 +181,8 @@ class SwitchedChannel:
     minus_strings: StringTable
 
     def __post_init__(self):
+        if self.omega_plus.dims != (2,):
+            raise DimensionMismatchError("the order control must be a qubit")
         # every check is written so that NaN fails it
         if not (self.p_plus >= -ATOL and self.p_minus >= -ATOL):
             raise ValidityError("negative branch probability")
@@ -291,11 +293,6 @@ class SwitchedChannel:
                 block = amps * sigmas[:, :, None, :] * vec[None, None, :, None]
                 blocks.append(block.reshape(-1, 2 * side, side))
         return np.concatenate(blocks)
-
-    def output_kraus(self) -> list[Operator]:
-        """Kraus set of the message -> message (x) control map."""
-        dims = (2,) * self.num_qubits
-        return [Operator(k, dims + (2,), dims) for k in self._output_stack()]
 
 
 def closed_form_product(

@@ -80,6 +80,33 @@ def test_negative_seed_is_a_usage_error(args, capsys):
     assert "--seed: seed must be non-negative, got -1" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-9"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["protocol", "--variant", "switch", "--n", "2", "--x", "1", "--message", "0.6,0.8i",
+         "--tolerance"],
+        ["baseline-sweep", "--n", "2", "--count", "5", "--mean-tolerance"],
+    ],
+    ids=["tolerance", "mean-tolerance"],
+)
+def test_tolerance_must_be_finite_and_non_negative(args, value, capsys):
+    # nan and a negative bound failed every summary, inf passed every check
+    assert main(args[:-1] + [f"{args[-1]}={value}"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: rrqc ")
+    assert f"tolerance must be finite and non-negative, got '{value}'" in err
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    for path in (tmp_path, tmp_path / "missing" / "x.json"):
+        args = ["eb-check", "--weights", "0,0.5,0.5,0", "--output", str(path)]
+        assert main(args) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"rrqc: error: cannot write report to {path}: " in err
+
+
 def test_cached_parser_keeps_successive_calls_independent(tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
     code, first = run_json(tmp_path, ["nogo-scan", "--n", "3", "--seed", "4"], "a.json")

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 
@@ -643,14 +644,33 @@ def test_branch_map_build_rejects_passes_that_disagree(monkeypatch, tamper):
         calls.append(run)
         if len(calls) != 2:
             return run
-        bits, probabilities, states = tamper(*run.levels[-1], run.states)
-        levels = run.levels[:-1] + ((bits, probabilities),)
-        return dataclasses.replace(run, levels=levels, states=states)
+        tampered = copy.copy(run)
+        bits, probabilities, tampered.states = tamper(*run.levels[-1], run.states)
+        tampered.levels = run.levels[:-1] + ((bits, probabilities),)
+        return tampered
 
     monkeypatch.setattr(protocols, "_retrieve", tampered_second_pass)
     with pytest.raises(ValidityError, match="different branches"):
         protocols._build_maps("switch", 2, [1])
     assert len(calls) == 4
+
+
+def test_branch_map_build_rejects_inputs_that_reach_different_branches(monkeypatch):
+    # a helper party reads the last of n + 1 GHZ factors in the computational
+    # basis: |0> reaches only outcome 0 and |1> only outcome 1, so the
+    # spanning inputs' runs have different branch trees
+    def probe_stage(msg, n):
+        batch = protocols._Batch(ghz_encode(msg, n + 1).density(), protocols._receivers(n))
+        helper = Party("HELPER", frozenset({n}))
+        batch.announce(protocols._Announcement(helper, n, "computational", "probe", BROADCAST))
+        return batch
+
+    monkeypatch.setitem(protocols._STAGES, "probe", probe_stage)
+    zero = protocols._simulate("probe", protocols._SPANNING[0], 3, 1)
+    one = protocols._simulate("probe", protocols._SPANNING[1], 3, 1)
+    assert zero.levels[1][0] == ((0,),) and one.levels[1][0] == ((1,),)
+    with pytest.raises(ValidityError, match="different branches"):
+        protocols._build_maps("probe", 3, [1])
 
 
 @pytest.mark.parametrize("variant", list(RUNNERS))

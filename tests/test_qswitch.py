@@ -251,6 +251,13 @@ def test_switched_channel_rejects_nan(changes, error):
         dataclasses.replace(qswitch.closed_form_nxy_n(1), **changes)
 
 
+def test_closed_form_product_rejects_a_control_that_is_not_a_qubit():
+    # a two-qubit control used to construct and then fail inside numpy on apply
+    omega = qcore.random_density((2, 2), np.random.default_rng(0))
+    with pytest.raises(DimensionMismatchError, match="the order control must be a qubit"):
+        qswitch.closed_form_product((N_XY,), (N_XY,), omega)
+
+
 def test_closed_form_product_rejects_bad_inputs():
     sw = qswitch.closed_form_nxy_n(1)
     with pytest.raises(CompletenessError):
@@ -479,7 +486,7 @@ def test_stacked_closed_form_choi_matches_literal_kraus(n, seed, pure):
         pair = nxy_product(n)
     reference = channels.choi(literal_output_kraus(sw)).matrix
     np.testing.assert_allclose(
-        channels.choi(sw.output_kraus()).matrix, reference, rtol=0, atol=1e-12
+        qswitch._choi_gram(sw._output_stack()), reference, rtol=0, atol=1e-12
     )
     generic = literal_switch_choi(pair, pair, omega.matrix)
     assert abs(
