@@ -60,7 +60,9 @@ semidefinite. Once per map, ``check_branch_maps`` checks that every Choi
 matrix J_b is positive semidefinite (complete positivity) and that sum_b E_b
 preserves the trace. Once per evaluation, the final states of every branch
 of every message evaluated pass ``check_states`` as one stack
-(``DensityMatrix.from_stack``).
+(``DensityMatrix.from_stack``), and ``ProtocolResult`` checks each result's
+probabilities and fidelities. The per-branch records are then put together
+from these already-checked stacks without running the checks again.
 """
 
 from __future__ import annotations
@@ -557,13 +559,15 @@ class BranchMap:
     E_b(|j><k|), the unnormalized state that branch b leaves at x.
     ``children`` maps each node to its outcome-0 and outcome-1 child (-1
     where there is none) and ``paths`` each branch to its nodes, from the
-    root down to its leaf.
+    root down to its leaf. ``outcomes`` holds each branch's outcomes dict,
+    of which every result gets its own copy.
     """
 
     n: int
     x: int
     keys: tuple[str, ...]
     bits: tuple[tuple[int, ...], ...]
+    outcomes: tuple[dict[str, int], ...]
     transcripts: tuple[Transcript, ...]
     transfer: np.ndarray
     effects: np.ndarray
@@ -624,15 +628,20 @@ class BranchMap:
         finals = qcore.renormalize(outputs.reshape(-1, 2, 2), chosen)
         states = DensityMatrix.from_stack(finals, (2,))
         fidelities = qcore.fidelities_pure(vecs[cases], finals)
+        # BranchResult has no checks of its own: from_stack, fidelities_pure
+        # and ProtocolResult check every field it holds
         branches = [
-            BranchResult(
-                probability=float(chosen[i]),
-                outcomes=dict(zip(self.keys, self.bits[row])),
-                fidelity=float(fidelities[i]),
-                final_state=states[i],
+            qcore._prechecked(
+                BranchResult,
+                probability=probability,
+                outcomes=self.outcomes[row].copy(),
+                fidelity=fidelity,
+                final_state=state,
                 transcript=self.transcripts[row],
             )
-            for i, row in enumerate(rows.tolist())
+            for row, probability, fidelity, state in zip(
+                rows.tolist(), chosen.tolist(), fidelities.tolist(), states
+            )
         ]
         ends = np.bincount(cases, minlength=len(messages)).cumsum().tolist()
         return tuple(
@@ -688,6 +697,7 @@ def _branch_map_from(variant: str, n: int, x: int, runs: list[_Batch]) -> Branch
         x=x,
         keys=first.keys,
         bits=leaves,
+        outcomes=tuple(dict(zip(first.keys, bits)) for bits in leaves),
         transcripts=first.transcripts(),
         transfer=transfer,
         effects=_matrix_units(probabilities),

@@ -80,10 +80,11 @@ def _frozen_array(values, shape_check=None) -> np.ndarray:
 
 def _prechecked(cls, **fields):
     """An instance of the frozen dataclass ``cls`` from fields its caller has
-    already validated, without running ``__post_init__``."""
+    already validated, without running ``__post_init__``: records put
+    together from checked stacks are not checked again. ``fields`` is fresh
+    on every call, so it becomes the instance's ``__dict__`` in one write."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    object.__setattr__(obj, "__dict__", fields)
     return obj
 
 
@@ -234,8 +235,11 @@ def check_states(stack: np.ndarray) -> None:
     Positivity is decided by one batched Cholesky factorization of
     S + ATOL * I, which succeeds exactly when every eigenvalue of every S
     exceeds -ATOL. When it fails, a batched ``eigvalsh`` gives the verdict
-    and the reported eigenvalue. Errors name the first failing state.
+    and the reported eigenvalue. Errors name the first failing state; an
+    empty stack has none.
     """
+    if not len(stack):
+        return
     if not np.isfinite(stack).all():
         raise ValidityError("entries contain NaN or Inf")
     if np.abs(stack - _dagger(stack)).max() > ATOL:
@@ -340,8 +344,9 @@ class DensityMatrix:
     @classmethod
     def from_stack(cls, stack: np.ndarray, dims) -> tuple["DensityMatrix", ...]:
         """Every state of a (B, d, d) stack, validated by one ``check_states``
-        call and then wrapped row by row without checking each again; the
-        rows are read-only views of one copy of the stack."""
+        call and then wrapped row by row (``_prechecked``) without checking
+        each again; the rows are read-only views of one copy of the stack,
+        and an empty stack gives ``()``."""
         dims = _clean_dims(dims)
         frozen = np.array(stack, dtype=complex)
         _check_stack(frozen, dims)
@@ -614,14 +619,14 @@ def fidelities_pure(amplitudes: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Overlaps <psi| S |psi> of every state S of a (B, d, d) stack with a
     unit vector, clipped at 0: ``amplitudes`` is one target (d,) for every
     state or one per state (B, d). A value outside [-ATOL, 1 + ATOL] (or NaN)
-    raises ValidityError."""
+    raises ValidityError; an empty stack gives no values."""
     if stack.ndim != 3 or amplitudes.shape not in ((stack.shape[2],), stack.shape[:2]):
         raise DimensionMismatchError(
             f"stack of shape {stack.shape} does not match targets of shape {amplitudes.shape}"
         )
     products = amplitudes.conj()[..., :, None] * stack * amplitudes[..., None, :]
-    values = products.reshape(len(stack), -1).sum(axis=-1).real
-    if not (values.min() >= -ATOL and values.max() <= 1.0 + ATOL):  # NaN fails too
+    values = products.reshape(len(stack), math.prod(stack.shape[1:])).sum(axis=-1).real
+    if len(values) and not (values.min() >= -ATOL and values.max() <= 1.0 + ATOL):  # NaN fails too
         bad = values[~((values >= -ATOL) & (values <= 1.0 + ATOL))][0]
         raise ValidityError(f"fidelity {bad} outside [0, 1]")
     return np.maximum(values, 0.0)

@@ -604,6 +604,16 @@ def test_branch_maps_are_built_once_per_key(monkeypatch):
     a.branches[0].outcomes["control"] = 7
     assert b.branches[0].outcomes["control"] == 0
     assert run_switch_protocol(RANDOM_MSG, 3, 2).branches[0].outcomes["control"] == 0
+    # no two branches share an outcomes dict, within one result or across
+    # evaluate_many results, and none is the map's template
+    templates = copy.deepcopy(first.outcomes)
+    results = first.evaluate_many([RANDOM_MSG, RANDOM_MSG]) + first.evaluate_many([RANDOM_MSG])
+    dicts = [br.outcomes for result in results + (a, b) for br in result.branches]
+    assert len({id(d) for d in dicts}) == len(dicts)
+    assert not {id(d) for d in dicts} & {id(t) for t in first.outcomes}
+    for d in dicts:
+        d["control"] = 7
+    assert first.outcomes == templates
 
 
 def test_branch_map_check_rejects_a_scaled_map():
@@ -612,6 +622,53 @@ def test_branch_map_check_rejects_a_scaled_map():
     transfer[0] *= 1 + 1e-6
     with pytest.raises(CompletenessError):
         protocols.check_branch_maps(transfer)
+
+
+def test_evaluate_runs_the_result_checks():
+    # dataclasses.replace runs no check_branch_maps
+    good = branch_map("switch", 2, 1)
+    good.evaluate(RANDOM_MSG)
+    scale = 1 + 1e-6
+    scaled = dataclasses.replace(good, transfer=good.transfer * scale, effects=good.effects * scale)
+    with pytest.raises(ValidityError, match="branch probabilities sum to"):
+        scaled.evaluate(RANDOM_MSG)
+    for node in (0, len(good.effects) - 1):  # the root, and a leaf
+        effects = good.effects.copy()
+        effects[node, 0, 0] = np.nan
+        with pytest.raises(ValidityError):
+            dataclasses.replace(good, effects=effects).evaluate(RANDOM_MSG)
+
+
+def _fields(record):
+    """vars() of a record, nested records by their own fields and arrays by
+    their bytes, shape, dtype and writeability."""
+    if isinstance(record, np.ndarray):
+        return record.tobytes(), record.shape, record.dtype, record.flags.writeable
+    if isinstance(record, (qcore.DensityMatrix, Operator)):
+        return type(record), [(k, _fields(v)) for k, v in vars(record).items()]
+    return record
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("variant", list(RUNNERS))
+def test_evaluated_records_equal_checked_ones(variant, n):
+    # every record evaluate builds without its constructor's checks equals
+    # one built through the public, checking constructors
+    policies = [OutcomePolicy.exhaustive()] + [OutcomePolicy.sample(s) for s in range(3)]
+    for x in range(1, n + 1):
+        m = branch_map(variant, n, x)
+        for policy in policies:
+            for br in m.evaluate(RANDOM_MSG, policy).branches:
+                (row,) = [i for i, t in enumerate(m.transcripts) if t is br.transcript]
+                state = qcore.DensityMatrix.from_matrix(br.final_state.matrix, (2,))
+                outcomes = dict(zip(m.keys, m.bits[row]))
+                twin = BranchResult(br.probability, outcomes, br.fidelity, state, br.transcript)
+                assert [(k, _fields(v)) for k, v in vars(br).items()] == [
+                    (k, _fields(v)) for k, v in vars(twin).items()
+                ]
+                assert type(br.probability) is float and type(br.fidelity) is float
+                assert br.final_state.dims == br.final_state.op.col_dims == (2,)
+                assert not br.final_state.matrix.flags.writeable
 
 
 def test_branch_map_check_rejects_conjugated_off_diagonal_inputs(monkeypatch):

@@ -382,6 +382,14 @@ def test_density_matrices_from_a_stack_reject_any_invalid_row():
         DensityMatrix.from_stack(np.array([good]), (2, 2))
 
 
+def test_empty_stacks_have_nothing_to_check():
+    qcore.check_states(np.zeros((0, 2, 2), dtype=complex))
+    assert DensityMatrix.from_stack(np.zeros((0, 4, 4)), (2, 2)) == ()
+    assert qcore.fidelities_pure(np.zeros((0, 2)), np.zeros((0, 2, 2))).shape == (0,)
+    with pytest.raises(DimensionMismatchError):
+        DensityMatrix.from_stack(np.zeros((0, 2, 2)), (2, 2))
+
+
 def test_controlled_not_action_on_basis():
     gate = qcore.controlled_not(2, 0, 1)
     # |10> -> |11>, |11> -> |10>, control bits untouched
