@@ -18,6 +18,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
@@ -199,6 +200,71 @@ class RunConfig:
         }
 
 
+def _json_text(value, pad: str) -> str:
+    """The text of ``json.dumps(value, sort_keys=True, indent=2)``, with every
+    line after the first also indented by ``pad``.
+
+    With an indent, ``json`` runs its pure-Python generator encoder; this
+    builds the same bytes as one string per container. Types are tested in
+    ``json``'s order, so subclasses of str, int and float render as ``json``
+    renders them, and any other type raises TypeError.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        body = [_json_text(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = [
+            encode_basestring_ascii(_json_key(key)) + ": " + _json_text(item, inner)
+            for key, item in sorted(value.items())
+        ]
+        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json`` converts it before quoting it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
 @dataclass
 class Report:
     config: dict
@@ -215,7 +281,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _json_text(self.to_dict(), "") + "\n"
 
     def to_csv(self) -> str:
         buffer = io.StringIO()

@@ -658,6 +658,8 @@ class BranchMap:
             kids = self.children[node]
             row = np.where(kids >= 0, probs[kids] / probs[node], 0.0)
             (alive,) = np.nonzero(row >= PROB_FLOOR)
+            if not len(alive):  # as exhaustively, where every branch is cut
+                raise ValidityError("protocol produced no branches")
             kept = row[alive]
             node = kids[alive[rng.choice(len(alive), p=kept / kept.sum())]]
         return int(node) - (len(probs) - len(self.bits))

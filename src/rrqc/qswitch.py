@@ -7,12 +7,15 @@ message (x) control through the operators
     A_j B_k (x) |0><0|  +  B_k A_j (x) |1><1|,
 
 with the control in the last tensor slot. All |A| * |B| of them are built at
-once as one stacked (m, 2d, 2d) array, from one broadcast product for each
+once as one stacked (m, 2d, 2d) array, from one matrix product for each
 order, and the stack is checked complete once, when it is built; the
 switched outputs, the Kraus lists and the generic Choi matrix are all
-computed from it. Switched outputs are computed for a (T, d, d) stack of
-messages at a time, accumulated over the Kraus operators, and
-``switch_generic`` is the one-message case.
+computed from it. For outputs the control state is absorbed into the stack
+(``_lift_control``, one (2d, d) operator per Kraus operator and control
+eigenvector), whose operators K form the input kernel R = sum_K K (x) conj(K)
+as one Gram product; the outputs for a (T, d, d) stack of messages are then
+one (T, d^2) @ (d^2, 4 d^2) product, and ``switch_generic`` is the
+one-message case.
 
 When both channels are products of single-qubit Pauli channels, one rule
 gives the switched channel exactly. On each qubit sigma_a sigma_b =
@@ -34,16 +37,18 @@ cross-checks the closed forms against the generic switch at the level of
 Choi matrices, which is the only trusted route: the closed forms are derived
 here from the Pauli pair algebra, not transcribed from any external table.
 Both Choi matrices are Gram matrices of stacked, flattened Kraus operators.
-It builds one switch Kraus stack per n for the Choi comparison and every
-random-input trial, and runs the trials as stacked passes through the
-generic switch and ``SwitchedChannel.apply_stack``.
+What it checks at each n that does not depend on the seed (the equal-X/Y
+switch Kraus stack, the Choi comparisons and the input kernel) is built and
+checked once per process; the random-input trials run as stacked passes
+through that kernel and ``SwitchedChannel.apply_stack``.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,44 +88,59 @@ def _switch_of(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
     """All switch Kraus operators of two stacked Kraus sets on one register.
 
     Entry j * |B| + k is A_j B_k (x) |0><0| + B_k A_j (x) |1><1|. The control
-    is the last factor, so its index interleaves both rows and columns. Both
-    sets and the result are checked complete.
+    is the last factor, so its index interleaves both rows and columns. Each
+    order is one matrix product: with the A_j stacked as rows and the B_k as
+    columns, block (j, k) of the product is A_j B_k. Both sets and the result
+    are checked complete.
     """
     qcore.check_complete(stack_a, "first Kraus set")
     qcore.check_complete(stack_b, "second Kraus set")
-    side = stack_a.shape[-1]
-    stack = np.zeros((len(stack_a) * len(stack_b), 2 * side, 2 * side), dtype=complex)
-    stack[:, 0::2, 0::2] = (stack_a[:, None] @ stack_b[None, :]).reshape(-1, side, side)
-    stack[:, 1::2, 1::2] = (stack_b[None, :] @ stack_a[:, None]).reshape(-1, side, side)
+    count_a, count_b, side = len(stack_a), len(stack_b), stack_a.shape[-1]
+    ab = stack_a.reshape(-1, side) @ stack_b.transpose(1, 0, 2).reshape(side, -1)
+    ba = stack_b.reshape(-1, side) @ stack_a.transpose(1, 0, 2).reshape(side, -1)
+    stack = np.zeros((count_a * count_b, 2 * side, 2 * side), dtype=complex)
+    stack[:, 0::2, 0::2] = (
+        ab.reshape(count_a, side, count_b, side).transpose(0, 2, 1, 3).reshape(-1, side, side)
+    )
+    stack[:, 1::2, 1::2] = (
+        ba.reshape(count_b, side, count_a, side).transpose(2, 0, 1, 3).reshape(-1, side, side)
+    )
     qcore.check_complete(stack, "switch Kraus set")
     return stack
-
-
-def _switch_outputs(stack: np.ndarray, rhos: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """sum_S S (rho (x) omega) S^dag for every message rho of a (T, d, d)
-    stack, accumulated one switch Kraus operator S at a time and
-    Hermitian-symmetrized; the outputs are not validated."""
-    count, side = rhos.shape[:2]
-    # the Kronecker products rho (x) omega, the control as the last factor
-    joint = (rhos[:, :, None, :, None] * omega[:, None]).reshape(count, 2 * side, 2 * side)
-    adjoints = stack.conj().transpose(0, 2, 1)
-    out = stack[0] @ joint @ adjoints[0]
-    for s, s_dag in zip(stack[1:], adjoints[1:]):
-        out += s @ joint @ s_dag
-    return (out + out.conj().transpose(0, 2, 1)) / 2  # suppress Hermiticity drift
 
 
 def _lift_control(stack: np.ndarray, omega: DensityMatrix) -> np.ndarray:
     """Absorb the control state into stacked message (x) control Kraus
     operators: each S becomes S (I (x) sqrt(lam) |v>) for every eigenpair of
-    omega above ``PROB_FLOOR``, operator-major."""
+    omega above ``PROB_FLOOR``, operator-major. The control index is the last
+    one of S, so this is one (., 2) @ (2, r) product."""
     vals, vecs = np.linalg.eigh(omega.matrix)
     keep = vals >= PROB_FLOOR
     amps = vecs[:, keep] * np.sqrt(vals[keep])
     m, rows, cols = stack.shape
     side = cols // 2
-    lifted = stack.reshape(m, rows, side, 2) @ amps
+    lifted = (stack.reshape(-1, 2) @ amps).reshape(m, rows, side, -1)
     return lifted.transpose(0, 3, 1, 2).reshape(-1, rows, side)
+
+
+def _input_kernel(lifted: np.ndarray) -> np.ndarray:
+    """The (d^2, (2d)^2) matrix that takes a row-major flattened message rho
+    to the flattened output sum_k K_k rho K_k^dag of a lifted Kraus stack
+    (m, 2d, d): the transpose of R = sum_k K_k (x) conj(K_k), formed as one
+    Gram product of the flattened operators."""
+    m, rows, side = lifted.shape
+    flat = lifted.reshape(m, -1)
+    gram = flat.T @ flat.conj()  # entry ((a, i), (b, j)) = sum_k K_ai conj(K_bj)
+    return gram.reshape(rows, side, rows, side).transpose(1, 3, 0, 2).reshape(side**2, rows**2)
+
+
+def _switch_outputs(kernel: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """The outputs of the map whose ``_input_kernel`` is ``kernel`` for every
+    message of a (T, d, d) stack, as one (T, d^2) @ (d^2, 4 d^2) product,
+    Hermitian-symmetrized; the outputs are not validated."""
+    count, side = rhos.shape[:2]
+    out = (rhos.reshape(count, -1) @ kernel).reshape(count, 2 * side, 2 * side)
+    return (out + out.conj().transpose(0, 2, 1)) / 2  # suppress Hermiticity drift
 
 
 def _choi_gram(stack: np.ndarray) -> np.ndarray:
@@ -149,7 +169,7 @@ def switch_generic(
         )
     if omega.dim != 2:
         raise DimensionMismatchError("the order control must be a qubit")
-    out = _switch_outputs(stack, input.matrix[None], omega.matrix)
+    out = _switch_outputs(_input_kernel(_lift_control(stack, omega)), input.matrix[None])
     return DensityMatrix.from_matrix(out[0], dims + (2,))
 
 
@@ -267,6 +287,8 @@ class SwitchedChannel:
                 signs = 1.0 - 2.0 * parity[index & zmask]
                 masks[flip] = masks.get(flip, 0.0) + w * np.outer(signs, signs)
             groups = tuple((index ^ flip, mask) for flip, mask in masks.items())
+            for array in (a for group in groups for a in group):
+                array.setflags(write=False)  # every later apply reads them
             out.append((prob, groups, omega))
         return tuple(out)
 
@@ -423,35 +445,28 @@ def validate_closed_forms(
     checks of the latter, and at n = 2 additionally draws ``trials`` random
     two-party Pauli channel pairs with random pure control states.
 
-    The equal-X/Y switch Kraus stack is built and checked complete once per
-    n; it serves the Choi comparison and every input trial. Trials run in
-    blocks of ``_BLOCK``, so memory does not grow with ``trials``: a block's
-    messages are drawn in turn and checked as one stack, pass through the
-    generic switch and ``SwitchedChannel.apply_stack`` as (T, d, d) stacks,
-    and each side's outputs pass one ``qcore.check_states``. A two-party
-    block draws every (e1, e2, omega) first and checks the control states as
-    one stack; each trial then checks both Kraus sets, its switch stack and
-    its closed-form Kraus set complete. The random draws come in the same
-    order as one trial at a time.
+    Everything that does not depend on the seed is built and checked once
+    per process, on the first call that asks for its n (``_nxy_fixture``):
+    the equal-X/Y switch Kraus stack (checked complete), its closed form
+    (whose Kraus set is checked complete), the ``identity`` and ``nxy-choi``
+    records and the input kernel of the switch with the |+> control. Trials
+    run in blocks of ``_BLOCK``, so memory does not grow with ``trials``: a
+    block's messages are drawn in turn and checked as one stack, pass through
+    the input kernel as one matrix product and through
+    ``SwitchedChannel.apply_stack``, and each side's outputs pass one
+    ``qcore.check_states``. A two-party block draws every (e1, e2, omega)
+    first and checks the control states as one stack; each trial then checks
+    both Kraus sets, its switch stack and its closed-form Kraus set complete.
+    The random draws come in the same order as one trial at a time.
     """
     rng = np.random.default_rng(seed)
     records: list[ValidationRecord] = []
     for n in ns:
-        if not 1 <= n <= 3:
-            raise ValueError(f"generic validation supports n in 1..3, got {n}")
-        ident = [qcore.identity((2,) * n)]
-        identities = (channels.IDENTITY,) * n
-        sw = closed_form_product(identities, identities)
-        records.append(
-            ValidationRecord("identity", n, "", choi_deviation(sw, ident, ident))
-        )
-        nxy_ops = channels.product_pauli_stack([channels.N_XY] * n)
-        stack = _switch_of(nxy_ops, nxy_ops)
-        sw = closed_form_nxy_n(n)
-        records.append(ValidationRecord("nxy-choi", n, "", _choi_deviation(sw, stack)))
+        fixture = _nxy_fixture(n)
+        records.extend(fixture.records)
         records.extend(
             ValidationRecord("nxy-input", n, f"trial {t}", dev)
-            for t, dev in enumerate(_input_deviations(sw, stack, trials, rng))
+            for t, dev in enumerate(_input_deviations(fixture, trials, rng))
         )
         if n == 2:
             records.extend(
@@ -469,20 +484,58 @@ def validate_closed_forms(
     )
 
 
+class _NxyFixture(NamedTuple):
+    """The seed-independent part of validating n equal-X/Y mixtures: the
+    closed form, the ``identity`` and ``nxy-choi`` records and the read-only
+    ``_input_kernel`` of the switch with the closed form's |+> control. The
+    switch Kraus stack is not kept, since nothing reads it once the kernel
+    is formed."""
+
+    switched: SwitchedChannel
+    records: tuple[ValidationRecord, ValidationRecord]
+    kernel: np.ndarray
+
+
+#: Every fixture built so far, by n: at most 3 keys.
+_FIXTURES: dict[int, _NxyFixture] = {}
+
+
+def _nxy_fixture(n: int) -> _NxyFixture:
+    """The fixture at n in 1..3, built and checked on first use and kept for
+    the process."""
+    n = operator.index(n)
+    if not 1 <= n <= 3:
+        raise ValueError(f"generic validation supports n in 1..3, got {n}")
+    if n not in _FIXTURES:
+        ident = [qcore.identity((2,) * n)]
+        identities = (channels.IDENTITY,) * n
+        sw = closed_form_product(identities, identities)
+        identity = ValidationRecord("identity", n, "", choi_deviation(sw, ident, ident))
+        nxy_ops = channels.product_pauli_stack([channels.N_XY] * n)
+        stack = _switch_of(nxy_ops, nxy_ops)
+        sw = closed_form_nxy_n(n)
+        nxy_choi = ValidationRecord("nxy-choi", n, "", _choi_deviation(sw, stack))
+        kernel = _input_kernel(_lift_control(stack, sw.omega_plus))
+        kernel.setflags(write=False)
+        _FIXTURES[n] = _NxyFixture(sw, (identity, nxy_choi), kernel)
+    return _FIXTURES[n]
+
+
 def _blocks(trials: int):
     """The trial count of each block of at most ``_BLOCK`` trials."""
     for start in range(0, trials, _BLOCK):
         yield min(_BLOCK, trials - start)
 
 
-def _input_deviations(sw: SwitchedChannel, stack: np.ndarray, trials: int, rng):
+def _input_deviations(fixture: _NxyFixture, trials: int, rng):
     """Max-entry output difference between the closed form and the generic
-    switch stack on each of ``trials`` random messages, a block at a time."""
+    switch on each of ``trials`` random messages, a block at a time."""
+    sw = fixture.switched
     dims = (2,) * sw.num_qubits
     for count in _blocks(trials):
         rhos = qcore.random_density_stack(dims, rng, count)
         qcore.check_states(rhos)
-        generic = _switch_outputs(stack, rhos, sw.omega_plus.matrix)
+        generic = _switch_outputs(fixture.kernel, rhos)
         closed = sw.apply_stack(rhos)
         qcore.check_states(generic)
         qcore.check_states(closed)

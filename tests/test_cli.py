@@ -1,8 +1,11 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rrqc import cli
+from rrqc import cli, qswitch
 from rrqc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -310,6 +313,78 @@ def test_json_reports_are_byte_identical_for_same_config(tmp_path):
     assert main(args + ["--output", str(first)]) == EXIT_OK
     assert main(args + ["--output", str(second)]) == EXIT_OK
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_validate_switch_reports_are_byte_identical_in_one_process(tmp_path, monkeypatch):
+    # the first call builds the per-n fixtures, the second reuses them
+    monkeypatch.setattr(qswitch, "_FIXTURES", {})
+    args = ["validate-switch", "--trials", "20", "--seed", "3", "--format", "json"]
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(args + ["--output", str(first)]) == EXIT_OK
+    built = dict(qswitch._FIXTURES)
+    assert sorted(built) == [1, 2, 3]
+    assert main(args + ["--output", str(second)]) == EXIT_OK
+    assert all(qswitch._FIXTURES[n] is fixture for n, fixture in built.items())
+    assert first.read_bytes() == second.read_bytes()
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not json"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not json"
+
+
+_ESCAPES = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600a'))
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers().map(_Int),
+    st.floats(),
+    st.floats().map(_Float),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.text(),
+    _ESCAPES,
+)
+_KEYS = st.one_of(st.text(max_size=6), _ESCAPES)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES, st.dictionaries(_KEYS, _VALUES, max_size=3))
+def test_report_json_matches_json_dumps(value, summary):
+    report = cli.Report({"command": "x", "value": value}, [value, {"v": value}], summary)
+    expected = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    assert report.to_json() == expected
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1: "a", 0: "b"}, {2.5: 0, -1.0: 1}, {True: 0}, {None: [1]}, {False: {}}],
+    ids=["int", "float", "true", "null", "false"],
+)
+def test_report_json_converts_keys_as_json_does(value):
+    assert cli._json_text(value, "") == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, [b"bytes"], {(1, 2): 0}])
+def test_report_json_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        cli._json_text(value, "")
 
 
 def test_report_embeds_seed_and_tolerance(tmp_path):

@@ -639,6 +639,17 @@ def test_evaluate_runs_the_result_checks():
             dataclasses.replace(good, effects=effects).evaluate(RANDOM_MSG)
 
 
+def test_sampled_walk_without_a_reachable_outcome_raises_validity_error():
+    # a NaN root effect leaves no outcome at PROB_FLOOR, under either policy
+    good = branch_map("switch", 2, 1)
+    effects = good.effects.copy()
+    effects[0, 0, 0] = np.nan
+    bad = dataclasses.replace(good, effects=effects)
+    for policy in (OutcomePolicy.exhaustive(), OutcomePolicy.sample(0)):
+        with pytest.raises(ValidityError, match="protocol produced no branches"):
+            bad.evaluate(RANDOM_MSG, policy)
+
+
 def _fields(record):
     """vars() of a record, nested records by their own fields and arrays by
     their bytes, shape, dtype and writeability."""

@@ -572,3 +572,112 @@ def test_flip_group_masks_match_kron_construction_bit_for_bit(n, seed, single, p
         for (inverse, mask), (flip, literal) in zip(groups, expected.items()):
             assert np.array_equal(inverse, index ^ flip)
             assert mask.dtype == literal.dtype and mask.tobytes() == literal.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# switch kernels against broadcast and literal references
+# ---------------------------------------------------------------------------
+
+
+def broadcast_switch_of(stack_a, stack_b):
+    """``_switch_of`` as one broadcast product of 2-D matrices per pair."""
+    side = stack_a.shape[-1]
+    stack = np.zeros((len(stack_a) * len(stack_b), 2 * side, 2 * side), dtype=complex)
+    stack[:, 0::2, 0::2] = (stack_a[:, None] @ stack_b[None, :]).reshape(-1, side, side)
+    stack[:, 1::2, 1::2] = (stack_b[None, :] @ stack_a[:, None]).reshape(-1, side, side)
+    return stack
+
+
+def broadcast_lift_control(stack, omega):
+    """``_lift_control`` as one (d, 2) @ (2, r) product per operator row."""
+    vals, vecs = np.linalg.eigh(omega.matrix)
+    keep = vals >= qcore.PROB_FLOOR
+    amps = vecs[:, keep] * np.sqrt(vals[keep])
+    m, rows, cols = stack.shape
+    lifted = stack.reshape(m, rows, cols // 2, 2) @ amps
+    return lifted.transpose(0, 3, 1, 2).reshape(-1, rows, cols // 2)
+
+
+def stacked(ops):
+    return np.stack([op.entries for op in ops])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.booleans())
+def test_gemm_switch_kernels_equal_broadcast_forms_bit_for_bit(n, seed, mixed_a, mixed_b, pure):
+    rng = np.random.default_rng(seed)
+    a = stacked(drawn_channel(rng, n, mixed_a))
+    b = stacked(drawn_channel(rng, n, mixed_b))
+    omega = random_control(rng, pure)
+    stack = qswitch._switch_of(a, b)
+    reference = broadcast_switch_of(a, b)
+    if mixed_a and mixed_b:
+        # entries of A_j B_k are sums of several products, which the two forms
+        # may round differently
+        np.testing.assert_allclose(stack, reference, rtol=0, atol=1e-15)
+    else:
+        # a Pauli product has one nonzero entry per row and column, so every
+        # entry is a single product whatever the summation order; adding 0.0
+        # turns -0.0 into 0.0, which a broadcast 2 x 2 product can give where
+        # the GEMM gives +0.0
+        assert (stack + 0.0).tobytes() == (reference + 0.0).tobytes()
+    lifted = qswitch._lift_control(reference, omega)
+    assert lifted.tobytes() == broadcast_lift_control(reference, omega).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+def test_lifted_kernel_outputs_match_literal_kraus_sum(n, seed, count, mixed_a, mixed_b, pure):
+    rng = np.random.default_rng(seed)
+    a = drawn_channel(rng, n, mixed_a)
+    b = drawn_channel(rng, n, mixed_b)
+    omega = random_control(rng, pure)
+    rhos = qcore.random_density_stack((2,) * n, rng, count)
+    _, stack = qswitch._switch_stack(a, b)
+    kernel = qswitch._input_kernel(qswitch._lift_control(stack, omega))
+    assert kernel.shape == (4**n, 4 ** (n + 1))
+    out = qswitch._switch_outputs(kernel, rhos)
+    for rho, row in zip(rhos, out):
+        np.testing.assert_allclose(
+            row, literal_switch(a, b, rho, omega.matrix), rtol=0, atol=1e-12
+        )
+
+
+def test_nxy_fixtures_are_built_once_per_n_and_read_only():
+    with mock.patch.object(qswitch, "_FIXTURES", {}), mock.patch.object(
+        qswitch, "_input_kernel", wraps=qswitch._input_kernel
+    ) as input_kernel:
+        first = qswitch.validate_closed_forms(seed=4, trials=3, ns=(1, 3))
+        assert input_kernel.call_count == 2
+        again = qswitch.validate_closed_forms(seed=4, trials=3, ns=(3, 1))
+        assert input_kernel.call_count == 2
+        fixtures = dict(qswitch._FIXTURES)
+        assert all(qswitch._nxy_fixture(n) is fixture for n, fixture in fixtures.items())
+    assert sorted(fixtures) == [1, 3]
+    for n, fixture in fixtures.items():
+        assert [r.kind for r in fixture.records] == ["identity", "nxy-choi"]
+        for report in (first, again):
+            seed_free = [r for r in report.records if r.n == n and r.kind != "nxy-input"]
+            assert all(r is f for r, f in zip(seed_free, fixture.records, strict=True))
+        sw = fixture.switched
+        arrays = [fixture.kernel, sw.omega_plus.matrix]
+        arrays += [a for _, groups, _ in sw._flip_groups for group in groups for a in group]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1.0
+        # the kernel is the switch of the equal-X/Y product with the |+> control
+        nxy = nxy_product(n)
+        rho = qcore.random_density((2,) * n, np.random.default_rng(n))
+        np.testing.assert_allclose(
+            qswitch._switch_outputs(fixture.kernel, rho.matrix[None])[0],
+            literal_switch(nxy, nxy, rho.matrix, PLUS.matrix),
+            rtol=0,
+            atol=1e-12,
+        )
