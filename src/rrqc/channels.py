@@ -147,34 +147,17 @@ def compose(a: PauliChannel, b: PauliChannel) -> PauliChannel:
     return PauliChannel(*out)
 
 
-@dataclass(frozen=True, eq=False)
-class ChoiMatrix:
-    """State dual to a channel, on output (x) reference, normalized to trace 1."""
-
-    op: DensityMatrix
-
-    def __post_init__(self):
-        if len(self.op.dims) != 2:
-            raise DimensionMismatchError(
-                f"Choi matrix needs (output, reference) dims, got {self.op.dims}"
-            )
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
-
-
-def choi(kraus: Sequence[Operator]) -> ChoiMatrix:
+def choi(kraus: Sequence[Operator]) -> DensityMatrix:
     """Apply (channel x identity) to a maximally entangled pair.
 
-    The reference factor has the channel's input dimension; the result is
-    normalized to unit trace.
+    The result is a state on (output, reference), where the reference has
+    the channel's input dimension, normalized to unit trace.
     """
     qcore.check_complete(kraus)
     d_out, d_in = kraus[0].shape
     flat = np.stack([k.entries.reshape(-1) for k in kraus])
     mat = np.einsum("ka,kb->ab", flat, flat.conj()) / d_in
-    return ChoiMatrix(DensityMatrix.from_matrix(mat, (d_out, d_in)))
+    return DensityMatrix.from_matrix(mat, (d_out, d_in))
 
 
 class EBVerdict(NamedTuple):
@@ -182,7 +165,7 @@ class EBVerdict(NamedTuple):
     witness: float  # minimum eigenvalue of the partially transposed Choi matrix
 
 
-def is_entanglement_breaking_qubit(ch: ChoiMatrix) -> EBVerdict:
+def is_entanglement_breaking_qubit(ch: DensityMatrix) -> EBVerdict:
     """PPT test on a qubit-channel Choi matrix.
 
     Positivity under partial transposition is equivalent to separability for
@@ -190,8 +173,8 @@ def is_entanglement_breaking_qubit(ch: ChoiMatrix) -> EBVerdict:
     eigenvalue of the partial transpose; it counts as non-negative down to
     -ATOL.
     """
-    if ch.op.dims != (2, 2):
-        raise DimensionMismatchError(f"need a 2x2 Choi matrix, got dims {ch.op.dims}")
+    if ch.dims != (2, 2):
+        raise DimensionMismatchError(f"need a 2x2 Choi matrix, got dims {ch.dims}")
     swapped = ch.matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
     witness = float(np.linalg.eigvalsh(swapped).min())
     return EBVerdict(witness >= -ATOL, witness)

@@ -71,7 +71,6 @@ import copy
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -132,7 +131,7 @@ def haar_message(rng: np.random.Generator) -> MessageState:
 class Party:
     """A protocol participant and the tensor factors it may touch."""
 
-    id: Union[int, str]
+    id: int | str
     owned_factors: frozenset[int]
 
 
@@ -168,8 +167,8 @@ class LocalMeasurement:
 
 @dataclass(frozen=True)
 class ClassicalMessage:
-    sender: Union[int, str]
-    recipient: Union[int, str]
+    sender: int | str
+    recipient: int | str
     bits: tuple[int, ...]
 
 
@@ -178,14 +177,16 @@ class NonlocalOperation:
     """Joint operation a spatially separated party set could not perform;
     admitted only in protocols that declare it, and always flagged."""
 
-    actor: Union[int, str]
+    actor: int | str
     factors: tuple[int, ...]
     operator: Operator
     label: str = ""
     flagged: bool = True
 
 
-Event = Union[LocalUnitary, LocalMeasurement, ClassicalMessage, NonlocalOperation]
+# a PEP 604 union: typing.Union caches its members, and through them this
+# module's globals, so a fresh import of rrqc could never free the old one
+Event = LocalUnitary | LocalMeasurement | ClassicalMessage | NonlocalOperation
 
 
 @dataclass(frozen=True)
@@ -320,7 +321,7 @@ class _Announcement:
     factor: int
     basis: str
     key: str
-    recipient: Union[int, str]
+    recipient: int | str
     corrections: tuple[LocalUnitary, ...] = ()
 
     def events(self, outcome: int) -> tuple[Event, ...]:
@@ -409,7 +410,7 @@ class _Batch:
         qcore.check_states(states)
         return states
 
-    def cnot(self, gate: Union[LocalUnitary, NonlocalOperation]) -> None:
+    def cnot(self, gate: LocalUnitary | NonlocalOperation) -> None:
         """Add ``gate``, a CNOT on (control, target) = ``gate.factors``, to the
         prefix and apply it to every branch as a basis-index permutation."""
         self.prefix += (gate,)

@@ -13,8 +13,8 @@ validated by one check that works on a stack of shape (B, d, d):
 positivity through one batched Cholesky factorization of S + ATOL * I, with
 a batched ``eigvalsh`` deciding only when that fails. ``DensityMatrix``
 runs it on a stack of one, and ``DensityMatrix.from_stack`` once on a whole
-stack whose rows it then wraps. Kraus sets pass one check,
-``check_complete``.
+stack, whose rows it then keeps without checking each again. Kraus sets
+pass one check, ``check_complete``.
 
 Single-factor operations (local gates, local Kraus channels, projective
 measurements) go through one factor-local kernel that contracts the touched
@@ -328,23 +328,30 @@ class Ket:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Validated quantum state: Hermitian, unit trace, positive within ATOL."""
+    """Validated quantum state: a finite square matrix whose side is the
+    product of ``dims``, Hermitian, unit trace and positive within ATOL."""
 
-    op: Operator
+    matrix: np.ndarray
+    dims: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.op.is_square or self.op.col_dims != self.op.dims:
-            raise DimensionMismatchError("density matrix must be square")
-        check_states(self.op.entries[None])
+        arr = _frozen_array(self.matrix, shape_check=2)
+        dims = _clean_dims(self.dims)
+        side = math.prod(dims)
+        if arr.shape != (side, side):
+            raise DimensionMismatchError(f"dims {dims} do not match matrix shape {arr.shape}")
+        check_states(arr[None])
+        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "dims", dims)
 
     @classmethod
     def from_matrix(cls, matrix, dims) -> "DensityMatrix":
-        return cls(Operator(matrix, _clean_dims(dims)))
+        return cls(matrix, dims)
 
     @classmethod
     def from_stack(cls, stack: np.ndarray, dims) -> tuple["DensityMatrix", ...]:
         """Every state of a (B, d, d) stack, validated by one ``check_states``
-        call and then wrapped row by row (``_prechecked``) without checking
+        call and then built row by row (``_prechecked``) without checking
         each again; the rows are read-only views of one copy of the stack,
         and an empty stack gives ``()``."""
         dims = _clean_dims(dims)
@@ -352,18 +359,7 @@ class DensityMatrix:
         _check_stack(frozen, dims)
         check_states(frozen)
         frozen.setflags(write=False)
-        return tuple(
-            _prechecked(cls, op=_prechecked(Operator, entries=m, dims=dims, col_dims=dims))
-            for m in frozen
-        )
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.entries
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.op.dims
+        return tuple(_prechecked(cls, matrix=m, dims=dims) for m in frozen)
 
     @property
     def dim(self) -> int:

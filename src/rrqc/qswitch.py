@@ -10,7 +10,7 @@ with the control in the last tensor slot. All |A| * |B| of them are built at
 once as one stacked (m, 2d, 2d) array, from one matrix product for each
 order, and the stack is checked complete once, when it is built; the
 switched outputs, the Kraus lists and the generic Choi matrix are all
-computed from it. For outputs the control state is absorbed into the stack
+computed from it. The control state is absorbed into the stack
 (``_lift_control``, one (2d, d) operator per Kraus operator and control
 eigenvector), whose operators K form the input kernel R = sum_K K (x) conj(K)
 as one Gram product; the outputs for a (T, d, d) stack of messages are then
@@ -36,11 +36,14 @@ and odd-weight Z strings) are its special cases. ``validate_closed_forms``
 cross-checks the closed forms against the generic switch at the level of
 Choi matrices, which is the only trusted route: the closed forms are derived
 here from the Pauli pair algebra, not transcribed from any external table.
-Both Choi matrices are Gram matrices of stacked, flattened Kraus operators.
-What it checks at each n that does not depend on the seed (the equal-X/Y
-switch Kraus stack, the Choi comparisons and the input kernel) is built and
-checked once per process; the random-input trials run as stacked passes
-through that kernel and ``SwitchedChannel.apply_stack``.
+A unit-trace Choi matrix holds the Gram entries of the lifted Kraus operators
+divided by d, and the input kernel holds the same entries in another order,
+so each Choi comparison is one of input kernels: the generic switch's
+against that of the closed form's Kraus stack, with the max-entry difference
+divided by d. What it checks at each n that does not depend on the seed (the
+equal-X/Y switch Kraus stack, its input kernel and the Choi comparisons) is
+built and checked once per process; the random-input trials run as stacked
+passes through that kernel and ``SwitchedChannel.apply_stack``.
 """
 
 from __future__ import annotations
@@ -141,12 +144,6 @@ def _switch_outputs(kernel: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     count, side = rhos.shape[:2]
     out = (rhos.reshape(count, -1) @ kernel).reshape(count, 2 * side, 2 * side)
     return (out + out.conj().transpose(0, 2, 1)) / 2  # suppress Hermiticity drift
-
-
-def _choi_gram(stack: np.ndarray) -> np.ndarray:
-    """Unit-trace Choi matrix of a complete Kraus set stacked as (m, out, in)."""
-    flat = stack.reshape(stack.shape[0], -1)
-    return flat.T @ flat.conj() / stack.shape[-1]
 
 
 def switch_kraus(a: Sequence[Operator], b: Sequence[Operator]) -> list[Operator]:
@@ -401,16 +398,17 @@ def choi_deviation(
 ) -> float:
     """Max-entry Choi difference between a closed form and the generic switch."""
     _, stack = _switch_stack(a, b)
-    return _choi_deviation(sw, stack)
+    return _choi_deviation(sw, _input_kernel(_lift_control(stack, sw.omega_plus)))
 
 
-def _choi_deviation(sw: SwitchedChannel, stack: np.ndarray) -> float:
-    """``choi_deviation`` against a switch Kraus stack built and checked by
-    ``_switch_of``; the closed form's Kraus set is checked complete."""
-    generic = _choi_gram(_lift_control(stack, sw.omega_plus))
+def _choi_deviation(sw: SwitchedChannel, kernel: np.ndarray) -> float:
+    """``choi_deviation`` against the ``_input_kernel`` of a generic switch
+    whose Kraus stack ``_switch_of`` built and checked: the max-entry kernel
+    difference divided by d, which is the unit-trace Choi deviation. The
+    closed form's Kraus set is checked complete."""
     closed = sw._output_stack()
     qcore.check_complete(closed, "closed-form Kraus set")
-    return float(np.abs(generic - _choi_gram(closed)).max())
+    return float(np.abs(kernel - _input_kernel(closed)).max() / closed.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -448,8 +446,9 @@ def validate_closed_forms(
     Everything that does not depend on the seed is built and checked once
     per process, on the first call that asks for its n (``_nxy_fixture``):
     the equal-X/Y switch Kraus stack (checked complete), its closed form
-    (whose Kraus set is checked complete), the ``identity`` and ``nxy-choi``
-    records and the input kernel of the switch with the |+> control. Trials
+    (whose Kraus set is checked complete), the input kernel of the switch
+    with the |+> control and the ``identity`` and ``nxy-choi`` records, the
+    latter read off that kernel. An empty ``ns`` raises ValueError. Trials
     run in blocks of ``_BLOCK``, so memory does not grow with ``trials``: a
     block's messages are drawn in turn and checked as one stack, pass through
     the input kernel as one matrix product and through
@@ -459,6 +458,8 @@ def validate_closed_forms(
     both Kraus sets, its switch stack and its closed-form Kraus set complete.
     The random draws come in the same order as one trial at a time.
     """
+    if len(ns) == 0:
+        raise ValueError("ns names no receiver count to validate")
     rng = np.random.default_rng(seed)
     records: list[ValidationRecord] = []
     for n in ns:
@@ -514,9 +515,9 @@ def _nxy_fixture(n: int) -> _NxyFixture:
         nxy_ops = channels.product_pauli_stack([channels.N_XY] * n)
         stack = _switch_of(nxy_ops, nxy_ops)
         sw = closed_form_nxy_n(n)
-        nxy_choi = ValidationRecord("nxy-choi", n, "", _choi_deviation(sw, stack))
         kernel = _input_kernel(_lift_control(stack, sw.omega_plus))
         kernel.setflags(write=False)
+        nxy_choi = ValidationRecord("nxy-choi", n, "", _choi_deviation(sw, kernel))
         _FIXTURES[n] = _NxyFixture(sw, (identity, nxy_choi), kernel)
     return _FIXTURES[n]
 
@@ -561,4 +562,5 @@ def _two_party_deviations(trials: int, rng):
         for (e1, e2, _), omega in zip(draws, omegas):
             pair = channels.product_pauli_stack([e1, e2])
             sw = closed_form_two_party(e1, e2, omega)
-            yield _choi_deviation(sw, _switch_of(pair, pair))
+            kernel = _input_kernel(_lift_control(_switch_of(pair, pair), omega))
+            yield _choi_deviation(sw, kernel)

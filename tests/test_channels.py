@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrqc import channels, qcore
+from rrqc import channels, qcore, qswitch
 from rrqc.channels import (
     FULL_DEPHASING,
     IDENTITY,
     N_XY,
-    ChoiMatrix,
     PauliChannel,
     choi,
     compose,
@@ -200,10 +199,17 @@ def test_choi_of_pauli_channel_is_bell_diagonal_with_weight_spectrum():
         np.testing.assert_allclose(spectrum, np.sort(ch.weights), atol=1e-12)
 
 
-def test_choi_requires_two_factor_dims():
-    state = qcore.random_density((2, 2, 2), np.random.default_rng(1))
-    with pytest.raises(DimensionMismatchError):
-        ChoiMatrix(state)
+def test_choi_of_a_rectangular_kraus_set_is_on_output_and_reference():
+    # the switch with its control absorbed maps a qubit to qubit (x) control
+    kraus = qswitch.switched_kraus(
+        pauli_kraus(N_XY), pauli_kraus(N_XY), qcore.KET_PLUS.density()
+    )
+    assert kraus[0].shape == (4, 2)
+    state = choi(kraus)
+    assert isinstance(state, qcore.DensityMatrix)
+    assert state.dims == (4, 2)
+    with pytest.raises(DimensionMismatchError, match="2x2 Choi"):
+        is_entanglement_breaking_qubit(state)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +239,7 @@ def test_full_dephasing_entanglement_breaking():
 def test_eb_check_rejects_non_qubit_choi():
     state = qcore.random_density((4, 2), np.random.default_rng(2))
     with pytest.raises(DimensionMismatchError):
-        is_entanglement_breaking_qubit(ChoiMatrix(state))
+        is_entanglement_breaking_qubit(state)
 
 
 def test_random_pauli_channel_is_reproducible():

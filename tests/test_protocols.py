@@ -1,6 +1,10 @@
 import copy
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -678,7 +682,7 @@ def test_evaluated_records_equal_checked_ones(variant, n):
                     (k, _fields(v)) for k, v in vars(twin).items()
                 ]
                 assert type(br.probability) is float and type(br.fidelity) is float
-                assert br.final_state.dims == br.final_state.op.col_dims == (2,)
+                assert br.final_state.dims == (2,)
                 assert not br.final_state.matrix.flags.writeable
 
 
@@ -862,3 +866,35 @@ def test_sampled_sweep_reaches_both_baseline_branches():
     assert set(reached) == {(("B2", 0),), (("B2", 1),)}
     # the drawn outcomes follow the branch probabilities, here 1/2 each
     assert abs(reached.count((("B2", 0),)) - 1000) < 150
+
+
+_REIMPORT = """
+import gc, importlib, sys, weakref
+
+def fresh():
+    for name in [m for m in sys.modules if m == "rrqc" or m.startswith("rrqc.")]:
+        del sys.modules[name]
+    return importlib.import_module("rrqc.cli")
+
+fresh()
+first = weakref.ref(sys.modules["rrqc.qcore"])
+from rrqc import protocols, qswitch
+protocols.branch_map("switch", 2, 1)
+qswitch.validate_closed_forms(0, 1, ns=(1,))
+del protocols, qswitch
+fresh()
+gc.collect()
+print("alive" if first() is not None else "freed")
+"""
+
+
+def test_a_fresh_import_frees_the_old_modules():
+    # dropping every rrqc module and importing again must leave nothing
+    # holding the old ones, or each import keeps its own caches; run in a
+    # child process, since this process holds rrqc through the tests
+    env = dict(os.environ, PYTHONPATH=str(Path(protocols.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _REIMPORT], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert done.stdout.split() == ["freed"]

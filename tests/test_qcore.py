@@ -356,6 +356,35 @@ def test_density_matrix_rejects_invalid_states():
         DensityMatrix.from_matrix(np.diag([1.5, -0.5]), (2,))
 
 
+def test_density_matrix_rejects_malformed_matrices():
+    # the entry and shape checks of a matrix on a register, before the
+    # state checks
+    with pytest.raises(ValidityError, match="NaN or Inf"):
+        DensityMatrix.from_matrix([[np.nan, 0], [0, 1]], (2,))
+    with pytest.raises(ValidityError, match="NaN or Inf"):
+        DensityMatrix.from_matrix([[np.inf, 0], [0, 1]], (2,))
+    with pytest.raises(DimensionMismatchError, match="matrix shape"):
+        DensityMatrix.from_matrix(np.eye(4) / 4, (2, 3))
+    with pytest.raises(DimensionMismatchError, match="matrix shape"):
+        DensityMatrix.from_matrix(np.ones((2, 4)) / 4, (2,))
+    with pytest.raises(DimensionMismatchError, match="2-dimensional"):
+        DensityMatrix.from_matrix([0.5, 0.5], (2,))
+    with pytest.raises(DimensionMismatchError, match="invalid factor"):
+        DensityMatrix.from_matrix(np.eye(2) / 2, (2, 0))
+
+
+def test_density_matrix_holds_a_read_only_copy_and_its_dims():
+    matrix = np.eye(4) / 4
+    state = DensityMatrix.from_matrix(matrix, [2, 2.0])
+    assert [f.name for f in dataclasses.fields(DensityMatrix)] == ["matrix", "dims"]
+    assert state.dims == (2, 2) and all(type(d) is int for d in state.dims)
+    assert state.matrix.dtype == complex and not state.matrix.flags.writeable
+    matrix[0, 0] = 1.0
+    assert state.matrix[0, 0] == 0.25
+    (row,) = DensityMatrix.from_stack(np.eye(4)[None] / 4, (2, 2))
+    assert vars(row).keys() == vars(state).keys() and row.dims == state.dims
+
+
 def test_density_matrices_from_a_stack_are_checked_once_as_a_stack(monkeypatch):
     rng = np.random.default_rng(22)
     stack = np.stack([qcore.random_density((2, 2), rng).matrix for _ in range(3)])

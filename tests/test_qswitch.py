@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -284,6 +285,16 @@ def test_validate_closed_forms_rejects_large_n():
         qswitch.validate_closed_forms(seed=1, trials=1, ns=(4,))
 
 
+def test_validate_closed_forms_rejects_empty_ns(monkeypatch):
+    # before any work: no fixture is built and no generator is drawn
+    monkeypatch.setattr(qswitch, "_FIXTURES", {})
+    with mock.patch.object(np.random, "default_rng") as default_rng:
+        with pytest.raises(ValueError, match="ns"):
+            qswitch.validate_closed_forms(seed=1, trials=1, ns=())
+    assert default_rng.call_count == 0
+    assert qswitch._FIXTURES == {}
+
+
 def literal_validation(seed, trials, ns):
     """(kind, n, detail, deviation) of every comparison, one trial at a time
     through the public entry points, on one generator in the validation's
@@ -400,6 +411,16 @@ def literal_switch_choi(a, b, omega):
     return channels.choi(lifted).matrix
 
 
+def kernel_choi(kernel):
+    """The unit-trace Choi matrix of the map message -> message (x) control
+    whose ``_input_kernel`` is ``kernel``: its entries ((i, j), (a, b)) are
+    the Choi entries ((a, i), (b, j)) times the message dimension."""
+    side = math.isqrt(kernel.shape[0])
+    rows = 2 * side
+    choi = kernel.reshape(side, side, rows, rows).transpose(2, 0, 3, 1)
+    return choi.reshape(rows * side, rows * side) / side
+
+
 def literal_output_kraus(sw):
     """Per-string Kraus operators sqrt(p w lam) sigma_s (x) |v> of a closed form."""
     out = []
@@ -486,12 +507,18 @@ def test_stacked_closed_form_choi_matches_literal_kraus(n, seed, pure):
         pair = nxy_product(n)
     reference = channels.choi(literal_output_kraus(sw)).matrix
     np.testing.assert_allclose(
-        qswitch._choi_gram(sw._output_stack()), reference, rtol=0, atol=1e-12
+        kernel_choi(qswitch._input_kernel(sw._output_stack())), reference, rtol=0, atol=1e-12
     )
     generic = literal_switch_choi(pair, pair, omega.matrix)
     assert abs(
         qswitch.choi_deviation(sw, pair, pair) - np.abs(generic - reference).max()
     ) < 1e-12
+    # against the switch of other channels the deviation is of order one,
+    # and it is still the literal unit-trace Choi difference
+    other = product_pauli_kraus(drawn_factors(rng, n or 2, single=True))
+    expected = np.abs(literal_switch_choi(other, other, omega.matrix) - reference).max()
+    assert expected > 1e-6
+    assert abs(qswitch.choi_deviation(sw, other, other) - expected) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -655,9 +682,11 @@ def test_nxy_fixtures_are_built_once_per_n_and_read_only():
         qswitch, "_input_kernel", wraps=qswitch._input_kernel
     ) as input_kernel:
         first = qswitch.validate_closed_forms(seed=4, trials=3, ns=(1, 3))
-        assert input_kernel.call_count == 2
+        # per n: the identity switch and its closed form, the equal-X/Y
+        # switch (the kept kernel) and its closed form
+        assert input_kernel.call_count == 8
         again = qswitch.validate_closed_forms(seed=4, trials=3, ns=(3, 1))
-        assert input_kernel.call_count == 2
+        assert input_kernel.call_count == 8
         fixtures = dict(qswitch._FIXTURES)
         assert all(qswitch._nxy_fixture(n) is fixture for n, fixture in fixtures.items())
     assert sorted(fixtures) == [1, 3]
