@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import re
@@ -19,6 +20,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -205,10 +207,27 @@ def _json_text(value, pad: str) -> str:
     line after the first also indented by ``pad``.
 
     With an indent, ``json`` runs its pure-Python generator encoder; this
-    builds the same bytes as one string per container. Types are tested in
-    ``json``'s order, so subclasses of str, int and float render as ``json``
-    renders them, and any other type raises TypeError.
+    builds the same bytes with as little Python per value as it can. A value
+    of exactly the type str, int, float, bool or None is one lookup in
+    ``_SCALAR_TEXT``. The items of a list or tuple are rendered as one column
+    (``_json_column``): items of one scalar type in one ``map``, dicts with
+    str keys in one pass per key for each key order, and lists and tuples by
+    rendering all their items as one column. Everything else (subclasses, mixed
+    columns, non-str keys) goes through ``_json_generic``, which tests types
+    in ``json``'s order, so subclasses of str, int and float render as
+    ``json`` renders them and any other type raises TypeError.
     """
+    kind = type(value)
+    scalar = _SCALAR_TEXT.get(kind)
+    if scalar is not None:
+        return scalar(value)
+    if kind is list or kind is tuple:
+        return _json_arrays((value,), pad)[0]
+    return _json_generic(value, pad)
+
+
+def _json_generic(value, pad: str) -> str:
+    """``_json_text`` with the type tests ``json`` makes, in its order."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -238,6 +257,83 @@ def _json_text(value, pad: str) -> str:
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
+def _json_column(values, pad: str):
+    """The texts of a non-empty sequence of values, each rendered at
+    ``pad``, in order."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        (kind,) = kinds
+        if kind in _SCALAR_TEXT:
+            return map(_SCALAR_TEXT[kind], values)
+        if kind is dict:
+            texts = _json_rows(values, pad)
+            if texts is not None:
+                return texts
+    if kinds <= {list, tuple}:
+        return _json_arrays(values, pad)
+    return [_json_text(value, pad) for value in values]
+
+
+def _json_arrays(arrays, pad: str) -> list[str]:
+    """The texts of lists and tuples at ``pad``: all their items are
+    rendered as one column, which is then cut back into arrays."""
+    items = list(itertools.chain.from_iterable(arrays))
+    if not items:
+        return ["[]"] * len(arrays)
+    inner = pad + "  "
+    texts = iter(_json_column(items, inner))
+    sep = ",\n" + inner
+    head, tail = "[\n" + inner, "\n" + pad + "]"
+    return [
+        head + sep.join(itertools.islice(texts, len(array))) + tail if array else "[]"
+        for array in arrays
+    ]
+
+
+def _json_rows(rows, pad: str) -> list[str] | None:
+    """The texts of dicts at ``pad`` whose keys are all exact strs, or None
+    for any other dicts. Rows with the same keys in the same order are
+    rendered together by ``_json_keyed_rows``. A value ``json`` cannot
+    encode also gives None, so that the rows are rendered again one at a
+    time and the TypeError names the first such value in the document, as
+    ``json``'s does."""
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {str}:
+        return None
+    groups: dict[tuple, list[int]] = {}
+    for index, row in enumerate(rows):
+        groups.setdefault(tuple(row), []).append(index)
+    texts = [""] * len(rows)
+    try:
+        for members in groups.values():
+            group = [rows[index] for index in members]
+            for index, text in zip(members, _json_keyed_rows(group, sorted(group[0]), pad)):
+                texts[index] = text
+    except TypeError:
+        return None
+    return texts
+
+
+def _json_keyed_rows(rows, keys: list[str], pad: str) -> list[str]:
+    """The texts of dicts at ``pad`` that all have the sorted str ``keys``:
+    the keys are encoded once into a row template, and each key's column of
+    values is rendered as one ``_json_column``."""
+    if not keys:
+        return ["{}"] * len(rows)
+    inner = pad + "  "
+    template = (
+        "{\n"
+        + inner
+        + (",\n" + inner).join(
+            encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
+        )
+        + "\n"
+        + pad
+        + "}"
+    )
+    columns = [_json_column(list(map(itemgetter(key), rows)), inner) for key in keys]
+    return [template % row for row in zip(*columns)]
+
+
 def _json_float(value: float) -> str:
     if value != value:
         return "NaN"
@@ -246,6 +342,16 @@ def _json_float(value: float) -> str:
     if value == -math.inf:
         return "-Infinity"
     return float.__repr__(value)
+
+
+#: The text of a value of exactly one of these types, by type.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
 
 
 def _json_key(key) -> str:

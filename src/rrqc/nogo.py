@@ -118,7 +118,15 @@ def fixed_bit_scan(n: int, keep_witnesses: bool = False) -> NogoReport:
     to a byte and unpacked once. ``cells`` and ``witnessed`` are its size and
     its count of True cells, the counterexamples are its False cells in
     row-major order, and a witness's first slot is the argmax over j of the
-    same slot table. Records are built only for the cells that are reported.
+    same slot table.
+
+    Records are built only for the cells that are reported, without running
+    their constructors' checks one record at a time (``qcore._prechecked``).
+    Those checks run as array checks, once per scan that reports a record:
+    every row of ``perms`` is a permutation of 0..n-1, and every kept witness
+    slot j has b_j = b_tau(j) on the bitstring table. Either failing raises
+    ValueError. One ``PermutationPair`` is built per reported permutation and
+    shared by its records; every field is a tuple of Python ints.
     """
     if not SCAN_MIN <= n <= SCAN_MAX:
         raise ValueError(f"scan supports n in {SCAN_MIN}..{SCAN_MAX}, got {n}")
@@ -128,25 +136,42 @@ def fixed_bit_scan(n: int, keep_witnesses: bool = False) -> NogoReport:
     for j in range(1, n):
         found_bits |= np.take(packed[j], perms[:, j], axis=0)
     found = np.unpackbits(found_bits, axis=-1, count=rows).view(bool)
+    witnessed = int(np.count_nonzero(found))
+    # with every cell witnessed and no witness kept, no record is built
+    if not keep_witnesses and witnessed == found.size:
+        return NogoReport(
+            n=n, cells=found.size, witnessed=witnessed, counterexamples=(), witnesses=None
+        )
+    if not (np.sort(perms, axis=1) == np.arange(n)).all():
+        raise ValueError(f"a row of the scan's table is not a permutation of 0..{n - 1}")
     bit_rows = [tuple(row) for row in bits.tolist()]
     pairs: dict[int, PermutationPair] = {}
 
     def records(cells: np.ndarray, first: np.ndarray | None = None):
         """Witness records of the True cells of an (n!, 2**n) mask, in
-        (tau, bits) order, with first slots read from ``first``."""
-        out = []
-        for p, r in zip(*(side.tolist() for side in np.divmod(np.flatnonzero(cells), rows))):
-            pair = pairs.get(p)
-            if pair is None:
-                pair = pairs[p] = PermutationPair(tuple((perms[p] + 1).tolist()), n)
-            index = None if first is None else int(first[p, r])
-            out.append(FixedBitWitness(pair, bit_rows[r], index))
-        return tuple(out)
+        (tau, bits) order, with 0-based first slots read from ``first``."""
+        ps, rs = np.divmod(np.flatnonzero(cells), rows)
+        if first is None:
+            indices = itertools.repeat(None)
+        else:
+            slots = first[ps, rs]
+            if not (bits[rs, slots] == bits[rs, perms[ps, slots]]).all():
+                raise ValueError("witness index does not satisfy b_j = b_tau(j)")
+            indices = (slots + 1).tolist()
+        ps, rs = ps.tolist(), rs.tolist()
+        new = [p for p in dict.fromkeys(ps) if p not in pairs]
+        pairs.update(
+            (p, qcore._prechecked(PermutationPair, tau=tuple(tau), n=n))
+            for p, tau in zip(new, (perms[new] + 1).tolist())
+        )
+        return tuple(
+            qcore._prechecked(FixedBitWitness, pair=pairs[p], bits=bit_rows[r], index=index)
+            for p, r, index in zip(ps, rs, indices)
+        )
 
     witnesses = None
     if keep_witnesses:
-        witnesses = records(found, agree[np.arange(n), perms].argmax(axis=1) + 1)
-    witnessed = int(np.count_nonzero(found))
+        witnesses = records(found, agree[np.arange(n), perms].argmax(axis=1))
     return NogoReport(
         n=n,
         cells=found.size,

@@ -448,7 +448,8 @@ def validate_closed_forms(
     the equal-X/Y switch Kraus stack (checked complete), its closed form
     (whose Kraus set is checked complete), the input kernel of the switch
     with the |+> control and the ``identity`` and ``nxy-choi`` records, the
-    latter read off that kernel. An empty ``ns`` raises ValueError. Trials
+    latter read off that kernel. An empty ``ns``, or any n in it outside 1..3,
+    raises ValueError before any fixture is built or trial drawn. Trials
     run in blocks of ``_BLOCK``, so memory does not grow with ``trials``: a
     block's messages are drawn in turn and checked as one stack, pass through
     the input kernel as one matrix product and through
@@ -460,6 +461,10 @@ def validate_closed_forms(
     """
     if len(ns) == 0:
         raise ValueError("ns names no receiver count to validate")
+    ns = [operator.index(n) for n in ns]
+    for n in ns:
+        if not 1 <= n <= 3:
+            raise ValueError(f"generic validation supports n in 1..3, got {n}")
     rng = np.random.default_rng(seed)
     records: list[ValidationRecord] = []
     for n in ns:
@@ -502,11 +507,8 @@ _FIXTURES: dict[int, _NxyFixture] = {}
 
 
 def _nxy_fixture(n: int) -> _NxyFixture:
-    """The fixture at n in 1..3, built and checked on first use and kept for
-    the process."""
-    n = operator.index(n)
-    if not 1 <= n <= 3:
-        raise ValueError(f"generic validation supports n in 1..3, got {n}")
+    """The fixture at n, an int in 1..3 that ``validate_closed_forms`` has
+    checked, built and checked on first use and kept for the process."""
     if n not in _FIXTURES:
         ident = [qcore.identity((2,) * n)]
         identities = (channels.IDENTITY,) * n

@@ -117,6 +117,85 @@ def test_scan_at_seven_witnesses_every_cell():
     assert report.counterexample_count == 0
 
 
+def _exact(value):
+    """``value`` with every tuple and item paired with its exact type name,
+    so that a tuple subclass or a numpy integer does not compare equal."""
+    if isinstance(value, tuple):
+        return (type(value).__name__, tuple(_exact(item) for item in value))
+    return (type(value).__name__, value)
+
+
+def _checked(record):
+    """The record rebuilt through the checked constructors from Python ints."""
+    pair = PermutationPair(tuple(map(int, record.pair.tau)), int(record.pair.n))
+    index = None if record.index is None else int(record.index)
+    return FixedBitWitness(pair, tuple(map(int, record.bits)), index)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_scan_records_equal_checked_records(n):
+    report = fixed_bit_scan(n)
+    records = report.counterexamples
+    if n <= 4:
+        kept = fixed_bit_scan(n, keep_witnesses=True)
+        assert kept.counterexamples == records
+        records += kept.witnesses
+    assert len(records) == (report.cells if n <= 4 else report.counterexample_count)
+    for record in records:
+        checked = _checked(record)
+        assert record == checked and hash(record) == hash(checked)
+        assert record.pair == checked.pair and hash(record.pair) == hash(checked.pair)
+        assert vars(record.pair) == vars(checked.pair)
+        assert list(vars(record)) == ["pair", "bits", "index"]
+        assert list(vars(record.pair)) == ["tau", "n"]
+        for field in ("bits", "index"):
+            assert _exact(getattr(record, field)) == _exact(getattr(checked, field))
+        assert _exact(record.pair.tau) == _exact(checked.pair.tau)
+        assert _exact(record.pair.n) == _exact(checked.pair.n)
+
+
+def _patched_tables(monkeypatch, n, agree=None, perms=None):
+    """Replace the scan tables at n, with ``packed`` rebuilt from ``agree``."""
+    tables = dict(zip(("bits", "agree", "packed", "perms"), nogo._scan_tables(n)))
+    for name, table in (("agree", agree), ("perms", perms)):
+        if table is not None:
+            tables[name] = table
+    tables["packed"] = np.packbits(tables["agree"], axis=-1)
+    patched = tuple(tables[name] for name in ("bits", "agree", "packed", "perms"))
+    monkeypatch.setattr(nogo, "_scan_tables", lambda size: patched)
+
+
+@pytest.mark.parametrize(
+    "n, row, keep",
+    [
+        # tau = (2, 2) fixes slot 2, so its cells are kept witnesses
+        (2, [1, 1], True),
+        # tau = (2, 1, 1, 3) fixes no slot on 0110, a reported counterexample
+        (4, [1, 0, 0, 2], False),
+        # tau = (1, 1, 1, 1) fixes slot 1 and reports nothing itself, but
+        # the other rows report counterexamples, and every row is checked
+        (4, [0, 0, 0, 0], False),
+    ],
+)
+def test_scan_rejects_a_table_row_that_is_not_a_permutation(monkeypatch, n, row, keep):
+    perms = nogo._permutations(n).copy()
+    perms[-1] = row
+    _patched_tables(monkeypatch, n, perms=perms)
+    with pytest.raises(ValueError, match="permutation"):
+        fixed_bit_scan(n, keep_witnesses=keep)
+
+
+def test_scan_rejects_a_witness_slot_whose_bits_differ(monkeypatch):
+    # an agree table that claims every slot agrees with itself and every
+    # other slot: the first slot is then reported for every cell, which is
+    # wrong wherever b_1 != b_tau(1)
+    agree = nogo._scan_tables(4)[1]
+    _patched_tables(monkeypatch, 4, agree=np.ones_like(agree))
+    assert not fixed_bit_scan(4).counterexamples
+    with pytest.raises(ValueError, match="b_j = b_tau"):
+        fixed_bit_scan(4, keep_witnesses=True)
+
+
 def test_witness_invariant_enforced():
     pair = PermutationPair((2, 1), 2)
     with pytest.raises(ValueError):

@@ -295,6 +295,22 @@ def test_validate_closed_forms_rejects_empty_ns(monkeypatch):
     assert qswitch._FIXTURES == {}
 
 
+@pytest.mark.parametrize(
+    "ns, error",
+    [((3, 4), ValueError), ((1, 0), ValueError), ((2, 2.0), TypeError)],
+    ids=["4", "0", "float"],
+)
+def test_validate_closed_forms_checks_every_n_before_any_work(ns, error):
+    # a bad n anywhere in ns is caught before the good ones are run
+    with mock.patch.object(qswitch, "_FIXTURES", {}), mock.patch.object(
+        qswitch, "_input_kernel", wraps=qswitch._input_kernel
+    ) as input_kernel:
+        with pytest.raises(error):
+            qswitch.validate_closed_forms(seed=0, trials=2000, ns=ns)
+        assert qswitch._FIXTURES == {}
+    assert input_kernel.call_count == 0
+
+
 def literal_validation(seed, trials, ns):
     """(kind, n, detail, deviation) of every comparison, one trial at a time
     through the public entry points, on one generator in the validation's
