@@ -396,18 +396,20 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 
 def kraus_defect(kraus: Sequence[Operator] | np.ndarray) -> float:
     """Max-entry deviation of sum(K^dag K) from the identity on the input space,
-    for Operators or an (m, out, in) array: with the K stacked row-wise into
-    one matrix F, the sum is the single product F^dag F."""
+    for Operators or an (..., m, out, in) array of Kraus sets, the worst over
+    the sets: with a set's K stacked row-wise into one matrix F, the sum is
+    the single product F^dag F."""
     if len(kraus) == 0:
         raise CompletenessError("empty Kraus list")
     if isinstance(kraus, np.ndarray):
-        flat = kraus.reshape(-1, kraus.shape[-1])
+        flat = kraus.reshape(kraus.shape[:-3] + (-1, kraus.shape[-1]))
     else:
         cols = kraus[0].shape[1]
         if any(k.shape[1] != cols for k in kraus):
             raise DimensionMismatchError("Kraus operators act on different spaces")
         flat = np.concatenate([k.entries for k in kraus])
-    return float(np.abs(flat.conj().T @ flat - _identity(flat.shape[1])).max())
+    gram = flat.conj().swapaxes(-1, -2) @ flat
+    return float(np.abs(gram - _identity(flat.shape[-1])).max())
 
 
 def check_complete(kraus: Sequence[Operator] | np.ndarray, what: str = "Kraus set") -> None:

@@ -44,11 +44,24 @@ divided by d. What it checks at each n that does not depend on the seed (the
 equal-X/Y switch Kraus stack, its input kernel and the Choi comparisons) is
 built and checked once per process; the random-input trials run as stacked
 passes through that kernel and ``SwitchedChannel.apply_stack``.
+
+For two products of single-qubit Kraus sets, A = (x)_q a_q and B =
+(x)_q b_q, the generic switch factors over the qubits (``_product_kernel``,
+the standard construction taken one qubit at a time): with M^0_ij = a_i b_j
+and M^1_ij = b_j a_i on one qubit, block (c, c') of the input kernel is
+omega_cc' times the Kronecker product over the qubits of the 4 x 4 pair sums
+L_cc' = sum_ij M^c_ij (x) conj(M^c'_ij). This is exact for any product
+channels, uses none of the Pauli algebra the closed forms come from, and
+never forms the (|a| |b|)^n operators of the dense stack. The two-party
+trials of ``validate_closed_forms`` take this route, one batched pass per
+block of trials; the per-n fixtures, ``switch_generic`` and
+``choi_deviation`` keep the dense stack.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -71,6 +84,10 @@ StringTable = dict[tuple[str, ...], float]
 
 # trials per stacked pass of ``validate_closed_forms``
 _BLOCK = 16
+
+# I, X, Y, Z stacked, in ``channels.PAULI_LABELS`` order
+_PAULIS = np.stack([op.entries for op in (qcore.I2, qcore.X, qcore.Y, qcore.Z)])
+_PAULIS.setflags(write=False)
 
 
 def _switch_stack(
@@ -130,11 +147,58 @@ def _input_kernel(lifted: np.ndarray) -> np.ndarray:
     """The (d^2, (2d)^2) matrix that takes a row-major flattened message rho
     to the flattened output sum_k K_k rho K_k^dag of a lifted Kraus stack
     (m, 2d, d): the transpose of R = sum_k K_k (x) conj(K_k), formed as one
-    Gram product of the flattened operators."""
-    m, rows, side = lifted.shape
-    flat = lifted.reshape(m, -1)
-    gram = flat.T @ flat.conj()  # entry ((a, i), (b, j)) = sum_k K_ai conj(K_bj)
-    return gram.reshape(rows, side, rows, side).transpose(1, 3, 0, 2).reshape(side**2, rows**2)
+    Gram product of the flattened operators. A (..., m, 2d, d) stack of
+    lifted sets gives one kernel per set."""
+    *batch, m, rows, side = lifted.shape
+    flat = lifted.reshape(*batch, m, -1)
+    gram = flat.swapaxes(-1, -2) @ flat.conj()  # ((a, i), (b, j)): sum_k K_ai conj(K_bj)
+    kernel = gram.reshape(-1, rows, side, rows, side).transpose(0, 2, 4, 1, 3)
+    return kernel.reshape(*batch, side**2, rows**2)
+
+
+def _product_kernel(first: np.ndarray, second: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """The ``_input_kernel`` of the switch of two n-qubit product channels
+    with the control absorbed, for T trials at once and one qubit at a time.
+
+    ``first`` and ``second`` hold each trial's per-qubit Kraus factor sets,
+    (T, n, k, 2, 2) (the two k may differ), and ``omegas`` the (T, 2, 2)
+    controls; the result is (T, d^2, (2d)^2), what ``_input_kernel(
+    _lift_control(_switch_of(A, B), omega))`` gives for A and B the products
+    of the factor sets. On one qubit, with M^0_ij = a_i b_j and M^1_ij =
+    b_j a_i, the pair sum L_cc' = sum_ij M^c_ij (x) conj(M^c'_ij) is one
+    4 x 4 block; the pair sum over the product sets factors over the qubits,
+    so block (c, c') of the kernel is omega_cc' times the Kronecker product
+    of the L_cc'. This holds for any product Kraus sets and uses no Pauli
+    algebra. Each control enters as ``_lift_control`` absorbs it, through
+    its eigenpairs above ``PROB_FLOOR``. Every factor set and each qubit's
+    M^0 and M^1 sets are checked complete, which together is the
+    completeness of the product sets and of the switch Kraus set.
+    """
+    count, n = first.shape[:2]
+    vals, vecs = np.linalg.eigh(omegas)
+    kept = np.where(vals >= PROB_FLOOR, vals, 0.0)
+    controls = (vecs * kept[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    qcore.check_complete(first, "first Kraus factor set")
+    qcore.check_complete(second, "second Kraus factor set")
+    orders = np.stack(
+        [first[:, :, :, None] @ second[:, :, None], second[:, :, None] @ first[:, :, :, None]],
+        axis=2,
+    ).reshape(count, n, 2, -1, 2, 2)  # (T, n, c, pair, row, column)
+    qcore.check_complete(orders, "switch Kraus factor set")
+    flat = orders.transpose(0, 1, 3, 2, 4, 5).reshape(count, n, -1, 8)
+    gram = flat.swapaxes(-1, -2) @ flat.conj()  # ((c, m, i), (c', m', j)) per qubit
+    # per qubit L[c, c', i, j, m, m'], the control weights folded into qubit 0
+    local = gram.reshape((count, n) + (2,) * 6).transpose(0, 1, 2, 5, 4, 7, 3, 6)
+    kernel = local[:, 0] * controls[:, :, :, None, None, None, None]
+    for q in range(1, n):
+        side = 2 * kernel.shape[-1]
+        kernel = (
+            kernel[..., :, None, :, None, :, None, :, None]
+            * local[:, q, ..., None, :, None, :, None, :, None, :]
+        ).reshape(count, 2, 2, side, side, side, side)
+    side = kernel.shape[-1]
+    # (T, c, c', i, j, m, m') -> rows (i, j), columns ((m, c), (m', c'))
+    return kernel.transpose(0, 3, 4, 5, 1, 6, 2).reshape(count, side**2, 4 * side**2)
 
 
 def _switch_outputs(kernel: np.ndarray, rhos: np.ndarray) -> np.ndarray:
@@ -293,6 +357,7 @@ class SwitchedChannel:
         """Kraus operators of the message -> message (x) control map, stacked
         as (m, 2 * 2**n, 2**n): sqrt(p * w_s * lam) sigma_s (x) |v> for each
         branch, eigenpair (lam, |v>) of its control state and string s."""
+        rows, strings = _string_table(self.num_qubits)
         blocks = []
         for prob, table, omega in (
             (self.p_plus, self.plus_strings, self.omega_plus),
@@ -301,7 +366,7 @@ class SwitchedChannel:
             if prob <= 0.0:
                 continue
             items = sorted(table.items())
-            sigmas = np.stack([channels.pauli_string_matrix(s) for s, _ in items])
+            sigmas = strings[[rows[s] for s, _ in items]]
             weights = np.array([w for _, w in items])
             side = sigmas.shape[-1]
             vals, vecs = np.linalg.eigh(omega.matrix)
@@ -312,6 +377,24 @@ class SwitchedChannel:
                 block = amps * sigmas[:, :, None, :] * vec[None, None, :, None]
                 blocks.append(block.reshape(-1, 2 * side, side))
         return np.concatenate(blocks)
+
+
+@functools.lru_cache(maxsize=None)
+def _string_table(n: int) -> tuple[dict[tuple[str, ...], int], np.ndarray]:
+    """Every n-qubit Pauli string: its row by label tuple, first qubit
+    slowest, and a read-only (4**n, 2**n, 2**n) stack of their matrices
+    (16**(n + 1) bytes), each the product ``channels.pauli_string_matrix``
+    forms, built with one broadcast Kronecker product per qubit."""
+    labels = itertools.product(channels.PAULI_LABELS, repeat=n)
+    rows = {string: row for row, string in enumerate(labels)}
+    strings = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(n):
+        count, side = strings.shape[:2]
+        strings = (
+            strings[:, None, :, None, :, None] * _PAULIS[None, :, None, :, None, :]
+        ).reshape(4 * count, 2 * side, 2 * side)
+    strings.setflags(write=False)
+    return rows, strings
 
 
 def closed_form_product(
@@ -397,7 +480,11 @@ def choi_deviation(
     sw: SwitchedChannel, a: Sequence[Operator], b: Sequence[Operator]
 ) -> float:
     """Max-entry Choi difference between a closed form and the generic switch."""
-    _, stack = _switch_stack(a, b)
+    dims, stack = _switch_stack(a, b)
+    if dims != (2,) * sw.num_qubits:
+        raise DimensionMismatchError(
+            f"closed form on {sw.num_qubits} qubits, channels on {len(dims)} (register {dims})"
+        )
     return _choi_deviation(sw, _input_kernel(_lift_control(stack, sw.omega_plus)))
 
 
@@ -448,17 +535,25 @@ def validate_closed_forms(
     the equal-X/Y switch Kraus stack (checked complete), its closed form
     (whose Kraus set is checked complete), the input kernel of the switch
     with the |+> control and the ``identity`` and ``nxy-choi`` records, the
-    latter read off that kernel. An empty ``ns``, or any n in it outside 1..3,
-    raises ValueError before any fixture is built or trial drawn. Trials
+    latter read off that kernel. An empty ``ns``, any n in it outside 1..3,
+    or a negative ``trials`` raises ValueError before any fixture is built or
+    trial drawn. Trials
     run in blocks of ``_BLOCK``, so memory does not grow with ``trials``: a
     block's messages are drawn in turn and checked as one stack, pass through
     the input kernel as one matrix product and through
     ``SwitchedChannel.apply_stack``, and each side's outputs pass one
     ``qcore.check_states``. A two-party block draws every (e1, e2, omega)
-    first and checks the control states as one stack; each trial then checks
-    both Kraus sets, its switch stack and its closed-form Kraus set complete.
-    The random draws come in the same order as one trial at a time.
+    first and checks the control states as one stack. Its generic side is one
+    ``_product_kernel`` pass, which checks every trial's single-qubit Kraus
+    factor sets and each qubit's two switch-order sets complete; together
+    these are the completeness of both Kraus sets and of the switch Kraus
+    set. Its closed side runs ``closed_form_two_party`` once per trial and
+    takes the Kraus set from ``SwitchedChannel._output_stack``; the block's
+    sets, zero-padded to one length, are checked complete and Grammed as one
+    batch. The random draws come in the same order as one trial at a time.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     if len(ns) == 0:
         raise ValueError("ns names no receiver count to validate")
     ns = [operator.index(n) for n in ns]
@@ -549,7 +644,12 @@ def _two_party_deviations(trials: int, rng):
     """Choi deviation of the closed form for each of ``trials`` random
     two-party Pauli channel pairs with random pure controls, a block at a
     time: a block draws every (e1, e2, omega) first and checks the control
-    states as one stack."""
+    states as one stack. The generic side is ``_product_kernel`` on the
+    block's factor sets sqrt(w_l) sigma_l (zero weights give zero
+    operators). The closed side is each trial's closed-form Kraus stack,
+    padded with zero operators to the block's longest, which leaves every
+    kernel unchanged; the padded stacks are checked complete and Grammed as
+    one batch."""
     for count in _blocks(trials):
         draws = [
             (
@@ -560,9 +660,18 @@ def _two_party_deviations(trials: int, rng):
             for _ in range(count)
         ]
         kets = np.stack([ket for _, _, ket in draws])
-        omegas = DensityMatrix.from_stack(kets[:, :, None] * kets[:, None, :].conj(), (2,))
-        for (e1, e2, _), omega in zip(draws, omegas):
-            pair = channels.product_pauli_stack([e1, e2])
-            sw = closed_form_two_party(e1, e2, omega)
-            kernel = _input_kernel(_lift_control(_switch_of(pair, pair), omega))
-            yield _choi_deviation(sw, kernel)
+        controls = kets[:, :, None] * kets[:, None, :].conj()
+        omegas = DensityMatrix.from_stack(controls, (2,))
+        weights = np.array([(e1.weights, e2.weights) for e1, e2, _ in draws])
+        factors = np.sqrt(weights)[..., None, None] * _PAULIS  # (T, 2, 4, 2, 2)
+        generic = _product_kernel(factors, factors, controls)
+        stacks = [
+            closed_form_two_party(e1, e2, omega)._output_stack()
+            for (e1, e2, _), omega in zip(draws, omegas)
+        ]
+        closed = np.zeros((count, max(map(len, stacks))) + stacks[0].shape[1:], dtype=complex)
+        for padded, stack in zip(closed, stacks):
+            padded[: len(stack)] = stack
+        qcore.check_complete(closed, "closed-form Kraus set")
+        deviations = np.abs(generic - _input_kernel(closed)).reshape(count, -1).max(axis=1)
+        yield from (deviations / closed.shape[-1]).tolist()

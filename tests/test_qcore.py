@@ -740,7 +740,12 @@ def test_kraus_defect_matches_literal_sum(cols, outs, seed, kind):
     ops = [Operator(m, (m.shape[0],), (cols,)) for m in mats]
     assert abs(qcore.kraus_defect(ops) - expected) <= 1e-12
     if len(set(outs)) == 1:
-        assert abs(qcore.kraus_defect(np.stack(mats)) - expected) <= 1e-12
+        stack = np.stack(mats)
+        assert abs(qcore.kraus_defect(stack) - expected) <= 1e-12
+        # in a (2, 2, m, out, in) batch of sets, the worst set's defect
+        batch = np.stack([[stack, 0.5 * stack], [stack, stack]])
+        worst = max(expected, literal_defect(0.5 * stack))
+        assert abs(qcore.kraus_defect(batch) - worst) <= 1e-12
     if abs(expected - qcore.ATOL) > 1e-12:
         if expected < qcore.ATOL:
             qcore.check_complete(ops)

@@ -296,19 +296,26 @@ def test_validate_closed_forms_rejects_empty_ns(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "ns, error",
-    [((3, 4), ValueError), ((1, 0), ValueError), ((2, 2.0), TypeError)],
-    ids=["4", "0", "float"],
+    "trials, ns, error",
+    [
+        (2000, (3, 4), ValueError),
+        (2000, (1, 0), ValueError),
+        (2000, (2, 2.0), TypeError),
+        (-3, (1, 2, 3), ValueError),
+    ],
+    ids=["4", "0", "float", "negative-trials"],
 )
-def test_validate_closed_forms_checks_every_n_before_any_work(ns, error):
-    # a bad n anywhere in ns is caught before the good ones are run
+def test_validate_closed_forms_checks_every_n_before_any_work(trials, ns, error):
+    # a bad n anywhere in ns, or a negative trial count, is caught before
+    # any fixture is built or draw taken
     with mock.patch.object(qswitch, "_FIXTURES", {}), mock.patch.object(
         qswitch, "_input_kernel", wraps=qswitch._input_kernel
-    ) as input_kernel:
+    ) as input_kernel, mock.patch.object(np.random, "default_rng") as default_rng:
         with pytest.raises(error):
-            qswitch.validate_closed_forms(seed=0, trials=2000, ns=ns)
+            qswitch.validate_closed_forms(seed=0, trials=trials, ns=ns)
         assert qswitch._FIXTURES == {}
     assert input_kernel.call_count == 0
+    assert default_rng.call_count == 0
 
 
 def literal_validation(seed, trials, ns):
@@ -726,3 +733,167 @@ def test_nxy_fixtures_are_built_once_per_n_and_read_only():
             rtol=0,
             atol=1e-12,
         )
+
+
+def test_choi_deviation_rejects_channels_on_another_qubit_count():
+    ops = pauli_kraus(N_XY)
+    with mock.patch.object(qswitch, "_input_kernel", wraps=qswitch._input_kernel) as kernel:
+        with pytest.raises(DimensionMismatchError, match=r"on 2 qubits, channels on 1 "):
+            qswitch.choi_deviation(qswitch.closed_form_nxy_n(2), ops, ops)
+    assert kernel.call_count == 0
+
+
+# ---------------------------------------------------------------------------
+# product-route switch kernel
+# ---------------------------------------------------------------------------
+
+
+def pauli_factor_sets(factors):
+    """(n, 4, 2, 2) per-qubit Kraus sets sqrt(w_l) sigma_l of Pauli channels;
+    a zero weight gives a zero operator."""
+    weights = np.array([ch.weights for ch in factors])
+    return np.sqrt(weights)[..., None, None] * qswitch._PAULIS
+
+
+def drawn_factor_sets(rng, n, extra):
+    """Per-qubit Kraus sets of n drawn Pauli channels (random supports, so
+    zero weights), each recombined through a random (4 + extra, 4) isometry
+    into a set of non-Pauli operators."""
+    sets = pauli_factor_sets(drawn_factors(rng, n))
+    mixing = np.stack([qcore.random_unitary(4 + extra, rng)[:, :4] for _ in range(n)])
+    return np.einsum("qlj,qjab->qlab", mixing, sets)
+
+
+def dense_product(sets):
+    """Kraus stack of the product of per-qubit sets, first qubit slowest."""
+    stack = np.ones((1, 1, 1), dtype=complex)
+    for ops in sets:
+        stack = np.stack([np.kron(s, o) for s in stack for o in ops])
+    return stack
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.booleans(),
+    st.booleans(),
+)
+def test_product_kernel_matches_dense_switch_kernel(n, seed, count, pure, mixed):
+    # A != B, a different channel on each qubit, zero Pauli weights, and
+    # (``mixed``) non-Pauli factor sets, with a second set one operator
+    # larger at n <= 2
+    rng = np.random.default_rng(seed)
+    first, second, omegas = [], [], []
+    for _ in range(count):
+        if mixed:
+            first.append(drawn_factor_sets(rng, n, 0))
+            second.append(drawn_factor_sets(rng, n, int(n < 3)))
+        else:
+            first.append(pauli_factor_sets(drawn_factors(rng, n)))
+            second.append(pauli_factor_sets(drawn_factors(rng, n)))
+        omegas.append(random_control(rng, pure))
+    controls = np.stack([omega.matrix for omega in omegas])
+    kernels = qswitch._product_kernel(np.stack(first), np.stack(second), controls)
+    assert kernels.shape == (count, 4**n, 4 ** (n + 1))
+    for a, b, omega, kernel in zip(first, second, omegas, kernels):
+        stack = qswitch._switch_of(dense_product(a), dense_product(b))
+        dense = qswitch._input_kernel(qswitch._lift_control(stack, omega))
+        assert np.abs(kernel - dense).max() <= 1e-15
+
+
+def test_product_kernel_checks_factor_sets_complete():
+    sets = pauli_factor_sets([N_XY, IDENTITY])[None]
+    with pytest.raises(CompletenessError, match="second Kraus factor set"):
+        qswitch._product_kernel(sets, 0.9 * sets, PLUS.matrix[None])
+
+
+def four_qubit_product_route_deviation(seed, pure):
+    """Choi deviation of ``closed_form_product`` from the product-route
+    switch of two different drawn 4-qubit Pauli products."""
+    rng = np.random.default_rng(seed)
+    first = drawn_factors(rng, 4)
+    second = drawn_factors(rng, 4)
+    omega = random_control(rng, pure)
+    sw = qswitch.closed_form_product(first, second, omega)
+    kernel = qswitch._product_kernel(
+        pauli_factor_sets(first)[None], pauli_factor_sets(second)[None], omega.matrix[None]
+    )
+    return qswitch._choi_deviation(sw, kernel[0])
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_closed_form_product_matches_product_route_at_four_qubits(seed, pure):
+    assert four_qubit_product_route_deviation(seed, pure) <= 1e-14
+
+
+def test_product_route_catches_a_broken_commutation_rule():
+    # with every Pauli pair taken to commute, the closed forms lose their
+    # C_minus branch; the product route does not use that rule
+    with mock.patch.object(qswitch, "_FIXTURES", {}), mock.patch.object(
+        channels, "paulis_anticommute", return_value=False
+    ):
+        assert four_qubit_product_route_deviation(3, pure=False) > 1e-3
+        report = qswitch.validate_closed_forms(3, 5, ns=(2,))
+    assert not report.passed
+    assert min(r.deviation for r in report.records if r.kind == "two-party") > 1e-3
+
+
+def test_warm_two_party_trials_build_no_dense_switch_stack():
+    qswitch.validate_closed_forms(0, 1, ns=(2,))  # the n = 2 fixture
+    with mock.patch.object(
+        qswitch, "_switch_of", wraps=qswitch._switch_of
+    ) as switch_of, mock.patch.object(
+        qswitch, "_lift_control", wraps=qswitch._lift_control
+    ) as lift_control:
+        report = qswitch.validate_closed_forms(5, 20, ns=(2,))
+    assert (switch_of.call_count, lift_control.call_count) == (0, 0)
+    assert report.passed
+    assert len([r for r in report.records if r.kind == "two-party"]) == 20
+
+
+def per_string_output_stack(sw):
+    """``SwitchedChannel._output_stack`` with one ``pauli_string_matrix`` per string."""
+    blocks = []
+    for prob, table, omega in (
+        (sw.p_plus, sw.plus_strings, sw.omega_plus),
+        (sw.p_minus, sw.minus_strings, sw.omega_minus),
+    ):
+        if prob <= 0.0:
+            continue
+        items = sorted(table.items())
+        sigmas = np.stack([channels.pauli_string_matrix(s) for s, _ in items])
+        weights = np.array([w for _, w in items])
+        side = sigmas.shape[-1]
+        vals, vecs = np.linalg.eigh(omega.matrix)
+        for lam, vec in zip(vals, vecs.T):
+            if lam < qcore.PROB_FLOOR:
+                continue
+            amps = np.sqrt(prob * weights * lam)[:, None, None, None]
+            block = amps * sigmas[:, :, None, :] * vec[None, None, :, None]
+            blocks.append(block.reshape(-1, 2 * side, side))
+    return np.concatenate(blocks)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_output_stack_from_string_table_matches_per_string_build(n, seed, single, pure):
+    rng = np.random.default_rng(seed)
+    first = drawn_factors(rng, n, single)
+    second = drawn_factors(rng, n, single)
+    sw = qswitch.closed_form_product(first, second, random_control(rng, pure))
+    stack, reference = sw._output_stack(), per_string_output_stack(sw)
+    assert stack.dtype == reference.dtype and stack.shape == reference.shape
+    assert stack.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_string_table_rows_are_the_string_matrices(n):
+    rows, strings = qswitch._string_table(n)
+    assert len(rows) == len(strings) == 4**n
+    for labels, row in rows.items():
+        assert strings[row].tobytes() == channels.pauli_string_matrix(labels).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        strings[0, 0, 0] = 1.0
