@@ -5,7 +5,9 @@ conjugating the state by I, X, Y, Z. Kraus amplitudes are the square roots
 of these probabilities, so a channel quoted through amplitudes (a_0, ..,
 a_3) with unit sum of squares has weights w_l = a_l**2 here. Probabilities
 compose linearly under the Pauli multiplication table, which keeps channel
-composition free of sign ambiguities.
+composition free of sign ambiguities. Kraus sets are (m, d_out, d_in)
+arrays: ``pauli_kraus`` and ``product_pauli_kraus`` build them and ``choi``
+takes one.
 """
 
 from __future__ import annotations
@@ -101,23 +103,13 @@ N_XY = PauliChannel(0.0, 0.5, 0.5, 0.0)
 FULL_DEPHASING = PauliChannel(0.5, 0.0, 0.0, 0.5)
 
 
-def pauli_kraus(ch: PauliChannel) -> list[Operator]:
-    """Kraus operators sqrt(w_l) sigma_l, omitting zero-weight terms."""
-    return [
-        Operator(np.sqrt(w) * mat, (2,))
-        for w, mat in zip(ch.weights, _PAULI_MATS)
-        if w > 0.0
-    ]
+def pauli_kraus(ch: PauliChannel) -> np.ndarray:
+    """Kraus operators sqrt(w_l) sigma_l of the nonzero-weight terms, stacked
+    as (m, 2, 2) in I, X, Y, Z order."""
+    return np.stack([np.sqrt(w) * mat for w, mat in zip(ch.weights, _PAULI_MATS) if w > 0.0])
 
 
-def product_pauli_kraus(factors: Sequence[PauliChannel]) -> list[Operator]:
-    """Kraus set of the tensor product of single-qubit Pauli channels, one
-    Operator per row of ``product_pauli_stack``."""
-    dims = (2,) * len(factors)
-    return [Operator(k, dims) for k in product_pauli_stack(factors)]
-
-
-def product_pauli_stack(factors: Sequence[PauliChannel]) -> np.ndarray:
+def product_pauli_kraus(factors: Sequence[PauliChannel]) -> np.ndarray:
     """Kraus operators of a product of single-qubit Pauli channels, stacked
     as (m, d, d): per string of nonzero-weight labels (first factor slowest),
     the amplitudes sqrt(w_l) multiplied left to right, times the string's
@@ -147,15 +139,18 @@ def compose(a: PauliChannel, b: PauliChannel) -> PauliChannel:
     return PauliChannel(*out)
 
 
-def choi(kraus: Sequence[Operator]) -> DensityMatrix:
-    """Apply (channel x identity) to a maximally entangled pair.
+def choi(kraus: np.ndarray) -> DensityMatrix:
+    """Apply (channel x identity) to a maximally entangled pair, for an
+    (m, d_out, d_in) Kraus stack.
 
     The result is a state on (output, reference), where the reference has
     the channel's input dimension, normalized to unit trace.
     """
     qcore.check_complete(kraus)
-    d_out, d_in = kraus[0].shape
-    flat = np.stack([k.entries.reshape(-1) for k in kraus])
+    if kraus.ndim != 3:
+        raise DimensionMismatchError(f"need one (m, out, in) Kraus stack, got shape {kraus.shape}")
+    count, d_out, d_in = kraus.shape
+    flat = kraus.reshape(count, -1)
     mat = np.einsum("ka,kb->ab", flat, flat.conj()) / d_in
     return DensityMatrix.from_matrix(mat, (d_out, d_in))
 

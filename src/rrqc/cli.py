@@ -618,8 +618,8 @@ def cmd_baseline_sweep(cfg: RunConfig) -> Report:
     n = 2 if cfg.n is None else cfg.n
     if not 1 <= n <= MAX_RECEIVERS:
         raise UsageError(f"--n must be in 1..{MAX_RECEIVERS}")
-    x = 1 if cfg.x in (None, "ALL") else int(cfg.x)
-    if not 1 <= x <= n:
+    x = 1 if cfg.x is None else cfg.x
+    if x == "ALL" or not 1 <= x <= n:
         raise UsageError(f"--x must be in 1..{n}")
     count = 2000 if cfg.count is None else cfg.count
     if count <= 0:

@@ -8,7 +8,8 @@ message. ``fixed_bit_scan`` checks this exhaustively over all (tau, b) and
 ``routed_channel_state_scan`` confirms the state-level consequence by direct
 simulation. Second, a composition of Kraus maps acts as the identity channel
 only if every composite Kraus term is itself proportional to the identity;
-``check_term_proportionality`` measures the per-term residuals.
+``check_term_proportionality`` measures the per-term residuals of three
+stacked Kraus sets.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import qcore
 from .protocols import MessageState
-from .qcore import ATOL, DimensionMismatchError, Ket, Operator
+from .qcore import ATOL, DimensionMismatchError, Ket
 
 SCAN_MIN = 2
 SCAN_MAX = 7
@@ -281,35 +282,38 @@ class ProportionalityReport:
 
 
 def check_term_proportionality(
-    left: Sequence[Operator],
-    mid: Sequence[Operator],
-    right: Sequence[Operator],
+    left: np.ndarray,
+    mid: np.ndarray,
+    right: np.ndarray,
 ) -> ProportionalityReport:
     """Check every composite term L_i M_j R_k against scale * identity.
 
-    ``right`` acts first (encoding side) and ``left`` last (decoding side).
-    The scale is the least-squares fit trace(M)/d; the residual is the
-    max-entry deviation from scale * identity.
+    The three Kraus sets are stacks of shape (m, out, in) that compose back
+    to the input dimension d of ``right``. ``right`` acts first (encoding
+    side) and ``left`` last (decoding side). Every term is formed by one
+    broadcast product, in (i, j, k) order. The scale is the least-squares fit
+    trace(M)/d; the residual is the max-entry deviation from scale * identity.
     """
-    if not left or not mid or not right:
-        raise DimensionMismatchError("empty Kraus list")
-    d = right[0].shape[1]
-    for r in right:
-        if r.shape[1] != d:
-            raise DimensionMismatchError("right Kraus operators disagree on input space")
-    for l in left:
-        if l.shape[0] != d:
-            raise DimensionMismatchError(
-                f"composite must map back to dimension {d}, left outputs {l.shape[0]}"
-            )
-    terms = []
-    weight_sum = 0.0
-    for i, l in enumerate(left):
-        for j, m in enumerate(mid):
-            for k, r in enumerate(right):
-                composite = (l @ m @ r).entries
-                scale = complex(np.trace(composite) / d)
-                residual = float(np.abs(composite - scale * np.eye(d)).max())
-                weight_sum += abs(scale) ** 2
-                terms.append(TermVerdict((i, j, k), scale, residual))
-    return ProportionalityReport(tuple(terms), weight_sum)
+    for name, stack in (("left", left), ("mid", mid), ("right", right)):
+        if not isinstance(stack, np.ndarray) or stack.ndim != 3:
+            raise DimensionMismatchError(f"{name} Kraus set is not an (m, out, in) array")
+        if not len(stack):
+            raise DimensionMismatchError("empty Kraus list")
+    d = right.shape[2]
+    if left.shape[1] != d:
+        raise DimensionMismatchError(
+            f"composite must map back to dimension {d}, left outputs {left.shape[1]}"
+        )
+    if left.shape[2] != mid.shape[1] or mid.shape[2] != right.shape[1]:
+        raise DimensionMismatchError(
+            f"Kraus sets of shapes {left.shape}, {mid.shape}, {right.shape} do not compose"
+        )
+    composite = (left[:, None, None] @ mid[None, :, None] @ right[None, None]).reshape(-1, d, d)
+    scales = np.trace(composite, axis1=1, axis2=2) / d
+    residuals = np.abs(composite - scales[:, None, None] * np.eye(d)).max(axis=(1, 2))
+    indices = itertools.product(range(len(left)), range(len(mid)), range(len(right)))
+    terms = tuple(
+        TermVerdict(ijk, scale, residual)
+        for ijk, scale, residual in zip(indices, scales.tolist(), residuals.tolist())
+    )
+    return ProportionalityReport(terms, sum(abs(t.scale) ** 2 for t in terms))

@@ -147,7 +147,7 @@ class LocalUnitary:
             raise LocalityError(
                 f"party {self.party.id} does not own all of factors {self.factors}"
             )
-        if not self.operator.is_square or qcore.kraus_defect([self.operator]) > ATOL:
+        if qcore.kraus_defect(self.operator.entries[None]) > ATOL:
             raise ValidityError(f"operator {self.label!r} is not unitary")
 
 
@@ -287,13 +287,14 @@ class ProtocolResult:
 # simulation engine
 # ---------------------------------------------------------------------------
 
-def _cascade_kraus() -> tuple[np.ndarray, ...]:
-    """Kraus entries of the definite-order cascade on one qubit: the equal-X/Y
-    mixture composed with itself, i.e. full dephasing. Its completeness is
-    checked here, once, not on every use."""
+def _cascade_kraus() -> np.ndarray:
+    """Read-only Kraus stack of the definite-order cascade on one qubit: the
+    equal-X/Y mixture composed with itself, i.e. full dephasing. Its
+    completeness is checked here, once, not on every use."""
     kraus = channels.pauli_kraus(channels.compose(channels.N_XY, channels.N_XY))
     qcore.check_complete(kraus, "cascade Kraus set")
-    return tuple(k.entries for k in kraus)
+    kraus.setflags(write=False)
+    return kraus
 
 
 _CASCADE_KRAUS = _cascade_kraus()
@@ -431,7 +432,7 @@ class _Batch:
         (factor,) = gate.factors
         self.states[rows] = self._checked(
             qcore.local_channel(
-                self.states[rows], (gate.operator.entries,), self.position(factor), self.dims
+                self.states[rows], gate.operator.entries[None], self.position(factor), self.dims
             )
         )
 

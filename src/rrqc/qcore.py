@@ -1,11 +1,13 @@
 """Dense complex linear algebra and quantum primitives for small registers.
 
 States and operators are numpy arrays in double-precision complex, tagged
-with an ordered tuple of tensor-factor dimensions. Factor 0 is the leftmost
-slot of every Kronecker product; protocol code puts the order/control qubit
-in the last slot. Registers stay at or below 2**(MAX_RECEIVERS + 1)
-dimensions, so everything is dense and every constructed state is cheap to
-validate eagerly.
+with an ordered tuple of tensor-factor dimensions; an ``Operator`` is square.
+A Kraus set is one untagged array of shape (m, d_out, d_in), its m operators
+stacked along the first axis, and a batch of sets adds leading axes. Factor
+0 is the leftmost slot of every Kronecker product; protocol code puts the
+order/control qubit in the last slot. Registers stay at or below
+2**(MAX_RECEIVERS + 1) dimensions, so everything is dense and every
+constructed state is cheap to validate eagerly.
 
 Every validity check uses the fixed tolerance ``ATOL``. States are
 validated by one check that works on a stack of shape (B, d, d):
@@ -13,13 +15,14 @@ validated by one check that works on a stack of shape (B, d, d):
 positivity through one batched Cholesky factorization of S + ATOL * I, with
 a batched ``eigvalsh`` deciding only when that fails. ``DensityMatrix``
 runs it on a stack of one, and ``DensityMatrix.from_stack`` once on a whole
-stack, whose rows it then keeps without checking each again. Kraus sets
-pass one check, ``check_complete``.
+stack, whose rows it then keeps without checking each again. Kraus stacks
+pass one check, ``check_complete``, which takes nothing but an array.
 
 Single-factor operations (local gates, local Kraus channels, projective
 measurements) go through one factor-local kernel that contracts the touched
 axis of every state in a stack, in place of a d x d embedding;
-``apply_kraus`` and ``measure_projective`` call it on a stack of one, and
+``apply_kraus`` and ``measure_projective`` call it on a stack of one
+(``apply_kraus`` without a factor treats the whole register as one), and
 ``local_channel`` on a whole stack. ``project_and_discard`` measures one
 factor of every state in a stack and traces it out, which is what LOCC
 protocols do once a measured qubit is never touched again; its projector
@@ -90,66 +93,31 @@ def _prechecked(cls, **fields):
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Dense complex matrix with explicit tensor-factor dimensions.
-
-    ``dims`` factorizes the row space. ``col_dims`` factorizes the column
-    space and defaults to ``dims``, which covers the square case; rectangular
-    operators (isometries, Kraus operators between registers of different
-    size) pass both.
-    """
+    """Dense complex square matrix whose side is the product of ``dims``,
+    the tensor-factor dimensions it acts on: a gate, a projector or a
+    protocol's recorded operation. Kraus sets are not Operators but stacked
+    (m, d_out, d_in) arrays."""
 
     entries: np.ndarray
     dims: tuple[int, ...]
-    col_dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
         arr = _frozen_array(self.entries, shape_check=2)
         dims = _clean_dims(self.dims)
-        col_dims = dims if self.col_dims is None else _clean_dims(self.col_dims)
-        if math.prod(dims) != arr.shape[0] or math.prod(col_dims) != arr.shape[1]:
-            raise DimensionMismatchError(
-                f"dims {dims} x {col_dims} do not match matrix shape {arr.shape}"
-            )
+        side = math.prod(dims)
+        if arr.shape != (side, side):
+            raise DimensionMismatchError(f"dims {dims} do not match matrix shape {arr.shape}")
         object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "col_dims", col_dims)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
 
-    @property
-    def is_square(self) -> bool:
-        return self.entries.shape[0] == self.entries.shape[1]
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if self.shape[1] != other.shape[0]:
-            raise DimensionMismatchError(
-                f"cannot multiply shapes {self.shape} and {other.shape}"
-            )
-        return Operator(self.entries @ other.entries, self.dims, other.col_dims)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        if self.shape != other.shape:
-            raise DimensionMismatchError("operator shapes differ")
-        return Operator(self.entries + other.entries, self.dims, self.col_dims)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        if self.shape != other.shape:
-            raise DimensionMismatchError("operator shapes differ")
-        return Operator(self.entries - other.entries, self.dims, self.col_dims)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(self.entries * scalar, self.dims, self.col_dims)
-
-    __rmul__ = __mul__
-
 
 def tensor(a: Operator, b: Operator) -> Operator:
     """Kronecker product; factor lists concatenate in order."""
-    return Operator(
-        np.kron(a.entries, b.entries), a.dims + b.dims, a.col_dims + b.col_dims
-    )
+    return Operator(np.kron(a.entries, b.entries), a.dims + b.dims)
 
 
 def identity(dims: Iterable[int]) -> Operator:
@@ -160,7 +128,7 @@ def identity(dims: Iterable[int]) -> Operator:
 def _check_local(op: Operator, factor: int, dims: tuple[int, ...], what: str) -> None:
     if not 0 <= factor < len(dims):
         raise DimensionMismatchError(f"factor {factor} out of range for {dims}")
-    if not op.is_square or op.shape[0] != dims[factor]:
+    if op.shape[0] != dims[factor]:
         raise DimensionMismatchError(
             f"{what} of shape {op.shape} does not act on factor {factor} of {dims}"
         )
@@ -195,16 +163,16 @@ def _conjugate_local(
 
 
 def local_channel(
-    stack: np.ndarray, kraus: Sequence[np.ndarray], factor: int, dims: tuple[int, ...]
+    stack: np.ndarray, kraus: np.ndarray, factor: int, dims: tuple[int, ...]
 ) -> np.ndarray:
     """sum_K K_f S K_f^dag for every S of a (B, d, d) stack, each K acting on
     one factor, Hermitian-symmetrized.
 
-    ``kraus`` holds the k x k entries of a set whose completeness the caller
-    has checked; the output stack is not validated.
+    ``kraus`` is an (m, k, k) stack whose completeness the caller has
+    checked; the output stack is not validated.
     """
     _check_stack(stack, dims)
-    if not 0 <= factor < len(dims) or any(k.shape != (dims[factor],) * 2 for k in kraus):
+    if not 0 <= factor < len(dims) or kraus.ndim != 3 or kraus.shape[1:] != (dims[factor],) * 2:
         raise DimensionMismatchError(f"Kraus set does not act on factor {factor} of {dims}")
     out = _conjugate_local(stack, kraus[0], factor, dims)
     for k in kraus[1:]:
@@ -394,25 +362,25 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix.from_matrix(reduced.reshape(side, side), new_dims)
 
 
-def kraus_defect(kraus: Sequence[Operator] | np.ndarray) -> float:
-    """Max-entry deviation of sum(K^dag K) from the identity on the input space,
-    for Operators or an (..., m, out, in) array of Kraus sets, the worst over
-    the sets: with a set's K stacked row-wise into one matrix F, the sum is
-    the single product F^dag F."""
-    if len(kraus) == 0:
+def kraus_defect(kraus: np.ndarray) -> float:
+    """Max-entry deviation of sum(K^dag K) from the identity on the input space
+    for an (..., m, out, in) array of Kraus sets, the worst over the sets:
+    with a set's K stacked row-wise into one matrix F, the sum is the single
+    product F^dag F. Anything else, a list of operators included, raises
+    DimensionMismatchError."""
+    if not isinstance(kraus, np.ndarray) or kraus.ndim < 3:
+        raise DimensionMismatchError(
+            f"a Kraus set is an (..., m, out, in) array, got {type(kraus).__name__}"
+            f" of shape {getattr(kraus, 'shape', None)}"
+        )
+    if kraus.size == 0:
         raise CompletenessError("empty Kraus list")
-    if isinstance(kraus, np.ndarray):
-        flat = kraus.reshape(kraus.shape[:-3] + (-1, kraus.shape[-1]))
-    else:
-        cols = kraus[0].shape[1]
-        if any(k.shape[1] != cols for k in kraus):
-            raise DimensionMismatchError("Kraus operators act on different spaces")
-        flat = np.concatenate([k.entries for k in kraus])
-    gram = flat.conj().swapaxes(-1, -2) @ flat
+    flat = kraus.reshape(kraus.shape[:-3] + (-1, kraus.shape[-1]))
+    gram = _dagger(flat) @ flat
     return float(np.abs(gram - _identity(flat.shape[-1])).max())
 
 
-def check_complete(kraus: Sequence[Operator] | np.ndarray, what: str = "Kraus set") -> None:
+def check_complete(kraus: np.ndarray, what: str = "Kraus set") -> None:
     """Raise CompletenessError unless ``kraus_defect`` is within ATOL (NaN fails)."""
     defect = kraus_defect(kraus)
     if not defect <= ATOL:
@@ -421,58 +389,42 @@ def check_complete(kraus: Sequence[Operator] | np.ndarray, what: str = "Kraus se
 
 def apply_kraus(
     rho: DensityMatrix,
-    kraus: Sequence[Operator],
+    kraus: np.ndarray,
     factor: int | None = None,
 ) -> DensityMatrix:
-    """Apply the channel sum(K rho K^dag) for a complete Kraus set.
+    """Apply the channel sum(K rho K^dag) of a complete (m, d, d) Kraus stack.
 
-    With ``factor`` given, each K acts on that factor alone (identity on the
-    others) and is applied by the factor-local kernel. Completeness is then
-    checked on the single-factor set, whose defect equals that of the
-    embedded set.
+    With ``factor`` given, the stack is (m, k, k) and each K acts on that
+    factor alone (identity on the others). Either way it is applied by the
+    factor-local kernel, the whole register counting as one factor when no
+    ``factor`` is given; completeness is checked on the stack as given, whose
+    defect equals that of the embedded set.
     """
-    if not kraus:
-        raise CompletenessError("empty Kraus list")
-    shape = kraus[0].shape
-    if any(k.shape != shape for k in kraus):
-        raise DimensionMismatchError("Kraus operators have mixed shapes")
-    if factor is not None:
-        _check_local(kraus[0], factor, rho.dims, "Kraus operator")
-    elif shape[1] != rho.dim:
-        raise DimensionMismatchError(
-            f"Kraus input dimension {shape[1]} does not match state dimension {rho.dim}"
-        )
     check_complete(kraus)
-    mat = rho.matrix
-    if factor is not None:
-        out = local_channel(mat[None], [k.entries for k in kraus], factor, rho.dims)
-        return DensityMatrix.from_matrix(out[0], rho.dims)
-    out = np.zeros((shape[0], shape[0]), dtype=complex)
-    for k in kraus:
-        out += k.entries @ mat @ k.entries.conj().T
-    out = (out + out.conj().T) / 2  # suppress Hermiticity drift
-    return DensityMatrix.from_matrix(out, kraus[0].dims)
+    if factor is None:
+        out = local_channel(rho.matrix[None], kraus, 0, (rho.dim,))
+    else:
+        out = local_channel(rho.matrix[None], kraus, factor, rho.dims)
+    return DensityMatrix.from_matrix(out[0], rho.dims)
 
 
-def recombine_kraus(kraus: Sequence[Operator], mixing: np.ndarray) -> list[Operator]:
-    """Mix a Kraus list through an isometry; the channel is unchanged.
+def recombine_kraus(kraus: np.ndarray, mixing: np.ndarray) -> np.ndarray:
+    """Mix an (m, out, in) Kraus stack through an isometry into an
+    (r, out, in) stack, formed in one product; the channel is unchanged.
 
-    ``mixing`` has shape (r, m) with m = len(kraus) and satisfies
-    mixing^dag mixing = identity.
+    ``mixing`` has shape (r, m) and satisfies mixing^dag mixing = identity.
     """
     mixing = np.asarray(mixing, dtype=complex)
-    if mixing.ndim != 2 or mixing.shape[1] != len(kraus):
+    if not isinstance(kraus, np.ndarray) or kraus.ndim != 3 or mixing.shape != (
+        len(mixing), len(kraus)
+    ):
         raise DimensionMismatchError(
-            f"mixing shape {mixing.shape} does not match {len(kraus)} Kraus operators"
+            f"mixing shape {mixing.shape} does not match Kraus stack of shape {kraus.shape}"
         )
     gram = mixing.conj().T @ mixing
     if np.abs(gram - np.eye(mixing.shape[1])).max() > ATOL:
         raise ValidityError("mixing matrix is not an isometry")
-    out = []
-    for row in mixing:
-        acc = sum(c * k.entries for c, k in zip(row, kraus))
-        out.append(Operator(acc, kraus[0].dims, kraus[0].col_dims))
-    return out
+    return (mixing @ kraus.reshape(len(kraus), -1)).reshape((-1,) + kraus.shape[1:])
 
 
 class MeasurementOutcome(NamedTuple):
@@ -509,7 +461,7 @@ def projector_set(projectors: Sequence[Operator]) -> np.ndarray:
     if not projectors:
         raise CompletenessError("empty projector set")
     side = projectors[0].shape[0]
-    if any(not p.is_square or p.shape[0] != side for p in projectors):
+    if any(p.shape[0] != side for p in projectors):
         raise DimensionMismatchError("projectors act on different spaces")
     stack = np.array([p.entries for p in projectors])
     if np.abs(stack.sum(axis=0) - np.eye(side)).max() > ATOL:

@@ -6,14 +6,16 @@ message (x) control through the operators
 
     A_j B_k (x) |0><0|  +  B_k A_j (x) |1><1|,
 
-with the control in the last tensor slot. All |A| * |B| of them are built at
-once as one stacked (m, 2d, 2d) array, from one matrix product for each
-order, and the stack is checked complete once, when it is built; the
-switched outputs, the Kraus lists and the generic Choi matrix are all
-computed from it. The control state is absorbed into the stack
-(``_lift_control``, one (2d, d) operator per Kraus operator and control
-eigenvector), whose operators K form the input kernel R = sum_K K (x) conj(K)
-as one Gram product; the outputs for a (T, d, d) stack of messages are then
+with the control in the last tensor slot. Every Kraus set here is a stacked
+(m, d_out, d_in) array: the two channels come as (m, d, d) stacks, whose
+shapes are checked before any product is formed. All |A| * |B| switch
+operators are built at once as one (m, 2d, 2d) stack, from one matrix
+product for each order, and the stack is checked complete once, when it is
+built; the switched outputs, ``switch_kraus``, ``switched_kraus`` and the
+generic Choi matrix are all computed from it. The control state is absorbed
+into the stack (``_lift_control``, one (2d, d) operator per Kraus operator
+and control eigenvector), whose operators K form the input kernel
+R = sum_K K (x) conj(K) as one Gram product; the outputs for a (T, d, d) stack of messages are then
 one (T, d^2) @ (d^2, 4 d^2) product, and ``switch_generic`` is the
 one-message case.
 
@@ -76,7 +78,6 @@ from .qcore import (
     CompletenessError,
     DensityMatrix,
     DimensionMismatchError,
-    Operator,
     ValidityError,
 )
 
@@ -90,18 +91,18 @@ _PAULIS = np.stack([op.entries for op in (qcore.I2, qcore.X, qcore.Y, qcore.Z)])
 _PAULIS.setflags(write=False)
 
 
-def _switch_stack(
-    a: Sequence[Operator], b: Sequence[Operator]
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Register dims and all |A|*|B| switch Kraus operators of two Operator
-    lists, stacked by ``_switch_of``."""
-    if not a or not b:
-        raise CompletenessError("empty Kraus list")
-    dims = a[0].dims
-    for op in list(a) + list(b):
-        if not op.is_square or op.dims != dims:
-            raise DimensionMismatchError("channel Kraus sets act on different registers")
-    return dims, _switch_of(np.stack([op.entries for op in a]), np.stack([op.entries for op in b]))
+def _register_side(stack_a: np.ndarray, stack_b: np.ndarray) -> int:
+    """The side d of the register two (m, d, d) Kraus stacks act on; raises
+    DimensionMismatchError for anything else, before any product is formed."""
+    for stack in (stack_a, stack_b):
+        if not isinstance(stack, np.ndarray) or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise DimensionMismatchError(
+                f"a channel Kraus set is an (m, d, d) array, got {type(stack).__name__}"
+                f" of shape {getattr(stack, 'shape', None)}"
+            )
+    if stack_a.shape[1:] != stack_b.shape[1:]:
+        raise DimensionMismatchError("channel Kraus sets act on different registers")
+    return stack_a.shape[-1]
 
 
 def _switch_of(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
@@ -110,8 +111,9 @@ def _switch_of(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
     Entry j * |B| + k is A_j B_k (x) |0><0| + B_k A_j (x) |1><1|. The control
     is the last factor, so its index interleaves both rows and columns. Each
     order is one matrix product: with the A_j stacked as rows and the B_k as
-    columns, block (j, k) of the product is A_j B_k. Both sets and the result
-    are checked complete.
+    columns, block (j, k) of the product is A_j B_k. The caller has checked
+    the shapes (``_register_side``); both sets and the result are checked
+    complete.
     """
     qcore.check_complete(stack_a, "first Kraus set")
     qcore.check_complete(stack_b, "second Kraus set")
@@ -210,39 +212,42 @@ def _switch_outputs(kernel: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     return (out + out.conj().transpose(0, 2, 1)) / 2  # suppress Hermiticity drift
 
 
-def switch_kraus(a: Sequence[Operator], b: Sequence[Operator]) -> list[Operator]:
-    """Kraus operators of the switch of two channels, on message (x) control."""
-    dims, stack = _switch_stack(a, b)
-    return [Operator(s, dims + (2,)) for s in stack]
+def switch_kraus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kraus operators of the switch of two channels on a d-dimensional
+    register, given as (m, d, d) stacks, on message (x) control: an
+    (|A| |B|, 2d, 2d) stack."""
+    _register_side(a, b)
+    return _switch_of(a, b)
 
 
 def switch_generic(
-    a: Sequence[Operator],
-    b: Sequence[Operator],
+    a: np.ndarray,
+    b: np.ndarray,
     input: DensityMatrix,
     omega: DensityMatrix,
 ) -> DensityMatrix:
-    """Output state of the switched channel for a given message and control state."""
-    dims, stack = _switch_stack(a, b)
-    if input.dim != a[0].shape[0]:
+    """Output state of the switched channel for a given message and control
+    state, on the message's factors followed by the control."""
+    side = _register_side(a, b)
+    if input.dim != side:
         raise DimensionMismatchError(
-            f"message dimension {input.dim} does not match channels on {dims}"
+            f"message dimension {input.dim} does not match channels on dimension {side}"
         )
     if omega.dim != 2:
         raise DimensionMismatchError("the order control must be a qubit")
-    out = _switch_outputs(_input_kernel(_lift_control(stack, omega)), input.matrix[None])
-    return DensityMatrix.from_matrix(out[0], dims + (2,))
+    kernel = _input_kernel(_lift_control(_switch_of(a, b), omega))
+    out = _switch_outputs(kernel, input.matrix[None])
+    return DensityMatrix.from_matrix(out[0], input.dims + (2,))
 
 
-def switched_kraus(
-    a: Sequence[Operator], b: Sequence[Operator], omega: DensityMatrix
-) -> list[Operator]:
+def switched_kraus(a: np.ndarray, b: np.ndarray, omega: DensityMatrix) -> np.ndarray:
     """Kraus set of the message -> message (x) control map with the control
-    state absorbed (via its spectral decomposition)."""
-    dims, stack = _switch_stack(a, b)
+    state absorbed (via its spectral decomposition): an (|A| |B| r, 2d, d)
+    stack, r the rank of ``omega``."""
+    _register_side(a, b)
     if omega.dim != 2:
         raise DimensionMismatchError("the order control must be a qubit")
-    return [Operator(k, dims + (2,), dims) for k in _lift_control(stack, omega)]
+    return _lift_control(_switch_of(a, b), omega)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,9 +284,13 @@ class SwitchedChannel:
 
     @functools.cached_property
     def omega_minus(self) -> DensityMatrix:
-        """The control state of the minus branch, Z omega_plus Z."""
+        """The control state of the minus branch, Z omega_plus Z, as a
+        read-only matrix. Conjugating by Z only flips the signs of the
+        off-diagonal entries, so it has the Hermiticity, trace and spectrum of
+        the checked omega_plus and is not checked again."""
         flipped = qcore.Z.entries @ self.omega_plus.matrix @ qcore.Z.entries
-        return DensityMatrix.from_matrix(flipped, (2,))
+        flipped.setflags(write=False)
+        return qcore._prechecked(DensityMatrix, matrix=flipped, dims=(2,))
 
     @property
     def num_qubits(self) -> int:
@@ -476,16 +485,15 @@ def closed_form_nxy_n(n: int) -> SwitchedChannel:
     return closed_form_product((channels.N_XY,) * n, (channels.N_XY,) * n)
 
 
-def choi_deviation(
-    sw: SwitchedChannel, a: Sequence[Operator], b: Sequence[Operator]
-) -> float:
-    """Max-entry Choi difference between a closed form and the generic switch."""
-    dims, stack = _switch_stack(a, b)
-    if dims != (2,) * sw.num_qubits:
+def choi_deviation(sw: SwitchedChannel, a: np.ndarray, b: np.ndarray) -> float:
+    """Max-entry Choi difference between a closed form and the generic switch
+    of two (m, d, d) Kraus stacks."""
+    side = _register_side(a, b)
+    if side != 2**sw.num_qubits:
         raise DimensionMismatchError(
-            f"closed form on {sw.num_qubits} qubits, channels on {len(dims)} (register {dims})"
+            f"closed form on {sw.num_qubits} qubits, channels on dimension {side}"
         )
-    return _choi_deviation(sw, _input_kernel(_lift_control(stack, sw.omega_plus)))
+    return _choi_deviation(sw, _input_kernel(_lift_control(_switch_of(a, b), sw.omega_plus)))
 
 
 def _choi_deviation(sw: SwitchedChannel, kernel: np.ndarray) -> float:
@@ -605,11 +613,11 @@ def _nxy_fixture(n: int) -> _NxyFixture:
     """The fixture at n, an int in 1..3 that ``validate_closed_forms`` has
     checked, built and checked on first use and kept for the process."""
     if n not in _FIXTURES:
-        ident = [qcore.identity((2,) * n)]
+        ident = np.eye(2**n)[None]
         identities = (channels.IDENTITY,) * n
         sw = closed_form_product(identities, identities)
         identity = ValidationRecord("identity", n, "", choi_deviation(sw, ident, ident))
-        nxy_ops = channels.product_pauli_stack([channels.N_XY] * n)
+        nxy_ops = channels.product_pauli_kraus([channels.N_XY] * n)
         stack = _switch_of(nxy_ops, nxy_ops)
         sw = closed_form_nxy_n(n)
         kernel = _input_kernel(_lift_control(stack, sw.omega_plus))

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,21 +83,21 @@ def test_nan_weight_is_rejected(weights):
 
 def test_pauli_kraus_identity_channel():
     ops = pauli_kraus(IDENTITY)
-    assert len(ops) == 1
-    np.testing.assert_array_equal(ops[0].entries, np.eye(2))
+    assert ops.shape == (1, 2, 2)
+    np.testing.assert_array_equal(ops[0], np.eye(2))
 
 
 def test_pauli_kraus_nxy_channel():
     ops = pauli_kraus(N_XY)
-    assert len(ops) == 2
-    np.testing.assert_allclose(ops[0].entries, qcore.X.entries / np.sqrt(2))
-    np.testing.assert_allclose(ops[1].entries, qcore.Y.entries / np.sqrt(2))
+    assert ops.shape == (2, 2, 2)
+    np.testing.assert_allclose(ops[0], qcore.X.entries / np.sqrt(2))
+    np.testing.assert_allclose(ops[1], qcore.Y.entries / np.sqrt(2))
 
 
 def test_pauli_kraus_uniform_channel_completeness():
     # sum over sigma_l^dag sigma_l / 4 = I
     ops = pauli_kraus(PauliChannel(0.25, 0.25, 0.25, 0.25))
-    assert len(ops) == 4
+    assert ops.shape == (4, 2, 2)
     assert qcore.kraus_defect(ops) < 1e-12
 
 
@@ -109,14 +112,64 @@ def test_pauli_kraus_always_complete(ch):
 def test_product_pauli_kraus_matches_kronecker_chain(factors):
     # reference: Kronecker products of the factors' Kraus sets, first slowest;
     # the amplitudes multiply in the same order, so entries agree exactly
-    ref = [qcore.Operator(np.array([[1.0 + 0j]]), (1,))]
+    ref = [np.array([[1.0 + 0j]])]
     for ch in factors:
-        ref = [qcore.tensor(op, k) for op in ref for k in pauli_kraus(ch)]
+        ref = [np.kron(op, k) for op in ref for k in pauli_kraus(ch)]
     ops = channels.product_pauli_kraus(factors)
-    assert len(ops) == len(ref)
-    for op, expected in zip(ops, ref):
-        assert op.dims == (2,) * len(factors)
-        np.testing.assert_array_equal(op.entries, expected.entries)
+    assert ops.shape == (len(ref),) + (2 ** len(factors),) * 2
+    np.testing.assert_array_equal(ops, ref)
+
+
+def sparse_channels():
+    """Pauli channels on a drawn nonempty support, so that zero weights,
+    which the Kraus sets drop, come up often."""
+
+    def channel(drawn):
+        support, raw = drawn
+        masked = [w if keep else 0.0 for keep, w in zip(support, raw)]
+        return PauliChannel(*(w / sum(masked) for w in masked))
+
+    support = st.lists(st.booleans(), min_size=4, max_size=4).filter(any)
+    raw = st.tuples(*(st.floats(0.01, 1.0) for _ in range(4)))
+    return st.tuples(support, raw).map(channel)
+
+
+def operator_pauli_kraus(ch):
+    """The per-Operator Kraus list that ``pauli_kraus`` returned before Kraus
+    sets became stacks."""
+    mats = [op.entries for op in (qcore.I2, qcore.X, qcore.Y, qcore.Z)]
+    return [qcore.Operator(np.sqrt(w) * mat, (2,)) for w, mat in zip(ch.weights, mats) if w > 0.0]
+
+
+def operator_product_pauli_kraus(factors):
+    """The per-Operator Kraus list that ``product_pauli_kraus`` returned
+    before Kraus sets became stacks: per string of nonzero-weight labels,
+    first factor slowest, the amplitudes multiplied left to right times the
+    string's matrix."""
+    terms = [
+        [(np.sqrt(w), label) for w, label in zip(ch.weights, channels.PAULI_LABELS) if w > 0.0]
+        for ch in factors
+    ]
+    dims = (2,) * len(factors)
+    out = []
+    for combo in itertools.product(*terms):
+        amps, labels = zip(*combo)
+        out.append(qcore.Operator(math.prod(amps) * channels.pauli_string_matrix(labels), dims))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(sparse_channels(), min_size=1, max_size=3))
+def test_kraus_stacks_equal_the_operator_lists_bit_for_bit(factors):
+    single = pauli_kraus(factors[0])
+    expected = [op.entries for op in operator_pauli_kraus(factors[0])]
+    assert single.shape == (len(expected), 2, 2)
+    assert single.tobytes() == np.stack(expected).tobytes()
+    product = channels.product_pauli_kraus(factors)
+    expected = [op.entries for op in operator_product_pauli_kraus(factors)]
+    assert product.shape == (len(expected),) + (2 ** len(factors),) * 2
+    assert product.dtype == complex
+    assert product.tobytes() == np.stack(expected).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +241,16 @@ def test_choi_full_dephasing():
 
 def test_choi_rejects_incomplete_kraus():
     with pytest.raises(qcore.CompletenessError):
-        choi([qcore.X * 0.5])
+        choi(0.5 * qcore.X.entries[None])
+
+
+def test_choi_takes_one_kraus_stack():
+    with pytest.raises(DimensionMismatchError):
+        choi([qcore.I2])
+    with pytest.raises(DimensionMismatchError):
+        choi(np.eye(2))
+    with pytest.raises(DimensionMismatchError):
+        choi(pauli_kraus(N_XY)[None])
 
 
 def test_choi_of_pauli_channel_is_bell_diagonal_with_weight_spectrum():
@@ -204,7 +266,7 @@ def test_choi_of_a_rectangular_kraus_set_is_on_output_and_reference():
     kraus = qswitch.switched_kraus(
         pauli_kraus(N_XY), pauli_kraus(N_XY), qcore.KET_PLUS.density()
     )
-    assert kraus[0].shape == (4, 2)
+    assert kraus.shape == (4, 4, 2)
     state = choi(kraus)
     assert isinstance(state, qcore.DensityMatrix)
     assert state.dims == (4, 2)

@@ -62,6 +62,16 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("x", ["ALL", "all", "0", "4"])
+def test_baseline_sweep_takes_one_target(x, capsys):
+    # --x ALL ran x = 1 while the config echo said "ALL"
+    args = ["baseline-sweep", "--n", "3", "--x", x, "--count", "10", "--format", "json"]
+    assert main(args) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "rrqc: error: --x must be in 1..3\n"
+
+
 def test_nan_weights_are_a_usage_error(capsys):
     assert main(["eb-check", "--weights", "nan,0,0,1"]) == EXIT_USAGE
     assert "weights must be non-negative and sum to 1" in capsys.readouterr().err

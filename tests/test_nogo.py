@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rrqc import nogo, qcore
 from rrqc.nogo import (
@@ -264,8 +267,12 @@ def test_routed_scan_rejects_mismatched_sizes():
 # ---------------------------------------------------------------------------
 
 
+I2 = qcore.I2.entries[None]
+X = qcore.X.entries[None]
+
+
 def test_identity_composition_passes():
-    report = check_term_proportionality([qcore.I2], [qcore.I2], [qcore.I2])
+    report = check_term_proportionality(I2, I2, I2)
     assert report.passed
     assert report.terms[0].scale == 1.0
     assert report.terms[0].residual == 0.0
@@ -274,7 +281,7 @@ def test_identity_composition_passes():
 def test_dephasing_middle_channel_fails():
     s = 1 / np.sqrt(2)
     report = check_term_proportionality(
-        [qcore.I2], [qcore.I2 * s, qcore.Z * s], [qcore.I2]
+        I2, s * np.stack([qcore.I2.entries, qcore.Z.entries]), I2
     )
     assert not report.passed
     z_term = report.terms[1]
@@ -285,11 +292,11 @@ def test_dephasing_middle_channel_fails():
 
 
 def test_bare_bit_flip_fails_but_cancelling_pair_passes():
-    failing = check_term_proportionality([qcore.I2], [qcore.X], [qcore.I2])
+    failing = check_term_proportionality(I2, X, I2)
     assert not failing.passed
     assert abs(failing.terms[0].scale) < 1e-12
     assert abs(failing.terms[0].residual - 1.0) < 1e-12
-    passing = check_term_proportionality([qcore.X], [qcore.X], [qcore.I2])
+    passing = check_term_proportionality(X, X, I2)
     assert passing.passed
     assert abs(passing.terms[0].scale - 1.0) < 1e-12
 
@@ -297,16 +304,14 @@ def test_bare_bit_flip_fails_but_cancelling_pair_passes():
 def test_random_unitary_with_inverse_decoder_passes():
     for seed in range(5):
         u = qcore.random_unitary(4, np.random.default_rng(seed))
-        mid = [qcore.Operator(u, (4,))]
-        left = [qcore.Operator(u.conj().T, (4,))]
-        report = check_term_proportionality(left, mid, [qcore.identity((4,))])
+        report = check_term_proportionality(u.conj().T[None], u[None], np.eye(4)[None])
         assert report.passed
 
 
 def test_residuals_are_nonnegative_and_report_shape():
     s = 1 / np.sqrt(2)
     report = check_term_proportionality(
-        [qcore.I2 * s, qcore.X * s], [qcore.I2], [qcore.I2]
+        s * np.stack([qcore.I2.entries, qcore.X.entries]), I2, I2
     )
     assert len(report.terms) == 2
     assert all(t.residual >= 0 for t in report.terms)
@@ -314,8 +319,63 @@ def test_residuals_are_nonnegative_and_report_shape():
 
 
 def test_proportionality_rejects_bad_dimensions():
-    tall = qcore.Operator(np.ones((4, 2)) / 2, (4,), (2,))
+    tall = np.ones((1, 4, 2)) / 2
     with pytest.raises(qcore.DimensionMismatchError):
-        check_term_proportionality([tall], [qcore.I2], [qcore.I2])
+        check_term_proportionality(tall, I2, I2)
     with pytest.raises(qcore.DimensionMismatchError):
-        check_term_proportionality([], [qcore.I2], [qcore.I2])
+        check_term_proportionality(np.zeros((0, 2, 2)), I2, I2)
+    # an operator list, a 2-D array and a mid set that does not chain
+    with pytest.raises(qcore.DimensionMismatchError):
+        check_term_proportionality([qcore.I2], I2, I2)
+    with pytest.raises(qcore.DimensionMismatchError):
+        check_term_proportionality(I2, np.eye(2), I2)
+    with pytest.raises(qcore.DimensionMismatchError):
+        check_term_proportionality(I2, np.ones((1, 2, 3)), I2)
+
+
+def literal_proportionality(left, mid, right):
+    """Every term L_i M_j R_k, its scale and residual, and the summed squared
+    scales, one term at a time in (i, j, k) order."""
+    d = right.shape[2]
+    terms, weight_sum = [], 0.0
+    for i, l in enumerate(left):
+        for j, m in enumerate(mid):
+            for k, r in enumerate(right):
+                composite = l @ m @ r
+                scale = complex(np.trace(composite) / d)
+                residual = float(np.abs(composite - scale * np.eye(d)).max())
+                weight_sum += abs(scale) ** 2
+                terms.append(((i, j, k), scale, residual))
+    return terms, weight_sum
+
+
+def complex_stacks(shape):
+    parts = arrays(np.float64, (2,) + shape, elements=st.floats(-1, 1))
+    return parts.map(lambda p: p[0] + 1j * p[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from([(2, 2, 2), (2, 3, 2), (2, 4, 4), (3, 3, 3)]),
+    st.data(),
+)
+def test_term_proportionality_matches_literal_triple_loop(nl, nm, nr, sides, data):
+    # sides (d, e, f): left (nl, d, e), mid (nm, e, f), right (nr, f, d); the
+    # (2, 4, 4) draw gives a rectangular (4, 2) right set
+    d, e, f = sides
+    left = data.draw(complex_stacks((nl, d, e)))
+    mid = data.draw(complex_stacks((nm, e, f)))
+    right = data.draw(complex_stacks((nr, f, d)))
+    report = check_term_proportionality(left, mid, right)
+    terms, weight_sum = literal_proportionality(left, mid, right)
+    assert [t.indices for t in report.terms] == [ijk for ijk, _, _ in terms]
+    for verdict, (_, scale, residual) in zip(report.terms, terms):
+        assert isinstance(verdict.scale, complex)
+        assert abs(verdict.scale - scale) <= 1e-12
+        assert abs(verdict.residual - residual) <= 1e-12
+    assert abs(report.weight_sum - weight_sum) <= 1e-12
+    with pytest.raises(qcore.DimensionMismatchError):
+        check_term_proportionality(left, mid[:, :, :-1], right)

@@ -455,7 +455,7 @@ def _rows(events):
         for f in dataclasses.fields(event):
             value = getattr(event, f.name)
             if isinstance(value, Operator):
-                value = (value.entries.tobytes(), value.dims, value.col_dims)
+                value = (value.entries.tobytes(), value.dims)
             values.append((f.name, value))
         rows.append((type(event), tuple(values)))
     return rows

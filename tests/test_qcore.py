@@ -16,12 +16,8 @@ from rrqc.qcore import (
     ValidityError,
 )
 
-def random_operator(rng, rows, cols):
-    return Operator(
-        rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols)),
-        (rows,),
-        (cols,),
-    )
+def random_operator(rng, side):
+    return Operator(rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)), (side,))
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +33,7 @@ def test_tensor_identity():
 
 def test_tensor_zz_squares_to_identity():
     zz = qcore.tensor(qcore.Z, qcore.Z)
-    np.testing.assert_array_equal((zz @ zz).entries, np.eye(4))
+    np.testing.assert_array_equal(zz.entries @ zz.entries, np.eye(4))
 
 
 def test_tensor_matches_kronecker_index_formula():
@@ -58,16 +54,18 @@ def test_tensor_matches_kronecker_index_formula():
 def test_tensor_mixed_product_rule():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        a, b = random_operator(rng, 2, 3), random_operator(rng, 3, 2)
-        c, d = random_operator(rng, 3, 2), random_operator(rng, 2, 3)
-        left = qcore.tensor(a, c) @ qcore.tensor(b, d)
-        right = qcore.tensor(a @ b, c @ d)
-        np.testing.assert_allclose(left.entries, right.entries, atol=1e-12)
+        a, b = random_operator(rng, 2), random_operator(rng, 2)
+        c, d = random_operator(rng, 3), random_operator(rng, 3)
+        left = qcore.tensor(a, c).entries @ qcore.tensor(b, d).entries
+        right = qcore.tensor(
+            Operator(a.entries @ b.entries, (2,)), Operator(c.entries @ d.entries, (3,))
+        )
+        np.testing.assert_allclose(left, right.entries, atol=1e-12)
 
 
 def test_tensor_is_associative_up_to_dims():
     rng = np.random.default_rng(8)
-    a, b, c = (random_operator(rng, 2, 2) for _ in range(3))
+    a, b, c = (random_operator(rng, 2) for _ in range(3))
     left = qcore.tensor(qcore.tensor(a, b), c)
     right = qcore.tensor(a, qcore.tensor(b, c))
     np.testing.assert_allclose(left.entries, right.entries, atol=1e-12)
@@ -147,13 +145,12 @@ def test_partial_trace_rejects_bad_index():
 
 
 def xy_kraus():
-    s = 1 / np.sqrt(2)
-    return [qcore.X * s, qcore.Y * s]
+    return np.stack([qcore.X.entries, qcore.Y.entries]) / np.sqrt(2)
 
 
 def test_apply_kraus_identity():
     rho = qcore.random_density((2, 2), np.random.default_rng(11))
-    out = qcore.apply_kraus(rho, [qcore.identity((2, 2))])
+    out = qcore.apply_kraus(rho, np.eye(4)[None])
     np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
 
 
@@ -171,14 +168,14 @@ def test_apply_kraus_xy_on_plus():
 
 def test_apply_kraus_rejects_incomplete_set():
     with pytest.raises(CompletenessError):
-        qcore.apply_kraus(qcore.KET0.density(), [qcore.X * 0.5])
+        qcore.apply_kraus(qcore.KET0.density(), 0.5 * qcore.X.entries[None])
 
 
 def random_cptp_kraus(rng, dim, count):
     """Random channel: vertical stack of Kraus blocks forms an isometry."""
     g = rng.normal(size=(dim * count, dim)) + 1j * rng.normal(size=(dim * count, dim))
     q, _ = np.linalg.qr(g)
-    return [Operator(q[i * dim : (i + 1) * dim, :], (dim,)) for i in range(count)]
+    return q.reshape(count, dim, dim)
 
 
 def test_apply_kraus_preserves_trace_and_positivity():
@@ -203,7 +200,9 @@ def test_recombine_kraus_leaves_channel_unchanged():
     # padding isometry: three operators representing the same channel
     iso = qcore.random_unitary(3, rng)[:, :2]
     padded = qcore.recombine_kraus(kraus, iso)
-    assert len(padded) == 3
+    assert padded.shape == (3, 2, 2)
+    literal = [sum(c * k for c, k in zip(row, kraus)) for row in iso]
+    np.testing.assert_allclose(padded, literal, rtol=0, atol=1e-15)
     np.testing.assert_allclose(
         qcore.apply_kraus(rho, padded).matrix, base.matrix, atol=1e-12
     )
@@ -212,6 +211,23 @@ def test_recombine_kraus_leaves_channel_unchanged():
 def test_recombine_kraus_rejects_non_isometry():
     with pytest.raises(ValidityError):
         qcore.recombine_kraus(xy_kraus(), np.ones((2, 2)))
+    with pytest.raises(DimensionMismatchError):
+        qcore.recombine_kraus(xy_kraus(), np.eye(3))
+
+
+def test_apply_kraus_takes_only_square_stacks_on_the_acted_space():
+    rho = qcore.random_density((2, 2), np.random.default_rng(13))
+    isometry = np.eye(4)[:, :2][None]  # a complete (1, 4, 2) set
+    with pytest.raises(DimensionMismatchError):
+        qcore.apply_kraus(rho, [qcore.identity((2, 2))])
+    with pytest.raises(DimensionMismatchError):
+        qcore.apply_kraus(rho, isometry)
+    with pytest.raises(DimensionMismatchError):
+        qcore.apply_kraus(rho, xy_kraus())
+    with pytest.raises(DimensionMismatchError):
+        qcore.apply_kraus(rho, np.eye(4)[None], factor=1)
+    with pytest.raises(DimensionMismatchError):
+        qcore.apply_kraus(rho, xy_kraus(), factor=2)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +351,11 @@ def test_operator_rejects_nonfinite_entries():
 def test_operator_rejects_dims_mismatch():
     with pytest.raises(DimensionMismatchError):
         Operator(np.eye(4), (2, 3))
+    # an Operator is square: a rectangular matrix fits no dims
+    for rect in (np.ones((4, 2)), np.ones((2, 4))):
+        for dims in ((4,), (2,)):
+            with pytest.raises(DimensionMismatchError):
+                Operator(rect, dims)
 
 
 def test_ket_rejects_unnormalized_vector():
@@ -477,7 +498,7 @@ def test_local_gate_matches_embedded_gate(register, seed):
     rng = np.random.default_rng(seed)
     rho = qcore.random_density(dims, rng)
     gate = Operator(qcore.random_unitary(dims[factor], rng), (dims[factor],))
-    out = qcore.apply_kraus(rho, [gate], factor=factor)
+    out = qcore.apply_kraus(rho, gate.entries[None], factor=factor)
     assert out.dims == rho.dims
     np.testing.assert_allclose(
         out.matrix, dense_conjugate(rho, gate, factor), rtol=0, atol=1e-12
@@ -492,12 +513,12 @@ def test_local_kraus_matches_embedded_kraus(register, seed, count):
     rho = qcore.random_density(dims, rng)
     kraus = random_cptp_kraus(rng, dims[factor], count)
     local = qcore.apply_kraus(rho, kraus, factor=factor)
-    dense = qcore.apply_kraus(rho, [qcore.embed(k, factor, dims) for k in kraus])
+    embedded = np.stack(
+        [qcore.embed(Operator(k, (dims[factor],)), factor, dims).entries for k in kraus]
+    )
+    dense = qcore.apply_kraus(rho, embedded)
     np.testing.assert_allclose(local.matrix, dense.matrix, rtol=0, atol=1e-12)
-    assert abs(
-        qcore.kraus_defect(kraus)
-        - qcore.kraus_defect([qcore.embed(k, factor, dims) for k in kraus])
-    ) < 1e-12
+    assert abs(qcore.kraus_defect(kraus) - qcore.kraus_defect(embedded)) < 1e-12
 
 
 def random_basis_projectors(rng, side):
@@ -598,9 +619,10 @@ def test_cnot_permutation_matches_dense_cnot(register, seed):
     rho = qcore.random_density(dims, np.random.default_rng(seed))
     # independent reference: |0><0|_c (x) I + |1><1|_c (x) X_t
     gate = (
-        qcore.embed(qcore.PROJ0, control, dims)
-        + qcore.embed(qcore.PROJ1, control, dims) @ qcore.embed(qcore.X, target, dims)
-    ).entries
+        qcore.embed(qcore.PROJ0, control, dims).entries
+        + qcore.embed(qcore.PROJ1, control, dims).entries
+        @ qcore.embed(qcore.X, target, dims).entries
+    )
     np.testing.assert_array_equal(qcore.controlled_not(n, control, target).entries, gate)
     perm = qcore.cnot_permutation(n, control, target)
     np.testing.assert_allclose(
@@ -722,43 +744,49 @@ def literal_defect(mats):
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(1, 4),
-    st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    st.integers(1, 4),
+    st.integers(1, 4),
     st.integers(0, 2**32 - 1),
     st.sampled_from(("complete", "shrunk", "random")),
 )
-def test_kraus_defect_matches_literal_sum(cols, outs, seed, kind):
-    # operator k maps C^cols to C^outs[k]; unequal outs exist only as a list
+def test_kraus_defect_matches_literal_sum(cols, out, count, seed, kind):
+    # an (m, out, in) stack of operators from C^cols to C^out
     rng = np.random.default_rng(seed)
-    rows = sum(outs)
+    rows = out * count
     flat = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
     if kind != "random" and rows >= cols:
         flat = np.linalg.qr(flat)[0]  # an isometry splits into a complete set
         if kind == "shrunk":
             flat = flat * rng.uniform(0.3, 0.9)
-    mats = np.split(flat, np.cumsum(outs)[:-1])
-    expected = literal_defect(mats)
-    ops = [Operator(m, (m.shape[0],), (cols,)) for m in mats]
-    assert abs(qcore.kraus_defect(ops) - expected) <= 1e-12
-    if len(set(outs)) == 1:
-        stack = np.stack(mats)
-        assert abs(qcore.kraus_defect(stack) - expected) <= 1e-12
-        # in a (2, 2, m, out, in) batch of sets, the worst set's defect
-        batch = np.stack([[stack, 0.5 * stack], [stack, stack]])
-        worst = max(expected, literal_defect(0.5 * stack))
-        assert abs(qcore.kraus_defect(batch) - worst) <= 1e-12
+    stack = flat.reshape(count, out, cols)
+    expected = literal_defect(stack)
+    assert abs(qcore.kraus_defect(stack) - expected) <= 1e-12
+    # in a (2, 2, m, out, in) batch of sets, the worst set's defect
+    batch = np.stack([[stack, 0.5 * stack], [stack, stack]])
+    worst = max(expected, literal_defect(0.5 * stack))
+    assert abs(qcore.kraus_defect(batch) - worst) <= 1e-12
     if abs(expected - qcore.ATOL) > 1e-12:
         if expected < qcore.ATOL:
-            qcore.check_complete(ops)
+            qcore.check_complete(stack)
         else:
             with pytest.raises(CompletenessError, match=r"^Kraus set incomplete \(defect"):
-                qcore.check_complete(ops)
-    wider = Operator(np.ones((1, cols + 1)), (1,), (cols + 1,))
+                qcore.check_complete(stack)
+
+
+@pytest.mark.parametrize(
+    "kraus",
+    [[qcore.I2], [qcore.X, qcore.Y], [], [np.eye(2)], np.eye(2), np.ones(2)],
+    ids=["operator", "operators", "empty-list", "array-list", "2-d", "1-d"],
+)
+def test_completeness_check_takes_only_kraus_stacks(kraus):
+    with pytest.raises(DimensionMismatchError, match=r"an \(\.\.\., m, out, in\) array"):
+        qcore.kraus_defect(kraus)
     with pytest.raises(DimensionMismatchError):
-        qcore.kraus_defect(ops + [wider])
+        qcore.check_complete(kraus)
 
 
 def test_completeness_check_rejects_empty_and_nan_sets():
-    for empty in ([], np.zeros((0, 2, 2))):
+    for empty in (np.zeros((0, 2, 2)), np.zeros((3, 0, 2, 2))):
         with pytest.raises(CompletenessError, match="empty Kraus list"):
             qcore.kraus_defect(empty)
         with pytest.raises(CompletenessError, match="empty Kraus list"):

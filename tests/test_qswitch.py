@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from rrqc import channels, qcore, qswitch
 from rrqc.channels import IDENTITY, N_XY, pauli_kraus, product_pauli_kraus
-from rrqc.qcore import CompletenessError, DimensionMismatchError, ValidityError
+from rrqc.qcore import CompletenessError, DensityMatrix, DimensionMismatchError, ValidityError
 
 PLUS = qcore.KET_PLUS.density()
+I2 = qcore.I2.entries[None]
 
 
 def nxy_product(n):
@@ -31,7 +32,7 @@ def test_switch_of_identity_channels_is_product_with_control():
     rng = np.random.default_rng(0)
     rho = qcore.random_density((2,), rng)
     omega = qcore.random_density((2,), rng)
-    out = qswitch.switch_generic([qcore.I2], [qcore.I2], rho, omega)
+    out = qswitch.switch_generic(I2, I2, rho, omega)
     np.testing.assert_allclose(out.matrix, np.kron(rho.matrix, omega.matrix), atol=1e-12)
 
 
@@ -116,15 +117,74 @@ def test_switch_invariant_under_kraus_recombination():
 def test_switch_rejects_bad_inputs():
     rho = qcore.random_density((2,), np.random.default_rng(5))
     with pytest.raises(CompletenessError):
-        qswitch.switch_generic([qcore.X * 0.5], [qcore.I2], rho, PLUS)
+        qswitch.switch_generic(0.5 * qcore.X.entries[None], I2, rho, PLUS)
     with pytest.raises(DimensionMismatchError):
         qswitch.switch_generic(
             nxy_product(2), nxy_product(2), rho, PLUS
         )
     with pytest.raises(DimensionMismatchError):
         qswitch.switch_generic(
-            [qcore.I2], [qcore.I2], rho, qcore.random_density((2, 2), np.random.default_rng(6))
+            I2, I2, rho, qcore.random_density((2, 2), np.random.default_rng(6))
         )
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([qcore.I2], I2),
+        (I2, [qcore.I2]),
+        (np.eye(2), I2),
+        (I2, np.eye(4)[None]),
+        (np.ones((1, 4, 2)), np.ones((1, 4, 2))),
+    ],
+    ids=["operator-list", "second-list", "2-d", "other-register", "rectangular"],
+)
+def test_switch_entry_points_take_matching_square_stacks(a, b):
+    # the shapes are checked before any completeness Gram or switch product
+    rho = qcore.random_density((2,), np.random.default_rng(5))
+    sw = qswitch.closed_form_nxy_n(1)
+    calls = [
+        lambda: qswitch.switch_generic(a, b, rho, PLUS),
+        lambda: qswitch.switch_kraus(a, b),
+        lambda: qswitch.switched_kraus(a, b, PLUS),
+        lambda: qswitch.choi_deviation(sw, a, b),
+    ]
+    with mock.patch.object(
+        qcore, "check_complete", wraps=qcore.check_complete
+    ) as check, mock.patch.object(qswitch, "_switch_of", wraps=qswitch._switch_of) as switch:
+        for call in calls:
+            with pytest.raises(DimensionMismatchError):
+                call()
+    assert check.call_count == 0
+    assert switch.call_count == 0
+
+
+def test_switch_kraus_stacks_have_the_documented_shapes():
+    a, b = pauli_kraus(N_XY), pauli_kraus(channels.FULL_DEPHASING)
+    assert qswitch.switch_kraus(a, b).shape == (4, 4, 4)
+    # a full-rank control has two eigenvectors, each lifting every operator
+    omega = qcore.random_density((2,), np.random.default_rng(3))
+    assert qswitch.switched_kraus(a, b, omega).shape == (8, 4, 2)
+    assert qswitch.switched_kraus(a, b, PLUS).shape == (4, 4, 2)
+    rho = qcore.random_density((2, 2), np.random.default_rng(4))
+    pair = nxy_product(2)
+    assert qswitch.switch_generic(pair, pair, rho, PLUS).dims == (2, 2, 2)
+    single = DensityMatrix.from_matrix(rho.matrix, (4,))
+    assert qswitch.switch_generic(pair, pair, single, PLUS).dims == (4, 2)
+
+
+def test_omega_minus_is_the_unchecked_z_conjugate():
+    omega = qcore.random_ket((2,), np.random.default_rng(6)).density()
+    sw = qswitch.closed_form_two_party(N_XY, channels.FULL_DEPHASING, omega)
+    with mock.patch.object(qcore, "check_states", wraps=qcore.check_states) as check:
+        minus = sw.omega_minus
+    assert check.call_count == 0
+    z = qcore.Z.entries
+    assert minus.dims == (2,)
+    assert minus.matrix.tobytes() == (z @ omega.matrix @ z).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        minus.matrix[0, 0] = 1.0
+    assert sw.omega_minus is minus
 
 
 def test_discarding_control_gives_definite_order_cascade():
@@ -325,7 +385,7 @@ def literal_validation(seed, trials, ns):
     rng = np.random.default_rng(seed)
     records = []
     for n in ns:
-        ident = [qcore.identity((2,) * n)]
+        ident = qcore.identity((2,) * n).entries[None]
         identities = (IDENTITY,) * n
         sw = qswitch.closed_form_product(identities, identities)
         records.append(("identity", n, "", qswitch.choi_deviation(sw, ident, ident)))
@@ -407,7 +467,7 @@ def test_stacked_switched_apply_rejects_wrong_shapes():
 def literal_switch_kraus(a, b):
     p0, p1 = qcore.PROJ0.entries, qcore.PROJ1.entries
     return [
-        np.kron(aj.entries @ bk.entries, p0) + np.kron(bk.entries @ aj.entries, p1)
+        np.kron(aj @ bk, p0) + np.kron(bk @ aj, p1)
         for aj in a
         for bk in b
     ]
@@ -422,16 +482,14 @@ def literal_switch_choi(a, b, omega):
     """Choi matrix of the message -> message (x) control map, with omega
     absorbed one Kraus operator and one eigenvector at a time."""
     side = a[0].shape[0]
-    dims = a[0].dims
     vals, vecs = np.linalg.eigh(omega)
     lifted = [
-        qcore.Operator(k @ np.kron(np.eye(side), np.sqrt(lam) * vec.reshape(2, 1)),
-                       dims + (2,), dims)
+        k @ np.kron(np.eye(side), np.sqrt(lam) * vec.reshape(2, 1))
         for k in literal_switch_kraus(a, b)
         for lam, vec in zip(vals, vecs.T)
         if lam >= qcore.PROB_FLOOR
     ]
-    return channels.choi(lifted).matrix
+    return channels.choi(np.stack(lifted)).matrix
 
 
 def kernel_choi(kernel):
@@ -461,8 +519,8 @@ def literal_output_kraus(sw):
                 k = np.sqrt(prob * w * lam) * np.kron(
                     channels.pauli_string(s).entries, vec.reshape(2, 1)
                 )
-                out.append(qcore.Operator(k, (2,) * len(s) + (2,), (2,) * len(s)))
-    return out
+                out.append(k)
+    return np.stack(out)
 
 
 def random_control(rng, pure):
@@ -504,7 +562,8 @@ def test_stacked_switch_matches_literal_kraus_sum(n, seed, mixed_a, mixed_b, pur
     np.testing.assert_allclose(
         out.matrix, literal_switch(a, b, rho.matrix, omega.matrix), rtol=0, atol=1e-12
     )
-    stacked = [k.entries for k in qswitch.switch_kraus(a, b)]
+    stacked = qswitch.switch_kraus(a, b)
+    assert stacked.shape == (len(a) * len(b),) + (2 ** (n + 1),) * 2
     np.testing.assert_allclose(stacked, literal_switch_kraus(a, b), rtol=0, atol=1e-12)
     np.testing.assert_allclose(
         channels.choi(qswitch.switched_kraus(a, b, omega)).matrix,
@@ -648,16 +707,12 @@ def broadcast_lift_control(stack, omega):
     return lifted.transpose(0, 3, 1, 2).reshape(-1, rows, cols // 2)
 
 
-def stacked(ops):
-    return np.stack([op.entries for op in ops])
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.booleans())
 def test_gemm_switch_kernels_equal_broadcast_forms_bit_for_bit(n, seed, mixed_a, mixed_b, pure):
     rng = np.random.default_rng(seed)
-    a = stacked(drawn_channel(rng, n, mixed_a))
-    b = stacked(drawn_channel(rng, n, mixed_b))
+    a = drawn_channel(rng, n, mixed_a)
+    b = drawn_channel(rng, n, mixed_b)
     omega = random_control(rng, pure)
     stack = qswitch._switch_of(a, b)
     reference = broadcast_switch_of(a, b)
@@ -690,7 +745,7 @@ def test_lifted_kernel_outputs_match_literal_kraus_sum(n, seed, count, mixed_a, 
     b = drawn_channel(rng, n, mixed_b)
     omega = random_control(rng, pure)
     rhos = qcore.random_density_stack((2,) * n, rng, count)
-    _, stack = qswitch._switch_stack(a, b)
+    stack = qswitch.switch_kraus(a, b)
     kernel = qswitch._input_kernel(qswitch._lift_control(stack, omega))
     assert kernel.shape == (4**n, 4 ** (n + 1))
     out = qswitch._switch_outputs(kernel, rhos)
@@ -738,7 +793,7 @@ def test_nxy_fixtures_are_built_once_per_n_and_read_only():
 def test_choi_deviation_rejects_channels_on_another_qubit_count():
     ops = pauli_kraus(N_XY)
     with mock.patch.object(qswitch, "_input_kernel", wraps=qswitch._input_kernel) as kernel:
-        with pytest.raises(DimensionMismatchError, match=r"on 2 qubits, channels on 1 "):
+        with pytest.raises(DimensionMismatchError, match=r"on 2 qubits, channels on dimension 2$"):
             qswitch.choi_deviation(qswitch.closed_form_nxy_n(2), ops, ops)
     assert kernel.call_count == 0
 
