@@ -167,7 +167,7 @@ def resolve_messages(text: str, seed: int) -> list[MessageState]:
     alpha, beta = (parse_complex(p) for p in parts)
     norm = abs(alpha) ** 2 + abs(beta) ** 2
     if norm < 1e-12:
-        raise UsageError("message amplitudes are both zero")
+        raise UsageError(f"message squared norm {norm:.6g} is below the floor 1e-12")
     if abs(norm - 1.0) > 1e-6:
         sys.stderr.write(f"warning: normalizing message with squared norm {norm:.6g}\n")
     scale = math.sqrt(norm)

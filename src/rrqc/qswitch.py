@@ -34,18 +34,20 @@ a per-qubit table of summed pair weights keyed by (product label,
 anticommutes), combined across qubits by a parity-tracked convolution.
 ``closed_form_two_party`` (a two-qubit product switched with itself) and
 ``closed_form_nxy_n`` (n equal-X/Y mixtures, whose branches are the even-
-and odd-weight Z strings) are its special cases. ``validate_closed_forms``
-cross-checks the closed forms against the generic switch at the level of
-Choi matrices, which is the only trusted route: the closed forms are derived
-here from the Pauli pair algebra, not transcribed from any external table.
-A unit-trace Choi matrix holds the Gram entries of the lifted Kraus operators
-divided by d, and the input kernel holds the same entries in another order,
-so each Choi comparison is one of input kernels: the generic switch's
-against that of the closed form's Kraus stack, with the max-entry difference
-divided by d. What it checks at each n that does not depend on the seed (the
-equal-X/Y switch Kraus stack, its input kernel and the Choi comparisons) is
-built and checked once per process; the random-input trials run as stacked
-passes through that kernel and ``SwitchedChannel.apply_stack``.
+and odd-weight Z strings) are its special cases. A closed form is evaluated
+only from its string tables, each string a flip pattern and a sign vector
+(``_string_arrays``): ``SwitchedChannel.apply_stack`` applies them as summed
+masks and index permutations, and ``_closed_kernels`` scatters them into
+input kernels.
+
+``validate_closed_forms`` cross-checks the closed forms against the generic
+switch at the level of Choi matrices, which is the only trusted route: the
+closed forms are derived here from the Pauli pair algebra, not transcribed
+from any external table. A unit-trace Choi matrix holds the Gram entries of
+the lifted Kraus operators divided by d, and the input kernel holds the same
+entries in another order, so each Choi comparison is one of input kernels:
+the generic switch's against the closed form's scattered one, with the
+max-entry difference divided by d.
 
 For two products of single-qubit Kraus sets, A = (x)_q a_q and B =
 (x)_q b_q, the generic switch factors over the qubits (``_product_kernel``,
@@ -54,16 +56,15 @@ and M^1_ij = b_j a_i on one qubit, block (c, c') of the input kernel is
 omega_cc' times the Kronecker product over the qubits of the 4 x 4 pair sums
 L_cc' = sum_ij M^c_ij (x) conj(M^c'_ij). This is exact for any product
 channels, uses none of the Pauli algebra the closed forms come from, and
-never forms the (|a| |b|)^n operators of the dense stack. The two-party
-trials of ``validate_closed_forms`` take this route, one batched pass per
-block of trials; the per-n fixtures, ``switch_generic`` and
-``choi_deviation`` keep the dense stack.
+never forms the (|a| |b|)^n operators of the dense stack. Every generic
+kernel of ``validate_closed_forms`` takes this route; the dense stack stays
+behind ``switch_generic``, ``switch_kraus``, ``switched_kraus`` and
+``choi_deviation``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -149,13 +150,12 @@ def _input_kernel(lifted: np.ndarray) -> np.ndarray:
     """The (d^2, (2d)^2) matrix that takes a row-major flattened message rho
     to the flattened output sum_k K_k rho K_k^dag of a lifted Kraus stack
     (m, 2d, d): the transpose of R = sum_k K_k (x) conj(K_k), formed as one
-    Gram product of the flattened operators. A (..., m, 2d, d) stack of
-    lifted sets gives one kernel per set."""
-    *batch, m, rows, side = lifted.shape
-    flat = lifted.reshape(*batch, m, -1)
-    gram = flat.swapaxes(-1, -2) @ flat.conj()  # ((a, i), (b, j)): sum_k K_ai conj(K_bj)
-    kernel = gram.reshape(-1, rows, side, rows, side).transpose(0, 2, 4, 1, 3)
-    return kernel.reshape(*batch, side**2, rows**2)
+    Gram product of the flattened operators."""
+    m, rows, side = lifted.shape
+    flat = lifted.reshape(m, -1)
+    gram = flat.T @ flat.conj()  # ((a, i), (b, j)): sum_k K_ai conj(K_bj)
+    kernel = gram.reshape(rows, side, rows, side).transpose(1, 3, 0, 2)
+    return kernel.reshape(side**2, rows**2)
 
 
 def _product_kernel(first: np.ndarray, second: np.ndarray, omegas: np.ndarray) -> np.ndarray:
@@ -322,88 +322,101 @@ class SwitchedChannel:
             )
         return (out + out.conj().transpose(0, 2, 1)) / 2
 
+    @property
+    def _branches(self) -> list[tuple[float, StringTable, DensityMatrix]]:
+        """(p, string table, control) of each branch of positive probability."""
+        plus = (self.p_plus, self.plus_strings, self.omega_plus)
+        minus = (self.p_minus, self.minus_strings, self.omega_minus)
+        return [branch for branch in (plus, minus) if branch[0] > 0.0]
+
     @functools.cached_property
     def _flip_groups(self):
         """Each branch of positive probability with its string table grouped
-        by flip pattern.
-
-        A Pauli string is, up to a global phase, X^u D with u its flip
-        pattern (the qubits carrying X or Y) and D diagonal with entries
-        c = +-1 (a sign for each Z or Y). So sigma rho sigma^dag is
-        (c c^T * rho) permuted by i -> i ^ u on rows and columns, and each
-        group u applies as one summed mask sum_s w_s c_s c_s^T and one
-        index permutation. With z the bitmask of the qubits carrying Z or Y
-        (qubit 0 the most significant bit), c_i = (-1)^popcount(i & z), read
-        from a parity table of the indices.
-        """
-        size = 2**self.num_qubits
-        index = np.arange(size)
-        parity = np.zeros(size, dtype=np.int64)  # popcount(i) mod 2
-        for bit in range(self.num_qubits):
-            parity ^= (index >> bit) & 1
+        by flip pattern (``_string_arrays``): per flip pattern u that occurs,
+        the index permutation i -> i ^ u and one summed mask
+        sum_s w_s c_s c_s^T, its strings added in table order, so that the
+        group applies as (mask * rho) permuted on rows and columns."""
         out = []
-        for prob, table, omega in (
-            (self.p_plus, self.plus_strings, self.omega_plus),
-            (self.p_minus, self.minus_strings, self.omega_minus),
-        ):
-            if prob <= 0.0:
-                continue
+        for prob, table, omega in self._branches:
+            flips, signs, weights = _string_arrays(table.items())
             masks: dict[int, np.ndarray] = {}
-            for labels, w in table.items():
-                flip = zmask = 0
-                for label in labels:
-                    flip = 2 * flip + (label in "XY")
-                    zmask = 2 * zmask + (label in "YZ")
-                signs = 1.0 - 2.0 * parity[index & zmask]
-                masks[flip] = masks.get(flip, 0.0) + w * np.outer(signs, signs)
+            for flip, sign, w in zip(flips.tolist(), signs, weights):
+                masks[flip] = masks.get(flip, 0.0) + w * np.outer(sign, sign)
+            index = np.arange(signs.shape[1])
             groups = tuple((index ^ flip, mask) for flip, mask in masks.items())
             for array in (a for group in groups for a in group):
                 array.setflags(write=False)  # every later apply reads them
             out.append((prob, groups, omega))
         return tuple(out)
 
-    def _output_stack(self) -> np.ndarray:
-        """Kraus operators of the message -> message (x) control map, stacked
-        as (m, 2 * 2**n, 2**n): sqrt(p * w_s * lam) sigma_s (x) |v> for each
-        branch, eigenpair (lam, |v>) of its control state and string s."""
-        rows, strings = _string_table(self.num_qubits)
-        blocks = []
-        for prob, table, omega in (
-            (self.p_plus, self.plus_strings, self.omega_plus),
-            (self.p_minus, self.minus_strings, self.omega_minus),
-        ):
-            if prob <= 0.0:
-                continue
-            items = sorted(table.items())
-            sigmas = strings[[rows[s] for s, _ in items]]
-            weights = np.array([w for _, w in items])
-            side = sigmas.shape[-1]
-            vals, vecs = np.linalg.eigh(omega.matrix)
-            for lam, vec in zip(vals, vecs.T):
-                if lam < PROB_FLOOR:
-                    continue
-                amps = np.sqrt(prob * weights * lam)[:, None, None, None]
-                block = amps * sigmas[:, :, None, :] * vec[None, None, :, None]
-                blocks.append(block.reshape(-1, 2 * side, side))
-        return np.concatenate(blocks)
+
+def _string_arrays(items) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(label string, weight) items, such as a string table's, as arrays in
+    their order: the (s,) flip patterns, the (s, 2**n) sign vectors and the
+    (s,) weights.
+
+    A Pauli string is, up to a global phase, X^u D with u its flip pattern
+    (the qubits carrying X or Y, qubit 0 the most significant bit) and D
+    diagonal with entries c_i = (-1)^popcount(i & z), z the qubits carrying Z
+    or Y (a Y is X Z up to its phase). So sigma rho sigma^dag is
+    (c c^T * rho) with rows and columns permuted by i -> i ^ u.
+    """
+    strings, weights = zip(*items)
+    labels = np.array(strings)  # (s, n): one label per string and qubit
+    n = labels.shape[1]
+    bits = 1 << np.arange(n - 1, -1, -1)
+    flips = ((labels == "X") | (labels == "Y")) @ bits
+    zmasks = ((labels == "Y") | (labels == "Z")) @ bits
+    index = np.arange(2**n)
+    parity = np.zeros(2**n, dtype=np.int64)  # popcount(i) mod 2
+    for bit in range(n):
+        parity ^= (index >> bit) & 1
+    signs = 1.0 - 2.0 * parity[index & zmasks[:, None]]
+    return flips, signs, np.array(weights, dtype=float)
 
 
-@functools.lru_cache(maxsize=None)
-def _string_table(n: int) -> tuple[dict[tuple[str, ...], int], np.ndarray]:
-    """Every n-qubit Pauli string: its row by label tuple, first qubit
-    slowest, and a read-only (4**n, 2**n, 2**n) stack of their matrices
-    (16**(n + 1) bytes), each the product ``channels.pauli_string_matrix``
-    forms, built with one broadcast Kronecker product per qubit."""
-    labels = itertools.product(channels.PAULI_LABELS, repeat=n)
-    rows = {string: row for row, string in enumerate(labels)}
-    strings = np.ones((1, 1, 1), dtype=complex)
-    for _ in range(n):
-        count, side = strings.shape[:2]
-        strings = (
-            strings[:, None, :, None, :, None] * _PAULIS[None, :, None, :, None, :]
-        ).reshape(4 * count, 2 * side, 2 * side)
-    strings.setflags(write=False)
-    return rows, strings
+def _closed_kernels(switched: Sequence[SwitchedChannel]) -> np.ndarray:
+    """The ``_input_kernel`` of each of T closed forms on the same n qubits,
+    (T, d^2, (2d)^2), scattered from their string tables.
+
+    A string with flip pattern u, signs c and weight w, in a branch of
+    probability p and control omega, takes rho_ij to p w c_i c_j omega_cc'
+    at output row (i ^ u, c) and column (j ^ u, c'). The strings of a branch
+    are summed into one mask per u, and both branches into one block per u,
+    which fills its own kernel entries. No completeness check is made: a
+    closed form is trace preserving once ``SwitchedChannel`` has checked its
+    probabilities and weights, and its control is a checked state.
+    """
+    count, size = len(switched), 2 ** switched[0].num_qubits
+    items, slots = [], []
+    controls = np.zeros((count, 2, 2, 2), dtype=complex)
+    for t, sw in enumerate(switched):
+        for b, (prob, table, omega) in enumerate(sw._branches):
+            items += [(labels, prob * w) for labels, w in table.items()]
+            slots += [2 * t + b] * len(table)
+            controls[t, b] = omega.matrix
+    flips, signs, weights = _string_arrays(items)
+    masks = np.zeros((2 * count, size, size, size))  # ((t, branch), u, i, j)
+    scaled = weights[:, None] * signs
+    np.add.at(masks, (slots, flips), scaled[:, :, None] * signs[:, None, :])
+    masks = masks.reshape(count, 2, size, size, size, 1, 1)
+    summed = (masks * controls[:, :, None, None, None]).sum(axis=1)  # (t, u, i, j, c, c')
+    index = range(size)
+    u, i, j, c, c2 = np.ix_(index, index, index, range(2), range(2))
+    rows = size * i + j
+    cols = (2 * (i ^ u) + c) * 2 * size + 2 * (j ^ u) + c2
+    kernels = np.zeros((count, size**2, 4 * size**2), dtype=complex)
+    kernels[:, rows, cols] = summed
+    return kernels
+
+
+def _closed_form_deviations(switched: Sequence[SwitchedChannel], kernels: np.ndarray):
+    """Max-entry unit-trace Choi difference between each of T closed forms on
+    n qubits and the map whose ``_input_kernel`` is the matching one of the
+    (T, d^2, (2d)^2) ``kernels``: their max-entry difference divided by d."""
+    closed = _closed_kernels(switched)
+    deviations = np.abs(kernels - closed).reshape(len(closed), -1).max(axis=1)
+    return deviations / 2 ** switched[0].num_qubits
 
 
 def closed_form_product(
@@ -493,17 +506,8 @@ def choi_deviation(sw: SwitchedChannel, a: np.ndarray, b: np.ndarray) -> float:
         raise DimensionMismatchError(
             f"closed form on {sw.num_qubits} qubits, channels on dimension {side}"
         )
-    return _choi_deviation(sw, _input_kernel(_lift_control(_switch_of(a, b), sw.omega_plus)))
-
-
-def _choi_deviation(sw: SwitchedChannel, kernel: np.ndarray) -> float:
-    """``choi_deviation`` against the ``_input_kernel`` of a generic switch
-    whose Kraus stack ``_switch_of`` built and checked: the max-entry kernel
-    difference divided by d, which is the unit-trace Choi deviation. The
-    closed form's Kraus set is checked complete."""
-    closed = sw._output_stack()
-    qcore.check_complete(closed, "closed-form Kraus set")
-    return float(np.abs(kernel - _input_kernel(closed)).max() / closed.shape[-1])
+    kernel = _input_kernel(_lift_control(_switch_of(a, b), sw.omega_plus))
+    return float(_closed_form_deviations([sw], kernel[None])[0])
 
 
 @dataclass(frozen=True)
@@ -538,27 +542,23 @@ def validate_closed_forms(
     checks of the latter, and at n = 2 additionally draws ``trials`` random
     two-party Pauli channel pairs with random pure control states.
 
-    Everything that does not depend on the seed is built and checked once
-    per process, on the first call that asks for its n (``_nxy_fixture``):
-    the equal-X/Y switch Kraus stack (checked complete), its closed form
-    (whose Kraus set is checked complete), the input kernel of the switch
-    with the |+> control and the ``identity`` and ``nxy-choi`` records, the
-    latter read off that kernel. An empty ``ns``, any n in it outside 1..3,
-    or a negative ``trials`` raises ValueError before any fixture is built or
-    trial drawn. Trials
-    run in blocks of ``_BLOCK``, so memory does not grow with ``trials``: a
-    block's messages are drawn in turn and checked as one stack, pass through
-    the input kernel as one matrix product and through
-    ``SwitchedChannel.apply_stack``, and each side's outputs pass one
-    ``qcore.check_states``. A two-party block draws every (e1, e2, omega)
-    first and checks the control states as one stack. Its generic side is one
-    ``_product_kernel`` pass, which checks every trial's single-qubit Kraus
-    factor sets and each qubit's two switch-order sets complete; together
-    these are the completeness of both Kraus sets and of the switch Kraus
-    set. Its closed side runs ``closed_form_two_party`` once per trial and
-    takes the Kraus set from ``SwitchedChannel._output_stack``; the block's
-    sets, zero-padded to one length, are checked complete and Grammed as one
-    batch. The random draws come in the same order as one trial at a time.
+    Every generic kernel comes from ``_product_kernel`` and every closed
+    kernel from ``_closed_kernels``. What does not depend on the seed is
+    built and checked once per process, on the first call that asks for its
+    n (``_nxy_fixture``). An empty ``ns``, any n in it outside 1..3, or a
+    negative ``trials`` raises ValueError before any fixture is built or
+    trial drawn. Trials run in blocks of ``_BLOCK``, so memory does not grow
+    with ``trials``: a block's messages are drawn in turn and checked as one
+    stack, pass through the equal-X/Y kernel as one matrix product and
+    through ``SwitchedChannel.apply_stack``, and each side's outputs pass
+    one ``qcore.check_states``. A two-party block draws every (e1, e2,
+    omega) first and checks the control states as one stack. Its generic
+    side is one ``_product_kernel`` pass, which checks every trial's
+    single-qubit Kraus factor sets and each qubit's two switch-order sets
+    complete; together these are the completeness of both Kraus sets and of
+    the switch Kraus set. Its closed side runs ``closed_form_two_party``
+    once per trial and one ``_closed_kernels`` call. The random draws come
+    in the same order as one trial at a time.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
@@ -596,9 +596,8 @@ def validate_closed_forms(
 class _NxyFixture(NamedTuple):
     """The seed-independent part of validating n equal-X/Y mixtures: the
     closed form, the ``identity`` and ``nxy-choi`` records and the read-only
-    ``_input_kernel`` of the switch with the closed form's |+> control. The
-    switch Kraus stack is not kept, since nothing reads it once the kernel
-    is formed."""
+    ``_product_kernel`` input kernel of the generic switch with the closed
+    form's |+> control, which the ``nxy-input`` trials run through."""
 
     switched: SwitchedChannel
     records: tuple[ValidationRecord, ValidationRecord]
@@ -611,19 +610,24 @@ _FIXTURES: dict[int, _NxyFixture] = {}
 
 def _nxy_fixture(n: int) -> _NxyFixture:
     """The fixture at n, an int in 1..3 that ``validate_closed_forms`` has
-    checked, built and checked on first use and kept for the process."""
+    checked, built and checked on first use and kept for the process: the
+    identity and equal-X/Y switches with the |+> control as one
+    ``_product_kernel`` pass, each against its closed form."""
     if n not in _FIXTURES:
-        ident = np.eye(2**n)[None]
-        identities = (channels.IDENTITY,) * n
-        sw = closed_form_product(identities, identities)
-        identity = ValidationRecord("identity", n, "", choi_deviation(sw, ident, ident))
-        nxy_ops = channels.product_pauli_kraus([channels.N_XY] * n)
-        stack = _switch_of(nxy_ops, nxy_ops)
-        sw = closed_form_nxy_n(n)
-        kernel = _input_kernel(_lift_control(stack, sw.omega_plus))
+        products = [(channels.IDENTITY,) * n, (channels.N_XY,) * n]
+        switched = [closed_form_product(product, product) for product in products]
+        weights = np.array([[ch.weights for ch in product] for product in products])
+        factors = np.sqrt(weights)[..., None, None] * _PAULIS  # (2, n, 4, 2, 2)
+        controls = np.stack([sw.omega_plus.matrix for sw in switched])
+        kernels = _product_kernel(factors, factors, controls)
+        identity, nxy = _closed_form_deviations(switched, kernels).tolist()
+        kernel = kernels[1].copy()
         kernel.setflags(write=False)
-        nxy_choi = ValidationRecord("nxy-choi", n, "", _choi_deviation(sw, kernel))
-        _FIXTURES[n] = _NxyFixture(sw, (identity, nxy_choi), kernel)
+        records = (
+            ValidationRecord("identity", n, "", identity),
+            ValidationRecord("nxy-choi", n, "", nxy),
+        )
+        _FIXTURES[n] = _NxyFixture(switched[1], records, kernel)
     return _FIXTURES[n]
 
 
@@ -654,10 +658,8 @@ def _two_party_deviations(trials: int, rng):
     time: a block draws every (e1, e2, omega) first and checks the control
     states as one stack. The generic side is ``_product_kernel`` on the
     block's factor sets sqrt(w_l) sigma_l (zero weights give zero
-    operators). The closed side is each trial's closed-form Kraus stack,
-    padded with zero operators to the block's longest, which leaves every
-    kernel unchanged; the padded stacks are checked complete and Grammed as
-    one batch."""
+    operators), the closed side ``_closed_kernels`` on the block's closed
+    forms."""
     for count in _blocks(trials):
         draws = [
             (
@@ -673,13 +675,7 @@ def _two_party_deviations(trials: int, rng):
         weights = np.array([(e1.weights, e2.weights) for e1, e2, _ in draws])
         factors = np.sqrt(weights)[..., None, None] * _PAULIS  # (T, 2, 4, 2, 2)
         generic = _product_kernel(factors, factors, controls)
-        stacks = [
-            closed_form_two_party(e1, e2, omega)._output_stack()
-            for (e1, e2, _), omega in zip(draws, omegas)
+        switched = [
+            closed_form_two_party(e1, e2, omega) for (e1, e2, _), omega in zip(draws, omegas)
         ]
-        closed = np.zeros((count, max(map(len, stacks))) + stacks[0].shape[1:], dtype=complex)
-        for padded, stack in zip(closed, stacks):
-            padded[: len(stack)] = stack
-        qcore.check_complete(closed, "closed-form Kraus set")
-        deviations = np.abs(generic - _input_kernel(closed)).reshape(count, -1).max(axis=1)
-        yield from (deviations / closed.shape[-1]).tolist()
+        yield from _closed_form_deviations(switched, generic).tolist()

@@ -54,6 +54,24 @@ def test_resolve_messages_normalizes_with_warning(capsys):
     assert "normalizing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("message, norm", [("0,0", "0"), ("1e-7,0", "1e-14")])
+def test_message_below_the_norm_floor_is_a_usage_error(message, norm, capsys):
+    args = ["protocol", "--variant", "switch", "--n", "2", "--x", "1", "--message", message]
+    assert main(args) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"message squared norm {norm} is below the floor 1e-12" in err
+
+
+def test_small_message_above_the_norm_floor_is_normalized(tmp_path, capsys):
+    args = ["protocol", "--variant", "switch", "--n", "2", "--x", "1", "--message", "1e-5,0"]
+    code, report = run_json(tmp_path, args)
+    assert code == EXIT_OK
+    assert "warning: normalizing message with squared norm 1e-10" in capsys.readouterr().err
+    assert {(tuple(r["alpha"]), tuple(r["beta"])) for r in report["records"]} == {
+        ((1.0, 0.0), (0.0, 0.0))
+    }
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["protocol", "--variant", "bogus", "--n", "2"]) == EXIT_USAGE
     assert main(["nope"]) == EXIT_USAGE

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 from unittest import mock
@@ -369,12 +370,12 @@ def test_validate_closed_forms_checks_every_n_before_any_work(trials, ns, error)
     # a bad n anywhere in ns, or a negative trial count, is caught before
     # any fixture is built or draw taken
     with mock.patch.object(qswitch, "_FIXTURES", {}), mock.patch.object(
-        qswitch, "_input_kernel", wraps=qswitch._input_kernel
-    ) as input_kernel, mock.patch.object(np.random, "default_rng") as default_rng:
+        qswitch, "_product_kernel", wraps=qswitch._product_kernel
+    ) as product_kernel, mock.patch.object(np.random, "default_rng") as default_rng:
         with pytest.raises(error):
             qswitch.validate_closed_forms(seed=0, trials=trials, ns=ns)
         assert qswitch._FIXTURES == {}
-    assert input_kernel.call_count == 0
+    assert product_kernel.call_count == 0
     assert default_rng.call_count == 0
 
 
@@ -589,7 +590,7 @@ def test_stacked_closed_form_choi_matches_literal_kraus(n, seed, pure):
         pair = nxy_product(n)
     reference = channels.choi(literal_output_kraus(sw)).matrix
     np.testing.assert_allclose(
-        kernel_choi(qswitch._input_kernel(sw._output_stack())), reference, rtol=0, atol=1e-12
+        kernel_choi(qswitch._closed_kernels([sw])[0]), reference, rtol=0, atol=1e-12
     )
     generic = literal_switch_choi(pair, pair, omega.matrix)
     assert abs(
@@ -668,6 +669,7 @@ def test_flip_group_masks_match_kron_construction_bit_for_bit(n, seed, single, p
     first = drawn_factors(rng, n, single)
     second = drawn_factors(rng, n, single)
     sw = qswitch.closed_form_product(first, second, random_control(rng, pure))
+    assert_flip_groups_equal_bit_for_bit(sw)
     tables = [
         table
         for prob, table in ((sw.p_plus, sw.plus_strings), (sw.p_minus, sw.minus_strings))
@@ -757,14 +759,14 @@ def test_lifted_kernel_outputs_match_literal_kraus_sum(n, seed, count, mixed_a, 
 
 def test_nxy_fixtures_are_built_once_per_n_and_read_only():
     with mock.patch.object(qswitch, "_FIXTURES", {}), mock.patch.object(
-        qswitch, "_input_kernel", wraps=qswitch._input_kernel
-    ) as input_kernel:
+        qswitch, "_product_kernel", wraps=qswitch._product_kernel
+    ) as product_kernel:
         first = qswitch.validate_closed_forms(seed=4, trials=3, ns=(1, 3))
-        # per n: the identity switch and its closed form, the equal-X/Y
-        # switch (the kept kernel) and its closed form
-        assert input_kernel.call_count == 8
+        # per n: one pass for the identity and the equal-X/Y switch (the
+        # kept kernel)
+        assert product_kernel.call_count == 2
         again = qswitch.validate_closed_forms(seed=4, trials=3, ns=(3, 1))
-        assert input_kernel.call_count == 8
+        assert product_kernel.call_count == 2
         fixtures = dict(qswitch._FIXTURES)
         assert all(qswitch._nxy_fixture(n) is fixture for n, fixture in fixtures.items())
     assert sorted(fixtures) == [1, 3]
@@ -875,7 +877,7 @@ def four_qubit_product_route_deviation(seed, pure):
     kernel = qswitch._product_kernel(
         pauli_factor_sets(first)[None], pauli_factor_sets(second)[None], omega.matrix[None]
     )
-    return qswitch._choi_deviation(sw, kernel[0])
+    return qswitch._closed_form_deviations([sw], kernel)[0]
 
 
 @settings(max_examples=8, deadline=None)
@@ -909,46 +911,96 @@ def test_warm_two_party_trials_build_no_dense_switch_stack():
     assert len([r for r in report.records if r.kind == "two-party"]) == 20
 
 
-def per_string_output_stack(sw):
-    """``SwitchedChannel._output_stack`` with one ``pauli_string_matrix`` per string."""
-    blocks = []
+def test_cold_validation_never_takes_the_dense_route():
+    # every generic kernel comes from the product route and every closed
+    # kernel from the string tables, also when the fixtures are built
+    names = ["_switch_of", "_lift_control", "_input_kernel", "choi_deviation"]
+    with mock.patch.object(qswitch, "_FIXTURES", {}), contextlib.ExitStack() as stack:
+        mocks = [stack.enter_context(mock.patch.object(qswitch, name)) for name in names]
+        mocks.append(stack.enter_context(mock.patch.object(channels, "product_pauli_kraus")))
+        report = qswitch.validate_closed_forms(5, 4, ns=(1, 2, 3))
+        assert sorted(qswitch._FIXTURES) == [1, 2, 3]
+    assert [m.call_count for m in mocks] == [0] * 5
+    assert report.passed and len(report.records) == 3 * (2 + 4) + 4
+
+
+# ---------------------------------------------------------------------------
+# closed kernels scattered from the string tables
+# ---------------------------------------------------------------------------
+
+
+def drawn_closed_forms(rng, n, count, single, pure):
+    """``count`` closed forms of drawn n-qubit products, each with its own
+    drawn control, and the identity closed form (a zero-probability minus
+    branch) among them."""
+    pairs = [(drawn_factors(rng, n, single), drawn_factors(rng, n, single)) for _ in range(count)]
+    pairs.insert(int(rng.integers(0, count + 1)), ((IDENTITY,) * n, (IDENTITY,) * n))
+    return [
+        qswitch.closed_form_product(first, second, random_control(rng, pure))
+        for first, second in pairs
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.booleans(),
+    st.booleans(),
+)
+def test_closed_kernels_are_the_choi_matrices_of_literal_kraus_sets(n, seed, count, single, pure):
+    rng = np.random.default_rng(seed)
+    switched = drawn_closed_forms(rng, n, count, single, pure)
+    kernels = qswitch._closed_kernels(switched)
+    assert kernels.shape == (count + 1, 4**n, 4 ** (n + 1))
+    side = 2**n
+    for sw, kernel in zip(switched, kernels):
+        np.testing.assert_allclose(
+            kernel_choi(kernel), channels.choi(literal_output_kraus(sw)).matrix, rtol=0, atol=1e-12
+        )
+        # trace preserving: tr(output) = tr(rho) for every message rho
+        traces = np.einsum("ijaa->ij", kernel.reshape(side, side, 2 * side, 2 * side))
+        np.testing.assert_allclose(traces, np.eye(side), rtol=0, atol=1e-12)
+
+
+def per_string_flip_groups(sw):
+    """``SwitchedChannel._flip_groups`` as one sign vector and one outer
+    product per string, the strings taken in table order."""
+    size = 2**sw.num_qubits
+    index = np.arange(size)
+    parity = np.zeros(size, dtype=np.int64)
+    for bit in range(sw.num_qubits):
+        parity ^= (index >> bit) & 1
+    out = []
     for prob, table, omega in (
         (sw.p_plus, sw.plus_strings, sw.omega_plus),
         (sw.p_minus, sw.minus_strings, sw.omega_minus),
     ):
         if prob <= 0.0:
             continue
-        items = sorted(table.items())
-        sigmas = np.stack([channels.pauli_string_matrix(s) for s, _ in items])
-        weights = np.array([w for _, w in items])
-        side = sigmas.shape[-1]
-        vals, vecs = np.linalg.eigh(omega.matrix)
-        for lam, vec in zip(vals, vecs.T):
-            if lam < qcore.PROB_FLOOR:
-                continue
-            amps = np.sqrt(prob * weights * lam)[:, None, None, None]
-            block = amps * sigmas[:, :, None, :] * vec[None, None, :, None]
-            blocks.append(block.reshape(-1, 2 * side, side))
-    return np.concatenate(blocks)
+        masks = {}
+        for labels, w in table.items():
+            flip = zmask = 0
+            for label in labels:
+                flip = 2 * flip + (label in "XY")
+                zmask = 2 * zmask + (label in "YZ")
+            signs = 1.0 - 2.0 * parity[index & zmask]
+            masks[flip] = masks.get(flip, 0.0) + w * np.outer(signs, signs)
+        out.append((prob, tuple((index ^ flip, mask) for flip, mask in masks.items()), omega))
+    return out
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
-def test_output_stack_from_string_table_matches_per_string_build(n, seed, single, pure):
-    rng = np.random.default_rng(seed)
-    first = drawn_factors(rng, n, single)
-    second = drawn_factors(rng, n, single)
-    sw = qswitch.closed_form_product(first, second, random_control(rng, pure))
-    stack, reference = sw._output_stack(), per_string_output_stack(sw)
-    assert stack.dtype == reference.dtype and stack.shape == reference.shape
-    assert stack.tobytes() == reference.tobytes()
+def assert_flip_groups_equal_bit_for_bit(sw):
+    expected = per_string_flip_groups(sw)
+    assert len(sw._flip_groups) == len(expected)
+    for (prob, groups, omega), (prob_e, groups_e, omega_e) in zip(sw._flip_groups, expected):
+        assert (prob, omega) == (prob_e, omega_e) and len(groups) == len(groups_e)
+        for (inverse, mask), (inverse_e, mask_e) in zip(groups, groups_e):
+            assert inverse.dtype == inverse_e.dtype and inverse.tobytes() == inverse_e.tobytes()
+            assert mask.dtype == mask_e.dtype and mask.tobytes() == mask_e.tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_string_table_rows_are_the_string_matrices(n):
-    rows, strings = qswitch._string_table(n)
-    assert len(rows) == len(strings) == 4**n
-    for labels, row in rows.items():
-        assert strings[row].tobytes() == channels.pauli_string_matrix(labels).tobytes()
-    with pytest.raises(ValueError, match="read-only"):
-        strings[0, 0, 0] = 1.0
+@pytest.mark.parametrize("n", range(1, 7))
+def test_nxy_flip_groups_match_the_per_string_loop_bit_for_bit(n):
+    assert_flip_groups_equal_bit_for_bit(qswitch.closed_form_nxy_n(n))
