@@ -151,8 +151,8 @@ def resolve_messages(text: str, seed: int) -> list[MessageState]:
     """Turn a message flag into concrete states.
 
     Accepts 'alpha,beta' complex literals (auto-normalized with a warning when
-    the norm is off by more than 1e-6) or 'HAAR(count)' for seeded random
-    draws.
+    the norm is off by more than 1e-6, however large the literals) or
+    'HAAR(count)' for seeded random draws.
     """
     haar = _HAAR_RE.match(text.strip())
     if haar:
@@ -165,11 +165,18 @@ def resolve_messages(text: str, seed: int) -> list[MessageState]:
     if len(parts) != 2:
         raise UsageError(f"message must be 'alpha,beta' or 'HAAR(count)', got {text!r}")
     alpha, beta = (parse_complex(p) for p in parts)
+    # a pair too large to square is first scaled by a power of two, which is
+    # exact and so changes no bit of the normalized amplitudes
+    largest = max(abs(alpha.real), abs(alpha.imag), abs(beta.real), abs(beta.imag))
+    power = 2.0 ** max(math.frexp(largest)[1] - 500, 0)
+    if power > 1.0:
+        alpha, beta = alpha / power, beta / power
     norm = abs(alpha) ** 2 + abs(beta) ** 2
     if norm < 1e-12:
         raise UsageError(f"message squared norm {norm:.6g} is below the floor 1e-12")
-    if abs(norm - 1.0) > 1e-6:
-        sys.stderr.write(f"warning: normalizing message with squared norm {norm:.6g}\n")
+    squared_norm = norm * power * power  # inf beyond the float range
+    if abs(squared_norm - 1.0) > 1e-6:
+        sys.stderr.write(f"warning: normalizing message with squared norm {squared_norm:.6g}\n")
     scale = math.sqrt(norm)
     return [MessageState(alpha / scale, beta / scale)]
 
@@ -202,20 +209,31 @@ class RunConfig:
         }
 
 
+def _json_document(value) -> str:
+    """The text of ``json.dumps(value, sort_keys=True, indent=2)`` and a
+    newline. A value ``json`` cannot encode raises ``json``'s own TypeError,
+    which names the first such value in document order."""
+    try:
+        return _json_text(value, "") + "\n"
+    except TypeError:
+        return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
 def _json_text(value, pad: str) -> str:
     """The text of ``json.dumps(value, sort_keys=True, indent=2)``, with every
     line after the first also indented by ``pad``.
 
     With an indent, ``json`` runs its pure-Python generator encoder; this
-    builds the same bytes with as little Python per value as it can. A value
-    of exactly the type str, int, float, bool or None is one lookup in
-    ``_SCALAR_TEXT``. The items of a list or tuple are rendered as one column
-    (``_json_column``): items of one scalar type in one ``map``, dicts with
-    str keys in one pass per key for each key order, and lists and tuples by
-    rendering all their items as one column. Everything else (subclasses, mixed
-    columns, non-str keys) goes through ``_json_generic``, which tests types
-    in ``json``'s order, so subclasses of str, int and float render as
-    ``json`` renders them and any other type raises TypeError.
+    builds the same bytes with as little Python per value as it can, for the
+    values reports are made of. A value of exactly the type str, int, float,
+    bool or None is one lookup in ``_SCALAR_TEXT``. The items of a list or
+    tuple are rendered as one column (``_json_column``): items of one scalar
+    type in one ``map``, dicts with exact-str keys in one pass per key for
+    each key order, and lists and tuples by rendering all their items as one
+    column. A dict with exact-str keys gets its sorted-key body here.
+    Everything else (subclasses, enums, non-str keys, values ``json`` rejects)
+    is handed to ``json.dumps`` and re-indented by ``pad``, which is exact
+    because ``json``'s ASCII-escaped strings never hold a raw newline.
     """
     kind = type(value)
     scalar = _SCALAR_TEXT.get(kind)
@@ -223,38 +241,16 @@ def _json_text(value, pad: str) -> str:
         return scalar(value)
     if kind is list or kind is tuple:
         return _json_arrays((value,), pad)[0]
-    return _json_generic(value, pad)
-
-
-def _json_generic(value, pad: str) -> str:
-    """``_json_text`` with the type tests ``json`` makes, in its order."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _json_float(value)
-    inner = pad + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        body = [_json_text(item, inner) for item in value]
-        return "[\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "]"
-    if isinstance(value, dict):
+    if kind is dict and set(map(type, value)) <= {str}:
         if not value:
             return "{}"
+        inner = pad + "  "
         body = [
-            encode_basestring_ascii(_json_key(key)) + ": " + _json_text(item, inner)
+            encode_basestring_ascii(key) + ": " + _json_text(item, inner)
             for key, item in sorted(value.items())
         ]
         return "{\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "}"
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
 def _json_column(values, pad: str):
@@ -265,10 +261,8 @@ def _json_column(values, pad: str):
         (kind,) = kinds
         if kind in _SCALAR_TEXT:
             return map(_SCALAR_TEXT[kind], values)
-        if kind is dict:
-            texts = _json_rows(values, pad)
-            if texts is not None:
-                return texts
+        if kind is dict and set(map(type, itertools.chain.from_iterable(values))) <= {str}:
+            return _json_rows(values, pad)
     if kinds <= {list, tuple}:
         return _json_arrays(values, pad)
     return [_json_text(value, pad) for value in values]
@@ -290,48 +284,35 @@ def _json_arrays(arrays, pad: str) -> list[str]:
     ]
 
 
-def _json_rows(rows, pad: str) -> list[str] | None:
-    """The texts of dicts at ``pad`` whose keys are all exact strs, or None
-    for any other dicts. Rows with the same keys in the same order are
-    rendered together by ``_json_keyed_rows``. A value ``json`` cannot
-    encode also gives None, so that the rows are rendered again one at a
-    time and the TypeError names the first such value in the document, as
-    ``json``'s does."""
-    if not set(map(type, itertools.chain.from_iterable(rows))) <= {str}:
-        return None
+def _json_rows(rows, pad: str) -> list[str]:
+    """The texts of dicts at ``pad`` whose keys are all exact strs. Rows with
+    the same keys in the same order are rendered together: the sorted keys
+    are encoded once into a row template, and each key's column of values is
+    rendered as one ``_json_column``."""
     groups: dict[tuple, list[int]] = {}
     for index, row in enumerate(rows):
         groups.setdefault(tuple(row), []).append(index)
-    texts = [""] * len(rows)
-    try:
-        for members in groups.values():
-            group = [rows[index] for index in members]
-            for index, text in zip(members, _json_keyed_rows(group, sorted(group[0]), pad)):
-                texts[index] = text
-    except TypeError:
-        return None
-    return texts
-
-
-def _json_keyed_rows(rows, keys: list[str], pad: str) -> list[str]:
-    """The texts of dicts at ``pad`` that all have the sorted str ``keys``:
-    the keys are encoded once into a row template, and each key's column of
-    values is rendered as one ``_json_column``."""
-    if not keys:
-        return ["{}"] * len(rows)
+    texts = ["{}"] * len(rows)  # what a row without keys keeps
     inner = pad + "  "
-    template = (
-        "{\n"
-        + inner
-        + (",\n" + inner).join(
-            encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
+    for order, members in groups.items():
+        if not order:
+            continue
+        keys = sorted(order)
+        template = (
+            "{\n"
+            + inner
+            + (",\n" + inner).join(
+                encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
+            )
+            + "\n"
+            + pad
+            + "}"
         )
-        + "\n"
-        + pad
-        + "}"
-    )
-    columns = [_json_column(list(map(itemgetter(key), rows)), inner) for key in keys]
-    return [template % row for row in zip(*columns)]
+        group = [rows[index] for index in members]
+        columns = [_json_column(list(map(itemgetter(key), group)), inner) for key in keys]
+        for index, row in zip(members, zip(*columns)):
+            texts[index] = template % row
+    return texts
 
 
 def _json_float(value: float) -> str:
@@ -354,23 +335,6 @@ _SCALAR_TEXT = {
 }
 
 
-def _json_key(key) -> str:
-    """A dict key as ``json`` converts it before quoting it."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _json_float(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
 @dataclass
 class Report:
     config: dict
@@ -387,7 +351,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return _json_text(self.to_dict(), "") + "\n"
+        return _json_document(self.to_dict())
 
     def to_csv(self) -> str:
         buffer = io.StringIO()
@@ -497,7 +461,7 @@ def cmd_protocol(cfg: RunConfig) -> Report:
     xs = list(range(1, cfg.n + 1)) if cfg.x == "ALL" else [int(cfg.x)]
     if any(not 1 <= x <= cfg.n for x in xs):
         raise UsageError(f"--x must be in 1..{cfg.n} or ALL")
-    messages = resolve_messages(cfg.message or "HAAR(1)", cfg.seed)
+    messages = resolve_messages("HAAR(1)" if cfg.message is None else cfg.message, cfg.seed)
     policy = OutcomePolicy.exhaustive()
     records = []
     fidelities = []

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,19 +76,6 @@ class NogoReport:
         return len(self.counterexamples)
 
 
-def _permutations(n: int) -> np.ndarray:
-    """Every permutation of 0..n-1 as the rows of an (n!, n) array, in
-    lexicographic order: the permutations of size k are, for each first
-    value f in turn, f followed by those of size k - 1 with every value
-    >= f raised by one."""
-    perms = np.zeros((1, 0), dtype=np.int8)
-    for size in range(1, n + 1):
-        first = np.repeat(np.arange(size, dtype=np.int8), len(perms))
-        rest = np.tile(perms, (size, 1))
-        perms = np.column_stack((first, rest + (rest >= first[:, None])))
-    return perms
-
-
 @functools.lru_cache(maxsize=None)
 def _scan_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The read-only tables of the scan at n: the bitstrings as rows of an
@@ -96,7 +84,12 @@ def _scan_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     lexicographic (n!, n) permutation array."""
     bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     agree = bits.T[:, None, :] == bits.T[None, :, :]
-    tables = (bits, agree, np.packbits(agree, axis=-1), _permutations(n))
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n))),
+        dtype=np.int8,
+        count=math.factorial(n) * n,
+    ).reshape(-1, n)
+    tables = (bits, agree, np.packbits(agree, axis=-1), perms)
     for table in tables:
         table.setflags(write=False)
     return tables

@@ -72,6 +72,53 @@ def test_small_message_above_the_norm_floor_is_normalized(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "message", ["0.6,0.8i", "1+i,0", "3,4", "-0.3+0.2i,0.5", "3e153,4e153i", "5e153+6e153i,1"]
+)
+def test_literal_messages_normalize_as_the_plain_formula_does(message):
+    # up to |z| ~ 1.3e154 the squares fit a float; a literal past 2**500 is
+    # scaled by a power of two first, which must change no bit
+    alpha, beta = (parse_complex(p) for p in message.split(","))
+    scale = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+    (msg,) = resolve_messages(message, seed=0)
+    assert repr((msg.alpha, msg.beta)) == repr((alpha / scale, beta / scale))
+
+
+@pytest.mark.parametrize(
+    "message, alpha, beta",
+    [
+        ("1e200,1e200", [2**-0.5, 0.0], [2**-0.5, 0.0]),
+        ("1e308+1e308i,0", [2**-0.5, 2**-0.5], [0.0, 0.0]),
+        ("1e154,1e154", [2**-0.5, 0.0], [2**-0.5, 0.0]),
+    ],
+)
+def test_message_too_large_to_square_is_normalized(tmp_path, capsys, message, alpha, beta):
+    # squaring these raised OverflowError or overflowed the norm to inf
+    args = ["protocol", "--variant", "switch", "--n", "2", "--x", "1", "--message", message]
+    code, report = run_json(tmp_path, args)
+    assert code == EXIT_OK
+    assert "warning: normalizing message with squared norm" in capsys.readouterr().err
+    for record in report["records"]:
+        assert record["alpha"] == pytest.approx(alpha, abs=1e-15)
+        assert record["beta"] == pytest.approx(beta, abs=1e-15)
+        assert record["fidelity"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_empty_message_is_a_usage_error(capsys):
+    # '' ran a seeded Haar draw while the config echo said ""
+    args = ["protocol", "--variant", "switch", "--n", "2", "--x", "1", "--message", ""]
+    assert main(args + ["--format", "json"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "rrqc: error: message must be 'alpha,beta' or 'HAAR(count)', got ''\n"
+
+
+def test_protocol_without_a_message_draws_one_haar_message():
+    bare = cli.RunConfig(command="protocol", variant="switch", n=2, x=1)
+    haar = cli.RunConfig(command="protocol", variant="switch", n=2, x=1, message="HAAR(1)")
+    assert cli.cmd_protocol(bare).records == cli.cmd_protocol(haar).records
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["protocol", "--variant", "bogus", "--n", "2"]) == EXIT_USAGE
     assert main(["nope"]) == EXIT_USAGE
@@ -473,13 +520,37 @@ def test_report_json_matches_json_dumps_on_like_records(records, rows):
     assert report.to_json() == expected
 
 
+class _Text(str):
+    pass
+
+
+def test_report_json_hands_other_values_to_json_dumps():
+    # values the renderer does not batch, at depth >= 2 so that json's text
+    # is re-indented at a nonzero pad: dicts with non-str keys over several
+    # lines, IntEnums and a str subclass holding a newline
+    keyed = {2: [1, {"b": _Level.HIGH}], 1.5: {None: "x"}, True: [], -3: (0,)}
+    odd = [_Level.LOW, _Text("line\nbreak"), _Int(3), _Float(0.5), {_Text("k\n"): 1}]
+    records = [
+        {"a": keyed, "b": [odd, {"c": keyed}]},
+        {"a": {"d": keyed}, "b": odd},
+        {"a": [keyed, keyed], "b": {"e": [odd]}},
+    ]
+    report = cli.Report(
+        {"command": "x", "deep": {"keyed": keyed, "odd": odd}},
+        records,
+        {"nested": [[keyed]], "odd": {"list": odd}, "level": _Level.HIGH},
+    )
+    expected = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    assert report.to_json() == expected
+
+
 @pytest.mark.parametrize(
     "value",
     [{1: "a", 0: "b"}, {2.5: 0, -1.0: 1}, {True: 0}, {None: [1]}, {False: {}}],
     ids=["int", "float", "true", "null", "false"],
 )
 def test_report_json_converts_keys_as_json_does(value):
-    assert cli._json_text(value, "") == json.dumps(value, sort_keys=True, indent=2)
+    assert cli._json_document(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -499,7 +570,7 @@ def test_report_json_rejects_what_json_rejects(value):
     with pytest.raises(TypeError) as expected:
         json.dumps(value, sort_keys=True, indent=2)
     with pytest.raises(TypeError) as raised:
-        cli._json_text(value, "")
+        cli._json_document(value)
     assert str(raised.value) == str(expected.value)
 
 
