@@ -20,7 +20,6 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -214,48 +213,34 @@ def _json_document(value) -> str:
     newline. A value ``json`` cannot encode raises ``json``'s own TypeError,
     which names the first such value in document order."""
     try:
-        return _json_text(value, "") + "\n"
+        (text,) = _json_column((value,), "")
+        return text + "\n"
     except TypeError:
         return json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
-def _json_text(value, pad: str) -> str:
-    """The text of ``json.dumps(value, sort_keys=True, indent=2)``, with every
-    line after the first also indented by ``pad``.
+def _json_column(values, pad: str):
+    """The texts of a sequence of values, in order: each is the text of
+    ``json.dumps(value, sort_keys=True, indent=2)`` with every line after
+    the first also indented by ``pad``.
 
     With an indent, ``json`` runs its pure-Python generator encoder; this
     builds the same bytes with as little Python per value as it can, for the
-    values reports are made of. A value of exactly the type str, int, float,
-    bool or None is one lookup in ``_SCALAR_TEXT``. The items of a list or
-    tuple are rendered as one column (``_json_column``): items of one scalar
-    type in one ``map``, dicts with exact-str keys in one pass per key for
-    each key order, and lists and tuples by rendering all their items as one
-    column. A dict with exact-str keys gets its sorted-key body here.
-    Everything else (subclasses, enums, non-str keys, values ``json`` rejects)
-    is handed to ``json.dumps`` and re-indented by ``pad``, which is exact
-    because ``json``'s ASCII-escaped strings never hold a raw newline.
+    values reports are made of, by one rule on the column's types. Values of
+    exactly one of the types str, int, float, bool or None are one ``map``
+    of ``_SCALAR_TEXT`` (a column of one is rendered at once). Dicts whose
+    keys are all exact strs are ``_json_rows``, a lone dict a group of one.
+    Lists and tuples render all their items as one column, which is cut
+    back into arrays. Any other column of several values is rendered one
+    value at a time, and any other lone value (subclasses, enums, non-str
+    keys, values ``json`` rejects) is handed to ``json.dumps`` and
+    re-indented by ``pad``, which is exact because ``json``'s ASCII-escaped
+    strings never hold a raw newline.
     """
-    kind = type(value)
-    scalar = _SCALAR_TEXT.get(kind)
-    if scalar is not None:
-        return scalar(value)
-    if kind is list or kind is tuple:
-        return _json_arrays((value,), pad)[0]
-    if kind is dict and set(map(type, value)) <= {str}:
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        body = [
-            encode_basestring_ascii(key) + ": " + _json_text(item, inner)
-            for key, item in sorted(value.items())
-        ]
-        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "}"
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
-
-
-def _json_column(values, pad: str):
-    """The texts of a non-empty sequence of values, each rendered at
-    ``pad``, in order."""
+    if len(values) == 1:
+        scalar = _SCALAR_TEXT.get(type(values[0]))
+        if scalar is not None:
+            return (scalar(values[0]),)
     kinds = set(map(type, values))
     if len(kinds) == 1:
         (kind,) = kinds
@@ -264,24 +249,21 @@ def _json_column(values, pad: str):
         if kind is dict and set(map(type, itertools.chain.from_iterable(values))) <= {str}:
             return _json_rows(values, pad)
     if kinds <= {list, tuple}:
-        return _json_arrays(values, pad)
-    return [_json_text(value, pad) for value in values]
-
-
-def _json_arrays(arrays, pad: str) -> list[str]:
-    """The texts of lists and tuples at ``pad``: all their items are
-    rendered as one column, which is then cut back into arrays."""
-    items = list(itertools.chain.from_iterable(arrays))
-    if not items:
-        return ["[]"] * len(arrays)
-    inner = pad + "  "
-    texts = iter(_json_column(items, inner))
-    sep = ",\n" + inner
-    head, tail = "[\n" + inner, "\n" + pad + "]"
-    return [
-        head + sep.join(itertools.islice(texts, len(array))) + tail if array else "[]"
-        for array in arrays
-    ]
+        items = list(itertools.chain.from_iterable(values))
+        if not items:
+            return ["[]"] * len(values)
+        inner = pad + "  "
+        texts = list(_json_column(items, inner))
+        ends = list(itertools.accumulate(map(len, values)))
+        sep = ",\n" + inner
+        head, tail = "[\n" + inner, "\n" + pad + "]"
+        return [
+            head + sep.join(texts[start:end]) + tail if start != end else "[]"
+            for start, end in zip([0, *ends], ends)
+        ]
+    if len(values) > 1:
+        return [text for value in values for text in _json_column((value,), pad)]
+    return [json.dumps(values[0], sort_keys=True, indent=2).replace("\n", "\n" + pad)]
 
 
 def _json_rows(rows, pad: str) -> list[str]:
@@ -298,19 +280,12 @@ def _json_rows(rows, pad: str) -> list[str]:
         if not order:
             continue
         keys = sorted(order)
-        template = (
-            "{\n"
-            + inner
-            + (",\n" + inner).join(
-                encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
-            )
-            + "\n"
-            + pad
-            + "}"
-        )
+        names = [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys]
+        template = "{\n" + inner + (",\n" + inner).join(names) + "\n" + pad + "}"
         group = [rows[index] for index in members]
-        columns = [_json_column(list(map(itemgetter(key), group)), inner) for key in keys]
-        for index, row in zip(members, zip(*columns)):
+        columns = [[row[key] for row in group] for key in keys]
+        row_texts = zip(*map(_json_column, columns, itertools.repeat(inner)))
+        for index, row in zip(members, row_texts):
             texts[index] = template % row
     return texts
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -122,6 +123,7 @@ def fixed_bit_scan(n: int, keep_witnesses: bool = False) -> NogoReport:
     ValueError. One ``PermutationPair`` is built per reported permutation and
     shared by its records; every field is a tuple of Python ints.
     """
+    n = operator.index(n)  # integers only
     if not SCAN_MIN <= n <= SCAN_MAX:
         raise ValueError(f"scan supports n in {SCAN_MIN}..{SCAN_MAX}, got {n}")
     rows = 2**n

@@ -230,6 +230,11 @@ class OutcomePolicy:
             raise ValueError(f"unknown outcome policy {self.kind!r}")
         if self.kind == "sample" and self.seed is None:
             raise ValueError("sampling requires a seed")
+        if self.seed is not None:
+            seed = operator.index(self.seed)  # integers only
+            if seed < 0:
+                raise ValueError(f"seed must be non-negative, got {seed}")
+            object.__setattr__(self, "seed", seed)
 
     @classmethod
     def exhaustive(cls) -> "OutcomePolicy":

@@ -90,6 +90,7 @@ _BLOCK = 16
 # I, X, Y, Z stacked, in ``channels.PAULI_LABELS`` order
 _PAULIS = np.stack([op.entries for op in (qcore.I2, qcore.X, qcore.Y, qcore.Z)])
 _PAULIS.setflags(write=False)
+_LABELS = frozenset(channels.PAULI_LABELS)
 
 
 def _register_side(stack_a: np.ndarray, stack_b: np.ndarray) -> int:
@@ -281,6 +282,16 @@ class SwitchedChannel:
             weights = table.values()
             if not (all(w >= 0.0 for w in weights) and abs(sum(weights) - 1.0) <= ATOL):
                 raise CompletenessError(f"{name} weights are not a distribution")
+        # both tables key Pauli strings of one length n, as label tuples
+        lengths = set()
+        for key in (*self.plus_strings, *self.minus_strings):
+            if type(key) is not tuple or not set(key) <= _LABELS:
+                raise ValidityError(f"string table key {key!r} is not a tuple of Pauli labels")
+            lengths.add(len(key))
+        if len(lengths) != 1 or not 1 <= min(lengths) <= MAX_RECEIVERS:
+            raise DimensionMismatchError(
+                f"string table keys have lengths {sorted(lengths)}, not one n in 1..{MAX_RECEIVERS}"
+            )
 
     @functools.cached_property
     def omega_minus(self) -> DensityMatrix:
@@ -546,8 +557,9 @@ def validate_closed_forms(
     kernel from ``_closed_kernels``. What does not depend on the seed is
     built and checked once per process, on the first call that asks for its
     n (``_nxy_fixture``). An empty ``ns``, any n in it outside 1..3, or a
-    negative ``trials`` raises ValueError before any fixture is built or
-    trial drawn. Trials run in blocks of ``_BLOCK``, so memory does not grow
+    negative ``trials`` raises ValueError, and a ``trials`` or n that is not
+    an integer raises TypeError, before any fixture is built or trial
+    drawn. Trials run in blocks of ``_BLOCK``, so memory does not grow
     with ``trials``: a block's messages are drawn in turn and checked as one
     stack, pass through the equal-X/Y kernel as one matrix product and
     through ``SwitchedChannel.apply_stack``, and each side's outputs pass
@@ -560,6 +572,7 @@ def validate_closed_forms(
     once per trial and one ``_closed_kernels`` call. The random draws come
     in the same order as one trial at a time.
     """
+    trials = operator.index(trials)  # integers only
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     if len(ns) == 0:

@@ -574,6 +574,25 @@ def test_report_json_rejects_what_json_rejects(value):
     assert str(raised.value) == str(expected.value)
 
 
+def test_real_reports_render_as_json_dumps():
+    # reports as the commands build them: an empty record list (odd scan),
+    # None config values, float and bool columns and the four transcript
+    # event shapes
+    parser = cli.build_parser()
+    for argv in [
+        ["nogo-scan", "--n", "6"],
+        ["nogo-scan", "--n", "7"],
+        ["validate-switch", "--n", "2", "--trials", "3"],
+        ["eb-check", "--weights", "0,0.5,0.5,0"],
+        ["protocol", "--variant", "controlled-ops", "--n", "3", "--x", "ALL", "--transcript"],
+        ["baseline-sweep", "--count", "50"],
+    ]:
+        cfg = cli._config_from_args(parser.parse_args(argv))
+        report = cli.COMMANDS[cfg.command](cfg).to_dict()
+        expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        assert cli._json_document(report) == expected, argv
+
+
 def test_report_embeds_seed_and_tolerance(tmp_path):
     _, report = run_json(
         tmp_path, ["validate-switch", "--n", "1", "--trials", "1", "--seed", "9"]

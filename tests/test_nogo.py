@@ -61,6 +61,13 @@ def test_scan_rejects_out_of_range():
         fixed_bit_scan(8)
 
 
+def test_scan_takes_integer_counts_only():
+    # 3.0 used to pass the range check and fail inside numpy's right_shift
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        fixed_bit_scan(3.0)
+    assert fixed_bit_scan(np.int64(4)) == fixed_bit_scan(4)
+
+
 def _cycles(tau):
     seen = set()
     for start in range(1, len(tau) + 1):

@@ -151,6 +151,23 @@ def test_outcome_policy_sampling_requires_seed():
         OutcomePolicy("other")
 
 
+@pytest.mark.parametrize(
+    "seed, error",
+    [(-1, ValueError), (1.5, TypeError), ("3", TypeError)],
+    ids=["negative", "float", "str"],
+)
+def test_outcome_policy_checks_its_seed_when_built(seed, error):
+    # each used to construct and fail only at evaluation, inside numpy
+    with pytest.raises(error):
+        OutcomePolicy.sample(seed)
+
+
+def test_outcome_policy_holds_an_integer_seed():
+    policy = OutcomePolicy.sample(np.int64(3))
+    assert policy == OutcomePolicy.sample(3)
+    assert type(policy.seed) is int
+
+
 # ---------------------------------------------------------------------------
 # noiseless protocol
 # ---------------------------------------------------------------------------

@@ -313,6 +313,27 @@ def test_switched_channel_rejects_nan(changes, error):
         dataclasses.replace(qswitch.closed_form_nxy_n(1), **changes)
 
 
+@pytest.mark.parametrize(
+    "plus, minus, error",
+    [
+        ({("Q",): 1.0}, {("Z",): 1.0}, ValidityError),
+        ({"IZ": 1.0}, {("I", "Z"): 1.0}, ValidityError),
+        ({(0,): 1.0}, {("Z",): 1.0}, ValidityError),
+        ({("I", "Z"): 1.0}, {("Z",): 1.0}, DimensionMismatchError),
+        ({("I",): 0.5, ("X", "X"): 0.5}, {("Z",): 1.0}, DimensionMismatchError),
+        ({(): 1.0}, {(): 1.0}, DimensionMismatchError),
+        ({("I",) * 7: 1.0}, {("Z",) * 7: 1.0}, DimensionMismatchError),
+    ],
+    ids=["label", "plain-string", "index", "two-and-one", "within-a-table", "empty", "seven"],
+)
+def test_switched_channel_rejects_malformed_string_tables(plus, minus, error):
+    # each used to construct or to fail inside _string_arrays: label Q was
+    # read as I, and mixed lengths failed on apply in numpy's broadcasting
+    sw = qswitch.closed_form_nxy_n(1)
+    with pytest.raises(error):
+        dataclasses.replace(sw, plus_strings=plus, minus_strings=minus)
+
+
 def test_closed_form_product_rejects_a_control_that_is_not_a_qubit():
     # a two-qubit control used to construct and then fail inside numpy on apply
     omega = qcore.random_density((2, 2), np.random.default_rng(0))
@@ -363,8 +384,9 @@ def test_validate_closed_forms_rejects_empty_ns(monkeypatch):
         (2000, (1, 0), ValueError),
         (2000, (2, 2.0), TypeError),
         (-3, (1, 2, 3), ValueError),
+        (2.5, (1,), TypeError),
     ],
-    ids=["4", "0", "float", "negative-trials"],
+    ids=["4", "0", "float", "negative-trials", "float-trials"],
 )
 def test_validate_closed_forms_checks_every_n_before_any_work(trials, ns, error):
     # a bad n anywhere in ns, or a negative trial count, is caught before
