@@ -493,15 +493,10 @@ def cmd_nogo_scan(cfg: RunConfig) -> Report:
     if cfg.n is None or not nogo.SCAN_MIN <= cfg.n <= nogo.SCAN_MAX:
         raise UsageError(f"--n must be in {nogo.SCAN_MIN}..{nogo.SCAN_MAX}")
     report = nogo.fixed_bit_scan(cfg.n)
+    # a counterexample has no fixed slot
     records = [
-        {
-            "command": cfg.command,
-            "n": cfg.n,
-            "tau": list(ce.pair.tau),
-            "bits": list(ce.bits),
-            "fixed_index": ce.index,
-        }
-        for ce in report.counterexamples
+        {"command": cfg.command, "n": cfg.n, "tau": tau, "bits": bits, "fixed_index": None}
+        for tau, bits in zip(report.taus.tolist(), report.bits.tolist())
     ]
     odd = cfg.n % 2 == 1
     passed = report.counterexample_count == 0 if odd else report.counterexample_count > 0

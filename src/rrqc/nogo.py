@@ -5,9 +5,11 @@ n qubit carriers reduces to a relative permutation tau of the slots, and for
 odd n every computational bitstring has a slot j with b_j = b_{tau(j)}; that
 slot's qubit ends up in a fixed basis state, independent of the routed
 message. ``fixed_bit_scan`` checks this exhaustively over all (tau, b) and
-``routed_channel_state_scan`` confirms the state-level consequence by direct
-simulation. Second, a composition of Kraus maps acts as the identity channel
-only if every composite Kraus term is itself proportional to the identity;
+reports the cells without such a slot (even n only) as two integer arrays,
+their permutations and their bitstrings; ``routed_channel_state_scan``
+confirms the state-level consequence by direct simulation. Second, a
+composition of Kraus maps acts as the identity channel only if every
+composite Kraus term is itself proportional to the identity;
 ``check_term_proportionality`` measures the per-term residuals of three
 stacked Kraus sets.
 """
@@ -39,7 +41,7 @@ class PermutationPair:
     n: int
 
     def __post_init__(self):
-        tau = tuple(int(t) for t in self.tau)
+        tau = tuple(map(operator.index, self.tau))  # integers only
         if sorted(tau) != list(range(1, self.n + 1)):
             raise ValueError(f"{tau} is not a permutation of 1..{self.n}")
         object.__setattr__(self, "tau", tau)
@@ -48,134 +50,88 @@ class PermutationPair:
         return self.tau[j - 1]
 
 
-@dataclass(frozen=True)
-class FixedBitWitness:
-    """One scanned cell: a bitstring under a permutation, with the first slot
-    j satisfying b_j = b_{tau(j)}, or None when no slot qualifies."""
-
-    pair: PermutationPair
-    bits: tuple[int, ...]
-    index: int | None
-
-    def __post_init__(self):
-        if self.index is not None and (
-            self.bits[self.index - 1] != self.bits[self.pair.image(self.index) - 1]
-        ):
-            raise ValueError("witness index does not satisfy b_j = b_tau(j)")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NogoReport:
+    """The fixed-bit scan at n: ``cells`` scanned, ``witnessed`` of them with
+    a fixed slot, and the counterexample cells as the rows of two read-only
+    (k, n) integer arrays in lexicographic (tau, bits) order: ``taus`` holds
+    each permutation's 1-based images and ``bits`` its bitstring."""
+
     n: int
     cells: int
     witnessed: int
-    counterexamples: tuple[FixedBitWitness, ...]
-    witnesses: tuple[FixedBitWitness, ...] | None
+    taus: np.ndarray
+    bits: np.ndarray
 
     @property
     def counterexample_count(self) -> int:
-        return len(self.counterexamples)
+        return len(self.taus)
 
 
 @functools.lru_cache(maxsize=None)
-def _scan_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _scan_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The read-only tables of the scan at n: the bitstrings as rows of an
-    (2**n, n) array, slot 1 the most significant bit; ``agree[j, k, r]``,
-    b_j == b_k on row r; ``agree`` packed eight rows to a byte; and the
-    lexicographic (n!, n) permutation array."""
-    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    agree = bits.T[:, None, :] == bits.T[None, :, :]
+    (2**n, n) array, slot 1 the most significant bit; ``packed[j, k]``, the
+    rows on which b_j == b_k, eight rows to a byte; and the lexicographic
+    (n!, n) permutation array."""
+    bits = ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.int8)
+    packed = np.packbits(bits.T[:, None, :] == bits.T[None, :, :], axis=-1)
     perms = np.fromiter(
         itertools.chain.from_iterable(itertools.permutations(range(n))),
         dtype=np.int8,
         count=math.factorial(n) * n,
     ).reshape(-1, n)
-    tables = (bits, agree, np.packbits(agree, axis=-1), perms)
+    tables = (bits, packed, perms)
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
-def fixed_bit_scan(n: int, keep_witnesses: bool = False) -> NogoReport:
+def fixed_bit_scan(n: int) -> NogoReport:
     """Scan every permutation and bitstring for a fixed-bit slot.
 
     For odd n the report carries no counterexamples; for even n the
     bit-alternating even cycles (e.g. a swap acting on 01) defeat every slot.
-    Cells are visited in lexicographic (tau, bits) order. Pass
-    ``keep_witnesses=True`` to retain a witness record per cell; this is
-    meant for small n, since the scan covers n! * 2**n cells.
+    The counterexample cells come back as the rows of ``taus`` and ``bits``,
+    in lexicographic (tau, bits) order.
 
     The whole scan is one boolean array ``found[p, r]`` over the n! x 2**n
     cells, p the p-th permutation and r the r-th bitstring in lexicographic
-    order, and ``perms`` is the (n!, n) array of permutations. The table
-    ``agree[j, k, r]`` holds b_j == b_k on row r, so ``found`` is the OR over
-    slots j of ``agree[j, perms[p, j], r]``, taken on rows packed eight cells
-    to a byte and unpacked once. ``cells`` and ``witnessed`` are its size and
-    its count of True cells, the counterexamples are its False cells in
-    row-major order, and a witness's first slot is the argmax over j of the
-    same slot table.
+    order, and ``perms`` is the (n!, n) array of permutations. ``found`` is
+    the OR over slots j of "b_j == b_perms[p, j] on row r", taken on rows
+    packed eight cells to a byte and unpacked once. ``cells`` and
+    ``witnessed`` are its size and its count of True cells, and the
+    counterexamples are its False cells in row-major order.
 
-    Records are built only for the cells that are reported, without running
-    their constructors' checks one record at a time (``qcore._prechecked``).
-    Those checks run as array checks, once per scan that reports a record:
-    every row of ``perms`` is a permutation of 0..n-1, and every kept witness
-    slot j has b_j = b_tau(j) on the bitstring table. Either failing raises
-    ValueError. One ``PermutationPair`` is built per reported permutation and
-    shared by its records; every field is a tuple of Python ints.
+    When a counterexample is reported, two array checks run on it: every row
+    of ``perms`` is a permutation of 0..n-1, and every reported cell has
+    b_j != b_tau(j) at every slot j. Either failing raises ValueError.
     """
     n = operator.index(n)  # integers only
     if not SCAN_MIN <= n <= SCAN_MAX:
         raise ValueError(f"scan supports n in {SCAN_MIN}..{SCAN_MAX}, got {n}")
     rows = 2**n
-    bits, agree, packed, perms = _scan_tables(n)
+    bits, packed, perms = _scan_tables(n)
     found_bits = np.take(packed[0], perms[:, 0], axis=0)
     for j in range(1, n):
         found_bits |= np.take(packed[j], perms[:, j], axis=0)
     found = np.unpackbits(found_bits, axis=-1, count=rows).view(bool)
     witnessed = int(np.count_nonzero(found))
-    # with every cell witnessed and no witness kept, no record is built
-    if not keep_witnesses and witnessed == found.size:
-        return NogoReport(
-            n=n, cells=found.size, witnessed=witnessed, counterexamples=(), witnesses=None
-        )
+    if witnessed == found.size:
+        # every cell witnessed: skip inverting the n! x 2**n array
+        none = np.empty((0, n), dtype=perms.dtype)
+        none.setflags(write=False)
+        return NogoReport(n, found.size, witnessed, none, none)
     if not (np.sort(perms, axis=1) == np.arange(n)).all():
         raise ValueError(f"a row of the scan's table is not a permutation of 0..{n - 1}")
-    bit_rows = [tuple(row) for row in bits.tolist()]
-    pairs: dict[int, PermutationPair] = {}
-
-    def records(cells: np.ndarray, first: np.ndarray | None = None):
-        """Witness records of the True cells of an (n!, 2**n) mask, in
-        (tau, bits) order, with 0-based first slots read from ``first``."""
-        ps, rs = np.divmod(np.flatnonzero(cells), rows)
-        if first is None:
-            indices = itertools.repeat(None)
-        else:
-            slots = first[ps, rs]
-            if not (bits[rs, slots] == bits[rs, perms[ps, slots]]).all():
-                raise ValueError("witness index does not satisfy b_j = b_tau(j)")
-            indices = (slots + 1).tolist()
-        ps, rs = ps.tolist(), rs.tolist()
-        new = [p for p in dict.fromkeys(ps) if p not in pairs]
-        pairs.update(
-            (p, qcore._prechecked(PermutationPair, tau=tuple(tau), n=n))
-            for p, tau in zip(new, (perms[new] + 1).tolist())
-        )
-        return tuple(
-            qcore._prechecked(FixedBitWitness, pair=pairs[p], bits=bit_rows[r], index=index)
-            for p, r, index in zip(ps, rs, indices)
-        )
-
-    witnesses = None
-    if keep_witnesses:
-        witnesses = records(found, agree[np.arange(n), perms].argmax(axis=1))
-    return NogoReport(
-        n=n,
-        cells=found.size,
-        witnessed=witnessed,
-        # with every cell witnessed, skip inverting the n! x 2**n array
-        counterexamples=records(~found) if witnessed < found.size else (),
-        witnesses=witnesses,
-    )
+    ps, rs = np.divmod(np.flatnonzero(~found), rows)
+    taus, cells = perms[ps], bits[rs]
+    if (cells == np.take_along_axis(cells, taus, axis=1)).any():
+        raise ValueError("a reported counterexample has a slot j with b_j = b_tau(j)")
+    taus += 1
+    for table in (taus, cells):
+        table.setflags(write=False)
+    return NogoReport(n, found.size, witnessed, taus, cells)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import string
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -63,7 +64,7 @@ class ValidityError(ValueError):
 
 
 def _clean_dims(dims: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
+    out = tuple(map(operator.index, dims))  # integers only
     if not out or any(d <= 0 for d in out):
         raise DimensionMismatchError(f"invalid factor dimensions {dims!r}")
     return out
@@ -338,7 +339,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduce to the kept factors (0-based indices); factor order is preserved."""
     dims = rho.dims
     count = len(dims)
-    kept = sorted(set(int(i) for i in keep))
+    kept = sorted(set(map(operator.index, keep)))  # integers only
     if not kept:
         raise DimensionMismatchError("must keep at least one factor")
     if kept[0] < 0 or kept[-1] >= count:

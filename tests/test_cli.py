@@ -1,4 +1,6 @@
+import csv
 import enum
+import itertools
 import json
 import math
 
@@ -315,6 +317,27 @@ def test_nogo_scan_exit_codes(tmp_path):
     code_even, report_even = run_json(tmp_path, ["nogo-scan", "--n", "2"], "even.json")
     assert code_even == EXIT_OK  # even n is expected to produce counterexamples
     assert report_even["summary"]["counterexamples"] >= 1
+
+
+def test_nogo_scan_records_are_the_brute_force_counterexamples(tmp_path):
+    n = 4
+    expected = [
+        {"command": "nogo-scan", "n": n, "tau": list(tau), "bits": list(bits), "fixed_index": None}
+        for tau in itertools.permutations(range(1, n + 1))
+        for bits in itertools.product((0, 1), repeat=n)
+        if all(bits[j] != bits[tau[j] - 1] for j in range(n))
+    ]
+    code, report = run_json(tmp_path, ["nogo-scan", "--n", str(n)])
+    assert code == EXIT_OK
+    assert report["records"] == expected
+    assert report["summary"]["counterexamples"] == len(expected) == 24
+    path = tmp_path / "report.csv"
+    assert main(["nogo-scan", "--n", str(n), "--format", "csv", "--output", str(path)]) == EXIT_OK
+    rows = list(csv.DictReader(path.read_text().splitlines()))
+    assert [(json.loads(r["tau"]), json.loads(r["bits"])) for r in rows] == [
+        (r["tau"], r["bits"]) for r in expected
+    ]
+    assert all(r["fixed_index"] == "" for r in rows)
 
 
 def test_eb_check_verdicts(tmp_path):

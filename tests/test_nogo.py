@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 
 from rrqc import nogo, qcore
 from rrqc.nogo import (
-    FixedBitWitness,
     PermutationPair,
     check_term_proportionality,
     fixed_bit_scan,
@@ -25,11 +24,14 @@ MSG = MessageState(0.6, 0.8j)
 # ---------------------------------------------------------------------------
 
 
+def _rows(report):
+    """The counterexample cells of a report as (tau, bits) tuples, in order."""
+    return list(zip(map(tuple, report.taus.tolist()), map(tuple, report.bits.tolist())))
+
+
 def test_swap_on_alternating_bits_is_a_counterexample():
     report = fixed_bit_scan(2)
-    cells = {(ce.pair.tau, ce.bits) for ce in report.counterexamples}
-    assert ((2, 1), (0, 1)) in cells
-    assert ((2, 1), (1, 0)) in cells
+    assert _rows(report) == [((2, 1), (0, 1)), ((2, 1), (1, 0))]
     assert report.counterexample_count == 2
 
 
@@ -38,14 +40,6 @@ def test_three_carriers_always_have_a_fixed_bit():
     assert report.cells == 48
     assert report.counterexample_count == 0
     assert report.witnessed == 48
-
-
-def test_identity_permutation_fixes_the_first_slot():
-    report = fixed_bit_scan(3, keep_witnesses=True)
-    ident = tuple(range(1, 4))
-    for witness in report.witnesses:
-        if witness.pair.tau == ident:
-            assert witness.index == 1
 
 
 @pytest.mark.parametrize("n,expect_zero", [(2, False), (3, True), (4, False), (5, True)])
@@ -65,7 +59,9 @@ def test_scan_takes_integer_counts_only():
     # 3.0 used to pass the range check and fail inside numpy's right_shift
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         fixed_bit_scan(3.0)
-    assert fixed_bit_scan(np.int64(4)) == fixed_bit_scan(4)
+    wide, plain = fixed_bit_scan(np.int64(4)), fixed_bit_scan(4)
+    assert (wide.n, wide.cells, wide.witnessed) == (plain.n, plain.cells, plain.witnessed)
+    assert _rows(wide) == _rows(plain)
 
 
 def _cycles(tau):
@@ -85,39 +81,34 @@ def _cycles(tau):
 
 def test_counterexamples_decompose_into_alternating_even_cycles():
     for n in (2, 4):
-        for ce in fixed_bit_scan(n).counterexamples:
-            for cycle in _cycles(ce.pair.tau):
+        for tau, bits in _rows(fixed_bit_scan(n)):
+            for cycle in _cycles(tau):
                 assert len(cycle) % 2 == 0
-                values = [ce.bits[j - 1] for j in cycle]
+                values = [bits[j - 1] for j in cycle]
                 assert all(a != b for a, b in zip(values, values[1:] + values[:1]))
 
 
 def brute_force_scan(n):
-    """Per-cell reference: counterexample cells in (tau, bits) order, the
-    witnessed count and each witnessed cell's first fixed slot."""
-    counterexamples, witnesses = [], []
+    """Per-cell reference: the counterexample cells as (tau, bits) tuples in
+    (tau, bits) order, and the witnessed count."""
+    counterexamples, witnessed = [], 0
     for perm in itertools.permutations(range(1, n + 1)):
         for bits in itertools.product((0, 1), repeat=n):
             if any(bits[j] == bits[perm[j] - 1] for j in range(n)):
-                index = next(j + 1 for j in range(n) if bits[j] == bits[perm[j] - 1])
-                witnesses.append((perm, bits, index))
+                witnessed += 1
             else:
-                counterexamples.append((perm, bits, None))
-    return counterexamples, witnesses
+                counterexamples.append((perm, bits))
+    return counterexamples, witnessed
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_bitmask_scan_matches_per_cell_brute_force(n):
-    counterexamples, witnesses = brute_force_scan(n)
+    counterexamples, witnessed = brute_force_scan(n)
     report = fixed_bit_scan(n)
     assert report.cells == math.factorial(n) * 2**n
-    assert report.witnessed == len(witnesses)
-    assert report.witnesses is None
-    assert [(c.pair.tau, c.bits, c.index) for c in report.counterexamples] == counterexamples
-    if n <= 5:
-        kept = fixed_bit_scan(n, keep_witnesses=True)
-        assert [(w.pair.tau, w.bits, w.index) for w in kept.witnesses] == witnesses
-        assert kept.counterexamples == report.counterexamples
+    assert report.witnessed == witnessed
+    assert report.counterexample_count == len(counterexamples)
+    assert _rows(report) == counterexamples
 
 
 def test_scan_at_seven_witnesses_every_cell():
@@ -127,91 +118,75 @@ def test_scan_at_seven_witnesses_every_cell():
     assert report.counterexample_count == 0
 
 
-def _exact(value):
-    """``value`` with every tuple and item paired with its exact type name,
-    so that a tuple subclass or a numpy integer does not compare equal."""
-    if isinstance(value, tuple):
-        return (type(value).__name__, tuple(_exact(item) for item in value))
-    return (type(value).__name__, value)
-
-
-def _checked(record):
-    """The record rebuilt through the checked constructors from Python ints."""
-    pair = PermutationPair(tuple(map(int, record.pair.tau)), int(record.pair.n))
-    index = None if record.index is None else int(record.index)
-    return FixedBitWitness(pair, tuple(map(int, record.bits)), index)
-
-
 @pytest.mark.parametrize("n", range(2, 7))
 def test_scan_records_equal_checked_records(n):
+    # the counterexample arrays: read-only (k, n) integer arrays whose rows
+    # come out as Python ints and pass the checked PermutationPair
     report = fixed_bit_scan(n)
-    records = report.counterexamples
-    if n <= 4:
-        kept = fixed_bit_scan(n, keep_witnesses=True)
-        assert kept.counterexamples == records
-        records += kept.witnesses
-    assert len(records) == (report.cells if n <= 4 else report.counterexample_count)
-    for record in records:
-        checked = _checked(record)
-        assert record == checked and hash(record) == hash(checked)
-        assert record.pair == checked.pair and hash(record.pair) == hash(checked.pair)
-        assert vars(record.pair) == vars(checked.pair)
-        assert list(vars(record)) == ["pair", "bits", "index"]
-        assert list(vars(record.pair)) == ["tau", "n"]
-        for field in ("bits", "index"):
-            assert _exact(getattr(record, field)) == _exact(getattr(checked, field))
-        assert _exact(record.pair.tau) == _exact(checked.pair.tau)
-        assert _exact(record.pair.n) == _exact(checked.pair.n)
+    k = report.counterexample_count
+    for table in (report.taus, report.bits):
+        assert isinstance(table, np.ndarray)
+        assert table.shape == (k, n)
+        assert np.issubdtype(table.dtype, np.integer)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0
+    for tau, bits in zip(report.taus.tolist(), report.bits.tolist()):
+        assert all(type(value) is int for value in tau + bits)
+        assert PermutationPair(tuple(tau), n).tau == tuple(tau)
+        assert set(bits) <= {0, 1}
 
 
-def _patched_tables(monkeypatch, n, agree=None, perms=None):
-    """Replace the scan tables at n, with ``packed`` rebuilt from ``agree``."""
-    tables = dict(zip(("bits", "agree", "packed", "perms"), nogo._scan_tables(n)))
-    for name, table in (("agree", agree), ("perms", perms)):
-        if table is not None:
-            tables[name] = table
-    tables["packed"] = np.packbits(tables["agree"], axis=-1)
-    patched = tuple(tables[name] for name in ("bits", "agree", "packed", "perms"))
+def _patched_tables(monkeypatch, n, packed=None, perms=None):
+    """Replace the scan tables at n."""
+    bits, real_packed, real_perms = nogo._scan_tables(n)
+    patched = (
+        bits,
+        real_packed if packed is None else packed,
+        real_perms if perms is None else perms,
+    )
     monkeypatch.setattr(nogo, "_scan_tables", lambda size: patched)
 
 
 @pytest.mark.parametrize(
-    "n, row, keep",
+    "n, row",
     [
-        # tau = (2, 2) fixes slot 2, so its cells are kept witnesses
-        (2, [1, 1], True),
         # tau = (2, 1, 1, 3) fixes no slot on 0110, a reported counterexample
-        (4, [1, 0, 0, 2], False),
+        (4, [1, 0, 0, 2]),
         # tau = (1, 1, 1, 1) fixes slot 1 and reports nothing itself, but
         # the other rows report counterexamples, and every row is checked
-        (4, [0, 0, 0, 0], False),
+        (4, [0, 0, 0, 0]),
     ],
 )
-def test_scan_rejects_a_table_row_that_is_not_a_permutation(monkeypatch, n, row, keep):
-    perms = nogo._scan_tables(n)[3].copy()
+def test_scan_rejects_a_table_row_that_is_not_a_permutation(monkeypatch, n, row):
+    perms = nogo._scan_tables(n)[2].copy()
     perms[-1] = row
     _patched_tables(monkeypatch, n, perms=perms)
     with pytest.raises(ValueError, match="permutation"):
-        fixed_bit_scan(n, keep_witnesses=keep)
+        fixed_bit_scan(n)
 
 
-def test_scan_rejects_a_witness_slot_whose_bits_differ(monkeypatch):
-    # an agree table that claims every slot agrees with itself and every
-    # other slot: the first slot is then reported for every cell, which is
-    # wrong wherever b_1 != b_tau(1)
-    agree = nogo._scan_tables(4)[1]
-    _patched_tables(monkeypatch, 4, agree=np.ones_like(agree))
-    assert not fixed_bit_scan(4).counterexamples
+@pytest.mark.parametrize("n", range(2, 8))
+def test_scan_rejects_a_counterexample_with_a_fixed_slot(monkeypatch, n):
+    # an all-zero agreement table claims that no slot ever agrees with any
+    # slot, so every cell is reported, the identity's cells among them
+    packed = nogo._scan_tables(n)[1]
+    _patched_tables(monkeypatch, n, packed=np.zeros_like(packed))
     with pytest.raises(ValueError, match="b_j = b_tau"):
-        fixed_bit_scan(4, keep_witnesses=True)
+        fixed_bit_scan(n)
 
 
-def test_witness_invariant_enforced():
-    pair = PermutationPair((2, 1), 2)
-    with pytest.raises(ValueError):
-        FixedBitWitness(pair, (0, 1), 1)
+def test_permutation_pair_takes_integer_images_only():
     with pytest.raises(ValueError):
         PermutationPair((1, 1), 2)
+    # floats used to be truncated: (1.7, 2.2) was read as (1, 2)
+    with pytest.raises(TypeError):
+        PermutationPair((1.7, 2.2), 2)
+    with pytest.raises(TypeError):
+        PermutationPair((1.0, 2.0), 2)
+    pair = PermutationPair((np.int8(2), np.int64(1)), 2)
+    assert pair.tau == (2, 1)
+    assert all(type(t) is int for t in pair.tau)
 
 
 # ---------------------------------------------------------------------------

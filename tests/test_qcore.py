@@ -139,6 +139,17 @@ def test_partial_trace_rejects_bad_index():
         qcore.partial_trace(bell_density(), set())
 
 
+def test_partial_trace_takes_integer_factors_only():
+    # {0.9} used to keep factor 0
+    with pytest.raises(TypeError):
+        qcore.partial_trace(bell_density(), {0.9})
+    with pytest.raises(TypeError):
+        qcore.partial_trace(bell_density(), {1.0})
+    reduced = qcore.partial_trace(bell_density(), {np.int64(1)})
+    assert reduced.dims == (2,)
+    assert np.allclose(reduced.matrix, np.eye(2) / 2)
+
+
 # ---------------------------------------------------------------------------
 # apply_kraus
 # ---------------------------------------------------------------------------
@@ -358,6 +369,22 @@ def test_operator_rejects_dims_mismatch():
                 Operator(rect, dims)
 
 
+def test_dims_take_integers_only():
+    # (2.9,) used to become (2,)
+    with pytest.raises(TypeError):
+        Operator(np.eye(2), (2.9,))
+    with pytest.raises(TypeError):
+        Operator(np.eye(2), (2.0,))
+    with pytest.raises(TypeError):
+        qcore.identity((2.0,))
+    with pytest.raises(TypeError):
+        DensityMatrix(np.eye(2) / 2, (2.5,))
+    for dims in ((np.int64(2), np.int8(2)), np.array([2, 2])):
+        op = Operator(np.eye(4), dims)
+        assert op.dims == (2, 2) and all(type(d) is int for d in op.dims)
+        assert qcore.identity(dims).dims == (2, 2)
+
+
 def test_ket_rejects_unnormalized_vector():
     with pytest.raises(ValidityError):
         Ket([1.0, 1.0], (2,))
@@ -396,7 +423,7 @@ def test_density_matrix_rejects_malformed_matrices():
 
 def test_density_matrix_holds_a_read_only_copy_and_its_dims():
     matrix = np.eye(4) / 4
-    state = DensityMatrix.from_matrix(matrix, [2, 2.0])
+    state = DensityMatrix.from_matrix(matrix, [2, np.int64(2)])
     assert [f.name for f in dataclasses.fields(DensityMatrix)] == ["matrix", "dims"]
     assert state.dims == (2, 2) and all(type(d) is int for d in state.dims)
     assert state.matrix.dtype == complex and not state.matrix.flags.writeable
