@@ -48,10 +48,11 @@ branches at once, and ``BranchMap.evaluate_many`` does so for many messages
 in the same array operations. A branch is dropped where a conditional
 probability along its path falls below ``PROB_FLOOR``, as the engine drops
 it, and a sampled run draws one branch by a seeded walk down the same tree:
-one ``rng.choice`` per announcement, over the outcomes whose conditional
-probability reaches ``PROB_FLOOR``. ``evaluate_many`` walks its messages in
-order on one generator seeded once, so each message draws its own
-trajectory.
+one ``rng.random()`` per announcement, compared in Python floats with the
+outcomes whose conditional probability reaches ``PROB_FLOOR`` exactly as
+``rng.choice`` over them would compare it, so a seed draws the branch it drew
+through ``rng.choice``. ``evaluate_many`` walks its messages in order on one
+generator seeded once, so each message draws its own trajectory.
 
 Validity checks run in three places. During a map build, every stack the
 engine produces, after every gate, cascade, correction and measurement,
@@ -69,6 +70,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -564,10 +566,10 @@ class BranchMap:
     branches. ``effects[v]`` gives node v's probability on any message,
     p_v = sum_jk rho_jk effects[v, j, k], and ``transfer[b, j, k]`` is
     E_b(|j><k|), the unnormalized state that branch b leaves at x.
-    ``children`` maps each node to its outcome-0 and outcome-1 child (-1
-    where there is none) and ``paths`` each branch to its nodes, from the
-    root down to its leaf. ``outcomes`` holds each branch's outcomes dict,
-    of which every result gets its own copy.
+    ``children`` holds each node's outcome-0 and outcome-1 child as a pair
+    of ints (-1 where there is none) and ``paths`` each branch's nodes,
+    from the root down to its leaf. ``outcomes`` holds each branch's
+    outcomes dict, of which every result gets its own copy.
     """
 
     n: int
@@ -578,7 +580,7 @@ class BranchMap:
     transcripts: tuple[Transcript, ...]
     transfer: np.ndarray
     effects: np.ndarray
-    children: np.ndarray
+    children: tuple[tuple[int, int], ...]
     paths: np.ndarray
 
     @property
@@ -590,7 +592,7 @@ class BranchMap:
 
     def __post_init__(self):
         # one map serves every later call, so no caller may change it
-        for array in (self.transfer, self.effects, self.children, self.paths):
+        for array in (self.transfer, self.effects, self.paths):
             array.setflags(write=False)
 
     def evaluate(
@@ -610,9 +612,9 @@ class BranchMap:
 
         Exhaustively, each message gets the same values bit for bit as
         ``evaluate`` gives it alone. A sampled policy walks the messages in
-        order with one generator seeded once, so each draws its own
-        trajectory; the first message, and a single one, draws exactly what
-        ``evaluate`` draws."""
+        order with one generator seeded once (``_walk``, one draw per
+        announcement), so each draws its own trajectory; the first message,
+        and a single one, draws exactly what ``evaluate`` draws."""
         policy = OutcomePolicy.exhaustive() if outcome_policy is None else outcome_policy
         messages = tuple(messages)
         if not messages:
@@ -625,7 +627,7 @@ class BranchMap:
         if policy.kind == "sample":
             cases = np.arange(len(messages))
             rng = np.random.default_rng(policy.seed)
-            rows = np.array([self._walk(row, rng) for row in probs])
+            rows = np.array([self._walk(row, rng) for row in probs.tolist()])
         else:
             # p_child >= PROB_FLOOR * p_parent: the conditional reaches the floor
             along = probs[:, self.paths]
@@ -656,20 +658,42 @@ class BranchMap:
             for msg, start, end in zip(messages, [0] + ends[:-1], ends)
         )
 
-    def _walk(self, probs: np.ndarray, rng: np.random.Generator) -> int:
+    def _walk(self, probs: list[float], rng: np.random.Generator) -> int:
         """The branch reached by drawing each announced outcome from its
-        conditional probabilities, outcomes below ``PROB_FLOOR`` excluded, with
-        one ``rng.choice`` per announcement."""
+        conditional probabilities, outcomes below ``PROB_FLOOR`` excluded.
+
+        ``probs`` holds the message's node probabilities as Python floats.
+        Each announcement draws one ``rng.random()``, also where one outcome
+        is kept, and picks by the float operations ``rng.choice`` performs
+        on the kept conditionals w: q = w / sum(w), cdf = cumsum(q) divided
+        by its last entry, and the count of cdf entries at or below the draw.
+        With two kept outcomes that is outcome 0 iff u < q0 / (q0 + q1). A
+        root whose probability is not positive and finite, or a node that
+        keeps no outcome, raises ValidityError; every node reached below a
+        good root then has a positive, finite probability.
+        """
         node = 0
-        for _ in range(self.paths.shape[1] - 1):
-            kids = self.children[node]
-            row = np.where(kids >= 0, probs[kids] / probs[node], 0.0)
-            (alive,) = np.nonzero(row >= PROB_FLOOR)
-            if not len(alive):  # as exhaustively, where every branch is cut
+        if not 0.0 < probs[0] < math.inf:  # NaN fails too
+            raise ValidityError("protocol produced no branches")
+        for _ in self.keys:
+            total = probs[node]
+            kid0, kid1 = self.children[node]
+            w0 = probs[kid0] / total if kid0 >= 0 else 0.0
+            w1 = probs[kid1] / total if kid1 >= 0 else 0.0
+            w0 = w0 if w0 >= PROB_FLOOR else 0.0
+            w1 = w1 if w1 >= PROB_FLOOR else 0.0
+            kept = w0 + w1
+            # no outcome kept, as exhaustively where every branch is cut, or
+            # an infinite one
+            if not 0.0 < kept < math.inf:
                 raise ValidityError("protocol produced no branches")
-            kept = row[alive]
-            node = kids[alive[rng.choice(len(alive), p=kept / kept.sum())]]
-        return int(node) - (len(probs) - len(self.bits))
+            u = rng.random()
+            if w0 and w1:
+                q0, q1 = w0 / kept, w1 / kept
+                node = kid0 if u < q0 / (q0 + q1) else kid1
+            else:
+                node = kid0 if w0 else kid1
+        return node - (len(probs) - len(self.bits))
 
 
 def _build_maps(variant: str, n: int, xs) -> list[BranchMap]:
@@ -710,7 +734,7 @@ def _branch_map_from(variant: str, n: int, x: int, runs: list[_Batch]) -> Branch
         transcripts=first.transcripts(),
         transfer=transfer,
         effects=_matrix_units(probabilities),
-        children=np.array([[index.get(bits + (o,), -1) for o in (0, 1)] for bits in nodes]),
+        children=tuple((index.get(bits + (0,), -1), index.get(bits + (1,), -1)) for bits in nodes),
         paths=np.array([[index[bits[:i]] for i in range(depth + 1)] for bits in leaves]),
     )
 

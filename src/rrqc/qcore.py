@@ -12,7 +12,8 @@ constructed state is cheap to validate eagerly.
 Every validity check uses the fixed tolerance ``ATOL``. States are
 validated by one check that works on a stack of shape (B, d, d):
 ``check_states`` tests finiteness, Hermiticity and unit trace, and
-positivity through one batched Cholesky factorization of S + ATOL * I, with
+positivity through the closed-form lowest eigenvalue of each qubit state
+(d = 2) or one batched Cholesky factorization of S + ATOL * I (d > 2), with
 a batched ``eigvalsh`` deciding only when that fails. ``DensityMatrix``
 runs it on a stack of one, and ``DensityMatrix.from_stack`` once on a whole
 stack, whose rows it then keeps without checking each again. Kraus stacks
@@ -199,14 +200,21 @@ def _shifted_identity(side: int) -> np.ndarray:
 def check_states(stack: np.ndarray) -> None:
     """Raise ValidityError unless every matrix of a (B, d, d) stack is a state:
     finite, Hermitian and of unit trace within ``ATOL``, with no eigenvalue
-    below -``ATOL``.
+    below -``ATOL``. Any other shape raises DimensionMismatchError.
 
-    Positivity is decided by one batched Cholesky factorization of
-    S + ATOL * I, which succeeds exactly when every eigenvalue of every S
-    exceeds -ATOL. When it fails, a batched ``eigvalsh`` gives the verdict
-    and the reported eigenvalue. Errors name the first failing state; an
-    empty stack has none.
+    Positivity of a qubit stack (d = 2) is decided by the closed-form lowest
+    eigenvalue of every state, Tr S / 2 - sqrt(((a - d) / 2)^2 + |b|^2) for
+    S = [[a, b*], [b, d]], read from the diagonal and lower triangle as
+    ``eigvalsh`` reads them; a larger stack passes when one batched Cholesky
+    factorization of S + ATOL * I succeeds, which it does exactly when every
+    eigenvalue of every S exceeds -ATOL. When either test fails, a batched
+    ``eigvalsh`` gives the verdict and the reported eigenvalue. Errors name
+    the first failing state; an empty stack has none.
     """
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise DimensionMismatchError(
+            f"expected a (B, d, d) stack of states, got shape {stack.shape}"
+        )
     if not len(stack):
         return
     if not np.isfinite(stack).all():
@@ -217,13 +225,21 @@ def check_states(stack: np.ndarray) -> None:
     errors = np.abs(traces - 1.0)
     if errors.max() > ATOL:
         raise ValidityError(f"state trace {traces[np.argmax(errors > ATOL)]} is not 1")
-    try:
-        np.linalg.cholesky(stack + _shifted_identity(stack.shape[-1]))
-    except np.linalg.LinAlgError:
-        lowest = np.linalg.eigvalsh(stack).min(axis=1)
-        if lowest.min() < -ATOL:
-            lo = float(lowest[np.argmax(lowest < -ATOL)])
-            raise ValidityError(f"state has negative eigenvalue {lo}") from None
+    if stack.shape[-1] == 2:
+        a, d = stack[:, 0, 0].real, stack[:, 1, 1].real
+        lowest = (a + d) / 2 - np.hypot((a - d) / 2, np.abs(stack[:, 1, 0]))
+        if lowest.min() >= -ATOL:
+            return
+    else:
+        try:
+            np.linalg.cholesky(stack + _shifted_identity(stack.shape[-1]))
+            return
+        except np.linalg.LinAlgError:
+            pass
+    lowest = np.linalg.eigvalsh(stack).min(axis=1)
+    if lowest.min() < -ATOL:
+        lo = float(lowest[np.argmax(lowest < -ATOL)])
+        raise ValidityError(f"state has negative eigenvalue {lo}")
 
 
 def embed(op: Operator, factor: int, dims: Iterable[int]) -> Operator:

@@ -1,17 +1,19 @@
 import copy
 import dataclasses
+import functools
 import itertools
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrqc import channels, protocols, qcore
+from rrqc import channels, cli, protocols, qcore
 from rrqc.protocols import (
     BROADCAST,
     BranchResult,
@@ -671,6 +673,49 @@ def test_sampled_walk_without_a_reachable_outcome_raises_validity_error():
             bad.evaluate(RANDOM_MSG, policy)
 
 
+@pytest.mark.filterwarnings("error")
+def test_sampled_walk_from_a_zeroed_root_raises_validity_error():
+    # a zero root probability ends the walk before any division by it
+    good = branch_map("switch", 2, 1)
+    effects = good.effects.copy()
+    effects[0] = 0.0
+    bad = dataclasses.replace(good, effects=effects)
+    with pytest.raises(ValidityError, match="protocol produced no branches"):
+        bad.evaluate(RANDOM_MSG, OutcomePolicy.sample(0))
+
+
+def _node_probabilities(maps, msgs):
+    """Each message's node probabilities, by ``evaluate_many``'s own
+    products and sums."""
+    vecs = np.array([(m.alpha, m.beta) for m in msgs], dtype=complex)
+    rhos = (vecs[:, :, None] * vecs[:, None, :].conj()).reshape(-1, 4)
+    return (rhos[:, None, :] * maps.effects.reshape(1, -1, 4)).sum(axis=-1).real
+
+
+_BAD_NODES = [
+    *[([0], value) for value in (0.0, -0.5, np.inf, -np.inf, np.nan)],
+    *[([1, 2], value) for value in (0.0, -0.5, np.inf, -np.inf, np.nan)],
+    ([1], np.inf),
+    ([2], np.inf),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("nodes, value", _BAD_NODES)
+def test_walk_through_a_bad_node_raises_validity_error(nodes, value):
+    # the root, both children of the root, or one infinite child: no walk
+    # may divide by zero, step through a node of zero, negative or
+    # non-finite probability, or draw from weights that do not sum to a
+    # finite value
+    maps = branch_map("switch", 2, 1)
+    assert maps.children[0] == (1, 2)
+    (probs,) = _node_probabilities(maps, [RANDOM_MSG]).tolist()
+    for node in nodes:
+        probs[node] = value
+    with pytest.raises(ValidityError, match="protocol produced no branches"):
+        maps._walk(probs, np.random.default_rng(0))
+
+
 def _fields(record):
     """vars() of a record, nested records by their own fields and arrays by
     their bytes, shape, dtype and writeability."""
@@ -825,6 +870,84 @@ def test_maps_match_the_engine_on_drawn_messages(msg, variant, key, seed):
     assert abs(sampled.probability - probabilities[twin]) < 1e-12
     np.testing.assert_allclose(sampled.final_state.matrix, run.states[twin], rtol=0, atol=1e-12)
     assert _rows(sampled.transcript.events) == _rows(transcripts[twin].events)
+
+
+def _choice_walk(maps, probs, rng):
+    """The branch row a seeded walk reaches with one ``rng.choice`` per
+    announcement over the map's own conditional probabilities, outcomes below
+    the floor excluded: the reference for ``BranchMap._walk``."""
+    probs = np.asarray(probs)
+    node = 0
+    for _ in maps.keys:
+        kids = np.array(maps.children[node])
+        row = np.where(kids >= 0, probs[kids] / probs[node], 0.0)
+        (alive,) = np.nonzero(row >= qcore.PROB_FLOOR)
+        kept = row[alive]
+        node = int(kids[alive[rng.choice(len(alive), p=kept / kept.sum())]])
+    return node - (len(probs) - len(maps.bits))
+
+
+def _ancilla_stage(msg, n):
+    """GHZ distribution plus a helper's ancilla in |0>, which the helper
+    announces first in the computational basis: outcome 1 never occurs, so
+    the root keeps one outcome. No variant cuts a branch on any message, as
+    every announced outcome has conditional probability 1/2."""
+    amplitudes = np.kron(ghz_encode(msg, n).amplitudes, qcore.KET0.amplitudes)
+    state = qcore.Ket(amplitudes, (2,) * (n + 1)).density()
+    batch = protocols._Batch(state, protocols._receivers(n))
+    helper = Party("HELPER", frozenset({n}))
+    batch.announce(protocols._Announcement(helper, n, "computational", "ancilla", BROADCAST))
+    return batch
+
+
+@functools.lru_cache(maxsize=None)
+def _ancilla_maps(n):
+    with mock.patch.dict(protocols._STAGES, {"ancilla": _ancilla_stage}):
+        maps = protocols._build_maps("ancilla", n, range(1, n + 1))
+    assert all(m.children[0] == (1, -1) for m in maps)
+    return maps
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(messages(), min_size=1, max_size=3), st.integers(0, 2**32 - 1))
+def test_walk_draws_what_rng_choice_draws(drawn, seed):
+    # every variant's maps, and maps whose root keeps one outcome, which
+    # must still consume a draw
+    msgs = [MessageState.zero(), MessageState(0.0, 1.0), *drawn]
+    for n in range(1, 7):
+        every = [m for variant in RUNNERS for m in branch_maps(variant, n, range(1, n + 1))]
+        for maps in every + list(_ancilla_maps(n)):
+            probs = _node_probabilities(maps, msgs)
+            walked, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            rows = [maps._walk(row, walked) for row in probs.tolist()]
+            assert rows == [_choice_walk(maps, row, reference) for row in probs]
+            assert walked.random() == reference.random()
+            sampled = maps.evaluate_many(msgs, OutcomePolicy.sample(seed))
+            outcomes = [r.branches[0].outcomes for r in sampled]
+            assert outcomes == [maps.outcomes[row] for row in rows]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--n", "2", "--count", "2000", "--seed", "3"],
+        ["--n", "6", "--x", "4", "--count", "500", "--seed", "8"],
+    ],
+    ids=["n2", "n6"],
+)
+def test_baseline_sweep_reports_match_the_choice_walk(tmp_path, monkeypatch, flags):
+    argv = ["baseline-sweep", *flags, "--format", "json", "--output"]
+    assert cli.main(argv + [str(tmp_path / "walk.json")]) == cli.EXIT_OK
+    calls = []
+
+    def counted(maps, probs, rng):
+        calls.append(1)
+        return _choice_walk(maps, probs, rng)
+
+    monkeypatch.setattr(protocols.BranchMap, "_walk", counted)
+    assert cli.main(argv + [str(tmp_path / "choice.json")]) == cli.EXIT_OK
+    assert len(calls) == int(flags[flags.index("--count") + 1])
+    assert (tmp_path / "walk.json").read_bytes() == (tmp_path / "choice.json").read_bytes()
 
 
 def _values(result):

@@ -692,16 +692,11 @@ def boundary_state(rng, side, lowest):
     return (mat + mat.conj().T) / 2
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.integers(2, 128),
-    st.integers(1, 64),
-    st.floats(1e-12, 1e-10),
-    st.integers(0, 2**32 - 1),
-)
-def test_check_states_cholesky_verdict_matches_eigvalsh(side, count, delta, seed):
+def assert_boundary_verdict(side, count, delta, seed):
+    """Draw ``count`` states of side ``side``, each with its lowest
+    eigenvalue ``delta`` above or below -tol, and check that ``check_states``
+    gives ``eigvalsh``'s verdict and message; returns the stack."""
     rng = np.random.default_rng(seed)
-    # each state sits just above or just below the -tol positivity boundary
     below = rng.random(count) < 0.5
     lowest = np.where(below, -qcore.ATOL - delta, -qcore.ATOL + delta)
     stack = np.stack([boundary_state(rng, side, lo) for lo in lowest])
@@ -714,6 +709,35 @@ def test_check_states_cholesky_verdict_matches_eigvalsh(side, count, delta, seed
         assert verdict == f"state has negative eigenvalue {first}"
     else:
         assert verdict is None
+    return stack
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 128),
+    st.integers(1, 64),
+    st.floats(1e-12, 1e-10),
+    st.integers(0, 2**32 - 1),
+)
+def test_check_states_cholesky_verdict_matches_eigvalsh(side, count, delta, seed):
+    assert_boundary_verdict(side, count, delta, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.floats(1e-12, 1e-10), st.integers(0, 2**32 - 1))
+def test_check_states_qubit_verdict_matches_eigvalsh(count, delta, seed):
+    # qubit stacks take the closed-form lowest eigenvalue, which must read
+    # the complex off-diagonal entries
+    stack = assert_boundary_verdict(2, count, delta, seed)
+    assert (np.abs(stack[:, 1, 0].imag) > 0).all()
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 2), (1, 2, 3), (3, 1, 2, 2), (4,), (), (0, 2, 3)], ids=str
+)
+def test_check_states_takes_stacks_of_square_matrices_only(shape):
+    with pytest.raises(DimensionMismatchError, match="stack of states"):
+        qcore.check_states(np.zeros(shape, dtype=complex))
 
 
 @settings(max_examples=40, deadline=None)
