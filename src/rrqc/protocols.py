@@ -59,11 +59,15 @@ engine produces, after every gate, cascade, correction and measurement,
 passes ``qcore.check_states``: finite, Hermitian, unit trace and positive
 semidefinite. Once per map, ``check_branch_maps`` checks that every Choi
 matrix J_b is positive semidefinite (complete positivity) and that sum_b E_b
-preserves the trace. Once per evaluation, the final states of every branch
-of every message evaluated pass ``check_states`` as one stack
-(``DensityMatrix.from_stack``), and ``ProtocolResult`` checks each result's
-probabilities and fidelities. The per-branch records are then put together
-from these already-checked stacks without running the checks again.
+preserves the trace. Once per evaluation, on the evaluation's own arrays:
+the final states of every branch of every message evaluated pass
+``check_states`` as one stack, ``qcore.fidelities_pure`` holds every
+fidelity to [0, 1], and ``_check_results`` runs the checks of
+``ProtocolResult`` on all results at once (every message keeps a branch,
+every branch probability lies in [0, 1], and exhaustively each message's
+probabilities sum to 1). The records are then built in one pass from these
+checked arrays, the final states as read-only rows of the checked stack,
+without running any check again.
 """
 
 from __future__ import annotations
@@ -288,6 +292,32 @@ class ProtocolResult:
     @property
     def min_fidelity(self) -> float:
         return min(br.fidelity for br in self.branches)
+
+
+def _check_results(
+    chosen: np.ndarray, probabilities: list[float], spans: list[tuple[int, int]], exhaustive: bool
+) -> None:
+    """The checks of ``ProtocolResult`` on all results of one evaluation at
+    once, raising the error it raises on the first failing result.
+
+    ``chosen`` holds every branch's probability, ``probabilities`` the same
+    values as Python floats, and ``spans`` each result's (start, end) in
+    them, in order. Fidelities are not checked: ``qcore.fidelities_pure``
+    has already held them to [0, 1 + ATOL].
+    """
+    # every check is written so that NaN fails it
+    in_range = (chosen >= 0.0) & (chosen <= 1.0 + ATOL)
+    first_bad = len(probabilities) if in_range.all() else int(np.argmin(in_range))
+    for start, end in spans:
+        if start == end:
+            raise ValidityError("protocol produced no branches")
+        # the results before this one passed, so first_bad >= start
+        if first_bad < end:
+            raise ValidityError(f"branch probability {probabilities[first_bad]} outside [0, 1]")
+        if exhaustive:
+            total = sum(probabilities[start:end])  # in order, as ProtocolResult sums
+            if not abs(total - 1.0) <= ATOL:
+                raise ValidityError(f"branch probabilities sum to {total}, not 1")
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +637,10 @@ class BranchMap:
     def evaluate_many(
         self, messages, outcome_policy: OutcomePolicy | None = None
     ) -> tuple[ProtocolResult, ...]:
-        """``evaluate`` on each of ``messages``; the final states of all the
-        runs pass one ``check_states``.
+        """``evaluate`` on each of ``messages``. The checks run once on the
+        arrays of all the runs: one ``check_states`` on the final states,
+        one ``fidelities_pure`` and one ``_check_results``; the records are
+        built after them, without checks of their own.
 
         Exhaustively, each message gets the same values bit for bit as
         ``evaluate`` gives it alone. A sampled policy walks the messages in
@@ -634,28 +666,44 @@ class BranchMap:
             cases, rows = np.nonzero((along[..., 1:] >= PROB_FLOOR * along[..., :-1]).all(axis=-1))
         chosen = probs[cases, self.paths[rows, -1]]
         outputs = (rhos[cases, :, None] * self.transfer[rows].reshape(-1, 4, 4)).sum(axis=1)
+        # a fresh stack, so its rows are the final states without a copy
         finals = qcore.renormalize(outputs.reshape(-1, 2, 2), chosen)
-        states = DensityMatrix.from_stack(finals, (2,))
+        qcore.check_states(finals)
+        finals.setflags(write=False)
         fidelities = qcore.fidelities_pure(vecs[cases], finals)
-        # BranchResult has no checks of its own: from_stack, fidelities_pure
-        # and ProtocolResult check every field it holds
+        probabilities = chosen.tolist()
+        ends = np.bincount(cases, minlength=len(messages)).cumsum().tolist()
+        spans = list(zip([0] + ends[:-1], ends))
+        _check_results(chosen, probabilities, spans, policy.kind == "exhaustive")
+        # every field is checked above, so no record checks it again
+        prechecked, dims = qcore._prechecked, (2,)
         branches = [
-            qcore._prechecked(
+            prechecked(
                 BranchResult,
-                probability=probability,
-                outcomes=self.outcomes[row].copy(),
-                fidelity=fidelity,
-                final_state=state,
-                transcript=self.transcripts[row],
+                {
+                    "probability": probability,
+                    "outcomes": self.outcomes[row].copy(),
+                    "fidelity": fidelity,
+                    "final_state": prechecked(DensityMatrix, {"matrix": matrix, "dims": dims}),
+                    "transcript": self.transcripts[row],
+                },
             )
-            for row, probability, fidelity, state in zip(
-                rows.tolist(), chosen.tolist(), fidelities.tolist(), states
+            for row, probability, fidelity, matrix in zip(
+                rows.tolist(), probabilities, fidelities.tolist(), finals
             )
         ]
-        ends = np.bincount(cases, minlength=len(messages)).cumsum().tolist()
         return tuple(
-            ProtocolResult(msg, self.n, self.x, policy, tuple(branches[start:end]))
-            for msg, start, end in zip(messages, [0] + ends[:-1], ends)
+            prechecked(
+                ProtocolResult,
+                {
+                    "message": msg,
+                    "n": self.n,
+                    "x": self.x,
+                    "policy": policy,
+                    "branches": tuple(branches[start:end]),
+                },
+            )
+            for msg, (start, end) in zip(messages, spans)
         )
 
     def _walk(self, probs: list[float], rng: np.random.Generator) -> int:
@@ -762,7 +810,14 @@ def branch_maps(variant: str, n: int, xs) -> tuple[BranchMap, ...]:
 
 
 def branch_map(variant: str, n: int, x: int) -> BranchMap:
-    """``branch_maps`` at the one target ``x``."""
+    """``branch_maps`` at the one target ``x``; a key already built is one
+    lookup."""
+    # exact ints only: 2.0 and True hash as 2 and 1 do, and must take the
+    # checks of branch_maps
+    if type(n) is int and type(x) is int:
+        built = _MAPS.get((variant, n, x))
+        if built is not None:
+            return built
     (maps,) = branch_maps(variant, n, (x,))
     return maps
 

@@ -16,8 +16,10 @@ positivity through the closed-form lowest eigenvalue of each qubit state
 (d = 2) or one batched Cholesky factorization of S + ATOL * I (d > 2), with
 a batched ``eigvalsh`` deciding only when that fails. ``DensityMatrix``
 runs it on a stack of one, and ``DensityMatrix.from_stack`` once on a whole
-stack, whose rows it then keeps without checking each again. Kraus stacks
-pass one check, ``check_complete``, which takes nothing but an array.
+stack, whose rows it then keeps without checking each again; a protocol
+evaluation checks its own fresh stack and keeps its rows the same way,
+without the copy. Kraus stacks pass one check, ``check_complete``, which
+takes nothing but an array.
 
 Single-factor operations (local gates, local Kraus channels, projective
 measurements) go through one factor-local kernel that contracts the touched
@@ -83,13 +85,18 @@ def _frozen_array(values, shape_check=None) -> np.ndarray:
     return arr
 
 
-def _prechecked(cls, **fields):
+# bound once: a protocol evaluation makes two records per branch with them
+_new, _set = object.__new__, object.__setattr__
+
+
+def _prechecked(cls, fields: dict):
     """An instance of the frozen dataclass ``cls`` from fields its caller has
     already validated, without running ``__post_init__``: records put
-    together from checked stacks are not checked again. ``fields`` is fresh
-    on every call, so it becomes the instance's ``__dict__`` in one write."""
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "__dict__", fields)
+    together from checked stacks are not checked again. ``fields`` is a
+    fresh dict, by field name in field order, and becomes the instance's
+    ``__dict__`` in one write."""
+    obj = _new(cls)
+    _set(obj, "__dict__", fields)
     return obj
 
 
@@ -344,7 +351,7 @@ class DensityMatrix:
         _check_stack(frozen, dims)
         check_states(frozen)
         frozen.setflags(write=False)
-        return tuple(_prechecked(cls, matrix=m, dims=dims) for m in frozen)
+        return tuple(_prechecked(cls, {"matrix": m, "dims": dims}) for m in frozen)
 
     @property
     def dim(self) -> int:

@@ -301,7 +301,7 @@ class SwitchedChannel:
         the checked omega_plus and is not checked again."""
         flipped = qcore.Z.entries @ self.omega_plus.matrix @ qcore.Z.entries
         flipped.setflags(write=False)
-        return qcore._prechecked(DensityMatrix, matrix=flipped, dims=(2,))
+        return qcore._prechecked(DensityMatrix, {"matrix": flipped, "dims": (2,)})
 
     @property
     def num_qubits(self) -> int:

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -639,12 +640,109 @@ def test_branch_maps_are_built_once_per_key(monkeypatch):
     assert first.outcomes == templates
 
 
+def test_a_built_key_is_one_lookup_that_keeps_the_argument_checks(monkeypatch):
+    built = branch_map("switch", 2, 1)
+    with monkeypatch.context() as patched:
+        patched.setattr(protocols, "branch_maps", None)  # any call would raise
+        assert branch_map("switch", 2, 1) is built
+        run_switch_protocol(RANDOM_MSG, 2, 1)
+    # 2.0 hashes as 2 does, so only exact ints may take the lookup; the rest
+    # get the checks of branch_maps
+    for n, x in ((2.0, 1), (2, 1.0), (2, "1")):
+        with pytest.raises(TypeError):
+            run_switch_protocol(RANDOM_MSG, n, x)
+    with pytest.raises(ValueError):
+        run_switch_protocol(RANDOM_MSG, 2, 3)
+    with pytest.raises(ValueError):
+        run_switch_protocol(RANDOM_MSG, 2, 0)
+
+
 def test_branch_map_check_rejects_a_scaled_map():
     transfer = branch_map("switch", 2, 1).transfer.copy()
     protocols.check_branch_maps(transfer)
     transfer[0] *= 1 + 1e-6
     with pytest.raises(CompletenessError):
         protocols.check_branch_maps(transfer)
+
+
+def _reference_evaluate(maps, msgs, policy):
+    """``evaluate_many`` by the same products and sums, with its final states
+    built by ``DensityMatrix.from_stack`` and its records by the public,
+    checking ``BranchResult`` and ``ProtocolResult`` constructors."""
+    vecs = np.array([(m.alpha, m.beta) for m in msgs], dtype=complex)
+    rhos = (vecs[:, :, None] * vecs[:, None, :].conj()).reshape(-1, 4)
+    probs = (rhos[:, None, :] * maps.effects.reshape(1, -1, 4)).sum(axis=-1).real
+    if policy.kind == "sample":
+        cases = np.arange(len(msgs))
+        rng = np.random.default_rng(policy.seed)
+        rows = np.array([maps._walk(row, rng) for row in probs.tolist()])
+    else:
+        along = probs[:, maps.paths]
+        kept = (along[..., 1:] >= protocols.PROB_FLOOR * along[..., :-1]).all(axis=-1)
+        cases, rows = np.nonzero(kept)
+    chosen = probs[cases, maps.paths[rows, -1]]
+    outputs = (rhos[cases, :, None] * maps.transfer[rows].reshape(-1, 4, 4)).sum(axis=1)
+    finals = qcore.renormalize(outputs.reshape(-1, 2, 2), chosen)
+    states = qcore.DensityMatrix.from_stack(finals, (2,))
+    fidelities = qcore.fidelities_pure(vecs[cases], finals)
+    branches = [
+        BranchResult(
+            probability, dict(zip(maps.keys, maps.bits[row])), fidelity, state,
+            maps.transcripts[row],
+        )
+        for row, probability, fidelity, state in zip(
+            rows.tolist(), chosen.tolist(), fidelities.tolist(), states
+        )
+    ]
+    ends = np.bincount(cases, minlength=len(msgs)).cumsum().tolist()
+    return tuple(
+        ProtocolResult(msg, maps.n, maps.x, policy, tuple(branches[start:end]))
+        for msg, start, end in zip(msgs, [0] + ends[:-1], ends)
+    )
+
+
+def _tampered(maps, factors):
+    """``maps`` with each node's effect and each branch's map scaled by
+    ``factors`` (one per branch, or one per entry |j><k| of the input); no
+    check_branch_maps runs on it."""
+    factors = np.asarray(factors, dtype=float)
+    if factors.shape == (2, 2):
+        return dataclasses.replace(
+            maps, effects=maps.effects * factors, transfer=maps.transfer * factors[..., None, None]
+        )
+    effects = maps.effects.copy()
+    effects[len(effects) - len(factors) :] *= factors[:, None, None]
+    return dataclasses.replace(
+        maps, effects=effects, transfer=maps.transfer * factors[:, None, None, None, None]
+    )
+
+
+ZERO, ONE = MessageState(1.0, 0.0), MessageState(0.0, 1.0)
+#: Scales only the input's |1><1| entry: only messages with a |1> part move.
+ONLY_ONE = [[1.0, 1.0], [1.0, 1 + 1e-6]]
+
+
+def _bad_evaluations():
+    """(map, messages, the start of the error an exhaustive evaluation
+    raises)."""
+    good = branch_map("switch", 2, 1)
+    one_branch = branch_map("noiseless", 1, 1)
+    assert len(one_branch.bits) == 1
+    # message |1> reaches neither child of the root, so it keeps no branch
+    no_children = good.effects.copy()
+    no_children[[1, 2], 1, 1] = 0.0
+    return [
+        (_tampered(one_branch, [1 + 1e-6]), [RANDOM_MSG], "branch probability 1.000001"),
+        (_tampered(one_branch, [-1.0]), [RANDOM_MSG], "branch probability -1.0 outside"),
+        # only the last message of a batch fails
+        (_tampered(one_branch, ONLY_ONE), [ZERO, ZERO, ONE], "branch probability 1.000001"),
+        (_tampered(good, ONLY_ONE), [ZERO, ZERO, ONE], "branch probabilities sum to 1.0000"),
+        (dataclasses.replace(good, effects=no_children), [ZERO, ONE], "protocol produced no"),
+        # the first failing branch in order is named
+        (_tampered(good, [1.0, 5.0, 1.0, 7.0]), [RANDOM_MSG], "branch probability 1.2"),
+        # final states of trace 3/2 fail the state check first
+        (dataclasses.replace(good, transfer=good.transfer * 1.5), [RANDOM_MSG], "state trace"),
+    ]
 
 
 def test_evaluate_runs_the_result_checks():
@@ -660,6 +758,20 @@ def test_evaluate_runs_the_result_checks():
         effects[node, 0, 0] = np.nan
         with pytest.raises(ValidityError):
             dataclasses.replace(good, effects=effects).evaluate(RANDOM_MSG)
+    # the checks run once on the evaluation's arrays; under either policy
+    # they must raise exactly what the public ProtocolResult raises on the
+    # first failing result, and pass what it passes
+    for maps, msgs, start in _bad_evaluations():
+        with pytest.raises(ValidityError, match=f"^{re.escape(start)}"):
+            maps.evaluate_many(msgs)
+        for policy in POLICIES:
+            try:
+                want = _reference_evaluate(maps, msgs, policy)
+            except ValidityError as error:
+                with pytest.raises(ValidityError, match=f"^{re.escape(str(error))}$"):
+                    maps.evaluate_many(msgs, policy)
+            else:
+                assert _fields(maps.evaluate_many(msgs, policy)) == _fields(want)
 
 
 def test_sampled_walk_without_a_reachable_outcome_raises_validity_error():
@@ -717,35 +829,42 @@ def test_walk_through_a_bad_node_raises_validity_error(nodes, value):
 
 
 def _fields(record):
-    """vars() of a record, nested records by their own fields and arrays by
-    their bytes, shape, dtype and writeability."""
+    """A record as data to compare bit for bit: records by their type and
+    fields, arrays by their bytes, shape, dtype and writeability, floats by
+    their type and bits, dicts by their items in order. A transcript counts
+    by its identity: every result takes its map's."""
     if isinstance(record, np.ndarray):
         return record.tobytes(), record.shape, record.dtype, record.flags.writeable
-    if isinstance(record, (qcore.DensityMatrix, Operator)):
+    if isinstance(record, float):
+        return type(record), record.hex()
+    if isinstance(record, dict):
+        return dict, [(k, _fields(v)) for k, v in record.items()]
+    if isinstance(record, tuple):
+        return tuple(_fields(v) for v in record)
+    if isinstance(record, Transcript):
+        return Transcript, id(record)
+    if dataclasses.is_dataclass(record):
         return type(record), [(k, _fields(v)) for k, v in vars(record).items()]
-    return record
+    return type(record), record
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("variant", list(RUNNERS))
-def test_evaluated_records_equal_checked_ones(variant, n):
-    # every record evaluate builds without its constructor's checks equals
-    # one built through the public, checking constructors
-    policies = [OutcomePolicy.exhaustive()] + [OutcomePolicy.sample(s) for s in range(3)]
+@settings(max_examples=4, deadline=None)
+@given(msgs=st.lists(messages(), min_size=1, max_size=4), seed=st.integers(0, 2**31 - 1))
+def test_evaluated_records_equal_checked_ones(variant, n, msgs, seed):
+    # every record evaluate_many builds without its constructor's checks
+    # equals, bit for bit, the one a reference evaluation builds through
+    # DensityMatrix.from_stack and the public, checking constructors
     for x in range(1, n + 1):
-        m = branch_map(variant, n, x)
-        for policy in policies:
-            for br in m.evaluate(RANDOM_MSG, policy).branches:
-                (row,) = [i for i, t in enumerate(m.transcripts) if t is br.transcript]
-                state = qcore.DensityMatrix.from_matrix(br.final_state.matrix, (2,))
-                outcomes = dict(zip(m.keys, m.bits[row]))
-                twin = BranchResult(br.probability, outcomes, br.fidelity, state, br.transcript)
-                assert [(k, _fields(v)) for k, v in vars(br).items()] == [
-                    (k, _fields(v)) for k, v in vars(twin).items()
-                ]
-                assert type(br.probability) is float and type(br.fidelity) is float
-                assert br.final_state.dims == (2,)
-                assert not br.final_state.matrix.flags.writeable
+        maps = branch_map(variant, n, x)
+        for policy in (OutcomePolicy.exhaustive(), OutcomePolicy.sample(seed)):
+            results = maps.evaluate_many(msgs, policy)
+            assert _fields(results) == _fields(_reference_evaluate(maps, msgs, policy))
+            for result in results:
+                for br in result.branches:
+                    assert br.final_state.dims == (2,)
+                    assert not br.final_state.matrix.flags.writeable
 
 
 def test_branch_map_check_rejects_conjugated_off_diagonal_inputs(monkeypatch):
