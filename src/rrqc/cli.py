@@ -4,6 +4,15 @@ Exit codes: 0 all checks pass, 1 usage error, 2 a check failed, 3 numerical
 validity violation. Reports embed the seed and tolerance they ran with and
 contain no wall-clock data, so JSON output is byte-identical for identical
 (flags, seed) pairs; elapsed time goes to stderr.
+
+Every command builds its records as a column table, key to column with one
+entry per record: a list, or a 2-D integer array whose rows are the
+records' lists (``nogo-scan`` passes the scan's arrays as they are). JSON
+renders a table through one row template from its sorted keys, each column
+through ``_json_column``, whose rule for an integer array formats all its
+rows with one ``%``; nested dicts are grouped into tables by key order and
+take the same path. CSV and text read the table a row at a time, as plain
+Python values.
 """
 
 from __future__ import annotations
@@ -28,7 +37,6 @@ from . import __version__, channels, nogo, protocols, qswitch
 from .protocols import (
     MessageState,
     OutcomePolicy,
-    ProtocolResult,
     haar_message,
     run_definite_order_baseline,
 )
@@ -208,15 +216,16 @@ class RunConfig:
         }
 
 
-def _json_document(value) -> str:
-    """The text of ``json.dumps(value, sort_keys=True, indent=2)`` and a
-    newline. A value ``json`` cannot encode raises ``json``'s own TypeError,
-    which names the first such value in document order."""
+def _json_value(value, pad: str) -> str:
+    """The text of ``json.dumps(value, sort_keys=True, indent=2)`` with every
+    line after the first also indented by ``pad``. A value ``json`` cannot
+    encode raises ``json``'s own TypeError, which names the first such
+    value in document order."""
     try:
-        (text,) = _json_column((value,), "")
-        return text + "\n"
+        (text,) = _json_column((value,), pad)
+        return text
     except TypeError:
-        return json.dumps(value, sort_keys=True, indent=2) + "\n"
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
 def _json_column(values, pad: str):
@@ -226,7 +235,9 @@ def _json_column(values, pad: str):
 
     With an indent, ``json`` runs its pure-Python generator encoder; this
     builds the same bytes with as little Python per value as it can, for the
-    values reports are made of, by one rule on the column's types. Values of
+    values reports are made of, by one rule on the column's types. A 2-D
+    integer array is the column of its rows, each a list of ints: one ``%``
+    over a row template repeated once per row, cut back into rows. Values of
     exactly one of the types str, int, float, bool or None are one ``map``
     of ``_SCALAR_TEXT`` (a column of one is rendered at once). Dicts whose
     keys are all exact strs are ``_json_rows``, a lone dict a group of one.
@@ -237,6 +248,14 @@ def _json_column(values, pad: str):
     re-indented by ``pad``, which is exact because ``json``'s ASCII-escaped
     strings never hold a raw newline.
     """
+    if isinstance(values, np.ndarray) and values.ndim == 2 and values.dtype.kind in "iu":
+        count, width = values.shape
+        if not count or not width:
+            return ["[]"] * count
+        inner = pad + "  "
+        row = "[\n" + inner + (",\n" + inner).join(["%d"] * width) + "\n" + pad + "]"
+        # "\0" cannot occur in the text of an int
+        return ("\0".join([row] * count) % tuple(values.ravel().tolist())).split("\0")
     if len(values) == 1:
         scalar = _SCALAR_TEXT.get(type(values[0]))
         if scalar is not None:
@@ -268,26 +287,36 @@ def _json_column(values, pad: str):
 
 def _json_rows(rows, pad: str) -> list[str]:
     """The texts of dicts at ``pad`` whose keys are all exact strs. Rows with
-    the same keys in the same order are rendered together: the sorted keys
-    are encoded once into a row template, and each key's column of values is
-    rendered as one ``_json_column``."""
+    the same keys in the same order are rendered together, as one column
+    table (``_json_table``)."""
     groups: dict[tuple, list[int]] = {}
     for index, row in enumerate(rows):
         groups.setdefault(tuple(row), []).append(index)
     texts = ["{}"] * len(rows)  # what a row without keys keeps
-    inner = pad + "  "
     for order, members in groups.items():
-        if not order:
-            continue
-        keys = sorted(order)
-        names = [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys]
-        template = "{\n" + inner + (",\n" + inner).join(names) + "\n" + pad + "}"
         group = [rows[index] for index in members]
-        columns = [[row[key] for row in group] for key in keys]
-        row_texts = zip(*map(_json_column, columns, itertools.repeat(inner)))
-        for index, row in zip(members, row_texts):
-            texts[index] = template % row
+        table = {key: [row[key] for row in group] for key in order}
+        for index, text in zip(members, _json_table(table, pad)):
+            texts[index] = text
     return texts
+
+
+def _json_table(table: dict, pad: str) -> list[str]:
+    """The texts at ``pad`` of the records of a column table, as dicts whose
+    keys are the table's: the sorted keys are encoded once into a row
+    template, and each key's column is rendered as one ``_json_column``."""
+    keys = sorted(table)
+    inner = pad + "  "
+    columns = [_json_column(table[key], inner) for key in keys]
+    return list(map(_json_template(keys, pad).__mod__, zip(*columns)))
+
+
+def _json_template(keys, pad: str) -> str:
+    """The text at ``pad`` of a dict with these keys, in this order, with a
+    ``%s`` in place of each value."""
+    inner = pad + "  "
+    names = [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys]
+    return "{\n" + inner + (",\n" + inner).join(names) + "\n" + pad + "}"
 
 
 def _json_float(value: float) -> str:
@@ -310,38 +339,57 @@ _SCALAR_TEXT = {
 }
 
 
+#: The JSON text of a report, a ``%s`` in place of each value.
+_REPORT_TEMPLATE = _json_template(
+    ("config", "records", "schema_version", "summary", "version"), ""
+)
+
+
+def _column_values(column, stop: int | None = None) -> list:
+    """The first ``stop`` entries of a column (all by default) as Python
+    values: the rows of an array as lists."""
+    column = column[:stop]
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def _cell(value):
+    """A CSV or text cell: dicts and lists as compact sorted JSON."""
+    return json.dumps(value, sort_keys=True) if isinstance(value, (dict, list)) else value
+
+
 @dataclass
 class Report:
+    """A command's report. ``records`` is a column table: key -> column, one
+    entry per record, its keys in the records' key order. A column is a
+    list, or a 2-D integer array whose rows are the records' lists of ints;
+    every column has the same length, the record count."""
+
     config: dict
-    records: list[dict]
+    records: dict
     summary: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "version": __version__,
-            "config": self.config,
-            "records": self.records,
-            "summary": self.summary,
-        }
+    @property
+    def count(self) -> int:
+        return len(next(iter(self.records.values()), ()))
 
     def to_json(self) -> str:
-        return _json_document(self.to_dict())
+        rows = _json_table(self.records, "    ")
+        records = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+        config, summary = (_json_value(part, "  ") for part in (self.config, self.summary))
+        version = encode_basestring_ascii(__version__)
+        return _REPORT_TEMPLATE % (config, records, SCHEMA_VERSION, summary, version) + "\n"
 
     def to_csv(self) -> str:
+        blank = [""] * self.count
+        # csv writes None as an empty cell
+        columns = [
+            list(map(_cell, _column_values(self.records[key]))) if key in self.records else blank
+            for key in CSV_COLUMNS
+        ]
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for record in self.records:
-            row = []
-            for column in CSV_COLUMNS:
-                value = record.get(column, "")
-                if isinstance(value, (dict, list)):
-                    value = json.dumps(value, sort_keys=True)
-                elif value is None:
-                    value = ""
-                row.append(value)
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
         return buffer.getvalue()
 
     def to_text(self) -> str:
@@ -349,16 +397,19 @@ class Report:
         for key, value in self.config.items():
             if key != "command" and value is not None:
                 lines.append(f"  {key}: {value}")
-        lines.append(f"records: {len(self.records)}")
-        for record in self.records[:MAX_TEXT_RECORDS]:
-            body = ", ".join(
-                f"{k}={json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v}"
-                for k, v in record.items()
-                if k not in ("command", "transcript") and v is not None
-            )
+        count = self.count
+        lines.append(f"records: {count}")
+        shown = [
+            (key, _column_values(column, MAX_TEXT_RECORDS))
+            for key, column in self.records.items()
+            if key not in ("command", "transcript")
+        ]
+        for index in range(min(count, MAX_TEXT_RECORDS)):
+            cells = ((key, column[index]) for key, column in shown)
+            body = ", ".join(f"{k}={_cell(v)}" for k, v in cells if v is not None)
             lines.append(f"  - {body}")
-        if len(self.records) > MAX_TEXT_RECORDS:
-            lines.append(f"  ... ({len(self.records) - MAX_TEXT_RECORDS} more)")
+        if count > MAX_TEXT_RECORDS:
+            lines.append(f"  ... ({count - MAX_TEXT_RECORDS} more)")
         lines.append("summary:")
         for key, value in self.summary.items():
             lines.append(f"  {key}: {value}")
@@ -404,30 +455,6 @@ def _event_dict(event) -> dict:
     }
 
 
-def _protocol_records(
-    cfg: RunConfig, case: int, x: int, msg: MessageState, result: ProtocolResult
-) -> list[dict]:
-    records = []
-    for bi, branch in enumerate(result.branches):
-        record = {
-            "command": cfg.command,
-            "variant": cfg.variant,
-            "case": case,
-            "branch": bi,
-            "n": cfg.n,
-            "x": x,
-            "alpha": _cnum(msg.alpha),
-            "beta": _cnum(msg.beta),
-            "outcomes": dict(sorted(branch.outcomes.items())),
-            "probability": float(branch.probability),
-            "fidelity": float(branch.fidelity),
-        }
-        if cfg.transcript:
-            record["transcript"] = [_event_dict(e) for e in branch.transcript.events]
-        records.append(record)
-    return records
-
-
 def cmd_protocol(cfg: RunConfig) -> Report:
     if cfg.variant not in protocols.VARIANTS:
         raise UsageError(f"unknown protocol variant {cfg.variant!r}")
@@ -438,18 +465,55 @@ def cmd_protocol(cfg: RunConfig) -> Report:
         raise UsageError(f"--x must be in 1..{cfg.n} or ALL")
     messages = resolve_messages("HAAR(1)" if cfg.message is None else cfg.message, cfg.seed)
     policy = OutcomePolicy.exhaustive()
-    records = []
+    rows = []  # (case, branch, x, alpha, beta, outcomes, probability, fidelity)
+    transcripts = []
     fidelities = []
     case = 0
     for x, maps in zip(xs, protocols.branch_maps(cfg.variant, cfg.n, xs)):
         for msg, result in zip(messages, maps.evaluate_many(messages, policy)):
-            records.extend(_protocol_records(cfg, case, x, msg, result))
+            alpha, beta = _cnum(msg.alpha), _cnum(msg.beta)
+            rows += [
+                (
+                    case,
+                    index,
+                    x,
+                    alpha,
+                    beta,
+                    dict(sorted(branch.outcomes.items())),
+                    float(branch.probability),
+                    float(branch.fidelity),
+                )
+                for index, branch in enumerate(result.branches)
+            ]
+            if cfg.transcript:
+                transcripts += [
+                    [_event_dict(e) for e in branch.transcript.events]
+                    for branch in result.branches
+                ]
             fidelities.append(result.fidelity)
             case += 1
-    branch_fids = [r["fidelity"] for r in records]
+    cases, branches, targets, alphas, betas, outcomes, probabilities, branch_fids = map(
+        list, zip(*rows)
+    )
+    count = len(rows)
+    records = {
+        "command": [cfg.command] * count,
+        "variant": [cfg.variant] * count,
+        "case": cases,
+        "branch": branches,
+        "n": [cfg.n] * count,
+        "x": targets,
+        "alpha": alphas,
+        "beta": betas,
+        "outcomes": outcomes,
+        "probability": probabilities,
+        "fidelity": branch_fids,
+    }
+    if cfg.transcript:
+        records["transcript"] = transcripts
     summary = {
         "cases": case,
-        "branches": len(records),
+        "branches": count,
         "min_fidelity": min(branch_fids),
         "mean_fidelity": sum(fidelities) / len(fidelities),
         "max_fidelity": max(branch_fids),
@@ -470,18 +534,16 @@ def cmd_validate_switch(cfg: RunConfig) -> Report:
     if trials < 0:
         raise UsageError("--trials must be non-negative")
     result = qswitch.validate_closed_forms(cfg.seed, trials, ns, cfg.tolerance)
-    records = [
-        {
-            "command": cfg.command,
-            "kind": rec.kind,
-            "n": rec.n,
-            "detail": rec.detail,
-            "deviation": rec.deviation,
-        }
-        for rec in result.records
-    ]
+    count = len(result.records)
+    records = {
+        "command": [cfg.command] * count,
+        "kind": [rec.kind for rec in result.records],
+        "n": [rec.n for rec in result.records],
+        "detail": [rec.detail for rec in result.records],
+        "deviation": [rec.deviation for rec in result.records],
+    }
     summary = {
-        "comparisons": len(records),
+        "comparisons": count,
         "max_deviation": result.max_deviation,
         "tolerance": result.tolerance,
         "passed": result.passed,
@@ -493,11 +555,14 @@ def cmd_nogo_scan(cfg: RunConfig) -> Report:
     if cfg.n is None or not nogo.SCAN_MIN <= cfg.n <= nogo.SCAN_MAX:
         raise UsageError(f"--n must be in {nogo.SCAN_MIN}..{nogo.SCAN_MAX}")
     report = nogo.fixed_bit_scan(cfg.n)
-    # a counterexample has no fixed slot
-    records = [
-        {"command": cfg.command, "n": cfg.n, "tau": tau, "bits": bits, "fixed_index": None}
-        for tau, bits in zip(report.taus.tolist(), report.bits.tolist())
-    ]
+    count = report.counterexample_count
+    records = {
+        "command": [cfg.command] * count,
+        "n": [cfg.n] * count,
+        "tau": report.taus,
+        "bits": report.bits,
+        "fixed_index": [None] * count,  # a counterexample has no fixed slot
+    }
     odd = cfg.n % 2 == 1
     passed = report.counterexample_count == 0 if odd else report.counterexample_count > 0
     summary = {
@@ -527,15 +592,13 @@ def cmd_eb_check(cfg: RunConfig) -> Report:
     verdict = channels.is_entanglement_breaking_qubit(
         channels.choi(channels.pauli_kraus(channel))
     )
-    records = [
-        {
-            "command": cfg.command,
-            "kind": "eb-check",
-            "detail": cfg.weights,
-            "entanglement_breaking": verdict.entanglement_breaking,
-            "witness": verdict.witness,
-        }
-    ]
+    records = {
+        "command": [cfg.command],
+        "kind": ["eb-check"],
+        "detail": [cfg.weights],
+        "entanglement_breaking": [verdict.entanglement_breaking],
+        "witness": [verdict.witness],
+    }
     passed = None
     if cfg.expect is not None:
         passed = verdict.entanglement_breaking == (cfg.expect == "eb")
@@ -564,23 +627,18 @@ def cmd_baseline_sweep(cfg: RunConfig) -> Report:
     results = protocols.branch_map("baseline", n, x).evaluate_many(
         messages, OutcomePolicy.sample(cfg.seed)
     )
-    records = []
-    fidelities = []
-    for case, (msg, result) in enumerate(zip(messages, results)):
-        fidelities.append(result.fidelity)
-        records.append(
-            {
-                "command": cfg.command,
-                "case": case,
-                "n": n,
-                "x": x,
-                "alpha": _cnum(msg.alpha),
-                "beta": _cnum(msg.beta),
-                "fidelity": float(result.fidelity),
-            }
-        )
+    fidelities = [result.fidelity for result in results]
+    records = {
+        "command": [cfg.command] * count,
+        "case": list(range(count)),
+        "n": [n] * count,
+        "x": [x] * count,
+        "alpha": [_cnum(msg.alpha) for msg in messages],
+        "beta": [_cnum(msg.beta) for msg in messages],
+        "fidelity": list(map(float, fidelities)),
+    }
     plus = run_definite_order_baseline(MessageState.plus(), n, x)
-    mean = sum(fidelities) / len(fidelities)
+    mean = sum(fidelities) / count
     summary = {
         "count": count,
         "mean_fidelity": mean,
@@ -610,7 +668,9 @@ COMMANDS = {
 def build_parser() -> _Parser:
     """The argument parser, built once per process and shared by every
     ``main`` call; parsing leaves it unchanged."""
-    parser = _Parser(prog="rrqc", description=__doc__, epilog=CSV_HELP)
+    # the help describes the commands and exit codes, not how reports are built
+    description = __doc__ and "\n\n".join(__doc__.split("\n\n")[:2])  # None under -OO
+    parser = _Parser(prog="rrqc", description=description, epilog=CSV_HELP)
     parser.add_argument("--version", action="version", version=f"rrqc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

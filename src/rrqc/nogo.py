@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,7 +40,7 @@ class PermutationPair:
     n: int
 
     def __post_init__(self):
-        tau = tuple(map(operator.index, self.tau))  # integers only
+        tau = tuple(map(qcore.as_index, self.tau))
         if sorted(tau) != list(range(1, self.n + 1)):
             raise ValueError(f"{tau} is not a permutation of 1..{self.n}")
         object.__setattr__(self, "tau", tau)
@@ -107,7 +106,7 @@ def fixed_bit_scan(n: int) -> NogoReport:
     of ``perms`` is a permutation of 0..n-1, and every reported cell has
     b_j != b_tau(j) at every slot j. Either failing raises ValueError.
     """
-    n = operator.index(n)  # integers only
+    n = qcore.as_index(n)
     if not SCAN_MIN <= n <= SCAN_MAX:
         raise ValueError(f"scan supports n in {SCAN_MIN}..{SCAN_MAX}, got {n}")
     rows = 2**n

@@ -75,7 +75,6 @@ from __future__ import annotations
 import copy
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,7 +236,7 @@ class OutcomePolicy:
         if self.kind == "sample" and self.seed is None:
             raise ValueError("sampling requires a seed")
         if self.seed is not None:
-            seed = operator.index(self.seed)  # integers only
+            seed = qcore.as_index(self.seed)
             if seed < 0:
                 raise ValueError(f"seed must be non-negative, got {seed}")
             object.__setattr__(self, "seed", seed)
@@ -798,8 +797,8 @@ def branch_maps(variant: str, n: int, xs) -> tuple[BranchMap, ...]:
     (``_build_maps``), sharing the engine runs up to the retrieval."""
     if variant not in _STAGES:
         raise ValueError(f"unknown protocol variant {variant!r}")
-    n = operator.index(n)  # integers only, one key each
-    xs = [operator.index(x) for x in xs]
+    n = qcore.as_index(n)  # one key each
+    xs = [qcore.as_index(x) for x in xs]
     for x in xs:
         _check_run_args(n, x)
     missing = [x for x in dict.fromkeys(xs) if (variant, n, x) not in _MAPS]

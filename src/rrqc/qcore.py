@@ -66,8 +66,17 @@ class ValidityError(ValueError):
     """A state or operator failed its numerical validity checks."""
 
 
+def as_index(value) -> int:
+    """``operator.index(value)`` for a count, factor, target or seed: any
+    value that is not an integer raises TypeError, and so does a bool,
+    which ``operator.index`` would read as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _clean_dims(dims: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(map(operator.index, dims))  # integers only
+    out = tuple(map(as_index, dims))
     if not out or any(d <= 0 for d in out):
         raise DimensionMismatchError(f"invalid factor dimensions {dims!r}")
     return out
@@ -362,7 +371,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduce to the kept factors (0-based indices); factor order is preserved."""
     dims = rho.dims
     count = len(dims)
-    kept = sorted(set(map(operator.index, keep)))  # integers only
+    kept = sorted(set(map(as_index, keep)))
     if not kept:
         raise DimensionMismatchError("must keep at least one factor")
     if kept[0] < 0 or kept[-1] >= count:

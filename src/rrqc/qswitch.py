@@ -65,7 +65,6 @@ behind ``switch_generic``, ``switch_kraus``, ``switched_kraus`` and
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -572,12 +571,12 @@ def validate_closed_forms(
     once per trial and one ``_closed_kernels`` call. The random draws come
     in the same order as one trial at a time.
     """
-    trials = operator.index(trials)  # integers only
+    trials = qcore.as_index(trials)
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     if len(ns) == 0:
         raise ValueError("ns names no receiver count to validate")
-    ns = [operator.index(n) for n in ns]
+    ns = [qcore.as_index(n) for n in ns]
     for n in ns:
         if not 1 <= n <= 3:
             raise ValueError(f"generic validation supports n in 1..3, got {n}")

@@ -1,14 +1,18 @@
 import csv
 import enum
+import hashlib
+import io
 import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from rrqc import cli, qswitch
+from rrqc import __version__, cli, qswitch
 from rrqc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -23,6 +27,80 @@ def run_json(tmp_path, args, name="report.json"):
     path = tmp_path / name
     code = main(args + ["--format", "json", "--output", str(path)])
     return code, json.loads(path.read_text())
+
+
+def table_rows(table):
+    """The records of a column table as dicts, arrays' rows as lists."""
+    columns = {
+        key: column.tolist() if isinstance(column, np.ndarray) else list(column)
+        for key, column in table.items()
+    }
+    count = len(next(iter(columns.values()), []))
+    return [{key: column[index] for key, column in columns.items()} for index in range(count)]
+
+
+def report_document(report):
+    """What the JSON text of ``report`` must be ``json.dumps`` of."""
+    return {
+        "schema_version": cli.SCHEMA_VERSION,
+        "version": __version__,
+        "config": report.config,
+        "records": table_rows(report.records),
+        "summary": report.summary,
+    }
+
+
+def dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+# the row-at-a-time CSV and text renderers that reports had before their
+# records became column tables: the reference the table renderers must match
+
+
+def rows_csv(rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(cli.CSV_COLUMNS)
+    for record in rows:
+        row = []
+        for column in cli.CSV_COLUMNS:
+            value = record.get(column, "")
+            if isinstance(value, (dict, list)):
+                value = json.dumps(value, sort_keys=True)
+            elif value is None:
+                value = ""
+            row.append(value)
+        writer.writerow(row)
+    return buffer.getvalue()
+
+
+def rows_text(config, rows, summary):
+    lines = [f"command: {config['command']}"]
+    for key, value in config.items():
+        if key != "command" and value is not None:
+            lines.append(f"  {key}: {value}")
+    lines.append(f"records: {len(rows)}")
+    for record in rows[: cli.MAX_TEXT_RECORDS]:
+        body = ", ".join(
+            f"{k}={json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v}"
+            for k, v in record.items()
+            if k not in ("command", "transcript") and v is not None
+        )
+        lines.append(f"  - {body}")
+    if len(rows) > cli.MAX_TEXT_RECORDS:
+        lines.append(f"  ... ({len(rows) - cli.MAX_TEXT_RECORDS} more)")
+    lines.append("summary:")
+    for key, value in summary.items():
+        lines.append(f"  {key}: {value}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_renders_as_rows(report):
+    rows = table_rows(report.records)
+    assert report.to_json() == dumps(report_document(report))
+    assert report.to_csv() == rows_csv(rows)
+    assert report.to_text() == rows_text(report.config, rows, report.summary)
 
 
 # ---------------------------------------------------------------------------
@@ -524,23 +602,56 @@ def record_lists(draw):
     return draw(st.permutations([row for group in groups for row in group]))
 
 
+def _int_matrices(count):
+    """(count, width) integer arrays: the shape of the scan's columns."""
+    dtypes = st.sampled_from([np.int8, np.int64, np.uint16])
+    return hnp.arrays(dtypes, st.tuples(st.just(count), st.integers(0, 4)))
+
+
+@st.composite
+def column_tables(draw):
+    """Column tables of zero to six records: each column drawn from one cell
+    strategy, or an integer matrix. Keys include CSV columns and the keys a
+    text report skips."""
+    count = draw(st.integers(0, 6))
+    keys = draw(
+        st.lists(
+            st.one_of(_RECORD_KEYS, st.sampled_from(cli.CSV_COLUMNS + ("transcript",))),
+            unique=True,
+            max_size=5,
+        )
+    )
+    cells = st.one_of(
+        _COLUMN_CELLS.map(lambda cell: st.lists(cell, min_size=count, max_size=count)),
+        st.just(_int_matrices(count)),
+    )
+    return {key: draw(draw(cells)) for key in keys}
+
+
 @settings(max_examples=300, deadline=None)
 @given(_VALUES, st.dictionaries(_KEYS, _VALUES, max_size=3))
 def test_report_json_matches_json_dumps(value, summary):
-    report = cli.Report({"command": "x", "value": value}, [value, {"v": value}], summary)
-    expected = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-    assert report.to_json() == expected
+    records = {"value": [value, {"v": value}]}
+    report = cli.Report({"command": "x", "value": value}, records, summary)
+    assert report.to_json() == dumps(report_document(report))
 
 
 @settings(max_examples=300, deadline=None)
-@given(record_lists(), like_records())
-def test_report_json_matches_json_dumps_on_like_records(records, rows):
+@given(column_tables(), record_lists(), like_records())
+def test_report_json_matches_json_dumps_on_like_records(table, records, rows):
     # like records as a report's records, nested in its config, and as the
     # rows of a column of lists; kept apart from the test above so that a
     # failure shrinks quickly
-    report = cli.Report({"command": "x", "rows": rows}, records, {"nested": [rows, records]})
-    expected = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-    assert report.to_json() == expected
+    report = cli.Report({"command": "x", "rows": rows}, table, {"nested": [rows, records]})
+    assert report.to_json() == dumps(report_document(report))
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_tables())
+def test_column_tables_render_as_their_rows(table):
+    # every format of a table against json.dumps and the row-at-a-time
+    # renderers, on the rows the table stands for
+    assert_renders_as_rows(cli.Report({"command": "x", "seed": 0}, table, {"passed": None}))
 
 
 class _Text(str):
@@ -553,18 +664,16 @@ def test_report_json_hands_other_values_to_json_dumps():
     # lines, IntEnums and a str subclass holding a newline
     keyed = {2: [1, {"b": _Level.HIGH}], 1.5: {None: "x"}, True: [], -3: (0,)}
     odd = [_Level.LOW, _Text("line\nbreak"), _Int(3), _Float(0.5), {_Text("k\n"): 1}]
-    records = [
-        {"a": keyed, "b": [odd, {"c": keyed}]},
-        {"a": {"d": keyed}, "b": odd},
-        {"a": [keyed, keyed], "b": {"e": [odd]}},
-    ]
+    records = {
+        "a": [keyed, {"d": keyed}, [keyed, keyed]],
+        "b": [[odd, {"c": keyed}], odd, {"e": [odd]}],
+    }
     report = cli.Report(
         {"command": "x", "deep": {"keyed": keyed, "odd": odd}},
         records,
         {"nested": [[keyed]], "odd": {"list": odd}, "level": _Level.HIGH},
     )
-    expected = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-    assert report.to_json() == expected
+    assert report.to_json() == dumps(report_document(report))
 
 
 @pytest.mark.parametrize(
@@ -573,7 +682,7 @@ def test_report_json_hands_other_values_to_json_dumps():
     ids=["int", "float", "true", "null", "false"],
 )
 def test_report_json_converts_keys_as_json_does(value):
-    assert cli._json_document(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert cli._json_value(value, "") + "\n" == dumps(value)
 
 
 @pytest.mark.parametrize(
@@ -593,14 +702,15 @@ def test_report_json_rejects_what_json_rejects(value):
     with pytest.raises(TypeError) as expected:
         json.dumps(value, sort_keys=True, indent=2)
     with pytest.raises(TypeError) as raised:
-        cli._json_document(value)
+        cli._json_value(value, "")
     assert str(raised.value) == str(expected.value)
 
 
 def test_real_reports_render_as_json_dumps():
-    # reports as the commands build them: an empty record list (odd scan),
-    # None config values, float and bool columns and the four transcript
-    # event shapes
+    # reports as the commands build them: an empty record table (odd scan),
+    # integer-matrix columns (even scan), None config values, float and bool
+    # columns and the four transcript event shapes; the CSV and text of each
+    # are what the row-at-a-time renderers make of its rows
     parser = cli.build_parser()
     for argv in [
         ["nogo-scan", "--n", "6"],
@@ -611,9 +721,39 @@ def test_real_reports_render_as_json_dumps():
         ["baseline-sweep", "--count", "50"],
     ]:
         cfg = cli._config_from_args(parser.parse_args(argv))
-        report = cli.COMMANDS[cfg.command](cfg).to_dict()
-        expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        assert cli._json_document(report) == expected, argv
+        assert_renders_as_rows(cli.COMMANDS[cfg.command](cfg))
+
+
+#: sha256 of ``nogo-scan --n N`` in each format. The scan reports hold no
+#: floats, so their bytes do not depend on the platform or its BLAS.
+NOGO_DIGESTS = {
+    (2, "json"): "aca006e263eaaeb8e927c0daaf69d6ce26718700281005e8b93410068f7f2545",
+    (2, "csv"): "6842f6d5a8d6c3bc37350fff87582950ccbacbf8c30d3b22f5108f0d881c8761",
+    (2, "text"): "06d6447abc8a14fc28854b3a7151223542bef1f08c47e8f9e21ffb328e9702e6",
+    (3, "json"): "6b1dbb46c1935414c7e15517316fab823b0c3564f8783efc6bdb882ca4445389",
+    (3, "csv"): "0708c7966da1b78e18976721c826ca3b75cc4e5e36e13573b47f9e28400070d4",
+    (3, "text"): "e9e1f999cb87b82839cf9770a604723640d48f50d95bb92e26e38c7b91384d2f",
+    (4, "json"): "e375e299f45fc97641607acd59b05e4d2f7e453ab1e14eef759747c976c392cc",
+    (4, "csv"): "c90db67c382e797c55a39b841cb8e000b812920137611e74c5cc56d9a99f9d61",
+    (4, "text"): "0b01047d1ec44ee2263a7e138fa538d1c75daf11b4191211865ad151214fb3c0",
+    (5, "json"): "465400d92c3cc38f672803a3e586ea3cb7d92af2a439ca86606ac3084f4b541c",
+    (5, "csv"): "0708c7966da1b78e18976721c826ca3b75cc4e5e36e13573b47f9e28400070d4",
+    (5, "text"): "5beb387d521585d582736a984a35818421a887ab93dee5e9abca5bac2919a4a6",
+    (6, "json"): "85c4a2893508ae1c9d6910b02639acaa999dc7bb0b08c1ba58a77f3e681ba135",
+    (6, "csv"): "e0e3842f3e1fdf3d6eda700ca3113846dcf83db867b4443a2eaf695d4d651f26",
+    (6, "text"): "1b336ac047caa3ce694484c931c5dcdd71b461bf4f1f09de802b1b0a8b85b139",
+    (7, "json"): "da1a56cb2fe4963a740c07afe646c697d91f40fd7b2bc43a09b47e34117836d7",
+    (7, "csv"): "0708c7966da1b78e18976721c826ca3b75cc4e5e36e13573b47f9e28400070d4",
+    (7, "text"): "c973fcb3ae96638af2d1d79a61f1b696beade5cb0fcab9ff7c27db3465e7dfcb",
+}
+
+
+@pytest.mark.parametrize("n, fmt", sorted(NOGO_DIGESTS))
+def test_scan_reports_keep_their_bytes(tmp_path, n, fmt):
+    path = tmp_path / "report"
+    args = ["nogo-scan", "--n", str(n), "--format", fmt, "--output", str(path)]
+    assert main(args) == EXIT_OK
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == NOGO_DIGESTS[n, fmt]
 
 
 def test_report_embeds_seed_and_tolerance(tmp_path):

@@ -385,6 +385,43 @@ def test_dims_take_integers_only():
         assert qcore.identity(dims).dims == (2, 2)
 
 
+_PLUS = protocols.MessageState.plus()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: qcore.identity((2, True)),
+        lambda: qcore.partial_trace(bell_density(), {True}),
+        lambda: protocols.OutcomePolicy.sample(True),
+        lambda: protocols.branch_maps("switch", True, [1]),
+        lambda: protocols.branch_maps("switch", 2, [True]),
+        lambda: protocols.run_switch_protocol(_PLUS, True, True),
+        lambda: qswitch.validate_closed_forms(0, True, (1,)),
+        lambda: qswitch.validate_closed_forms(0, 1, (True,)),
+        lambda: nogo.fixed_bit_scan(True),
+        lambda: nogo.PermutationPair((True, 2), 2),
+    ],
+    ids=[
+        "dims",
+        "partial-trace",
+        "seed",
+        "branch-maps-n",
+        "branch-maps-x",
+        "run-protocol",
+        "trials",
+        "validate-n",
+        "scan",
+        "permutation",
+    ],
+)
+def test_bools_are_not_integers(call):
+    # operator.index reads True as 1: each of these ran with n, x, a seed,
+    # a trial count, a factor or an image of 1 (or, for the scan, said "got 1")
+    with pytest.raises(TypeError, match="expected an integer, got True"):
+        call()
+
+
 def test_ket_rejects_unnormalized_vector():
     with pytest.raises(ValidityError):
         Ket([1.0, 1.0], (2,))
