@@ -86,15 +86,26 @@ class PauliChannel:
     w_z: float
 
     def __post_init__(self):
-        weights = self.weights
-        if any(w < 0 for w in weights):
-            raise ValidityError(f"negative Pauli weight in {weights}")
-        if not abs(sum(weights) - 1.0) <= WEIGHT_ATOL:  # NaN fails too
-            raise ValidityError(f"Pauli weights {weights} do not sum to 1")
+        check_pauli_weights(np.array(self.weights))
 
     @property
     def weights(self) -> tuple[float, float, float, float]:
         return (self.w_i, self.w_x, self.w_y, self.w_z)
+
+
+def check_pauli_weights(weights: np.ndarray) -> None:
+    """Raise ValidityError unless every row of a (..., 4) array of Pauli
+    weights has no negative weight and sums to 1 within ``WEIGHT_ATOL``
+    (NaN fails); the error names the first failing row."""
+    rows = weights.reshape(-1, 4)
+    negative = (rows < 0).any(axis=1)
+    failed = negative | ~(np.abs(rows.sum(axis=1) - 1.0) <= WEIGHT_ATOL)
+    if failed.any():
+        t = int(np.argmax(failed))
+        row = tuple(rows[t].tolist())
+        if negative[t]:
+            raise ValidityError(f"negative Pauli weight in {row}")
+        raise ValidityError(f"Pauli weights {row} do not sum to 1")
 
 
 IDENTITY = PauliChannel(1.0, 0.0, 0.0, 0.0)

@@ -239,14 +239,15 @@ def _json_column(values, pad: str):
     integer array is the column of its rows, each a list of ints: one ``%``
     over a row template repeated once per row, cut back into rows. Values of
     exactly one of the types str, int, float, bool or None are one ``map``
-    of ``_SCALAR_TEXT`` (a column of one is rendered at once). Dicts whose
-    keys are all exact strs are ``_json_rows``, a lone dict a group of one.
-    Lists and tuples render all their items as one column, which is cut
-    back into arrays. Any other column of several values is rendered one
-    value at a time, and any other lone value (subclasses, enums, non-str
-    keys, values ``json`` rejects) is handed to ``json.dumps`` and
-    re-indented by ``pad``, which is exact because ``json``'s ASCII-escaped
-    strings never hold a raw newline.
+    of ``_SCALAR_TEXT``, floats a second one through ``_NONFINITE`` (a
+    column of one is rendered at once). Dicts whose keys are all exact strs
+    are ``_json_rows``, a lone dict a group of one. Lists and tuples render
+    all their items as one column, which is cut back into arrays. Any
+    other column of several values is rendered one value at a time, and
+    any other lone value (subclasses, enums, non-str keys, values ``json``
+    rejects) is handed to ``json.dumps`` and re-indented by ``pad``, which
+    is exact because ``json``'s ASCII-escaped strings never hold a raw
+    newline.
     """
     if isinstance(values, np.ndarray) and values.ndim == 2 and values.dtype.kind in "iu":
         count, width = values.shape
@@ -259,11 +260,16 @@ def _json_column(values, pad: str):
     if len(values) == 1:
         scalar = _SCALAR_TEXT.get(type(values[0]))
         if scalar is not None:
-            return (scalar(values[0]),)
+            text = scalar(values[0])
+            return (_NONFINITE.get(text, text),)
     kinds = set(map(type, values))
     if len(kinds) == 1:
         (kind,) = kinds
         if kind in _SCALAR_TEXT:
+            if kind is float:
+                texts = list(map(float.__repr__, values))
+                # of float texts only "nan", "inf" and "-inf" hold an "n"
+                return map(_NONFINITE.get, texts, texts) if "n" in "".join(texts) else texts
             return map(_SCALAR_TEXT[kind], values)
         if kind is dict and set(map(type, itertools.chain.from_iterable(values))) <= {str}:
             return _json_rows(values, pad)
@@ -319,24 +325,20 @@ def _json_template(keys, pad: str) -> str:
     return "{\n" + inner + (",\n" + inner).join(names) + "\n" + pad + "}"
 
 
-def _json_float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-#: The text of a value of exactly one of these types, by type.
+#: The text of a value of exactly one of these types, by type; a float's
+#: text is ``float.__repr__``'s, spelt as ``json`` spells it (``_NONFINITE``).
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    float: _json_float,
+    float: float.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
 }
+
+
+#: ``json``'s spelling of the texts ``float.__repr__`` gives NaN and the
+#: infinities; no other scalar text is one of them (a str's text is quoted).
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 #: The JSON text of a report, a ``%s`` in place of each value.

@@ -299,6 +299,16 @@ def controlled_not(num_factors: int, control: int, target: int) -> Operator:
     return Operator(mat, (2,) * num_factors)
 
 
+def check_kets(amplitudes: np.ndarray) -> None:
+    """Raise ValidityError unless every row of a (B, d) amplitude stack has
+    unit norm within ``ATOL`` (NaN and Inf fail); the error names the first
+    failing row."""
+    norms = np.linalg.norm(amplitudes, axis=1)
+    failed = ~(np.abs(norms - 1.0) <= ATOL)
+    if failed.any():
+        raise ValidityError(f"ket norm {norms[np.argmax(failed)]} is not 1")
+
+
 @dataclass(frozen=True, eq=False)
 class Ket:
     """Pure state as a complex amplitude vector with factor dimensions."""
@@ -313,8 +323,7 @@ class Ket:
             raise DimensionMismatchError(
                 f"dims {dims} do not match vector length {vec.shape[0]}"
             )
-        if abs(np.linalg.norm(vec) - 1.0) > ATOL:
-            raise ValidityError(f"ket norm {np.linalg.norm(vec)} is not 1")
+        check_kets(vec[None])
         object.__setattr__(self, "amplitudes", vec)
         object.__setattr__(self, "dims", dims)
 

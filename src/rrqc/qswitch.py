@@ -29,16 +29,19 @@ that parity gives the decomposition
     p_plus * C_plus(rho) (x) omega  +  p_minus * C_minus(rho) (x) Z omega Z
 
 into two normalized Pauli-string channels correlated with the control.
-``closed_form_product`` builds it for any two products, one qubit at a time:
-a per-qubit table of summed pair weights keyed by (product label,
-anticommutes), combined across qubits by a parity-tracked convolution.
-``closed_form_two_party`` (a two-qubit product switched with itself) and
-``closed_form_nxy_n`` (n equal-X/Y mixtures, whose branches are the even-
-and odd-weight Z strings) are its special cases. A closed form is evaluated
-only from its string tables, each string a flip pattern and a sign vector
-(``_string_arrays``): ``SwitchedChannel.apply_stack`` applies them as summed
-masks and index permutations, and ``_closed_kernels`` scatters them into
-input kernels.
+``_closed_weights`` builds it for T pairs of products at once, one qubit at
+a time: per qubit the 16 Pauli pairs' weights are summed into slots
+(product label, anticommutes) (``_PAIR_SLOTS``), and the slots are combined
+across qubits by a parity-tracked convolution over arrays of the 4^n
+strings, indexed by code (``_strings``: a string's labels read as base-4
+digits, so codes run in lexicographic order). ``closed_form_product`` is
+its one-pair case, and ``closed_form_two_party`` (a two-qubit product
+switched with itself) and ``closed_form_nxy_n`` (n equal-X/Y mixtures,
+whose branches are the even- and odd-weight Z strings) are special cases of
+that. A closed form is evaluated only from its string weights, each string
+a flip pattern and a sign vector read by code:
+``SwitchedChannel.apply_stack`` applies them as summed masks and index
+permutations, and ``_closed_kernels`` sums them into input kernels.
 
 ``validate_closed_forms`` cross-checks the closed forms against the generic
 switch at the level of Choi matrices, which is the only trusted route: the
@@ -65,6 +68,7 @@ behind ``switch_generic``, ``switch_kraus``, ``switched_kraus`` and
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -90,6 +94,7 @@ _BLOCK = 16
 _PAULIS = np.stack([op.entries for op in (qcore.I2, qcore.X, qcore.Y, qcore.Z)])
 _PAULIS.setflags(write=False)
 _LABELS = frozenset(channels.PAULI_LABELS)
+_LABEL_ORDER = np.array(channels.PAULI_LABELS)  # sorted, so searchsorted finds a label
 
 
 def _register_side(stack_a: np.ndarray, stack_b: np.ndarray) -> int:
@@ -182,10 +187,10 @@ def _product_kernel(first: np.ndarray, second: np.ndarray, omegas: np.ndarray) -
     controls = (vecs * kept[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
     qcore.check_complete(first, "first Kraus factor set")
     qcore.check_complete(second, "second Kraus factor set")
-    orders = np.stack(
-        [first[:, :, :, None] @ second[:, :, None], second[:, :, None] @ first[:, :, :, None]],
-        axis=2,
-    ).reshape(count, n, 2, -1, 2, 2)  # (T, n, c, pair, row, column)
+    a, b = first[:, :, :, None], second[:, :, None]  # (T, n, i, j, row, column)
+    orders = np.stack([_products(a, b), _products(b, a)], axis=2).reshape(
+        count, n, 2, -1, 2, 2
+    )  # (T, n, c, pair, row, column)
     qcore.check_complete(orders, "switch Kraus factor set")
     flat = orders.transpose(0, 1, 3, 2, 4, 5).reshape(count, n, -1, 8)
     gram = flat.swapaxes(-1, -2) @ flat.conj()  # ((c, m, i), (c', m', j)) per qubit
@@ -201,6 +206,12 @@ def _product_kernel(first: np.ndarray, second: np.ndarray, omegas: np.ndarray) -
     side = kernel.shape[-1]
     # (T, c, c', i, j, m, m') -> rows (i, j), columns ((m, c), (m', c'))
     return kernel.transpose(0, 3, 4, 5, 1, 6, 2).reshape(count, side**2, 4 * side**2)
+
+
+def _products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The 2 x 2 matrix products of two broadcast stacks, entry by entry:
+    (LR)_rc = L_r0 R_0c + L_r1 R_1c."""
+    return left[..., :1] * right[..., :1, :] + left[..., 1:] * right[..., 1:, :]
 
 
 def _switch_outputs(kernel: np.ndarray, rhos: np.ndarray) -> np.ndarray:
@@ -269,18 +280,11 @@ class SwitchedChannel:
     def __post_init__(self):
         if self.omega_plus.dims != (2,):
             raise DimensionMismatchError("the order control must be a qubit")
-        # every check is written so that NaN fails it
-        if not (self.p_plus >= -ATOL and self.p_minus >= -ATOL):
-            raise ValidityError("negative branch probability")
-        if not abs(self.p_plus + self.p_minus - 1.0) <= ATOL:
-            raise ValidityError(
-                f"branch probabilities sum to {self.p_plus + self.p_minus}, not 1"
-            )
-        # a Pauli-string channel is complete iff its weights form a distribution
-        for name, table in (("C_plus", self.plus_strings), ("C_minus", self.minus_strings)):
-            weights = table.values()
-            if not (all(w >= 0.0 for w in weights) and abs(sum(weights) - 1.0) <= ATOL):
-                raise CompletenessError(f"{name} weights are not a distribution")
+        tables = (self.plus_strings, self.minus_strings)
+        weights = np.zeros((1, 2, max(map(len, tables))))
+        for row, table in zip(weights[0], tables):
+            row[: len(table)] = np.fromiter(table.values(), float, len(table))
+        _check_branches(np.array([[self.p_plus, self.p_minus]], dtype=float), weights)
         # both tables key Pauli strings of one length n, as label tuples
         lengths = set()
         for key in (*self.plus_strings, *self.minus_strings):
@@ -342,17 +346,23 @@ class SwitchedChannel:
     @functools.cached_property
     def _flip_groups(self):
         """Each branch of positive probability with its string table grouped
-        by flip pattern (``_string_arrays``): per flip pattern u that occurs,
-        the index permutation i -> i ^ u and one summed mask
+        by flip pattern (read by code from ``_strings``): per flip pattern u
+        that occurs, the index permutation i -> i ^ u and one summed mask
         sum_s w_s c_s c_s^T, its strings added in table order, so that the
         group applies as (mask * rho) permuted on rows and columns."""
+        n = self.num_qubits
+        strings = _strings(n)
         out = []
         for prob, table, omega in self._branches:
-            flips, signs, weights = _string_arrays(table.items())
+            codes = _codes(table, n)
             masks: dict[int, np.ndarray] = {}
-            for flip, sign, w in zip(flips.tolist(), signs, weights):
+            for flip, sign, w in zip(
+                strings.flips[codes].tolist(),
+                strings.signs[strings.zmasks[codes]],
+                table.values(),
+            ):
                 masks[flip] = masks.get(flip, 0.0) + w * np.outer(sign, sign)
-            index = np.arange(signs.shape[1])
+            index = np.arange(len(strings.grid))
             groups = tuple((index ^ flip, mask) for flip, mask in masks.items())
             for array in (a for group in groups for a in group):
                 array.setflags(write=False)  # every later apply reads them
@@ -360,56 +370,220 @@ class SwitchedChannel:
         return tuple(out)
 
 
-def _string_arrays(items) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(label string, weight) items, such as a string table's, as arrays in
-    their order: the (s,) flip patterns, the (s, 2**n) sign vectors and the
-    (s,) weights.
+def _check_branches(probs: np.ndarray, weights: np.ndarray) -> None:
+    """Raise unless each of T closed forms, given by its (T, 2) branch
+    probabilities (p_plus, p_minus) and the (T, 2, s) string weights of
+    C_plus and C_minus (zero where a string is absent), has probabilities
+    that sum to 1 within ``ATOL``, none below -``ATOL``, and string weights
+    that form a distribution each: a Pauli-string channel is complete iff
+    they do. The error is that of the first failing closed form, its first
+    failing check in this order. Every check is written so that NaN fails
+    it."""
+    negative = ~(probs >= -ATOL).all(axis=1)
+    sums = probs[:, 0] + probs[:, 1]
+    unsummed = ~(np.abs(sums - 1.0) <= ATOL)
+    incomplete = ~((weights >= 0.0).all(axis=2) & (np.abs(weights.sum(axis=2) - 1.0) <= ATOL))
+    failed = negative | unsummed | incomplete.any(axis=1)
+    if failed.any():
+        t = int(np.argmax(failed))
+        if negative[t]:
+            raise ValidityError("negative branch probability")
+        if unsummed[t]:
+            raise ValidityError(f"branch probabilities sum to {float(sums[t])}, not 1")
+        name = ("C_plus", "C_minus")[int(np.argmax(incomplete[t]))]
+        raise CompletenessError(f"{name} weights are not a distribution")
+
+
+class _Strings(NamedTuple):
+    """The 4**n Pauli strings on n qubits, by code: a string's code is its
+    labels read as base-4 digits in ``channels.PAULI_LABELS`` order, qubit 0
+    the most significant, so codes run in the lexicographic order of the
+    label tuples (``_codes``, ``_labels``).
 
     A Pauli string is, up to a global phase, X^u D with u its flip pattern
     (the qubits carrying X or Y, qubit 0 the most significant bit) and D
-    diagonal with entries c_i = (-1)^popcount(i & z), z the qubits carrying Z
-    or Y (a Y is X Z up to its phase). So sigma rho sigma^dag is
-    (c c^T * rho) with rows and columns permuted by i -> i ^ u.
+    diagonal with entries c_i = (-1)^popcount(i & z), z its z pattern (the
+    qubits carrying Z or Y; a Y is X Z up to its phase). So sigma rho
+    sigma^dag is (c c^T * rho) with rows and columns permuted by i -> i ^ u.
     """
-    strings, weights = zip(*items)
-    labels = np.array(strings)  # (s, n): one label per string and qubit
-    n = labels.shape[1]
+
+    flips: np.ndarray  # (4**n,) the flip pattern u of each code
+    zmasks: np.ndarray  # (4**n,) the z pattern z of each code
+    signs: np.ndarray  # (2**n, 2**n) the sign vector c of each z pattern
+    grid: np.ndarray  # (2**n, 2**n) the code of each (flip pattern, z pattern)
+
+
+@functools.cache
+def _strings(n: int) -> _Strings:
+    """The string tables on n qubits, built on first use and kept for the
+    process, their arrays read-only: at n = 6 four arrays of 4096 entries."""
+    digits = _digits(np.arange(4**n), n)
     bits = 1 << np.arange(n - 1, -1, -1)
-    flips = ((labels == "X") | (labels == "Y")) @ bits
-    zmasks = ((labels == "Y") | (labels == "Z")) @ bits
+    flips = ((digits == 1) | (digits == 2)) @ bits
+    zmasks = ((digits == 2) | (digits == 3)) @ bits
     index = np.arange(2**n)
     parity = np.zeros(2**n, dtype=np.int64)  # popcount(i) mod 2
     for bit in range(n):
         parity ^= (index >> bit) & 1
-    signs = 1.0 - 2.0 * parity[index & zmasks[:, None]]
-    return flips, signs, np.array(weights, dtype=float)
+    signs = 1.0 - 2.0 * parity[index[:, None] & index]
+    grid = np.argsort(flips * 2**n + zmasks).reshape(2**n, 2**n)
+    for array in (flips, zmasks, signs, grid):
+        array.setflags(write=False)
+    return _Strings(flips, zmasks, signs, grid)
 
 
-def _closed_kernels(switched: Sequence[SwitchedChannel]) -> np.ndarray:
-    """The ``_input_kernel`` of each of T closed forms on the same n qubits,
-    (T, d^2, (2d)^2), scattered from their string tables.
+def _digits(codes: np.ndarray, n: int) -> np.ndarray:
+    """The (s, n) base-4 digits of s codes, qubit 0 first."""
+    return (codes[:, None] >> 2 * np.arange(n - 1, -1, -1)) & 3
 
-    A string with flip pattern u, signs c and weight w, in a branch of
-    probability p and control omega, takes rho_ij to p w c_i c_j omega_cc'
-    at output row (i ^ u, c) and column (j ^ u, c'). The strings of a branch
-    are summed into one mask per u, and both branches into one block per u,
-    which fills its own kernel entries. No completeness check is made: a
-    closed form is trace preserving once ``SwitchedChannel`` has checked its
-    probabilities and weights, and its control is a checked state.
+
+def _codes(keys, n: int) -> np.ndarray:
+    """The codes of Pauli strings on n qubits given as label tuples."""
+    digits = np.searchsorted(_LABEL_ORDER, np.array(list(keys)).reshape(-1, n))
+    return digits @ 4 ** np.arange(n - 1, -1, -1)
+
+
+def _labels(codes: np.ndarray, n: int) -> list[tuple[str, ...]]:
+    """The label tuples of codes on n qubits."""
+    return list(map(tuple, _LABEL_ORDER[_digits(codes, n)].tolist()))
+
+
+# the product of each Pauli pair (a, b), at index 4 a + b, as a slot
+# 2 c + f: sigma_a sigma_b is sigma_c up to a phase, and f = 1 iff the two
+# anticommute
+_PAIR_SLOTS = np.array(
+    [
+        2 * channels.pauli_product(a, b)[1] + channels.paulis_anticommute(a, b)
+        for a in range(4)
+        for b in range(4)
+    ]
+)
+_PAIR_SLOTS.setflags(write=False)
+
+# a sort key above every key of a string of ``_closed_weights`` (< 2**30)
+_ABSENT = 1 << 40
+
+
+def _closed_weights(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The closed forms of the switch of T pairs of n-qubit Pauli-channel
+    products, from their (T, n, 4) weights (w_I, w_X, w_Y, w_Z) per qubit:
+    the (T, 2) branch probabilities (p_plus, p_minus) and the (T, 2, 4**n)
+    normalized string weights of C_plus and C_minus by code (``_strings``).
+
+    On each qubit the 16 pairs (sigma_a, sigma_b) with weights w_a w_b are
+    summed in pair order into slots (label of sigma_a sigma_b, anticommutes)
+    (``_PAIR_SLOTS``); the qubits are then combined keeping the parity of
+    anticommuting factors: a string s + (c,) of parity P takes the weight of
+    s at parity 0 times slot (c, P) plus that of s at parity 1 times slot
+    (c, 1 - P). Odd-parity strings flip the control coherence (C_minus).
+
+    Each branch's probability is its strings' total, summed one at a time in
+    the order of a dict convolution that inserts each string at its first
+    contribution: (parent parity, parent order, first pair of its slot with
+    both weights nonzero). Every weight and total is the float a dict build
+    in that order gives, on any Python version. A branch of total at most
+    ``PROB_FLOOR`` gets probability 0 and the identity string's weight 1.
+    Nothing is checked here (``_check_branches``).
     """
-    count, size = len(switched), 2 ** switched[0].num_qubits
-    items, slots = [], []
-    controls = np.zeros((count, 2, 2, 2), dtype=complex)
-    for t, sw in enumerate(switched):
-        for b, (prob, table, omega) in enumerate(sw._branches):
-            items += [(labels, prob * w) for labels, w in table.items()]
-            slots += [2 * t + b] * len(table)
-            controls[t, b] = omega.matrix
-    flips, signs, weights = _string_arrays(items)
-    masks = np.zeros((2 * count, size, size, size))  # ((t, branch), u, i, j)
-    scaled = weights[:, None] * signs
-    np.add.at(masks, (slots, flips), scaled[:, :, None] * signs[:, None, :])
-    masks = masks.reshape(count, 2, size, size, size, 1, 1)
+    count, n = first.shape[:2]
+    pairs = (first[..., :, None] * second[..., None, :]).reshape(count, n, 16)
+    member = _PAIR_SLOTS[:, None] == np.arange(8)  # (pair, slot)
+    # per qubit and slot (f, c): the summed pair weights, and the index of
+    # its first pair with both weights nonzero (16 if none)
+    local = np.cumsum(pairs[..., None] * member, axis=2)[:, :, -1]
+    local = local.reshape(count, n, 4, 2).swapaxes(-1, -2)
+    support = ((first != 0.0)[..., :, None] & (second != 0.0)[..., None, :]).reshape(count, n, 16)
+    ranks = np.where(support[..., None] & member, np.arange(16)[:, None], 16).min(axis=2)
+    ranks = ranks.reshape(count, n, 4, 2).swapaxes(-1, -2)
+    # by parity and string code: the weights so far and each string's sort key
+    weights = np.zeros((count, 2, 1))
+    weights[:, 0] = 1.0
+    keys = np.full((count, 2, 1), _ABSENT)
+    keys[:, 0] = 0
+    for q in range(n):
+        slots, first_pairs = local[:, q, :, None], ranks[:, q, :, None]  # (T, P, 1, c)
+        weights = (
+            weights[:, :1, :, None] * slots + weights[:, 1:, :, None] * slots[:, ::-1]
+        ).reshape(count, 2, -1)
+        # keys of level q are below 2**(5 q); parity-0 parents come first
+        parents, flipped = keys[:, :1, :, None], keys[:, 1:, :, None]
+        from_even = np.where(
+            (parents < _ABSENT) & (first_pairs < 16), 16 * parents + first_pairs, _ABSENT
+        )
+        from_odd = np.where(
+            (flipped < _ABSENT) & (first_pairs[:, ::-1] < 16),
+            (1 << (5 * q + 4)) + 16 * flipped + first_pairs[:, ::-1],
+            _ABSENT,
+        )
+        keys = np.minimum(from_even, from_odd).reshape(count, 2, -1)
+    ordered = np.take_along_axis(weights, np.argsort(keys, axis=-1), axis=-1)
+    totals = np.cumsum(ordered, axis=-1)[..., -1]  # one at a time, never pairwise
+    degenerate = totals <= PROB_FLOOR
+    normalized = np.where(
+        degenerate[..., None],
+        np.eye(1, 4**n)[0],
+        weights / np.where(degenerate, 1.0, totals)[..., None],
+    )
+    return np.where(degenerate, 0.0, totals), normalized
+
+
+def _switched_channel(probs: np.ndarray, weights: np.ndarray, omega: DensityMatrix):
+    """The ``SwitchedChannel`` of one closed form of ``_closed_weights``:
+    each table holds the strings of positive weight, in code order."""
+    n = weights.shape[-1].bit_length() // 2
+    tables = []
+    for row in weights:
+        codes = np.flatnonzero(row > 0.0)
+        tables.append(dict(zip(_labels(codes, n), row[codes].tolist())))
+    return SwitchedChannel(float(probs[0]), float(probs[1]), omega, *tables)
+
+
+# omega -> Z omega Z, elementwise
+_Z_CONJUGATION = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _branch_controls(omegas: np.ndarray) -> np.ndarray:
+    """The (T, 2, 2, 2) branch controls (omega, Z omega Z) of (T, 2, 2)
+    controls."""
+    return np.stack([omegas, omegas * _Z_CONJUGATION], axis=1)
+
+
+def _kernel_weights(sw: SwitchedChannel) -> np.ndarray:
+    """The (2, 4**n) branch-weighted string weights p w_s by code of a
+    closed form, as ``_closed_kernels`` takes them: zero for a branch of
+    probability that is not positive."""
+    n = sw.num_qubits
+    weights = np.zeros((2, 4**n))
+    for row, (prob, table) in zip(
+        weights, ((sw.p_plus, sw.plus_strings), (sw.p_minus, sw.minus_strings))
+    ):
+        if prob > 0.0:
+            row[_codes(table, n)] = [prob * w for w in table.values()]
+    return weights
+
+
+def _closed_kernels(weights: np.ndarray, controls: np.ndarray) -> np.ndarray:
+    """The ``_input_kernel`` of each of T closed forms on the same n qubits,
+    (T, d^2, (2d)^2), from their (T, 2, 4**n) branch-weighted string
+    weights p w_s by code and their (T, 2, 2, 2) branch controls.
+
+    A string with flip pattern u, signs c and weight p w, in a branch with
+    control omega, takes rho_ij to p w c_i c_j omega_cc' at output row
+    (i ^ u, c) and column (j ^ u, c'). The strings of a branch are summed
+    into one mask per u, one z pattern at a time, which is code order; both
+    branches are summed into one block per u, which fills its own kernel
+    entries. No completeness check is made: a closed form is trace
+    preserving once its probabilities and weights are checked
+    (``_check_branches``), and its control is a checked state.
+    """
+    count = len(weights)
+    strings = _strings(weights.shape[-1].bit_length() // 2)
+    size = len(strings.grid)
+    by_flip = weights[..., strings.grid]  # (t, branch, u, z)
+    masks = np.zeros((count, 2, size, size, size))  # (t, branch, u, i, j)
+    for z, sign in enumerate(strings.signs):
+        masks += by_flip[..., z, None, None] * (sign[:, None] * sign)
+    masks = masks[..., None, None]
     summed = (masks * controls[:, :, None, None, None]).sum(axis=1)  # (t, u, i, j, c, c')
     index = range(size)
     u, i, j, c, c2 = np.ix_(index, index, index, range(2), range(2))
@@ -420,13 +594,14 @@ def _closed_kernels(switched: Sequence[SwitchedChannel]) -> np.ndarray:
     return kernels
 
 
-def _closed_form_deviations(switched: Sequence[SwitchedChannel], kernels: np.ndarray):
+def _closed_form_deviations(weights: np.ndarray, controls: np.ndarray, kernels: np.ndarray):
     """Max-entry unit-trace Choi difference between each of T closed forms on
-    n qubits and the map whose ``_input_kernel`` is the matching one of the
-    (T, d^2, (2d)^2) ``kernels``: their max-entry difference divided by d."""
-    closed = _closed_kernels(switched)
+    n qubits, as ``_closed_kernels`` takes them, and the map whose
+    ``_input_kernel`` is the matching one of the (T, d^2, (2d)^2)
+    ``kernels``: their max-entry difference divided by d."""
+    closed = _closed_kernels(weights, controls)
     deviations = np.abs(kernels - closed).reshape(len(closed), -1).max(axis=1)
-    return deviations / 2 ** switched[0].num_qubits
+    return deviations / math.isqrt(kernels.shape[1])
 
 
 def closed_form_product(
@@ -435,57 +610,18 @@ def closed_form_product(
     omega: DensityMatrix | None = None,
 ) -> SwitchedChannel:
     """Switched-channel decomposition for the switch of two n-qubit products
-    of Pauli channels, ``first`` on qubits 1..n against ``second``.
-
-    On each qubit the pairs (sigma_a, sigma_b) with weights w_a * w_b are
-    summed by (label of sigma_a sigma_b, anticommutes); the qubits are then
-    combined keeping the parity of anticommuting factors, and odd-parity
-    strings flip the control coherence (C_minus).
+    of Pauli channels, ``first`` on qubits 1..n against ``second``: the
+    one-pair case of ``_closed_weights``, with the |+> control by default.
     """
     n = len(first)
     if len(second) != n:
         raise ValueError(f"channel products on {n} and {len(second)} qubits")
     if not 1 <= n <= MAX_RECEIVERS:
         raise ValueError(f"receiver count {n} outside 1..{MAX_RECEIVERS}")
-    labels = channels.PAULI_LABELS
-    # tables[parity] maps the label strings built so far to their weights
-    tables: tuple[StringTable, StringTable] = ({(): 1.0}, {})
-    for a, b in zip(first, second):
-        local: dict[tuple[str, bool], float] = {}
-        for la, wa in enumerate(a.weights):
-            for lb, wb in enumerate(b.weights):
-                if wa == 0.0 or wb == 0.0:
-                    continue
-                _, product = channels.pauli_product(la, lb)
-                key = (labels[product], channels.paulis_anticommute(la, lb))
-                local[key] = local.get(key, 0.0) + wa * wb
-        grown: tuple[StringTable, StringTable] = ({}, {})
-        for parity, table in enumerate(tables):
-            for s, w in table.items():
-                for (label, flip), wl in local.items():
-                    out, key = grown[parity ^ flip], s + (label,)
-                    out[key] = out.get(key, 0.0) + w * wl
-        tables = grown
-
+    weights = np.array([[ch.weights for ch in first], [ch.weights for ch in second]], dtype=float)
+    probs, strings = _closed_weights(weights[:1], weights[1:])
     omega = qcore.KET_PLUS.density() if omega is None else omega
-    sides = []
-    for table in tables:
-        total = sum(table.values())
-        if total <= PROB_FLOOR:
-            # degenerate branch: zero probability, identity channel placeholder
-            sides.append((0.0, {("I",) * n: 1.0}))
-        else:
-            sides.append(
-                (total, {s: w / total for s, w in sorted(table.items()) if w > 0.0})
-            )
-    (p_plus, plus_n), (p_minus, minus_n) = sides
-    return SwitchedChannel(
-        p_plus=p_plus,
-        p_minus=p_minus,
-        omega_plus=omega,
-        plus_strings=plus_n,
-        minus_strings=minus_n,
-    )
+    return _switched_channel(probs[0], strings[0], omega)
 
 
 def closed_form_two_party(
@@ -517,7 +653,8 @@ def choi_deviation(sw: SwitchedChannel, a: np.ndarray, b: np.ndarray) -> float:
             f"closed form on {sw.num_qubits} qubits, channels on dimension {side}"
         )
     kernel = _input_kernel(_lift_control(_switch_of(a, b), sw.omega_plus))
-    return float(_closed_form_deviations([sw], kernel[None])[0])
+    controls = _branch_controls(sw.omega_plus.matrix[None])
+    return float(_closed_form_deviations(_kernel_weights(sw)[None], controls, kernel[None])[0])
 
 
 @dataclass(frozen=True)
@@ -555,22 +692,29 @@ def validate_closed_forms(
     Every generic kernel comes from ``_product_kernel`` and every closed
     kernel from ``_closed_kernels``. What does not depend on the seed is
     built and checked once per process, on the first call that asks for its
-    n (``_nxy_fixture``). An empty ``ns``, any n in it outside 1..3, or a
-    negative ``trials`` raises ValueError, and a ``trials`` or n that is not
-    an integer raises TypeError, before any fixture is built or trial
-    drawn. Trials run in blocks of ``_BLOCK``, so memory does not grow
-    with ``trials``: a block's messages are drawn in turn and checked as one
-    stack, pass through the equal-X/Y kernel as one matrix product and
-    through ``SwitchedChannel.apply_stack``, and each side's outputs pass
-    one ``qcore.check_states``. A two-party block draws every (e1, e2,
-    omega) first and checks the control states as one stack. Its generic
-    side is one ``_product_kernel`` pass, which checks every trial's
-    single-qubit Kraus factor sets and each qubit's two switch-order sets
-    complete; together these are the completeness of both Kraus sets and of
-    the switch Kraus set. Its closed side runs ``closed_form_two_party``
-    once per trial and one ``_closed_kernels`` call. The random draws come
-    in the same order as one trial at a time.
+    n (``_nxy_fixture``). An empty ``ns``, any n in it outside 1..3, a
+    negative ``trials`` or a negative seed raises ValueError, and a seed,
+    ``trials`` or n that is not an integer (a bool included) raises
+    TypeError, before any fixture is built or trial drawn. Trials run in
+    blocks of ``_BLOCK``, so memory does not grow with ``trials``: a
+    block's messages are drawn in turn and checked as one stack, pass
+    through the equal-X/Y kernel as one matrix product and through
+    ``SwitchedChannel.apply_stack``, and each side's outputs pass one
+    ``qcore.check_states``. A two-party block draws the Pauli weights of
+    every (e1, e2) and the amplitudes of every pure control as plain floats,
+    in the order of ``channels.random_pauli_channel`` and
+    ``qcore.random_ket`` called in turn, and checks them once as arrays
+    under the ``PauliChannel`` and ``Ket`` rules and the controls as one
+    stack of states. Its generic side is one ``_product_kernel`` pass, which
+    checks every trial's single-qubit Kraus factor sets and each qubit's two
+    switch-order sets complete; together these are the completeness of both
+    Kraus sets and of the switch Kraus set. Its closed side is one
+    ``_closed_weights`` call for the whole block, whose probabilities and
+    weights pass one ``_check_branches``, and one ``_closed_kernels`` call.
     """
+    seed = qcore.as_index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     trials = qcore.as_index(trials)
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
@@ -624,22 +768,26 @@ def _nxy_fixture(n: int) -> _NxyFixture:
     """The fixture at n, an int in 1..3 that ``validate_closed_forms`` has
     checked, built and checked on first use and kept for the process: the
     identity and equal-X/Y switches with the |+> control as one
-    ``_product_kernel`` pass, each against its closed form."""
+    ``_closed_weights`` call and one ``_product_kernel`` pass, each against
+    its closed form."""
     if n not in _FIXTURES:
-        products = [(channels.IDENTITY,) * n, (channels.N_XY,) * n]
-        switched = [closed_form_product(product, product) for product in products]
-        weights = np.array([[ch.weights for ch in product] for product in products])
+        weights = np.array([[ch.weights] * n for ch in (channels.IDENTITY, channels.N_XY)])
+        probs, strings = _closed_weights(weights, weights)
+        _check_branches(probs, strings)
+        plus = qcore.KET_PLUS.density()
+        controls = np.stack([plus.matrix] * 2)
         factors = np.sqrt(weights)[..., None, None] * _PAULIS  # (2, n, 4, 2, 2)
-        controls = np.stack([sw.omega_plus.matrix for sw in switched])
         kernels = _product_kernel(factors, factors, controls)
-        identity, nxy = _closed_form_deviations(switched, kernels).tolist()
+        identity, nxy = _closed_form_deviations(
+            probs[..., None] * strings, _branch_controls(controls), kernels
+        ).tolist()
         kernel = kernels[1].copy()
         kernel.setflags(write=False)
         records = (
             ValidationRecord("identity", n, "", identity),
             ValidationRecord("nxy-choi", n, "", nxy),
         )
-        _FIXTURES[n] = _NxyFixture(switched[1], records, kernel)
+        _FIXTURES[n] = _NxyFixture(_switched_channel(probs[1], strings[1], plus), records, kernel)
     return _FIXTURES[n]
 
 
@@ -664,30 +812,43 @@ def _input_deviations(fixture: _NxyFixture, trials: int, rng):
         yield from np.abs(closed - generic).reshape(count, -1).max(axis=1).tolist()
 
 
+def _two_party_draws(count: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The (count, 2, 4) Pauli weights of (e1, e2) and the (count, 2)
+    amplitudes of the pure control of ``count`` two-party trials, unchecked.
+    Each trial takes from ``rng`` what ``channels.random_pauli_channel``
+    twice and then ``qcore.random_ket((2,), rng)`` take, so every float is
+    the one those calls make and the generator ends in the same state."""
+    uniforms, normals = [], []
+    for _ in range(count):
+        uniforms.append(rng.uniform(size=6))  # three cuts per channel
+        normals.append(rng.normal(size=4))  # real parts, then imaginary parts
+    cuts = np.sort(np.reshape(uniforms, (count, 2, 3)), axis=-1)
+    weights = np.diff(cuts, prepend=0.0, append=1.0)
+    vecs = np.reshape(normals, (count, 2, 2))
+    vecs = vecs[:, 0] + 1j * vecs[:, 1]
+    # one norm per vector, as random_ket takes it (a batched norm may round
+    # differently)
+    norms = np.array([np.linalg.norm(vec) for vec in vecs])
+    return weights, vecs / norms[:, None]
+
+
 def _two_party_deviations(trials: int, rng):
     """Choi deviation of the closed form for each of ``trials`` random
     two-party Pauli channel pairs with random pure controls, a block at a
-    time: a block draws every (e1, e2, omega) first and checks the control
-    states as one stack. The generic side is ``_product_kernel`` on the
-    block's factor sets sqrt(w_l) sigma_l (zero weights give zero
-    operators), the closed side ``_closed_kernels`` on the block's closed
-    forms."""
+    time (``_two_party_draws``). The generic side is ``_product_kernel`` on
+    the block's factor sets sqrt(w_l) sigma_l (zero weights give zero
+    operators), the closed side ``_closed_weights`` and ``_closed_kernels``
+    on the block's weights and controls."""
     for count in _blocks(trials):
-        draws = [
-            (
-                channels.random_pauli_channel(rng),
-                channels.random_pauli_channel(rng),
-                qcore.random_ket((2,), rng).amplitudes,
-            )
-            for _ in range(count)
-        ]
-        kets = np.stack([ket for _, _, ket in draws])
+        weights, kets = _two_party_draws(count, rng)
+        channels.check_pauli_weights(weights)
+        qcore.check_kets(kets)
         controls = kets[:, :, None] * kets[:, None, :].conj()
-        omegas = DensityMatrix.from_stack(controls, (2,))
-        weights = np.array([(e1.weights, e2.weights) for e1, e2, _ in draws])
+        qcore.check_states(controls)
         factors = np.sqrt(weights)[..., None, None] * _PAULIS  # (T, 2, 4, 2, 2)
         generic = _product_kernel(factors, factors, controls)
-        switched = [
-            closed_form_two_party(e1, e2, omega) for (e1, e2, _), omega in zip(draws, omegas)
-        ]
-        yield from _closed_form_deviations(switched, generic).tolist()
+        probs, strings = _closed_weights(weights, weights)
+        _check_branches(probs, strings)
+        yield from _closed_form_deviations(
+            probs[..., None] * strings, _branch_controls(controls), generic
+        ).tolist()

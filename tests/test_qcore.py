@@ -399,6 +399,7 @@ _PLUS = protocols.MessageState.plus()
         lambda: protocols.run_switch_protocol(_PLUS, True, True),
         lambda: qswitch.validate_closed_forms(0, True, (1,)),
         lambda: qswitch.validate_closed_forms(0, 1, (True,)),
+        lambda: qswitch.validate_closed_forms(True, 2, (1,)),
         lambda: nogo.fixed_bit_scan(True),
         lambda: nogo.PermutationPair((True, 2), 2),
     ],
@@ -411,6 +412,7 @@ _PLUS = protocols.MessageState.plus()
         "run-protocol",
         "trials",
         "validate-n",
+        "validate-seed",
         "scan",
         "permutation",
     ],

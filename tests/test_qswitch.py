@@ -378,24 +378,27 @@ def test_validate_closed_forms_rejects_empty_ns(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "trials, ns, error",
+    "seed, trials, ns, error",
     [
-        (2000, (3, 4), ValueError),
-        (2000, (1, 0), ValueError),
-        (2000, (2, 2.0), TypeError),
-        (-3, (1, 2, 3), ValueError),
-        (2.5, (1,), TypeError),
+        (0, 2000, (3, 4), ValueError),
+        (0, 2000, (1, 0), ValueError),
+        (0, 2000, (2, 2.0), TypeError),
+        (0, -3, (1, 2, 3), ValueError),
+        (0, 2.5, (1,), TypeError),
+        (-1, 2000, (1,), ValueError),
+        (1.0, 2000, (1,), TypeError),
     ],
-    ids=["4", "0", "float", "negative-trials", "float-trials"],
+    ids=["4", "0", "float", "negative-trials", "float-trials", "negative-seed", "float-seed"],
 )
-def test_validate_closed_forms_checks_every_n_before_any_work(trials, ns, error):
-    # a bad n anywhere in ns, or a negative trial count, is caught before
-    # any fixture is built or draw taken
+def test_validate_closed_forms_checks_every_n_before_any_work(seed, trials, ns, error):
+    # a bad n anywhere in ns, a negative trial count or a negative seed is
+    # caught before any fixture is built or draw taken (a negative seed
+    # used to fail inside numpy, with numpy's own message)
     with mock.patch.object(qswitch, "_FIXTURES", {}), mock.patch.object(
         qswitch, "_product_kernel", wraps=qswitch._product_kernel
     ) as product_kernel, mock.patch.object(np.random, "default_rng") as default_rng:
-        with pytest.raises(error):
-            qswitch.validate_closed_forms(seed=0, trials=trials, ns=ns)
+        with pytest.raises(error, match="seed must be non-negative" if seed == -1 else None):
+            qswitch.validate_closed_forms(seed=seed, trials=trials, ns=ns)
         assert qswitch._FIXTURES == {}
     assert product_kernel.call_count == 0
     assert default_rng.call_count == 0
@@ -546,6 +549,13 @@ def literal_output_kraus(sw):
     return np.stack(out)
 
 
+def closed_kernels(switched):
+    """``qswitch._closed_kernels`` of closed forms given as objects."""
+    weights = np.stack([qswitch._kernel_weights(sw) for sw in switched])
+    controls = qswitch._branch_controls(np.stack([sw.omega_plus.matrix for sw in switched]))
+    return qswitch._closed_kernels(weights, controls)
+
+
 def random_control(rng, pure):
     return qcore.random_ket((2,), rng).density() if pure else qcore.random_density((2,), rng)
 
@@ -612,7 +622,7 @@ def test_stacked_closed_form_choi_matches_literal_kraus(n, seed, pure):
         pair = nxy_product(n)
     reference = channels.choi(literal_output_kraus(sw)).matrix
     np.testing.assert_allclose(
-        kernel_choi(qswitch._closed_kernels([sw])[0]), reference, rtol=0, atol=1e-12
+        kernel_choi(closed_kernels([sw])[0]), reference, rtol=0, atol=1e-12
     )
     generic = literal_switch_choi(pair, pair, omega.matrix)
     assert abs(
@@ -882,6 +892,27 @@ def test_product_kernel_matches_dense_switch_kernel(n, seed, count, pure, mixed)
         assert np.abs(kernel - dense).max() <= 1e-15
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans())
+def test_entrywise_products_equal_matmul(n, seed, mixed):
+    # Pauli factors have one nonzero entry per row and column, so each entry
+    # of a product is a single product of entries and the two forms agree
+    # bit for bit (adding 0.0 equates the signs of zeros); non-Pauli factors
+    # may round differently
+    rng = np.random.default_rng(seed)
+    first, second = (
+        drawn_factor_sets(rng, n, 0) if mixed else pauli_factor_sets(drawn_factors(rng, n))
+        for _ in range(2)
+    )
+    a, b = first[:, :, None], second[:, None]
+    for left, right in ((a, b), (b, a)):
+        entrywise, reference = qswitch._products(left, right), left @ right
+        if mixed:
+            np.testing.assert_allclose(entrywise, reference, rtol=0, atol=1e-15)
+        else:
+            assert (entrywise + 0.0).tobytes() == (reference + 0.0).tobytes()
+
+
 def test_product_kernel_checks_factor_sets_complete():
     sets = pauli_factor_sets([N_XY, IDENTITY])[None]
     with pytest.raises(CompletenessError, match="second Kraus factor set"):
@@ -899,7 +930,7 @@ def four_qubit_product_route_deviation(seed, pure):
     kernel = qswitch._product_kernel(
         pauli_factor_sets(first)[None], pauli_factor_sets(second)[None], omega.matrix[None]
     )
-    return qswitch._closed_form_deviations([sw], kernel)[0]
+    return np.abs(kernel[0] - closed_kernels([sw])[0]).max() / 2**4
 
 
 @settings(max_examples=8, deadline=None)
@@ -910,9 +941,11 @@ def test_closed_form_product_matches_product_route_at_four_qubits(seed, pure):
 
 def test_product_route_catches_a_broken_commutation_rule():
     # with every Pauli pair taken to commute, the closed forms lose their
-    # C_minus branch; the product route does not use that rule
+    # C_minus branch; the product route does not use that rule. The closed
+    # forms read the rule from the pair table, which drops each pair's
+    # anticommutation bit here
     with mock.patch.object(qswitch, "_FIXTURES", {}), mock.patch.object(
-        channels, "paulis_anticommute", return_value=False
+        qswitch, "_PAIR_SLOTS", qswitch._PAIR_SLOTS & ~1
     ):
         assert four_qubit_product_route_deviation(3, pure=False) > 1e-3
         report = qswitch.validate_closed_forms(3, 5, ns=(2,))
@@ -974,7 +1007,7 @@ def drawn_closed_forms(rng, n, count, single, pure):
 def test_closed_kernels_are_the_choi_matrices_of_literal_kraus_sets(n, seed, count, single, pure):
     rng = np.random.default_rng(seed)
     switched = drawn_closed_forms(rng, n, count, single, pure)
-    kernels = qswitch._closed_kernels(switched)
+    kernels = closed_kernels(switched)
     assert kernels.shape == (count + 1, 4**n, 4 ** (n + 1))
     side = 2**n
     for sw, kernel in zip(switched, kernels):
@@ -1026,3 +1059,149 @@ def assert_flip_groups_equal_bit_for_bit(sw):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_nxy_flip_groups_match_the_per_string_loop_bit_for_bit(n):
     assert_flip_groups_equal_bit_for_bit(qswitch.closed_form_nxy_n(n))
+
+
+# ---------------------------------------------------------------------------
+# the array core against the dict convolution it replaced
+# ---------------------------------------------------------------------------
+
+
+def dict_closed_form(first, second):
+    """The closed form of two Pauli-channel products by the per-string dict
+    convolution, as ``exact_parts`` gives it: per qubit the pairs with both
+    weights nonzero summed by (product label, anticommutes), combined by
+    parity, each table's total summed one string at a time in insertion
+    order, as ``sum`` does before Python 3.12."""
+    n = len(first)
+    labels = channels.PAULI_LABELS
+    tables = ({(): 1.0}, {})
+    for a, b in zip(first, second):
+        local = {}
+        for la, wa in enumerate(a.weights):
+            for lb, wb in enumerate(b.weights):
+                if wa == 0.0 or wb == 0.0:
+                    continue
+                _, product = channels.pauli_product(la, lb)
+                key = (labels[product], channels.paulis_anticommute(la, lb))
+                local[key] = local.get(key, 0.0) + wa * wb
+        grown = ({}, {})
+        for parity, table in enumerate(tables):
+            for s, w in table.items():
+                for (label, flip), wl in local.items():
+                    out, key = grown[parity ^ flip], s + (label,)
+                    out[key] = out.get(key, 0.0) + w * wl
+        tables = grown
+    sides = []
+    for table in tables:
+        total = 0
+        for w in table.values():
+            total += w
+        if total <= qcore.PROB_FLOOR:
+            sides.append((0.0, {("I",) * n: 1.0}))
+        else:
+            sides.append((total, {s: w / total for s, w in sorted(table.items()) if w > 0.0}))
+    return [(p.hex(), [(key, w.hex()) for key, w in table.items()]) for p, table in sides]
+
+
+def compensated_sum(values, start=0):
+    """``sum`` as Python 3.12 computes it for floats: Neumaier-compensated."""
+    values = list(values)
+    if not values or not all(type(v) is float for v in values):
+        return PLAIN_SUM(values, start)
+    total, compensation = float(start), 0.0
+    for v in values:
+        step = total + v
+        if abs(total) >= abs(v):
+            compensation += (total - step) + v
+        else:
+            compensation += (v - step) + total
+        total = step
+    return total + compensation
+
+
+PLAIN_SUM = sum
+
+
+def exact_parts(sw):
+    """The probabilities and tables of a closed form, every float as hex."""
+    return [
+        (prob.hex(), [(key, w.hex()) for key, w in table.items()])
+        for prob, table in ((sw.p_plus, sw.plus_strings), (sw.p_minus, sw.minus_strings))
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+@example(2, 8, True, False)  # (Z, X) against (X, Y): p_minus = 0
+def test_closed_form_product_equals_the_dict_convolution_bit_for_bit(n, seed, single, equal):
+    # A != B unless ``equal``, a different drawn channel on each qubit, zero
+    # weights from random supports and non-dyadic Dirichlet weights
+    rng = np.random.default_rng(seed)
+    first = drawn_factors(rng, n, single)
+    second = first if equal else drawn_factors(rng, n, single)
+    expected = dict_closed_form(first, second)
+    assert exact_parts(qswitch.closed_form_product(first, second)) == expected
+    # the totals do not depend on how the interpreter's sum rounds
+    assert compensated_sum([0.1] * 10) != PLAIN_SUM([0.1] * 10)
+    with mock.patch("builtins.sum", compensated_sum):
+        assert exact_parts(qswitch.closed_form_product(first, second)) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_nxy_closed_form_equals_the_dict_convolution_bit_for_bit(n):
+    expected = dict_closed_form((N_XY,) * n, (N_XY,) * n)
+    assert exact_parts(qswitch.closed_form_nxy_n(n)) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 17))
+def test_two_party_draws_match_the_per_trial_draws(seed, count):
+    rng = np.random.default_rng(seed)
+    weights, kets = qswitch._two_party_draws(count, rng)
+    assert weights.shape == (count, 2, 4) and kets.shape == (count, 2)
+    reference = np.random.default_rng(seed)
+    for t in range(count):
+        e1 = channels.random_pauli_channel(reference)
+        e2 = channels.random_pauli_channel(reference)
+        ket = qcore.random_ket((2,), reference)
+        assert weights[t].tobytes() == np.array([e1.weights, e2.weights]).tobytes()
+        assert kets[t].tobytes() == ket.amplitudes.tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_two_party_block_checks_its_draws_as_arrays():
+    # a broken draw is caught by the array checks of the PauliChannel,
+    # Ket and state rules, before any kernel is built
+    count = 3
+    good = qswitch._two_party_draws(count, np.random.default_rng(0))
+    negative = good[0].copy()
+    negative[1, 0] = [1.5, -0.5, 0.0, 0.0]
+    unnormed = good[1].copy()
+    unnormed[2] *= 1.1
+    for draws, message in (
+        ((negative, good[1]), r"negative Pauli weight in \(1.5, -0.5, 0.0, 0.0\)"),
+        ((good[0], unnormed), "ket norm"),
+    ):
+        with mock.patch.object(qswitch, "_two_party_draws", return_value=draws), mock.patch.object(
+            qswitch, "_product_kernel", wraps=qswitch._product_kernel
+        ) as product_kernel:
+            with pytest.raises(ValidityError, match=message):
+                list(qswitch._two_party_deviations(count, np.random.default_rng(0)))
+        assert product_kernel.call_count == 0
+
+
+def test_check_branches_names_the_first_failing_closed_form():
+    probs = np.array([[0.5, 0.5], [0.5, 0.5], [1.5, -0.5]])
+    weights = np.zeros((3, 2, 4))
+    weights[:, :, 0] = 1.0
+    weights[1, 1] = [0.5, 0.25, 0.0, 0.0]
+    with pytest.raises(CompletenessError, match="C_minus weights are not a distribution"):
+        qswitch._check_branches(probs, weights)
+    with pytest.raises(ValidityError, match="negative branch probability"):
+        qswitch._check_branches(probs[2:], weights[2:])
+    probs[0] = [0.7, 0.7]
+    with pytest.raises(ValidityError, match="branch probabilities sum to 1.4, not 1"):
+        qswitch._check_branches(probs, weights)
+    probs[0, 0] = np.nan
+    with pytest.raises(ValidityError, match="negative branch probability"):
+        qswitch._check_branches(probs, weights)
