@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from rrqc import channels, nogo, qswitch
+from rrqc import channels, nogo, qcore, qswitch
 from rrqc.protocols import (
     MessageState,
     OutcomePolicy,
@@ -40,7 +40,8 @@ def main():
     validation = qswitch.validate_closed_forms(args.seed, args.trials)
     print(
         f"{len(validation.records)} comparisons (n=1..3, {args.trials} random "
-        f"two-party draws), max Choi deviation {validation.max_deviation:.3e} "
+        f"two-party draws), max Pauli-transfer deviation "
+        f"{validation.max_deviation:.3e} "
         f"in {time.perf_counter() - started:.2f}s -> "
         f"{'OK' if validation.passed else 'FAILED'}"
     )
@@ -93,7 +94,7 @@ def main():
     results = branch_map("baseline", 2, 1).evaluate_many(messages, OutcomePolicy.sample(0))
     print(
         f"baseline Haar-mean fidelity: "
-        f"{sum(r.fidelity for r in results) / args.haar_samples:.4f} over "
+        f"{qcore.left_sum(r.fidelity for r in results) / args.haar_samples:.4f} over "
         f"{args.haar_samples} samples (expected 2/3); the switch protocol "
         "stays at 1 for every message"
     )

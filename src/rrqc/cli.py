@@ -46,6 +46,7 @@ from .qcore import (
     CompletenessError,
     DimensionMismatchError,
     ValidityError,
+    left_sum,
 )
 
 EXIT_OK = 0
@@ -517,7 +518,7 @@ def cmd_protocol(cfg: RunConfig) -> Report:
         "cases": case,
         "branches": count,
         "min_fidelity": min(branch_fids),
-        "mean_fidelity": sum(fidelities) / len(fidelities),
+        "mean_fidelity": left_sum(fidelities) / len(fidelities),
         "max_fidelity": max(branch_fids),
         "tolerance": cfg.tolerance,
     }
@@ -529,9 +530,9 @@ def cmd_protocol(cfg: RunConfig) -> Report:
 
 
 def cmd_validate_switch(cfg: RunConfig) -> Report:
+    if cfg.n is not None and not 1 <= cfg.n <= MAX_RECEIVERS:
+        raise UsageError(f"--n must be in 1..{MAX_RECEIVERS}")
     ns = (1, 2, 3) if cfg.n is None else (cfg.n,)
-    if any(not 1 <= n <= 3 for n in ns):
-        raise UsageError("--n must be in 1..3 for generic-switch validation")
     trials = 20 if cfg.trials is None else cfg.trials
     if trials < 0:
         raise UsageError("--trials must be non-negative")
@@ -586,7 +587,7 @@ def cmd_eb_check(cfg: RunConfig) -> Report:
         raise UsageError(f"bad weights {cfg.weights!r}") from exc
     if len(weights) != 4:
         raise UsageError("exactly four weights are required")
-    total = sum(weights)
+    total = left_sum(weights)
     if not abs(total - 1.0) <= ATOL or any(w < 0 for w in weights):  # NaN fails too
         raise UsageError(f"weights must be non-negative and sum to 1, got {weights}")
     weights = [w / total for w in weights]
@@ -640,7 +641,7 @@ def cmd_baseline_sweep(cfg: RunConfig) -> Report:
         "fidelity": list(map(float, fidelities)),
     }
     plus = run_definite_order_baseline(MessageState.plus(), n, x)
-    mean = sum(fidelities) / count
+    mean = left_sum(fidelities) / count
     summary = {
         "count": count,
         "mean_fidelity": mean,
@@ -714,7 +715,7 @@ def build_parser() -> _Parser:
         help="compare closed-form switched channels against the generic construction",
         epilog=CSV_HELP,
     )
-    p.add_argument("--n", type=int, help="restrict to one receiver count (1..3)")
+    p.add_argument("--n", type=int, help=f"restrict to one receiver count (1..{MAX_RECEIVERS})")
     p.add_argument("--trials", type=int, help="random draws per comparison (default 20)")
     common(p)
 

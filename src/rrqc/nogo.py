@@ -266,4 +266,4 @@ def check_term_proportionality(
         TermVerdict(ijk, scale, residual)
         for ijk, scale, residual in zip(indices, scales.tolist(), residuals.tolist())
     )
-    return ProportionalityReport(terms, sum(abs(t.scale) ** 2 for t in terms))
+    return ProportionalityReport(terms, qcore.left_sum(abs(t.scale) ** 2 for t in terms))

@@ -279,14 +279,14 @@ class ProtocolResult:
             if not 0.0 <= br.probability <= 1.0 + ATOL:
                 raise ValidityError(f"branch probability {br.probability} outside [0, 1]")
         if self.policy.kind == "exhaustive":
-            total = sum(br.probability for br in self.branches)
+            total = qcore.left_sum(br.probability for br in self.branches)
             if not abs(total - 1.0) <= ATOL:
                 raise ValidityError(f"branch probabilities sum to {total}, not 1")
 
     @property
     def fidelity(self) -> float:
-        weight = sum(br.probability for br in self.branches)
-        return sum(br.probability * br.fidelity for br in self.branches) / weight
+        weight = qcore.left_sum(br.probability for br in self.branches)
+        return qcore.left_sum(br.probability * br.fidelity for br in self.branches) / weight
 
     @property
     def min_fidelity(self) -> float:
@@ -314,7 +314,7 @@ def _check_results(
         if first_bad < end:
             raise ValidityError(f"branch probability {probabilities[first_bad]} outside [0, 1]")
         if exhaustive:
-            total = sum(probabilities[start:end])  # in order, as ProtocolResult sums
+            total = qcore.left_sum(probabilities[start:end])  # as ProtocolResult sums
             if not abs(total - 1.0) <= ATOL:
                 raise ValidityError(f"branch probabilities sum to {total}, not 1")
 

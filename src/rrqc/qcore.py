@@ -66,6 +66,19 @@ class ValidityError(ValueError):
     """A state or operator failed its numerical validity checks."""
 
 
+def left_sum(values):
+    """The sum of ``values`` added one at a time from the left, starting at 0.
+
+    Every float total that reaches a report or a check is taken with it, so
+    that it rounds the same on every Python version: from 3.12 on the
+    builtin ``sum`` compensates float sums and so rounds differently.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def as_index(value) -> int:
     """``operator.index(value)`` for a count, factor, target or seed: any
     value that is not an integer raises TypeError, and so does a bool,

@@ -2,73 +2,61 @@
 
 ``switch_generic`` applies the standard Kraus construction for arbitrary
 channel pairs: with Kraus sets {A_j} and {B_k}, the switched channel acts on
-message (x) control through the operators
+message (x) control, the control last, through the operators
 
     A_j B_k (x) |0><0|  +  B_k A_j (x) |1><1|,
 
-with the control in the last tensor slot. Every Kraus set here is a stacked
-(m, d_out, d_in) array: the two channels come as (m, d, d) stacks, whose
-shapes are checked before any product is formed. All |A| * |B| switch
-operators are built at once as one (m, 2d, 2d) stack, from one matrix
-product for each order, and the stack is checked complete once, when it is
-built; the switched outputs, ``switch_kraus``, ``switched_kraus`` and the
-generic Choi matrix are all computed from it. The control state is absorbed
-into the stack (``_lift_control``, one (2d, d) operator per Kraus operator
-and control eigenvector), whose operators K form the input kernel
-R = sum_K K (x) conj(K) as one Gram product; the outputs for a (T, d, d) stack of messages are then
-one (T, d^2) @ (d^2, 4 d^2) product, and ``switch_generic`` is the
-one-message case.
+built from two (m, d, d) stacks as one (m, 2d, 2d) stack, checked complete
+once. With the control absorbed (``_lift_control``), its operators K form
+the input kernel R = sum_K K (x) conj(K), which takes a (T, d, d) stack of
+messages to their outputs in one matrix product.
 
 When both channels are products of single-qubit Pauli channels, one rule
 gives the switched channel exactly. On each qubit sigma_a sigma_b =
 +-sigma_b sigma_a, with the minus sign when the two Paulis anticommute, so
-the pair product A_j B_k is a Pauli string and reversing the order changes
-its sign when an odd number of qubits anticommute. Grouping the pairs by
-that parity gives the decomposition
+A_j B_k is a Pauli string whose order reversal flips its sign when an odd
+number of qubits anticommute. Grouping the pairs by that parity gives
 
-    p_plus * C_plus(rho) (x) omega  +  p_minus * C_minus(rho) (x) Z omega Z
+    p_plus * C_plus(rho) (x) omega  +  p_minus * C_minus(rho) (x) Z omega Z,
 
-into two normalized Pauli-string channels correlated with the control.
-``_closed_weights`` builds it for T pairs of products at once, one qubit at
-a time: per qubit the 16 Pauli pairs' weights are summed into slots
-(product label, anticommutes) (``_PAIR_SLOTS``), and the slots are combined
-across qubits by a parity-tracked convolution over arrays of the 4^n
-strings, indexed by code (``_strings``: a string's labels read as base-4
-digits, so codes run in lexicographic order). ``closed_form_product`` is
-its one-pair case, and ``closed_form_two_party`` (a two-qubit product
-switched with itself) and ``closed_form_nxy_n`` (n equal-X/Y mixtures,
-whose branches are the even- and odd-weight Z strings) are special cases of
-that. A closed form is evaluated only from its string weights, each string
-a flip pattern and a sign vector read by code:
-``SwitchedChannel.apply_stack`` applies them as summed masks and index
-permutations, and ``_closed_kernels`` sums them into input kernels.
+two normalized Pauli-string channels, which ``_closed_weights`` builds for
+T pairs of products at once over arrays of the 4^n strings by code
+(``_strings``: labels read as base-4 digits, in lexicographic order).
+``closed_form_product`` is its one-pair case, ``closed_form_two_party`` and
+``closed_form_nxy_n`` its special cases, and ``SwitchedChannel.apply_stack``
+applies a closed form from its string weights as sign masks and
+permutations.
 
-``validate_closed_forms`` cross-checks the closed forms against the generic
-switch at the level of Choi matrices, which is the only trusted route: the
-closed forms are derived here from the Pauli pair algebra, not transcribed
-from any external table. A unit-trace Choi matrix holds the Gram entries of
-the lifted Kraus operators divided by d, and the input kernel holds the same
-entries in another order, so each Choi comparison is one of input kernels:
-the generic switch's against the closed form's scattered one, with the
-max-entry difference divided by d.
+``validate_closed_forms`` and ``choi_deviation`` check the closed forms
+against the generic switch in the Pauli-transfer basis, at every n in
+1..``MAX_RECEIVERS``. A closed form takes a Pauli string sigma_t of the
+message to sigma_t (x) Gamma(t), with the 2 x 2 coefficient
 
-For two products of single-qubit Kraus sets, A = (x)_q a_q and B =
-(x)_q b_q, the generic switch factors over the qubits (``_product_kernel``,
-the standard construction taken one qubit at a time): with M^0_ij = a_i b_j
-and M^1_ij = b_j a_i on one qubit, block (c, c') of the input kernel is
-omega_cc' times the Kronecker product over the qubits of the 4 x 4 pair sums
-L_cc' = sum_ij M^c_ij (x) conj(M^c'_ij). This is exact for any product
-channels, uses none of the Pauli algebra the closed forms come from, and
-never forms the (|a| |b|)^n operators of the dense stack. Every generic
-kernel of ``validate_closed_forms`` takes this route; the dense stack stays
-behind ``switch_generic``, ``switch_kraus``, ``switched_kraus`` and
-``choi_deviation``.
+    Gamma(t) = p_plus lambda_plus(t) omega + p_minus lambda_minus(t) Z omega Z,
+
+lambda(t) = sum_s w_s (-1)^[sigma_s, sigma_t anticommute] being the Pauli
+eigenvalue of a branch (``_closed_transfer``). The generic side uses none of
+that algebra: for A = (x)_q a_q and B = (x)_q b_q, block (c, c') of the
+switch is omega_cc' times the tensor product over the qubits of the maps
+x -> sum_ij M^c_ij x (M^c'_ij)^dag, M^0_ij = a_i b_j and M^1_ij = b_j a_i
+(``_product_maps``, from the 2 x 2 factors), whose 4 x 4 Pauli-transfer
+matrices give the generic Gamma(t) by the products of their diagonals.
+
+The deviation is max |Delta Gamma| / d, d = 2^n, plus the largest
+off-diagonal transfer coefficient of the generic map (zero for Pauli
+factors; on the product route, a bound from the per-qubit matrices). It is
+an upper bound on the max-entry difference of the unit-trace Choi matrices:
+a Choi entry is <a| Phi(|i><j|) |b> / d, and |i><j| is 1/d times d Pauli
+strings with unit-modulus coefficients, so the diagonal coefficients move an
+entry by at most max |Delta Gamma| / d and the off-diagonal ones by at most
+the largest of them. The product route forms no d^2 x (2d)^2 kernel;
+``choi_deviation`` runs the dense switch stack on all 4^n strings through
+its input kernel.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -163,28 +151,16 @@ def _input_kernel(lifted: np.ndarray) -> np.ndarray:
     return kernel.reshape(side**2, rows**2)
 
 
-def _product_kernel(first: np.ndarray, second: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """The ``_input_kernel`` of the switch of two n-qubit product channels
-    with the control absorbed, for T trials at once and one qubit at a time.
-
-    ``first`` and ``second`` hold each trial's per-qubit Kraus factor sets,
-    (T, n, k, 2, 2) (the two k may differ), and ``omegas`` the (T, 2, 2)
-    controls; the result is (T, d^2, (2d)^2), what ``_input_kernel(
-    _lift_control(_switch_of(A, B), omega))`` gives for A and B the products
-    of the factor sets. On one qubit, with M^0_ij = a_i b_j and M^1_ij =
-    b_j a_i, the pair sum L_cc' = sum_ij M^c_ij (x) conj(M^c'_ij) is one
-    4 x 4 block; the pair sum over the product sets factors over the qubits,
-    so block (c, c') of the kernel is omega_cc' times the Kronecker product
-    of the L_cc'. This holds for any product Kraus sets and uses no Pauli
-    algebra. Each control enters as ``_lift_control`` absorbs it, through
-    its eigenpairs above ``PROB_FLOOR``. Every factor set and each qubit's
+def _product_maps(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The per-qubit block maps of the switch of two n-qubit product
+    channels, for T trials at once, from their (T, n, k, 2, 2) per-qubit
+    Kraus factor sets (the two k may differ): (T, n, c, c', (m, m'), (i, j)),
+    the 4 x 4 matrix of x -> sum_ij M^c_ij x (M^c'_ij)^dag, M^0_ij = a_i b_j
+    and M^1_ij = b_j a_i, on row-major flattened x, read off one Gram product
+    per qubit. It uses no Pauli algebra. Every factor set and each qubit's
     M^0 and M^1 sets are checked complete, which together is the
-    completeness of the product sets and of the switch Kraus set.
-    """
+    completeness of the product sets and of the switch Kraus set."""
     count, n = first.shape[:2]
-    vals, vecs = np.linalg.eigh(omegas)
-    kept = np.where(vals >= PROB_FLOOR, vals, 0.0)
-    controls = (vecs * kept[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
     qcore.check_complete(first, "first Kraus factor set")
     qcore.check_complete(second, "second Kraus factor set")
     a, b = first[:, :, :, None], second[:, :, None]  # (T, n, i, j, row, column)
@@ -194,18 +170,8 @@ def _product_kernel(first: np.ndarray, second: np.ndarray, omegas: np.ndarray) -
     qcore.check_complete(orders, "switch Kraus factor set")
     flat = orders.transpose(0, 1, 3, 2, 4, 5).reshape(count, n, -1, 8)
     gram = flat.swapaxes(-1, -2) @ flat.conj()  # ((c, m, i), (c', m', j)) per qubit
-    # per qubit L[c, c', i, j, m, m'], the control weights folded into qubit 0
-    local = gram.reshape((count, n) + (2,) * 6).transpose(0, 1, 2, 5, 4, 7, 3, 6)
-    kernel = local[:, 0] * controls[:, :, :, None, None, None, None]
-    for q in range(1, n):
-        side = 2 * kernel.shape[-1]
-        kernel = (
-            kernel[..., :, None, :, None, :, None, :, None]
-            * local[:, q, ..., None, :, None, :, None, :, None, :]
-        ).reshape(count, 2, 2, side, side, side, side)
-    side = kernel.shape[-1]
-    # (T, c, c', i, j, m, m') -> rows (i, j), columns ((m, c), (m', c'))
-    return kernel.transpose(0, 3, 4, 5, 1, 6, 2).reshape(count, side**2, 4 * side**2)
+    maps = gram.reshape((count, n) + (2,) * 6).transpose(0, 1, 2, 5, 3, 6, 4, 7)
+    return maps.reshape(count, n, 2, 2, 4, 4)
 
 
 def _products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -362,7 +328,7 @@ class SwitchedChannel:
                 table.values(),
             ):
                 masks[flip] = masks.get(flip, 0.0) + w * np.outer(sign, sign)
-            index = np.arange(len(strings.grid))
+            index = np.arange(2**n)
             groups = tuple((index ^ flip, mask) for flip, mask in masks.items())
             for array in (a for group in groups for a in group):
                 array.setflags(write=False)  # every later apply reads them
@@ -410,13 +376,12 @@ class _Strings(NamedTuple):
     flips: np.ndarray  # (4**n,) the flip pattern u of each code
     zmasks: np.ndarray  # (4**n,) the z pattern z of each code
     signs: np.ndarray  # (2**n, 2**n) the sign vector c of each z pattern
-    grid: np.ndarray  # (2**n, 2**n) the code of each (flip pattern, z pattern)
 
 
 @functools.cache
 def _strings(n: int) -> _Strings:
     """The string tables on n qubits, built on first use and kept for the
-    process, their arrays read-only: at n = 6 four arrays of 4096 entries."""
+    process, their arrays read-only: at n = 6 three arrays of 4096 entries."""
     digits = _digits(np.arange(4**n), n)
     bits = 1 << np.arange(n - 1, -1, -1)
     flips = ((digits == 1) | (digits == 2)) @ bits
@@ -426,10 +391,9 @@ def _strings(n: int) -> _Strings:
     for bit in range(n):
         parity ^= (index >> bit) & 1
     signs = 1.0 - 2.0 * parity[index[:, None] & index]
-    grid = np.argsort(flips * 2**n + zmasks).reshape(2**n, 2**n)
-    for array in (flips, zmasks, signs, grid):
+    for array in (flips, zmasks, signs):
         array.setflags(write=False)
-    return _Strings(flips, zmasks, signs, grid)
+    return _Strings(flips, zmasks, signs)
 
 
 def _digits(codes: np.ndarray, n: int) -> np.ndarray:
@@ -460,68 +424,50 @@ _PAIR_SLOTS = np.array(
 )
 _PAIR_SLOTS.setflags(write=False)
 
-# a sort key above every key of a string of ``_closed_weights`` (< 2**30)
-_ABSENT = 1 << 40
+# +1 where two Paulis commute and -1 where they anticommute, indexed (a, b)
+_COMMUTATION = 1.0 - 2.0 * (_PAIR_SLOTS & 1).reshape(4, 4)
+_COMMUTATION.setflags(write=False)
+
+
+def _string_weights(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The (T, 2, 4**n) unnormalized string weights by parity and code of
+    the switch of T pairs of n-qubit Pauli-channel products, from their
+    (T, n, 4) weights (w_I, w_X, w_Y, w_Z) per qubit. On each qubit the 16
+    pairs (sigma_a, sigma_b), weighted w_a w_b, are summed into slots (label
+    of sigma_a sigma_b, anticommutes) (``_PAIR_SLOTS``); across qubits, a
+    string s + (c,) of parity P takes the weight of s at parity 0 times slot
+    (c, P) plus that of s at parity 1 times slot (c, 1 - P). Odd parity is
+    C_minus. Every slot and weight sums at most two terms, so none depends
+    on the order of summation."""
+    count, n = first.shape[:2]
+    pairs = (first[..., :, None] * second[..., None, :]).reshape(count, n, 16)
+    members = (_PAIR_SLOTS[:, None] == np.arange(8)).astype(float)  # (pair, slot)
+    local = (pairs @ members).reshape(count, n, 4, 2).swapaxes(-1, -2)  # (T, n, f, c)
+    weights = np.zeros((count, 2, 1))
+    weights[:, 0] = 1.0
+    for q in range(n):
+        slots = local[:, q, :, None]  # (T, P, 1, c)
+        weights = (
+            weights[:, :1, :, None] * slots + weights[:, 1:, :, None] * slots[:, ::-1]
+        ).reshape(count, 2, -1)
+    return weights
 
 
 def _closed_weights(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The closed forms of the switch of T pairs of n-qubit Pauli-channel
-    products, from their (T, n, 4) weights (w_I, w_X, w_Y, w_Z) per qubit:
-    the (T, 2) branch probabilities (p_plus, p_minus) and the (T, 2, 4**n)
-    normalized string weights of C_plus and C_minus by code (``_strings``).
-
-    On each qubit the 16 pairs (sigma_a, sigma_b) with weights w_a w_b are
-    summed in pair order into slots (label of sigma_a sigma_b, anticommutes)
-    (``_PAIR_SLOTS``); the qubits are then combined keeping the parity of
-    anticommuting factors: a string s + (c,) of parity P takes the weight of
-    s at parity 0 times slot (c, P) plus that of s at parity 1 times slot
-    (c, 1 - P). Odd-parity strings flip the control coherence (C_minus).
-
-    Each branch's probability is its strings' total, summed one at a time in
-    the order of a dict convolution that inserts each string at its first
-    contribution: (parent parity, parent order, first pair of its slot with
-    both weights nonzero). Every weight and total is the float a dict build
-    in that order gives, on any Python version. A branch of total at most
+    products, from their (T, n, 4) weights per qubit: the (T, 2) branch
+    probabilities (p_plus, p_minus), each the total of its
+    ``_string_weights``, and the (T, 2, 4**n) normalized string weights of
+    C_plus and C_minus by code (``_strings``). A branch of total at most
     ``PROB_FLOOR`` gets probability 0 and the identity string's weight 1.
     Nothing is checked here (``_check_branches``).
     """
-    count, n = first.shape[:2]
-    pairs = (first[..., :, None] * second[..., None, :]).reshape(count, n, 16)
-    member = _PAIR_SLOTS[:, None] == np.arange(8)  # (pair, slot)
-    # per qubit and slot (f, c): the summed pair weights, and the index of
-    # its first pair with both weights nonzero (16 if none)
-    local = np.cumsum(pairs[..., None] * member, axis=2)[:, :, -1]
-    local = local.reshape(count, n, 4, 2).swapaxes(-1, -2)
-    support = ((first != 0.0)[..., :, None] & (second != 0.0)[..., None, :]).reshape(count, n, 16)
-    ranks = np.where(support[..., None] & member, np.arange(16)[:, None], 16).min(axis=2)
-    ranks = ranks.reshape(count, n, 4, 2).swapaxes(-1, -2)
-    # by parity and string code: the weights so far and each string's sort key
-    weights = np.zeros((count, 2, 1))
-    weights[:, 0] = 1.0
-    keys = np.full((count, 2, 1), _ABSENT)
-    keys[:, 0] = 0
-    for q in range(n):
-        slots, first_pairs = local[:, q, :, None], ranks[:, q, :, None]  # (T, P, 1, c)
-        weights = (
-            weights[:, :1, :, None] * slots + weights[:, 1:, :, None] * slots[:, ::-1]
-        ).reshape(count, 2, -1)
-        # keys of level q are below 2**(5 q); parity-0 parents come first
-        parents, flipped = keys[:, :1, :, None], keys[:, 1:, :, None]
-        from_even = np.where(
-            (parents < _ABSENT) & (first_pairs < 16), 16 * parents + first_pairs, _ABSENT
-        )
-        from_odd = np.where(
-            (flipped < _ABSENT) & (first_pairs[:, ::-1] < 16),
-            (1 << (5 * q + 4)) + 16 * flipped + first_pairs[:, ::-1],
-            _ABSENT,
-        )
-        keys = np.minimum(from_even, from_odd).reshape(count, 2, -1)
-    ordered = np.take_along_axis(weights, np.argsort(keys, axis=-1), axis=-1)
-    totals = np.cumsum(ordered, axis=-1)[..., -1]  # one at a time, never pairwise
+    weights = _string_weights(first, second)
+    totals = weights.sum(-1)
     degenerate = totals <= PROB_FLOOR
     normalized = np.where(
         degenerate[..., None],
-        np.eye(1, 4**n)[0],
+        np.eye(1, weights.shape[-1])[0],
         weights / np.where(degenerate, 1.0, totals)[..., None],
     )
     return np.where(degenerate, 0.0, totals), normalized
@@ -538,70 +484,71 @@ def _switched_channel(probs: np.ndarray, weights: np.ndarray, omega: DensityMatr
     return SwitchedChannel(float(probs[0]), float(probs[1]), omega, *tables)
 
 
-# omega -> Z omega Z, elementwise
-_Z_CONJUGATION = np.array([[1.0, -1.0], [-1.0, 1.0]])
+def _per_qubit(values: np.ndarray, matrices) -> np.ndarray:
+    """``values`` (..., 4**n), whose last axis holds n base-4 digits, qubit 0
+    the most significant, with ``matrices[q]`` (broadcast against the
+    leading axes, (..., 4, 4)) applied to digit q for every q. Each step is
+    one matrix product that takes the leading digit and puts the result
+    last, so after n steps the digits are back in order."""
+    for matrix in matrices:
+        values = values.reshape(values.shape[:-1] + (4, -1)).swapaxes(-1, -2)
+        values = values @ matrix.swapaxes(-1, -2)
+        values = values.reshape(values.shape[:-2] + (-1,))
+    return values
 
 
-def _branch_controls(omegas: np.ndarray) -> np.ndarray:
-    """The (T, 2, 2, 2) branch controls (omega, Z omega Z) of (T, 2, 2)
-    controls."""
-    return np.stack([omegas, omegas * _Z_CONJUGATION], axis=1)
+def _closed_transfer(weighted: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """The (T, 2, 2, 4**n) Pauli-transfer coefficients Gamma(t)_cc' =
+    p_plus lambda_plus(t) omega_cc' + p_minus lambda_minus(t) (Z omega Z)_cc'
+    of T closed forms, from their (T, 2, 4**n) branch-weighted string
+    weights p w_s by code and their (T, 2, 2) controls. Conjugating by Z
+    flips the sign of the off-diagonal entries of omega."""
+    n = weighted.shape[-1].bit_length() // 2
+    plus, minus = np.moveaxis(_per_qubit(weighted, [_COMMUTATION] * n), 1, 0)
+    same, flipped = plus + minus, plus - minus
+    return omegas[..., None] * np.moveaxis(np.array([[same, flipped], [flipped, same]]), 2, 0)
 
 
-def _kernel_weights(sw: SwitchedChannel) -> np.ndarray:
-    """The (2, 4**n) branch-weighted string weights p w_s by code of a
-    closed form, as ``_closed_kernels`` takes them: zero for a branch of
-    probability that is not positive."""
-    n = sw.num_qubits
-    weights = np.zeros((2, 4**n))
-    for row, (prob, table) in zip(
-        weights, ((sw.p_plus, sw.plus_strings), (sw.p_minus, sw.minus_strings))
-    ):
-        if prob > 0.0:
-            row[_codes(table, n)] = [prob * w for w in table.values()]
-    return weights
+def _transfer_deviations(
+    maps: np.ndarray, omegas: np.ndarray, probs: np.ndarray, strings: np.ndarray
+) -> np.ndarray:
+    """The deviation of T closed forms, given by their (T, 2) probabilities
+    and (T, 2, 4**n) string weights, from the generic switch given by its
+    ``_product_maps``, under (T, 2, 2) controls: max |Delta Gamma| / d plus
+    a bound on the generic off-diagonal coefficients, |omega_cc'| times one
+    qubit's largest off-diagonal transfer entry times the other qubits'
+    largest entries."""
+    count, n = maps.shape[:2]
+    rows = _PAULIS.reshape(4, 4)  # row s is sigma_s flattened
+    transfer = rows.conj() @ maps @ rows.T / 2  # (T, n, c, c', s, t)
+    diagonal = np.diagonal(transfer, axis1=-2, axis2=-1)  # (T, n, c, c', t)
+    largest = np.abs(transfer).max(axis=(-2, -1))
+    residues = np.abs(transfer - diagonal[..., None] * np.eye(4)).max(axis=(-2, -1))
+    bound = np.zeros((count, 2, 2))
+    for q in range(n):
+        bound = np.maximum(bound, residues[:, q] * np.delete(largest, q, axis=1).prod(axis=1))
+    generic = diagonal[:, 0]
+    for q in range(1, n):
+        generic = (generic[..., :, None] * diagonal[:, q, ..., None, :]).reshape(count, 2, 2, -1)
+    closed = _closed_transfer(probs[..., None] * strings, omegas)
+    gaps = np.abs(omegas[..., None] * generic - closed).max(axis=(1, 2, 3))
+    return gaps / 2**n + (np.abs(omegas) * bound).max(axis=(1, 2))
 
 
-def _closed_kernels(weights: np.ndarray, controls: np.ndarray) -> np.ndarray:
-    """The ``_input_kernel`` of each of T closed forms on the same n qubits,
-    (T, d^2, (2d)^2), from their (T, 2, 4**n) branch-weighted string
-    weights p w_s by code and their (T, 2, 2, 2) branch controls.
-
-    A string with flip pattern u, signs c and weight p w, in a branch with
-    control omega, takes rho_ij to p w c_i c_j omega_cc' at output row
-    (i ^ u, c) and column (j ^ u, c'). The strings of a branch are summed
-    into one mask per u, one z pattern at a time, which is code order; both
-    branches are summed into one block per u, which fills its own kernel
-    entries. No completeness check is made: a closed form is trace
-    preserving once its probabilities and weights are checked
-    (``_check_branches``), and its control is a checked state.
-    """
-    count = len(weights)
-    strings = _strings(weights.shape[-1].bit_length() // 2)
-    size = len(strings.grid)
-    by_flip = weights[..., strings.grid]  # (t, branch, u, z)
-    masks = np.zeros((count, 2, size, size, size))  # (t, branch, u, i, j)
-    for z, sign in enumerate(strings.signs):
-        masks += by_flip[..., z, None, None] * (sign[:, None] * sign)
-    masks = masks[..., None, None]
-    summed = (masks * controls[:, :, None, None, None]).sum(axis=1)  # (t, u, i, j, c, c')
-    index = range(size)
-    u, i, j, c, c2 = np.ix_(index, index, index, range(2), range(2))
-    rows = size * i + j
-    cols = (2 * (i ^ u) + c) * 2 * size + 2 * (j ^ u) + c2
-    kernels = np.zeros((count, size**2, 4 * size**2), dtype=complex)
-    kernels[:, rows, cols] = summed
-    return kernels
-
-
-def _closed_form_deviations(weights: np.ndarray, controls: np.ndarray, kernels: np.ndarray):
-    """Max-entry unit-trace Choi difference between each of T closed forms on
-    n qubits, as ``_closed_kernels`` takes them, and the map whose
-    ``_input_kernel`` is the matching one of the (T, d^2, (2d)^2)
-    ``kernels``: their max-entry difference divided by d."""
-    closed = _closed_kernels(weights, controls)
-    deviations = np.abs(kernels - closed).reshape(len(closed), -1).max(axis=1)
-    return deviations / math.isqrt(kernels.shape[1])
+def _map_outputs(maps: np.ndarray, omega: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """The outputs, Hermitian-symmetrized and not validated, on a (T, d, d)
+    stack of messages of the switch with (n, 2, 2, 4, 4) ``_product_maps``
+    and the 2 x 2 control ``omega``: with each qubit's (row, column) pair as
+    one base-4 digit, each qubit is one matrix product (``_per_qubit``)."""
+    count, n = len(rhos), len(maps)
+    digits = [0] + [axis for q in range(n) for axis in (1 + q, 1 + n + q)]
+    values = rhos.reshape((count,) + (2,) * 2 * n).transpose(digits).reshape(1, count, -1)
+    maps = np.concatenate([maps[:1] * omega[..., None, None], maps[1:]]).reshape(n, 4, 1, 4, 4)
+    blocks = _per_qubit(values, maps).reshape((2, 2, count) + (2,) * 2 * n)
+    # (c, c', T, (m_q, m'_q) per qubit) -> (T, (m, c), (m', c'))
+    order = [2, *range(3, 3 + 2 * n, 2), 0, *range(4, 4 + 2 * n, 2), 1]
+    out = blocks.transpose(order).reshape(count, 2 ** (n + 1), 2 ** (n + 1))
+    return (out + out.conj().transpose(0, 2, 1)) / 2
 
 
 def closed_form_product(
@@ -645,16 +592,30 @@ def closed_form_nxy_n(n: int) -> SwitchedChannel:
 
 
 def choi_deviation(sw: SwitchedChannel, a: np.ndarray, b: np.ndarray) -> float:
-    """Max-entry Choi difference between a closed form and the generic switch
-    of two (m, d, d) Kraus stacks."""
+    """Pauli-transfer deviation of a closed form from the generic switch of
+    two (m, d, d) Kraus stacks, an upper bound on their max-entry unit-trace
+    Choi difference: max |Delta Gamma| / d plus the largest off-diagonal
+    coefficient of the dense switch, run on all 4^n Pauli strings."""
     side = _register_side(a, b)
-    if side != 2**sw.num_qubits:
-        raise DimensionMismatchError(
-            f"closed form on {sw.num_qubits} qubits, channels on dimension {side}"
-        )
+    n = sw.num_qubits
+    if side != 2**n:
+        raise DimensionMismatchError(f"closed form on {n} qubits, channels on dimension {side}")
+    strings = np.stack([channels.pauli_string(s).entries for s in _labels(np.arange(4**n), n)])
     kernel = _input_kernel(_lift_control(_switch_of(a, b), sw.omega_plus))
-    controls = _branch_controls(sw.omega_plus.matrix[None])
-    return float(_closed_form_deviations(_kernel_weights(sw)[None], controls, kernel[None])[0])
+    outputs = _switch_outputs(kernel, strings).reshape(-1, side, 2, side, 2)
+    blocks = outputs.transpose(0, 2, 4, 1, 3).reshape(4**n, 2, 2, -1)  # (t, c, c', (m, m'))
+    transfer = blocks @ strings.reshape(4**n, -1).conj().T / side  # (t, c, c', s)
+    weighted = np.zeros((2, 4**n))
+    for row, (prob, table) in zip(
+        weighted, ((sw.p_plus, sw.plus_strings), (sw.p_minus, sw.minus_strings))
+    ):
+        row[_codes(table, n)] = [prob * w for w in table.values()]
+    closed = _closed_transfer(weighted[None], sw.omega_plus.matrix[None])[0]
+    codes = np.arange(4**n)
+    diagonal = transfer[codes, :, :, codes].copy()  # (t, c, c')
+    transfer[codes, :, :, codes] = 0.0
+    gap = np.abs(diagonal - np.moveaxis(closed, -1, 0)).max()
+    return float(gap / side + np.abs(transfer).max())
 
 
 @dataclass(frozen=True)
@@ -683,34 +644,26 @@ def validate_closed_forms(
 ) -> ClosedFormValidation:
     """Cross-validate the closed-form decompositions against the generic switch.
 
-    For each requested receiver count n (capped at 3, where the generic
-    construction stays cheap) this compares Choi matrices for the identity
-    sanity case and the equal-X/Y mixture, runs ``trials`` random-input spot
-    checks of the latter, and at n = 2 additionally draws ``trials`` random
-    two-party Pauli channel pairs with random pure control states.
+    For each receiver count n in ``ns``, each in 1..``MAX_RECEIVERS``, this
+    compares the identity and the equal-X/Y switches with the |+> control
+    (``identity``, ``nxy-choi``), runs ``trials`` random-input spot checks
+    of the latter (``nxy-input``), and at n = 2 draws ``trials`` random
+    two-party Pauli channel pairs with random pure controls (``two-party``).
+    ``identity``, ``nxy-choi`` and ``two-party`` report the Pauli-transfer
+    deviation (``_pauli_switches``), an upper bound on the max-entry
+    unit-trace Choi difference; ``nxy-input`` reports the max-entry
+    difference between ``SwitchedChannel.apply_stack`` and the generic
+    per-qubit maps on the same drawn messages (``_map_outputs``). The run
+    passes when every deviation is below ``tolerance``.
 
-    Every generic kernel comes from ``_product_kernel`` and every closed
-    kernel from ``_closed_kernels``. What does not depend on the seed is
-    built and checked once per process, on the first call that asks for its
-    n (``_nxy_fixture``). An empty ``ns``, any n in it outside 1..3, a
-    negative ``trials`` or a negative seed raises ValueError, and a seed,
-    ``trials`` or n that is not an integer (a bool included) raises
-    TypeError, before any fixture is built or trial drawn. Trials run in
-    blocks of ``_BLOCK``, so memory does not grow with ``trials``: a
-    block's messages are drawn in turn and checked as one stack, pass
-    through the equal-X/Y kernel as one matrix product and through
-    ``SwitchedChannel.apply_stack``, and each side's outputs pass one
-    ``qcore.check_states``. A two-party block draws the Pauli weights of
-    every (e1, e2) and the amplitudes of every pure control as plain floats,
-    in the order of ``channels.random_pauli_channel`` and
-    ``qcore.random_ket`` called in turn, and checks them once as arrays
-    under the ``PauliChannel`` and ``Ket`` rules and the controls as one
-    stack of states. Its generic side is one ``_product_kernel`` pass, which
-    checks every trial's single-qubit Kraus factor sets and each qubit's two
-    switch-order sets complete; together these are the completeness of both
-    Kraus sets and of the switch Kraus set. Its closed side is one
-    ``_closed_weights`` call for the whole block, whose probabilities and
-    weights pass one ``_check_branches``, and one ``_closed_kernels`` call.
+    An empty ``ns``, an n outside 1..``MAX_RECEIVERS``, a negative
+    ``trials`` or a negative seed raises ValueError, and a seed, ``trials``
+    or n that is not an integer (a bool included) raises TypeError, before
+    any fixture (``_nxy_fixture``) is built or trial drawn. Trials run in
+    blocks of ``_BLOCK``: a block's drawn messages, and each side's outputs,
+    pass one ``qcore.check_states``; a two-party block checks its drawn
+    weights and control amplitudes once as arrays, under the
+    ``PauliChannel`` and ``Ket`` rules, and its controls as one stack.
     """
     seed = qcore.as_index(seed)
     if seed < 0:
@@ -722,8 +675,8 @@ def validate_closed_forms(
         raise ValueError("ns names no receiver count to validate")
     ns = [qcore.as_index(n) for n in ns]
     for n in ns:
-        if not 1 <= n <= 3:
-            raise ValueError(f"generic validation supports n in 1..3, got {n}")
+        if not 1 <= n <= MAX_RECEIVERS:
+            raise ValueError(f"receiver count {n} outside 1..{MAX_RECEIVERS}")
     rng = np.random.default_rng(seed)
     records: list[ValidationRecord] = []
     for n in ns:
@@ -752,42 +705,31 @@ def validate_closed_forms(
 class _NxyFixture(NamedTuple):
     """The seed-independent part of validating n equal-X/Y mixtures: the
     closed form, the ``identity`` and ``nxy-choi`` records and the read-only
-    ``_product_kernel`` input kernel of the generic switch with the closed
-    form's |+> control, which the ``nxy-input`` trials run through."""
+    (n, 2, 2, 4, 4) ``_product_maps`` of the generic switch, which the
+    ``nxy-input`` trials run through with the closed form's |+> control."""
 
     switched: SwitchedChannel
     records: tuple[ValidationRecord, ValidationRecord]
-    kernel: np.ndarray
+    maps: np.ndarray
 
 
-#: Every fixture built so far, by n: at most 3 keys.
+#: Every fixture built so far, by n: at most ``MAX_RECEIVERS`` keys.
 _FIXTURES: dict[int, _NxyFixture] = {}
 
 
 def _nxy_fixture(n: int) -> _NxyFixture:
-    """The fixture at n, an int in 1..3 that ``validate_closed_forms`` has
-    checked, built and checked on first use and kept for the process: the
-    identity and equal-X/Y switches with the |+> control as one
-    ``_closed_weights`` call and one ``_product_kernel`` pass, each against
-    its closed form."""
+    """The fixture at n, an int in 1..``MAX_RECEIVERS`` that
+    ``validate_closed_forms`` has checked, built and checked on first use
+    and kept for the process: the identity and equal-X/Y switches with the
+    |+> control as one ``_pauli_switches`` pass."""
     if n not in _FIXTURES:
         weights = np.array([[ch.weights] * n for ch in (channels.IDENTITY, channels.N_XY)])
-        probs, strings = _closed_weights(weights, weights)
-        _check_branches(probs, strings)
         plus = qcore.KET_PLUS.density()
-        controls = np.stack([plus.matrix] * 2)
-        factors = np.sqrt(weights)[..., None, None] * _PAULIS  # (2, n, 4, 2, 2)
-        kernels = _product_kernel(factors, factors, controls)
-        identity, nxy = _closed_form_deviations(
-            probs[..., None] * strings, _branch_controls(controls), kernels
-        ).tolist()
-        kernel = kernels[1].copy()
-        kernel.setflags(write=False)
-        records = (
-            ValidationRecord("identity", n, "", identity),
-            ValidationRecord("nxy-choi", n, "", nxy),
-        )
-        _FIXTURES[n] = _NxyFixture(_switched_channel(probs[1], strings[1], plus), records, kernel)
+        maps, probs, strings, deviations = _pauli_switches(weights, np.stack([plus.matrix] * 2))
+        kinds = ("identity", "nxy-choi")
+        records = tuple(map(ValidationRecord, kinds, (n, n), ("", ""), deviations.tolist()))
+        maps.setflags(write=False)  # and so its views
+        _FIXTURES[n] = _NxyFixture(_switched_channel(probs[1], strings[1], plus), records, maps[1])
     return _FIXTURES[n]
 
 
@@ -805,7 +747,7 @@ def _input_deviations(fixture: _NxyFixture, trials: int, rng):
     for count in _blocks(trials):
         rhos = qcore.random_density_stack(dims, rng, count)
         qcore.check_states(rhos)
-        generic = _switch_outputs(fixture.kernel, rhos)
+        generic = _map_outputs(fixture.maps, sw.omega_plus.matrix, rhos)
         closed = sw.apply_stack(rhos)
         qcore.check_states(generic)
         qcore.check_states(closed)
@@ -833,22 +775,28 @@ def _two_party_draws(count: int, rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _two_party_deviations(trials: int, rng):
-    """Choi deviation of the closed form for each of ``trials`` random
-    two-party Pauli channel pairs with random pure controls, a block at a
-    time (``_two_party_draws``). The generic side is ``_product_kernel`` on
-    the block's factor sets sqrt(w_l) sigma_l (zero weights give zero
-    operators), the closed side ``_closed_weights`` and ``_closed_kernels``
-    on the block's weights and controls."""
+    """Pauli-transfer deviation of the closed form for each of ``trials``
+    random two-party Pauli channel pairs with random pure controls, one
+    ``_pauli_switches`` pass per block (``_two_party_draws``)."""
     for count in _blocks(trials):
         weights, kets = _two_party_draws(count, rng)
         channels.check_pauli_weights(weights)
         qcore.check_kets(kets)
         controls = kets[:, :, None] * kets[:, None, :].conj()
         qcore.check_states(controls)
-        factors = np.sqrt(weights)[..., None, None] * _PAULIS  # (T, 2, 4, 2, 2)
-        generic = _product_kernel(factors, factors, controls)
-        probs, strings = _closed_weights(weights, weights)
-        _check_branches(probs, strings)
-        yield from _closed_form_deviations(
-            probs[..., None] * strings, _branch_controls(controls), generic
-        ).tolist()
+        yield from _pauli_switches(weights, controls)[3].tolist()
+
+
+def _pauli_switches(weights: np.ndarray, omegas: np.ndarray):
+    """Both sides of the switch of T n-qubit Pauli-channel products, given
+    by their (T, n, 4) weights, with themselves under the (T, 2, 2)
+    controls: the generic ``_product_maps`` of the factor sets
+    sqrt(w_l) sigma_l (zero weights give zero operators, and every set is
+    checked complete), the closed forms' probabilities and string weights
+    (``_closed_weights``, checked by ``_check_branches``), and the
+    ``_transfer_deviations`` between them."""
+    factors = np.sqrt(weights)[..., None, None] * _PAULIS  # (T, n, 4, 2, 2)
+    maps = _product_maps(factors, factors)
+    probs, strings = _closed_weights(weights, weights)
+    _check_branches(probs, strings)
+    return maps, probs, strings, _transfer_deviations(maps, omegas, probs, strings)

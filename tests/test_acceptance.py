@@ -43,7 +43,7 @@ def test_c01_two_party_closed_form_matches_generic_switch():
     _report(
         1,
         passed,
-        f"100 random two-party draws, max Choi deviation {worst:.3e}, {elapsed:.2f}s",
+        f"100 random two-party draws, max Pauli-transfer deviation {worst:.3e}, {elapsed:.2f}s",
     )
 
 

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,6 +377,20 @@ def test_protocol_transcript_events(tmp_path):
 # ---------------------------------------------------------------------------
 # validator / scans / eb-check
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 7])
+def test_validate_switch_rejects_receiver_counts_outside_the_cap(n, capsys):
+    assert main(["validate-switch", "--n", str(n), "--trials", "1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "rrqc: error: --n must be in 1..6\n"
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_validate_switch_checks_every_n_up_to_the_cap(tmp_path, n):
+    code, report = run_json(tmp_path, ["validate-switch", "--n", str(n), "--trials", "3"])
+    assert code == EXIT_OK and report["summary"]["passed"] is True
+    kinds = [(r["kind"], r["n"]) for r in report["records"]]
+    assert kinds == [("identity", n), ("nxy-choi", n)] + [("nxy-input", n)] * 3
 
 
 def test_validate_switch_command(tmp_path):
@@ -798,3 +813,34 @@ def test_text_report_prints_summary(capsys):
     out = capsys.readouterr().out
     assert "summary:" in out
     assert "min_fidelity" in out
+
+
+# ---------------------------------------------------------------------------
+# report bytes and the interpreter's float sum
+# ---------------------------------------------------------------------------
+
+
+def ci_json_runs():
+    """The (name, argv) of every JSON report the CI workflow byte-compares."""
+    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+    lines = workflow.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.endswith("<<'RUNS'"))
+    end = next(i for i in range(start + 1, len(lines)) if lines[i].strip() == "RUNS")
+    runs = [line.split() for line in lines[start + 1 : end]]
+    return [(name, argv) for name, *argv in runs if name.endswith(".json")]
+
+
+def test_json_runs_do_not_depend_on_the_interpreter_sum(tmp_path, compensated_sum):
+    # Python 3.12 compensates the builtin float sum; every float total that
+    # reaches a report is added left to right (qcore.left_sum) instead, so
+    # the bytes are those of Python 3.11 and no float goes through sum
+    runs = ci_json_runs()
+    assert len(runs) >= 17
+    recorder = compensated_sum()
+    for name, argv in runs:
+        plain, patched = tmp_path / f"plain-{name}", tmp_path / f"patched-{name}"
+        assert main(argv + ["--output", str(plain)]) == EXIT_OK
+        with recorder.patch():
+            assert main(argv + ["--output", str(patched)]) == EXIT_OK
+        assert plain.read_bytes() == patched.read_bytes(), name
+    assert recorder.floats == []

@@ -283,6 +283,20 @@ def test_bare_bit_flip_fails_but_cancelling_pair_passes():
     assert abs(passing.terms[0].scale - 1.0) < 1e-12
 
 
+def test_weight_sum_adds_the_term_weights_left_to_right(compensated_sum):
+    # the builtin float sum is compensated from Python 3.12 on; the weight
+    # sum is added left to right, and no float goes through the builtin
+    mid = np.sqrt(0.1) * np.stack([qcore.I2.entries] * 10)
+    recorder = compensated_sum()
+    with recorder.patch():
+        report = check_term_proportionality(I2, mid, I2)
+    assert recorder.floats == []
+    expected = 0.0
+    for term in report.terms:
+        expected += abs(term.scale) ** 2
+    assert report.weight_sum == expected
+
+
 def test_random_unitary_with_inverse_decoder_passes():
     for seed in range(5):
         u = qcore.random_unitary(4, np.random.default_rng(seed))

@@ -551,6 +551,23 @@ def test_protocol_result_rejects_bad_branches_under_every_policy(policy, probabi
         ProtocolResult(RANDOM_MSG, 1, 1, policy, branches)
 
 
+def test_protocol_result_sums_left_to_right(compensated_sum):
+    # the builtin float sum is compensated from Python 3.12 on; the checked
+    # total and the fidelity add left to right, and no float goes through
+    # the builtin
+    branches = tuple(_branch(0.1, 0.5 + 0.05 * k) for k in range(10))
+    recorder = compensated_sum()
+    with recorder.patch():
+        result = ProtocolResult(RANDOM_MSG, 1, 1, OutcomePolicy.exhaustive(), branches)
+        fidelity = result.fidelity
+    assert recorder.floats == []
+    weighted = weight = 0.0
+    for branch in branches:
+        weighted += branch.probability * branch.fidelity
+        weight += branch.probability
+    assert weight == 0.9999999999999999 and fidelity == weighted / weight
+
+
 # ---------------------------------------------------------------------------
 # exact branch maps
 # ---------------------------------------------------------------------------

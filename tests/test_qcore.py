@@ -20,6 +20,18 @@ def random_operator(rng, side):
     return Operator(rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)), (side,))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), max_size=40))
+def test_left_sum_adds_floats_left_to_right(values):
+    # one value at a time, as the builtin sum adds floats up to Python 3.11;
+    # a Neumaier sum of [0.1] * 10, as from 3.12 on, is 1.0
+    expected = 0
+    for value in values:
+        expected += value
+    assert float(qcore.left_sum(values)).hex() == float(expected).hex()
+    assert qcore.left_sum([0.1] * 10) == 0.9999999999999999
+
+
 # ---------------------------------------------------------------------------
 # tensor
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 import contextlib
 import dataclasses
+import inspect
+import itertools
 import math
+import sys
+import types
 from unittest import mock
 
 import numpy as np
@@ -363,8 +367,16 @@ def test_validate_closed_forms_report():
 
 
 def test_validate_closed_forms_rejects_large_n():
-    with pytest.raises(ValueError):
-        qswitch.validate_closed_forms(seed=1, trials=1, ns=(4,))
+    with pytest.raises(ValueError, match=r"receiver count 7 outside 1\.\.6"):
+        qswitch.validate_closed_forms(seed=1, trials=1, ns=(qcore.MAX_RECEIVERS + 1,))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_validate_closed_forms_checks_every_n_up_to_the_cap(n):
+    report = qswitch.validate_closed_forms(seed=2, trials=3, ns=(n,))
+    assert report.passed and report.max_deviation < 1e-12
+    kinds = [(r.kind, r.n) for r in report.records]
+    assert kinds == [("identity", n), ("nxy-choi", n)] + [("nxy-input", n)] * 3
 
 
 def test_validate_closed_forms_rejects_empty_ns(monkeypatch):
@@ -380,7 +392,7 @@ def test_validate_closed_forms_rejects_empty_ns(monkeypatch):
 @pytest.mark.parametrize(
     "seed, trials, ns, error",
     [
-        (0, 2000, (3, 4), ValueError),
+        (0, 2000, (3, 7), ValueError),
         (0, 2000, (1, 0), ValueError),
         (0, 2000, (2, 2.0), TypeError),
         (0, -3, (1, 2, 3), ValueError),
@@ -388,19 +400,19 @@ def test_validate_closed_forms_rejects_empty_ns(monkeypatch):
         (-1, 2000, (1,), ValueError),
         (1.0, 2000, (1,), TypeError),
     ],
-    ids=["4", "0", "float", "negative-trials", "float-trials", "negative-seed", "float-seed"],
+    ids=["7", "0", "float", "negative-trials", "float-trials", "negative-seed", "float-seed"],
 )
 def test_validate_closed_forms_checks_every_n_before_any_work(seed, trials, ns, error):
     # a bad n anywhere in ns, a negative trial count or a negative seed is
     # caught before any fixture is built or draw taken (a negative seed
     # used to fail inside numpy, with numpy's own message)
     with mock.patch.object(qswitch, "_FIXTURES", {}), mock.patch.object(
-        qswitch, "_product_kernel", wraps=qswitch._product_kernel
-    ) as product_kernel, mock.patch.object(np.random, "default_rng") as default_rng:
+        qswitch, "_product_maps", wraps=qswitch._product_maps
+    ) as product_maps, mock.patch.object(np.random, "default_rng") as default_rng:
         with pytest.raises(error, match="seed must be non-negative" if seed == -1 else None):
             qswitch.validate_closed_forms(seed=seed, trials=trials, ns=ns)
         assert qswitch._FIXTURES == {}
-    assert product_kernel.call_count == 0
+    assert product_maps.call_count == 0
     assert default_rng.call_count == 0
 
 
@@ -504,28 +516,50 @@ def literal_switch(a, b, rho, omega):
     return sum(conj(k, joint) for k in literal_switch_kraus(a, b))
 
 
-def literal_switch_choi(a, b, omega):
-    """Choi matrix of the message -> message (x) control map, with omega
+def literal_lifted(a, b, omega):
+    """Kraus operators of the message -> message (x) control map, with omega
     absorbed one Kraus operator and one eigenvector at a time."""
     side = a[0].shape[0]
     vals, vecs = np.linalg.eigh(omega)
-    lifted = [
-        k @ np.kron(np.eye(side), np.sqrt(lam) * vec.reshape(2, 1))
-        for k in literal_switch_kraus(a, b)
-        for lam, vec in zip(vals, vecs.T)
-        if lam >= qcore.PROB_FLOOR
-    ]
-    return channels.choi(np.stack(lifted)).matrix
+    return np.stack(
+        [
+            k @ np.kron(np.eye(side), np.sqrt(lam) * vec.reshape(2, 1))
+            for k in literal_switch_kraus(a, b)
+            for lam, vec in zip(vals, vecs.T)
+            if lam >= qcore.PROB_FLOOR
+        ]
+    )
 
 
-def kernel_choi(kernel):
-    """The unit-trace Choi matrix of the map message -> message (x) control
-    whose ``_input_kernel`` is ``kernel``: its entries ((i, j), (a, b)) are
-    the Choi entries ((a, i), (b, j)) times the message dimension."""
-    side = math.isqrt(kernel.shape[0])
-    rows = 2 * side
-    choi = kernel.reshape(side, side, rows, rows).transpose(2, 0, 3, 1)
-    return choi.reshape(rows * side, rows * side) / side
+def literal_switch_choi(a, b, omega):
+    """Choi matrix of the message -> message (x) control map."""
+    return channels.choi(literal_lifted(a, b, omega)).matrix
+
+
+def literal_transfer(kraus, n):
+    """(t, s, c, c') coefficient of sigma_s (x) |c><c'| in the output on
+    the Pauli string sigma_t of the message -> message (x) control map with
+    Kraus operators ``kraus``, strings in lexicographic label order, one
+    input string at a time."""
+    labels = itertools.product(channels.PAULI_LABELS, repeat=n)
+    strings = np.stack([channels.pauli_string(s).entries for s in labels])
+    out = np.zeros((len(strings), len(strings), 2, 2), dtype=complex)
+    for t, sigma in enumerate(strings):
+        image = (kraus @ sigma @ kraus.conj().transpose(0, 2, 1)).sum(axis=0)
+        for c, c2 in itertools.product(range(2), repeat=2):
+            out[t, :, c, c2] = np.einsum("sij,ji->s", strings, image[c::2, c2::2]) / 2**n
+    return out
+
+
+def literal_transfer_deviation(closed, generic, n):
+    """The deviation ``choi_deviation`` reports, from literal Kraus sets of
+    the closed form and the generic switch: the largest difference of the
+    diagonal coefficients over 2^n plus the largest off-diagonal one."""
+    closed, generic = literal_transfer(closed, n), literal_transfer(generic, n)
+    diagonal = np.arange(4**n)
+    gap = np.abs(generic[diagonal, diagonal] - closed[diagonal, diagonal]).max() / 2**n
+    generic[diagonal, diagonal] = 0.0
+    return gap + np.abs(generic).max()
 
 
 def literal_output_kraus(sw):
@@ -547,13 +581,6 @@ def literal_output_kraus(sw):
                 )
                 out.append(k)
     return np.stack(out)
-
-
-def closed_kernels(switched):
-    """``qswitch._closed_kernels`` of closed forms given as objects."""
-    weights = np.stack([qswitch._kernel_weights(sw) for sw in switched])
-    controls = qswitch._branch_controls(np.stack([sw.omega_plus.matrix for sw in switched]))
-    return qswitch._closed_kernels(weights, controls)
 
 
 def random_control(rng, pure):
@@ -620,20 +647,19 @@ def test_stacked_closed_form_choi_matches_literal_kraus(n, seed, pure):
     else:
         sw = qswitch.closed_form_product((N_XY,) * n, (N_XY,) * n, omega)
         pair = nxy_product(n)
-    reference = channels.choi(literal_output_kraus(sw)).matrix
-    np.testing.assert_allclose(
-        kernel_choi(closed_kernels([sw])[0]), reference, rtol=0, atol=1e-12
-    )
-    generic = literal_switch_choi(pair, pair, omega.matrix)
-    assert abs(
-        qswitch.choi_deviation(sw, pair, pair) - np.abs(generic - reference).max()
-    ) < 1e-12
-    # against the switch of other channels the deviation is of order one,
-    # and it is still the literal unit-trace Choi difference
-    other = product_pauli_kraus(drawn_factors(rng, n or 2, single=True))
-    expected = np.abs(literal_switch_choi(other, other, omega.matrix) - reference).max()
-    assert expected > 1e-6
-    assert abs(qswitch.choi_deviation(sw, other, other) - expected) < 1e-12
+    qubits = n or 2
+    closed = literal_output_kraus(sw)
+    reference = channels.choi(closed).matrix
+    for a in (pair, product_pauli_kraus(drawn_factors(rng, qubits, single=True))):
+        # the deviation is the literal Pauli-transfer deviation, and it bounds
+        # the literal unit-trace Choi difference from above; against the
+        # switch of other channels both are of order one
+        generic = literal_lifted(a, a, omega.matrix)
+        deviation = qswitch.choi_deviation(sw, a, a)
+        assert abs(deviation - literal_transfer_deviation(closed, generic, qubits)) < 1e-12
+        choi_gap = np.abs(channels.choi(generic).matrix - reference).max()
+        assert choi_gap <= deviation + 1e-15
+        assert (deviation < 1e-12) == (a is pair) == (choi_gap < 1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -791,14 +817,14 @@ def test_lifted_kernel_outputs_match_literal_kraus_sum(n, seed, count, mixed_a, 
 
 def test_nxy_fixtures_are_built_once_per_n_and_read_only():
     with mock.patch.object(qswitch, "_FIXTURES", {}), mock.patch.object(
-        qswitch, "_product_kernel", wraps=qswitch._product_kernel
-    ) as product_kernel:
+        qswitch, "_product_maps", wraps=qswitch._product_maps
+    ) as product_maps:
         first = qswitch.validate_closed_forms(seed=4, trials=3, ns=(1, 3))
         # per n: one pass for the identity and the equal-X/Y switch (the
-        # kept kernel)
-        assert product_kernel.call_count == 2
+        # kept maps)
+        assert product_maps.call_count == 2
         again = qswitch.validate_closed_forms(seed=4, trials=3, ns=(3, 1))
-        assert product_kernel.call_count == 2
+        assert product_maps.call_count == 2
         fixtures = dict(qswitch._FIXTURES)
         assert all(qswitch._nxy_fixture(n) is fixture for n, fixture in fixtures.items())
     assert sorted(fixtures) == [1, 3]
@@ -808,16 +834,16 @@ def test_nxy_fixtures_are_built_once_per_n_and_read_only():
             seed_free = [r for r in report.records if r.n == n and r.kind != "nxy-input"]
             assert all(r is f for r, f in zip(seed_free, fixture.records, strict=True))
         sw = fixture.switched
-        arrays = [fixture.kernel, sw.omega_plus.matrix]
+        arrays = [fixture.maps, sw.omega_plus.matrix]
         arrays += [a for _, groups, _ in sw._flip_groups for group in groups for a in group]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1.0
-        # the kernel is the switch of the equal-X/Y product with the |+> control
+        # the maps are the switch of the equal-X/Y product
         nxy = nxy_product(n)
         rho = qcore.random_density((2,) * n, np.random.default_rng(n))
         np.testing.assert_allclose(
-            qswitch._switch_outputs(fixture.kernel, rho.matrix[None])[0],
+            qswitch._map_outputs(fixture.maps, PLUS.matrix, rho.matrix[None])[0],
             literal_switch(nxy, nxy, rho.matrix, PLUS.matrix),
             rtol=0,
             atol=1e-12,
@@ -833,7 +859,7 @@ def test_choi_deviation_rejects_channels_on_another_qubit_count():
 
 
 # ---------------------------------------------------------------------------
-# product-route switch kernel
+# product-route switch maps and the Pauli-transfer comparison
 # ---------------------------------------------------------------------------
 
 
@@ -861,6 +887,23 @@ def dense_product(sets):
     return stack
 
 
+def dense_outputs(a, b, omega, rhos):
+    """The dense switch of two Kraus stacks on a stack of messages."""
+    kernel = qswitch._input_kernel(qswitch._lift_control(qswitch._switch_of(a, b), omega))
+    return qswitch._switch_outputs(kernel, rhos)
+
+
+def transfer_deviation(first, second, omega):
+    """The product-route deviation of ``closed_form_product`` for two lists
+    of Pauli channels and a control state, and the closed form."""
+    sw = qswitch.closed_form_product(first, second, omega)
+    maps = qswitch._product_maps(pauli_factor_sets(first)[None], pauli_factor_sets(second)[None])
+    weights = [[ch.weights for ch in factors] for factors in (first, second)]
+    probs, strings = qswitch._closed_weights(*np.array(weights)[:, None])
+    deviation = qswitch._transfer_deviations(maps, omega.matrix[None], probs, strings)[0]
+    return deviation, sw
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(1, 3),
@@ -869,27 +912,88 @@ def dense_product(sets):
     st.booleans(),
     st.booleans(),
 )
-def test_product_kernel_matches_dense_switch_kernel(n, seed, count, pure, mixed):
+def test_product_maps_match_the_dense_switch(n, seed, count, pure, mixed):
     # A != B, a different channel on each qubit, zero Pauli weights, and
     # (``mixed``) non-Pauli factor sets, with a second set one operator
     # larger at n <= 2
     rng = np.random.default_rng(seed)
-    first, second, omegas = [], [], []
-    for _ in range(count):
-        if mixed:
-            first.append(drawn_factor_sets(rng, n, 0))
-            second.append(drawn_factor_sets(rng, n, int(n < 3)))
-        else:
-            first.append(pauli_factor_sets(drawn_factors(rng, n)))
-            second.append(pauli_factor_sets(drawn_factors(rng, n)))
-        omegas.append(random_control(rng, pure))
-    controls = np.stack([omega.matrix for omega in omegas])
-    kernels = qswitch._product_kernel(np.stack(first), np.stack(second), controls)
-    assert kernels.shape == (count, 4**n, 4 ** (n + 1))
-    for a, b, omega, kernel in zip(first, second, omegas, kernels):
-        stack = qswitch._switch_of(dense_product(a), dense_product(b))
-        dense = qswitch._input_kernel(qswitch._lift_control(stack, omega))
-        assert np.abs(kernel - dense).max() <= 1e-15
+    if mixed:
+        first = drawn_factor_sets(rng, n, 0)
+        second = drawn_factor_sets(rng, n, int(n < 3))
+    else:
+        first = pauli_factor_sets(drawn_factors(rng, n))
+        second = pauli_factor_sets(drawn_factors(rng, n))
+    omega = random_control(rng, pure)
+    maps = qswitch._product_maps(first[None], second[None])
+    assert maps.shape == (1, n, 2, 2, 4, 4)
+    rhos = qcore.random_density_stack((2,) * n, rng, count)
+    dense = dense_outputs(dense_product(first), dense_product(second), omega, rhos)
+    assert np.abs(qswitch._map_outputs(maps[0], omega.matrix, rhos) - dense).max() <= 1e-15
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+@example(2, 8, True, True)  # (Z, X) against (X, Y): two anticommuting qubits, p_minus = 0
+def test_transfer_route_matches_the_dense_route_and_apply_stack(n, seed, single, pure):
+    # A != B, a different drawn channel on each qubit and a drawn mixed or
+    # pure control: the deviation is rounding, at n <= 3 it is the dense
+    # route's, and at every n the product maps reproduce apply_stack
+    rng = np.random.default_rng(seed)
+    first = drawn_factors(rng, n, single)
+    second = drawn_factors(rng, n, single)
+    assume(first != second)
+    omega = random_control(rng, pure)
+    deviation, sw = transfer_deviation(first, second, omega)
+    assert deviation <= 1e-14
+    if n <= 3:
+        a, b = product_pauli_kraus(first), product_pauli_kraus(second)
+        assert abs(qswitch.choi_deviation(sw, a, b) - deviation) <= 1e-15
+    rhos = qcore.random_density_stack((2,) * n, rng, 2)
+    maps = qswitch._product_maps(pauli_factor_sets(first)[None], pauli_factor_sets(second)[None])
+    outputs = qswitch._map_outputs(maps[0], omega.matrix, rhos)
+    assert np.abs(outputs - sw.apply_stack(rhos)).max() <= 1e-14
+
+
+def amplitude_damping(gamma):
+    return np.array([[[1.0, 0.0], [0.0, np.sqrt(1 - gamma)]], [[0.0, np.sqrt(gamma)], [0.0, 0.0]]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_transfer_route_reports_non_pauli_factors(n):
+    # amplitude damping is not Pauli-diagonal: its transfer matrices have
+    # off-diagonal entries, which the deviation takes in, against any closed
+    # form. Non-Pauli Kraus sets of Pauli channels give the same switch as
+    # their Pauli sets (Kraus recombination), so they pass
+    damping = np.stack([amplitude_damping(0.3)] * n)[None]
+    maps = qswitch._product_maps(damping, damping)
+    weights = np.array([[IDENTITY.weights] * n])
+    probs, strings = qswitch._closed_weights(weights, weights)
+    deviation = qswitch._transfer_deviations(maps, PLUS.matrix[None], probs, strings)[0]
+    assert deviation > 0.1
+    if n <= 2:
+        # the dense route reports the off-diagonal coefficients themselves,
+        # which the product route bounds, and both bound the Choi difference
+        sw = qswitch.closed_form_product((IDENTITY,) * n, (IDENTITY,) * n)
+        dense = dense_product(damping[0])
+        literal = literal_transfer_deviation(
+            literal_output_kraus(sw), literal_lifted(dense, dense, PLUS.matrix), n
+        )
+        assert abs(qswitch.choi_deviation(sw, dense, dense) - literal) < 1e-12
+        choi_gap = np.abs(
+            literal_switch_choi(dense, dense, PLUS.matrix)
+            - channels.choi(literal_output_kraus(sw)).matrix
+        ).max()
+        assert choi_gap <= literal <= deviation + 1e-12
+    rng = np.random.default_rng(n)
+    factors = [drawn_factors(rng, n) for _ in range(2)]
+    weights = np.array([[ch.weights for ch in f] for f in factors])
+    first, second = (
+        np.einsum("qlj,qjab->qlab", qcore.random_unitary(6, rng)[None, :, :4], pauli_factor_sets(f))
+        for f in factors
+    )
+    maps = qswitch._product_maps(first[None], second[None])
+    probs, strings = qswitch._closed_weights(weights[:1], weights[1:])
+    assert qswitch._transfer_deviations(maps, PLUS.matrix[None], probs, strings)[0] <= 1e-14
 
 
 @settings(max_examples=40, deadline=None)
@@ -913,30 +1017,19 @@ def test_entrywise_products_equal_matmul(n, seed, mixed):
             assert (entrywise + 0.0).tobytes() == (reference + 0.0).tobytes()
 
 
-def test_product_kernel_checks_factor_sets_complete():
+def test_product_maps_check_factor_sets_complete():
     sets = pauli_factor_sets([N_XY, IDENTITY])[None]
     with pytest.raises(CompletenessError, match="second Kraus factor set"):
-        qswitch._product_kernel(sets, 0.9 * sets, PLUS.matrix[None])
-
-
-def four_qubit_product_route_deviation(seed, pure):
-    """Choi deviation of ``closed_form_product`` from the product-route
-    switch of two different drawn 4-qubit Pauli products."""
-    rng = np.random.default_rng(seed)
-    first = drawn_factors(rng, 4)
-    second = drawn_factors(rng, 4)
-    omega = random_control(rng, pure)
-    sw = qswitch.closed_form_product(first, second, omega)
-    kernel = qswitch._product_kernel(
-        pauli_factor_sets(first)[None], pauli_factor_sets(second)[None], omega.matrix[None]
-    )
-    return np.abs(kernel[0] - closed_kernels([sw])[0]).max() / 2**4
+        qswitch._product_maps(sets, 0.9 * sets)
 
 
 @settings(max_examples=8, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.booleans())
-def test_closed_form_product_matches_product_route_at_four_qubits(seed, pure):
-    assert four_qubit_product_route_deviation(seed, pure) <= 1e-14
+@given(st.integers(4, 6), st.integers(0, 2**32 - 1), st.booleans())
+def test_closed_form_product_matches_product_route_at_four_qubits(n, seed, pure):
+    # and at five and six: inhomogeneous drawn products, A != B
+    rng = np.random.default_rng(seed)
+    first, second = drawn_factors(rng, n), drawn_factors(rng, n)
+    assert transfer_deviation(first, second, random_control(rng, pure))[0] <= 1e-14
 
 
 def test_product_route_catches_a_broken_commutation_rule():
@@ -944,13 +1037,50 @@ def test_product_route_catches_a_broken_commutation_rule():
     # C_minus branch; the product route does not use that rule. The closed
     # forms read the rule from the pair table, which drops each pair's
     # anticommutation bit here
+    rng = np.random.default_rng(3)
+    first, second = drawn_factors(rng, 4), drawn_factors(rng, 4)
     with mock.patch.object(qswitch, "_FIXTURES", {}), mock.patch.object(
         qswitch, "_PAIR_SLOTS", qswitch._PAIR_SLOTS & ~1
     ):
-        assert four_qubit_product_route_deviation(3, pure=False) > 1e-3
-        report = qswitch.validate_closed_forms(3, 5, ns=(2,))
+        assert transfer_deviation(first, second, random_control(rng, False))[0] > 1e-3
+        reports = [qswitch.validate_closed_forms(3, 5, ns=(n,)) for n in (2, 4, 6)]
+    assert not any(report.passed for report in reports)
+    assert min(r.deviation for r in reports[0].records if r.kind == "two-party") > 1e-3
+    assert all(report.records[1].deviation > 1e-3 for report in reports)  # nxy-choi
+
+
+def mutant_qswitch(monkeypatch, old, new):
+    """A fresh copy of ``rrqc.qswitch`` with the one occurrence of ``old`` in
+    its source replaced by ``new``."""
+    source = inspect.getsource(qswitch)
+    assert source.count(old) == 1
+    module = types.ModuleType("rrqc._mutant_qswitch")
+    module.__package__ = "rrqc"
+    monkeypatch.setitem(sys.modules, module.__name__, module)  # dataclasses look it up
+    exec(compile(source.replace(old, new), qswitch.__file__, "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize(
+    "old, new, n",
+    [
+        # every Pauli pair taken to commute, in the string weights and in the
+        # commutation signs of the closed side
+        (" + channels.paulis_anticommute(a, b)", "", 4),
+        (" + channels.paulis_anticommute(a, b)", "", 6),
+        # the minus branch keeps omega instead of Z omega Z
+        ("same, flipped = plus + minus, plus - minus", "same = flipped = plus + minus", 2),
+        # the second switch order built as a_i b_j
+        ("_products(b, a)], axis=2", "_products(a, b)], axis=2", 1),
+    ],
+    ids=["commuting-4", "commuting-6", "no-z-conjugation", "one-order"],
+)
+def test_validation_fails_on_a_broken_closed_or_generic_side(monkeypatch, old, new, n):
+    mutant = mutant_qswitch(monkeypatch, old, new)
+    assert qswitch.validate_closed_forms(5, 2, ns=(n,)).passed
+    report = mutant.validate_closed_forms(5, 2, ns=(n,))
     assert not report.passed
-    assert min(r.deviation for r in report.records if r.kind == "two-party") > 1e-3
+    assert report.records[1].kind == "nxy-choi" and report.records[1].deviation > 1e-3
 
 
 def test_warm_two_party_trials_build_no_dense_switch_stack():
@@ -967,8 +1097,8 @@ def test_warm_two_party_trials_build_no_dense_switch_stack():
 
 
 def test_cold_validation_never_takes_the_dense_route():
-    # every generic kernel comes from the product route and every closed
-    # kernel from the string tables, also when the fixtures are built
+    # every generic side comes from the product route and every closed side
+    # from the string tables, also when the fixtures are built
     names = ["_switch_of", "_lift_control", "_input_kernel", "choi_deviation"]
     with mock.patch.object(qswitch, "_FIXTURES", {}), contextlib.ExitStack() as stack:
         mocks = [stack.enter_context(mock.patch.object(qswitch, name)) for name in names]
@@ -980,7 +1110,7 @@ def test_cold_validation_never_takes_the_dense_route():
 
 
 # ---------------------------------------------------------------------------
-# closed kernels scattered from the string tables
+# closed-side Pauli-transfer coefficients from the string tables
 # ---------------------------------------------------------------------------
 
 
@@ -998,25 +1128,35 @@ def drawn_closed_forms(rng, n, count, single, pure):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.integers(1, 4),
+    st.integers(1, 3),
     st.integers(0, 2**32 - 1),
     st.integers(1, 3),
     st.booleans(),
     st.booleans(),
 )
-def test_closed_kernels_are_the_choi_matrices_of_literal_kraus_sets(n, seed, count, single, pure):
+def test_closed_transfer_is_the_pauli_transfer_of_literal_kraus_sets(n, seed, count, single, pure):
     rng = np.random.default_rng(seed)
     switched = drawn_closed_forms(rng, n, count, single, pure)
-    kernels = closed_kernels(switched)
-    assert kernels.shape == (count + 1, 4**n, 4 ** (n + 1))
-    side = 2**n
-    for sw, kernel in zip(switched, kernels):
+    weighted = np.zeros((count + 1, 2, 4**n))
+    for row, sw in zip(weighted, switched):
+        for branch, (prob, table) in zip(
+            row, ((sw.p_plus, sw.plus_strings), (sw.p_minus, sw.minus_strings))
+        ):
+            for s, w in table.items():
+                branch[sum(4**q * "IXYZ".index(label) for q, label in enumerate(s[::-1]))] = prob * w
+    omegas = np.stack([sw.omega_plus.matrix for sw in switched])
+    gammas = qswitch._closed_transfer(weighted, omegas)
+    assert gammas.shape == (count + 1, 2, 2, 4**n)
+    diagonal = np.arange(4**n)
+    for sw, gamma in zip(switched, gammas):
+        literal = literal_transfer(literal_output_kraus(sw), n)
         np.testing.assert_allclose(
-            kernel_choi(kernel), channels.choi(literal_output_kraus(sw)).matrix, rtol=0, atol=1e-12
+            np.moveaxis(gamma, -1, 0), literal[diagonal, diagonal], rtol=0, atol=1e-12
         )
-        # trace preserving: tr(output) = tr(rho) for every message rho
-        traces = np.einsum("ijaa->ij", kernel.reshape(side, side, 2 * side, 2 * side))
-        np.testing.assert_allclose(traces, np.eye(side), rtol=0, atol=1e-12)
+        literal[diagonal, diagonal] = 0.0
+        assert np.abs(literal).max() <= 1e-12  # a closed form is Pauli-diagonal
+        # trace preserving: the identity string keeps a unit-trace control
+        assert abs(np.trace(gamma[..., 0]) - 1.0) <= 1e-12
 
 
 def per_string_flip_groups(sw):
@@ -1066,13 +1206,11 @@ def test_nxy_flip_groups_match_the_per_string_loop_bit_for_bit(n):
 # ---------------------------------------------------------------------------
 
 
-def dict_closed_form(first, second):
-    """The closed form of two Pauli-channel products by the per-string dict
-    convolution, as ``exact_parts`` gives it: per qubit the pairs with both
-    weights nonzero summed by (product label, anticommutes), combined by
-    parity, each table's total summed one string at a time in insertion
-    order, as ``sum`` does before Python 3.12."""
-    n = len(first)
+def dict_string_weights(first, second):
+    """The unnormalized string tables (C_plus, C_minus) of the switch of two
+    Pauli-channel products by the per-string dict convolution: per qubit the
+    pairs with both weights nonzero summed by (product label, anticommutes),
+    combined by parity."""
     labels = channels.PAULI_LABELS
     tables = ({(): 1.0}, {})
     for a, b in zip(first, second):
@@ -1091,35 +1229,12 @@ def dict_closed_form(first, second):
                     out, key = grown[parity ^ flip], s + (label,)
                     out[key] = out.get(key, 0.0) + w * wl
         tables = grown
-    sides = []
-    for table in tables:
-        total = 0
-        for w in table.values():
-            total += w
-        if total <= qcore.PROB_FLOOR:
-            sides.append((0.0, {("I",) * n: 1.0}))
-        else:
-            sides.append((total, {s: w / total for s, w in sorted(table.items()) if w > 0.0}))
-    return [(p.hex(), [(key, w.hex()) for key, w in table.items()]) for p, table in sides]
+    return tables
 
 
-def compensated_sum(values, start=0):
-    """``sum`` as Python 3.12 computes it for floats: Neumaier-compensated."""
-    values = list(values)
-    if not values or not all(type(v) is float for v in values):
-        return PLAIN_SUM(values, start)
-    total, compensation = float(start), 0.0
-    for v in values:
-        step = total + v
-        if abs(total) >= abs(v):
-            compensation += (total - step) + v
-        else:
-            compensation += (v - step) + total
-        total = step
-    return total + compensation
-
-
-PLAIN_SUM = sum
+def code_of(labels):
+    """A string's code: its labels as base-4 digits, qubit 0 first."""
+    return sum(4**q * "IXYZ".index(label) for q, label in enumerate(labels[::-1]))
 
 
 def exact_parts(sw):
@@ -1133,23 +1248,48 @@ def exact_parts(sw):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
 @example(2, 8, True, False)  # (Z, X) against (X, Y): p_minus = 0
-def test_closed_form_product_equals_the_dict_convolution_bit_for_bit(n, seed, single, equal):
+def test_closed_form_product_equals_the_dict_convolution_bit_for_bit(
+    compensated_sum, n, seed, single, equal
+):
     # A != B unless ``equal``, a different drawn channel on each qubit, zero
-    # weights from random supports and non-dyadic Dirichlet weights
+    # weights from random supports and non-dyadic Dirichlet weights. Every
+    # string weight is a sum of at most two terms, so it is bit for bit the
+    # dict's; a branch total depends on the order of summation, and any
+    # order of k nonnegative terms is within k - 1 ulp of the exact sum
     rng = np.random.default_rng(seed)
     first = drawn_factors(rng, n, single)
     second = first if equal else drawn_factors(rng, n, single)
-    expected = dict_closed_form(first, second)
-    assert exact_parts(qswitch.closed_form_product(first, second)) == expected
-    # the totals do not depend on how the interpreter's sum rounds
-    assert compensated_sum([0.1] * 10) != PLAIN_SUM([0.1] * 10)
-    with mock.patch("builtins.sum", compensated_sum):
-        assert exact_parts(qswitch.closed_form_product(first, second)) == expected
+    tables = dict_string_weights(first, second)
+    weights = np.array([[[ch.weights for ch in f]] for f in (first, second)])
+    arrays = qswitch._string_weights(*weights)[0]
+    sw = qswitch.closed_form_product(first, second)
+    branches = ((sw.p_plus, sw.plus_strings), (sw.p_minus, sw.minus_strings))
+    for row, table, (prob, normalized) in zip(arrays, tables, branches):
+        expected = np.zeros(4**n)
+        expected[[code_of(s) for s in table]] = list(table.values())
+        assert (row + 0.0).tobytes() == expected.tobytes()
+        exact = math.fsum(table.values())
+        if exact <= qcore.PROB_FLOOR:
+            assert (prob, normalized) == (0.0, {("I",) * n: 1.0})
+            continue
+        assert abs(prob - exact) <= max(len(table) - 1, 1) * math.ulp(exact)
+        assert [(s, w.hex()) for s, w in normalized.items()] == [
+            (s, (w / prob).hex()) for s, w in sorted(table.items()) if w > 0.0
+        ]
+    # nothing depends on how the interpreter's sum rounds
+    with compensated_sum().patch():
+        assert exact_parts(qswitch.closed_form_product(first, second)) == exact_parts(sw)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_nxy_closed_form_equals_the_dict_convolution_bit_for_bit(n):
-    expected = dict_closed_form((N_XY,) * n, (N_XY,) * n)
+    # every weight is 2^-n and both totals are exactly 1/2, whatever the
+    # order of summation
+    expected = []
+    for table in dict_string_weights((N_XY,) * n, (N_XY,) * n):
+        total = math.fsum(table.values())
+        assert total == 0.5
+        expected.append((total.hex(), [(s, (w / total).hex()) for s, w in sorted(table.items())]))
     assert exact_parts(qswitch.closed_form_nxy_n(n)) == expected
 
 
@@ -1171,7 +1311,7 @@ def test_two_party_draws_match_the_per_trial_draws(seed, count):
 
 def test_two_party_block_checks_its_draws_as_arrays():
     # a broken draw is caught by the array checks of the PauliChannel,
-    # Ket and state rules, before any kernel is built
+    # Ket and state rules, before any switch map is built
     count = 3
     good = qswitch._two_party_draws(count, np.random.default_rng(0))
     negative = good[0].copy()
@@ -1183,11 +1323,11 @@ def test_two_party_block_checks_its_draws_as_arrays():
         ((good[0], unnormed), "ket norm"),
     ):
         with mock.patch.object(qswitch, "_two_party_draws", return_value=draws), mock.patch.object(
-            qswitch, "_product_kernel", wraps=qswitch._product_kernel
-        ) as product_kernel:
+            qswitch, "_product_maps", wraps=qswitch._product_maps
+        ) as product_maps:
             with pytest.raises(ValidityError, match=message):
                 list(qswitch._two_party_deviations(count, np.random.default_rng(0)))
-        assert product_kernel.call_count == 0
+        assert product_maps.call_count == 0
 
 
 def test_check_branches_names_the_first_failing_closed_form():
