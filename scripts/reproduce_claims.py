@@ -91,10 +91,14 @@ def main():
     plus = run_definite_order_baseline(MessageState.plus(), 2, 1)
     print(f"baseline fidelity for |+>: {plus.fidelity:.6f} (expected 0.5)")
     messages = [haar_message(rng) for _ in range(args.haar_samples)]
-    results = branch_map("baseline", 2, 1).evaluate_many(messages, OutcomePolicy.sample(0))
+    fidelities = (
+        branch_map("baseline", 2, 1)
+        .evaluate_columns(messages, OutcomePolicy.sample(0))
+        .fidelities_by_message()
+    )
     print(
         f"baseline Haar-mean fidelity: "
-        f"{qcore.left_sum(r.fidelity for r in results) / args.haar_samples:.4f} over "
+        f"{qcore.left_sum(fidelities) / args.haar_samples:.4f} over "
         f"{args.haar_samples} samples (expected 2/3); the switch protocol "
         "stays at 1 for every message"
     )

@@ -11,8 +11,9 @@ records' lists (``nogo-scan`` passes the scan's arrays as they are). JSON
 renders a table through one row template from its sorted keys, each column
 through ``_json_column``, whose rule for an integer array formats all its
 rows with one ``%``; nested dicts are grouped into tables by key order and
-take the same path. CSV and text read the table a row at a time, as plain
-Python values.
+take the same path. CSV renders the table a column at a time, the dicts and
+lists of a column as one ``_json_column`` made compact; text reads its few
+rows as plain Python values.
 """
 
 from __future__ import annotations
@@ -360,6 +361,33 @@ def _cell(value):
     return json.dumps(value, sort_keys=True) if isinstance(value, (dict, list)) else value
 
 
+#: A comma and the line break and indent after it, and any other line
+#: break and indent, in an indented JSON text: replacing the first by ", "
+#: and then removing the second turns the text of ``json.dumps(value,
+#: sort_keys=True, indent=2)`` into that of ``json.dumps(value,
+#: sort_keys=True)``, because a JSON string never holds a raw line break.
+_COMMA_BREAK, _BREAK = re.compile(r",\n *"), re.compile(r"\n *")
+
+
+def _csv_cells(values: list) -> list:
+    """The CSV cells of a column, each what ``_cell`` makes of its value. A
+    column of dicts and lists only is rendered as one ``_json_column``,
+    whose texts are joined by "\0" (which a JSON text never holds raw),
+    made compact in one pass and split again. A column that mixes them with
+    other values, or that ``json`` cannot encode, is handed to ``_cell`` one
+    value at a time, which raises ``json``'s own error."""
+    structured = [issubclass(kind, (dict, list)) for kind in set(map(type, values))]
+    if not any(structured):
+        return values
+    if not all(structured):
+        return list(map(_cell, values))
+    try:
+        text = "\0".join(_json_column(values, ""))
+    except TypeError:
+        return list(map(_cell, values))
+    return _BREAK.sub("", _COMMA_BREAK.sub(", ", text)).split("\0")
+
+
 @dataclass
 class Report:
     """A command's report. ``records`` is a column table: key -> column, one
@@ -386,7 +414,7 @@ class Report:
         blank = [""] * self.count
         # csv writes None as an empty cell
         columns = [
-            list(map(_cell, _column_values(self.records[key]))) if key in self.records else blank
+            _csv_cells(_column_values(self.records[key])) if key in self.records else blank
             for key in CSV_COLUMNS
         ]
         buffer = io.StringIO()
@@ -468,37 +496,29 @@ def cmd_protocol(cfg: RunConfig) -> Report:
         raise UsageError(f"--x must be in 1..{cfg.n} or ALL")
     messages = resolve_messages("HAAR(1)" if cfg.message is None else cfg.message, cfg.seed)
     policy = OutcomePolicy.exhaustive()
-    rows = []  # (case, branch, x, alpha, beta, outcomes, probability, fidelity)
-    transcripts = []
-    fidelities = []
-    case = 0
+    message_alphas = [_cnum(msg.alpha) for msg in messages]
+    message_betas = [_cnum(msg.beta) for msg in messages]
+    cases, branches, targets, alphas, betas, outcomes = [], [], [], [], [], []
+    probabilities, branch_fids, transcripts, fidelities = [], [], [], []
     for x, maps in zip(xs, protocols.branch_maps(cfg.variant, cfg.n, xs)):
-        for msg, result in zip(messages, maps.evaluate_many(messages, policy)):
-            alpha, beta = _cnum(msg.alpha), _cnum(msg.beta)
-            rows += [
-                (
-                    case,
-                    index,
-                    x,
-                    alpha,
-                    beta,
-                    dict(sorted(branch.outcomes.items())),
-                    float(branch.probability),
-                    float(branch.fidelity),
-                )
-                for index, branch in enumerate(result.branches)
-            ]
-            if cfg.transcript:
-                transcripts += [
-                    [_event_dict(e) for e in branch.transcript.events]
-                    for branch in result.branches
-                ]
-            fidelities.append(result.fidelity)
-            case += 1
-    cases, branches, targets, alphas, betas, outcomes, probabilities, branch_fids = map(
-        list, zip(*rows)
-    )
-    count = len(rows)
+        evaluation = maps.evaluate_columns(messages, policy)
+        spans = evaluation.spans
+        # each branch's message, and its index among that message's branches
+        which = [k for k, (start, end) in enumerate(spans) for _ in range(start, end)]
+        cases += [len(fidelities) + k for k in which]
+        branches += [i for start, end in spans for i in range(end - start)]
+        targets += [x] * len(which)
+        alphas += map(message_alphas.__getitem__, which)
+        betas += map(message_betas.__getitem__, which)
+        sorted_outcomes = [dict(sorted(row.items())) for row in maps.outcomes]
+        outcomes += map(sorted_outcomes.__getitem__, evaluation.rows)
+        probabilities += evaluation.probabilities
+        branch_fids += evaluation.fidelities
+        if cfg.transcript:
+            events = [[_event_dict(e) for e in t.events] for t in maps.transcripts]
+            transcripts += map(events.__getitem__, evaluation.rows)
+        fidelities += evaluation.fidelities_by_message()
+    count = len(branch_fids)
     records = {
         "command": [cfg.command] * count,
         "variant": [cfg.variant] * count,
@@ -515,7 +535,7 @@ def cmd_protocol(cfg: RunConfig) -> Report:
     if cfg.transcript:
         records["transcript"] = transcripts
     summary = {
-        "cases": case,
+        "cases": len(fidelities),
         "branches": count,
         "min_fidelity": min(branch_fids),
         "mean_fidelity": left_sum(fidelities) / len(fidelities),
@@ -627,10 +647,11 @@ def cmd_baseline_sweep(cfg: RunConfig) -> Report:
     mean_tol = 0.01 if cfg.mean_tolerance is None else cfg.mean_tolerance
     rng = np.random.default_rng(cfg.seed)
     messages = [haar_message(rng) for _ in range(count)]
-    results = protocols.branch_map("baseline", n, x).evaluate_many(
-        messages, OutcomePolicy.sample(cfg.seed)
+    fidelities = (
+        protocols.branch_map("baseline", n, x)
+        .evaluate_columns(messages, OutcomePolicy.sample(cfg.seed))
+        .fidelities_by_message()
     )
-    fidelities = [result.fidelity for result in results]
     records = {
         "command": [cfg.command] * count,
         "case": list(range(count)),
@@ -638,7 +659,7 @@ def cmd_baseline_sweep(cfg: RunConfig) -> Report:
         "x": [x] * count,
         "alpha": [_cnum(msg.alpha) for msg in messages],
         "beta": [_cnum(msg.beta) for msg in messages],
-        "fidelity": list(map(float, fidelities)),
+        "fidelity": fidelities,
     }
     plus = run_definite_order_baseline(MessageState.plus(), n, x)
     mean = left_sum(fidelities) / count

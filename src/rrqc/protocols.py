@@ -62,12 +62,18 @@ matrix J_b is positive semidefinite (complete positivity) and that sum_b E_b
 preserves the trace. Once per evaluation, on the evaluation's own arrays:
 the final states of every branch of every message evaluated pass
 ``check_states`` as one stack, ``qcore.fidelities_pure`` holds every
-fidelity to [0, 1], and ``_check_results`` runs the checks of
-``ProtocolResult`` on all results at once (every message keeps a branch,
-every branch probability lies in [0, 1], and exhaustively each message's
-probabilities sum to 1). The records are then built in one pass from these
-checked arrays, the final states as read-only rows of the checked stack,
-without running any check again.
+fidelity to [0, 1], and ``_check_results``, the probability check that
+``ProtocolResult``'s constructor also runs, checks all results at once
+(every message keeps a branch, every branch probability lies in [0, 1], and
+exhaustively each message's probabilities sum to 1). What passed them is the evaluation's result: one
+``Evaluation`` of checked columns (each branch's map row, probability,
+fidelity and final state, as a read-only row of the checked stack, and each
+message's span of branches). ``evaluate_many`` returns each message's
+``ProtocolResult`` as a view of its span. A view reads its fidelities from
+the columns and builds its ``BranchResult`` and ``DensityMatrix`` records
+only when its ``branches`` are first read, then keeps them; nothing built
+from the columns is checked again. The CLI sweeps read the columns
+themselves and build no record.
 """
 
 from __future__ import annotations
@@ -75,6 +81,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,7 +268,14 @@ class BranchResult:
 
 @dataclass(frozen=True)
 class ProtocolResult:
-    """All enumerated (or the single sampled) outcome branches of one run."""
+    """All enumerated (or the single sampled) outcome branches of one run.
+
+    A result that ``BranchMap.evaluate_many`` returns is a view of its span
+    of the evaluation's checked columns (``Evaluation``), held in a private
+    slot that is not a field: it builds its ``branches`` records when they
+    are first read and keeps them, and ``fidelity`` and ``min_fidelity``
+    read the columns, so a caller that reads neither builds no record.
+    """
 
     message: MessageState
     n: int
@@ -270,39 +284,65 @@ class ProtocolResult:
     branches: tuple[BranchResult, ...]
 
     def __post_init__(self):
-        if not self.branches:
-            raise ValidityError("protocol produced no branches")
         # every check is written so that NaN fails it
         for br in self.branches:
             if not 0.0 <= br.fidelity <= 1.0 + ATOL:
                 raise ValidityError(f"branch fidelity {br.fidelity} outside [0, 1]")
-            if not 0.0 <= br.probability <= 1.0 + ATOL:
-                raise ValidityError(f"branch probability {br.probability} outside [0, 1]")
-        if self.policy.kind == "exhaustive":
-            total = qcore.left_sum(br.probability for br in self.branches)
-            if not abs(total - 1.0) <= ATOL:
-                raise ValidityError(f"branch probabilities sum to {total}, not 1")
+        probabilities = [br.probability for br in self.branches]
+        _check_results(
+            np.array(probabilities, dtype=float),
+            probabilities,
+            [(0, len(probabilities))],
+            self.policy.kind == "exhaustive",
+        )
+
+    def __getattr__(self, name):
+        # reached only when normal lookup fails: the branches of a view not
+        # read before
+        span = self.__dict__.get("_span")
+        if name != "branches" or span is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        evaluation, start, end = span
+        branches = self.__dict__["branches"] = evaluation._records(start, end)
+        return branches
+
+    def _columns(self) -> tuple[list, list]:
+        """The branches' probabilities and fidelities, in order."""
+        span = self.__dict__.get("_span")
+        if span is None:
+            return [br.probability for br in self.branches], [br.fidelity for br in self.branches]
+        evaluation, start, end = span
+        return evaluation.probabilities[start:end], evaluation.fidelities[start:end]
 
     @property
     def fidelity(self) -> float:
-        weight = qcore.left_sum(br.probability for br in self.branches)
-        return qcore.left_sum(br.probability * br.fidelity for br in self.branches) / weight
+        return _weighted_fidelity(*self._columns())
 
     @property
     def min_fidelity(self) -> float:
-        return min(br.fidelity for br in self.branches)
+        return min(self._columns()[1])
+
+
+def _weighted_fidelity(probabilities, fidelities) -> float:
+    """The probability-weighted mean fidelity of one result's branches,
+    both sums added left to right."""
+    weight = qcore.left_sum(probabilities)
+    return qcore.left_sum(map(operator.mul, probabilities, fidelities)) / weight
 
 
 def _check_results(
     chosen: np.ndarray, probabilities: list[float], spans: list[tuple[int, int]], exhaustive: bool
 ) -> None:
-    """The checks of ``ProtocolResult`` on all results of one evaluation at
-    once, raising the error it raises on the first failing result.
+    """The probability checks of ``ProtocolResult`` on one or more results
+    at once, raising the error it raises on the first failing result: every
+    result keeps a branch, every branch probability lies in [0, 1], and
+    exhaustively each result's probabilities sum to 1.
 
     ``chosen`` holds every branch's probability, ``probabilities`` the same
     values as Python floats, and ``spans`` each result's (start, end) in
-    them, in order. Fidelities are not checked: ``qcore.fidelities_pure``
-    has already held them to [0, 1 + ATOL].
+    them, in order. Fidelities are checked before this runs: by
+    ``ProtocolResult`` itself, or by ``qcore.fidelities_pure``, which holds
+    an evaluation's fidelities to [0, 1 + ATOL].
     """
     # every check is written so that NaN fails it
     in_range = (chosen >= 0.0) & (chosen <= 1.0 + ATOL)
@@ -314,7 +354,7 @@ def _check_results(
         if first_bad < end:
             raise ValidityError(f"branch probability {probabilities[first_bad]} outside [0, 1]")
         if exhaustive:
-            total = qcore.left_sum(probabilities[start:end])  # as ProtocolResult sums
+            total = qcore.left_sum(probabilities[start:end])
             if not abs(total - 1.0) <= ATOL:
                 raise ValidityError(f"branch probabilities sum to {total}, not 1")
 
@@ -636,21 +676,27 @@ class BranchMap:
     def evaluate_many(
         self, messages, outcome_policy: OutcomePolicy | None = None
     ) -> tuple[ProtocolResult, ...]:
-        """``evaluate`` on each of ``messages``. The checks run once on the
-        arrays of all the runs: one ``check_states`` on the final states,
-        one ``fidelities_pure`` and one ``_check_results``; the records are
-        built after them, without checks of their own.
+        """``evaluate`` on each of ``messages``: the results of
+        ``evaluate_columns``, each a view of its span of the checked
+        columns that builds its records only when they are read.
 
         Exhaustively, each message gets the same values bit for bit as
         ``evaluate`` gives it alone. A sampled policy walks the messages in
         order with one generator seeded once (``_walk``, one draw per
         announcement), so each draws its own trajectory; the first message,
         and a single one, draws exactly what ``evaluate`` draws."""
+        return self.evaluate_columns(messages, outcome_policy).results()
+
+    def evaluate_columns(
+        self, messages, outcome_policy: OutcomePolicy | None = None
+    ) -> Evaluation:
+        """The branches ``evaluate_many`` gives ``messages``, as the checked
+        columns of one ``Evaluation``. The checks run once on the arrays of
+        all the runs: one ``check_states`` on the final states, one
+        ``fidelities_pure`` and one ``_check_results``."""
         policy = OutcomePolicy.exhaustive() if outcome_policy is None else outcome_policy
         messages = tuple(messages)
-        if not messages:
-            return ()
-        vecs = np.array([(m.alpha, m.beta) for m in messages], dtype=complex)
+        vecs = np.array([(m.alpha, m.beta) for m in messages], dtype=complex).reshape(-1, 2)
         rhos = (vecs[:, :, None] * vecs[:, None, :].conj()).reshape(-1, 4)
         # elementwise products and sums, so each message's values do not
         # depend on how many are evaluated together
@@ -658,7 +704,7 @@ class BranchMap:
         if policy.kind == "sample":
             cases = np.arange(len(messages))
             rng = np.random.default_rng(policy.seed)
-            rows = np.array([self._walk(row, rng) for row in probs.tolist()])
+            rows = np.array([self._walk(row, rng) for row in probs.tolist()], dtype=np.intp)
         else:
             # p_child >= PROB_FLOOR * p_parent: the conditional reaches the floor
             along = probs[:, self.paths]
@@ -674,35 +720,8 @@ class BranchMap:
         ends = np.bincount(cases, minlength=len(messages)).cumsum().tolist()
         spans = list(zip([0] + ends[:-1], ends))
         _check_results(chosen, probabilities, spans, policy.kind == "exhaustive")
-        # every field is checked above, so no record checks it again
-        prechecked, dims = qcore._prechecked, (2,)
-        branches = [
-            prechecked(
-                BranchResult,
-                {
-                    "probability": probability,
-                    "outcomes": self.outcomes[row].copy(),
-                    "fidelity": fidelity,
-                    "final_state": prechecked(DensityMatrix, {"matrix": matrix, "dims": dims}),
-                    "transcript": self.transcripts[row],
-                },
-            )
-            for row, probability, fidelity, matrix in zip(
-                rows.tolist(), probabilities, fidelities.tolist(), finals
-            )
-        ]
-        return tuple(
-            prechecked(
-                ProtocolResult,
-                {
-                    "message": msg,
-                    "n": self.n,
-                    "x": self.x,
-                    "policy": policy,
-                    "branches": tuple(branches[start:end]),
-                },
-            )
-            for msg, (start, end) in zip(messages, spans)
+        return Evaluation(
+            self, messages, policy, rows.tolist(), probabilities, fidelities.tolist(), finals, spans
         )
 
     def _walk(self, probs: list[float], rng: np.random.Generator) -> int:
@@ -741,6 +760,80 @@ class BranchMap:
             else:
                 node = kid0 if w0 else kid1
         return node - (len(probs) - len(self.bits))
+
+
+@dataclass(frozen=True, eq=False)
+class Evaluation:
+    """One ``BranchMap`` evaluated on many messages, as checked columns.
+
+    Branch i of the evaluation is map row ``rows[i]``, with probability
+    ``probabilities[i]`` and fidelity ``fidelities[i]`` (Python floats) and
+    final state ``finals[i]`` (read-only); ``spans`` gives each message's
+    (start, end) in them, in the order of ``messages``. Every column has
+    passed the evaluation's checks, so nothing built from them checks it
+    again. A branch's outcomes and transcript are those of its map row,
+    ``maps.outcomes[row]`` and ``maps.transcripts[row]``.
+    """
+
+    maps: BranchMap
+    messages: tuple[MessageState, ...]
+    policy: OutcomePolicy
+    rows: list[int]
+    probabilities: list[float]
+    fidelities: list[float]
+    finals: np.ndarray
+    spans: list[tuple[int, int]]
+
+    def results(self) -> tuple[ProtocolResult, ...]:
+        """Each message's ``ProtocolResult``, a view of its span: no record
+        is built until its ``branches`` are read."""
+        prechecked, maps, policy = qcore._prechecked, self.maps, self.policy
+        return tuple(
+            prechecked(
+                ProtocolResult,
+                {
+                    "message": msg,
+                    "n": maps.n,
+                    "x": maps.x,
+                    "policy": policy,
+                    "_span": (self, start, end),
+                },
+            )
+            for msg, (start, end) in zip(self.messages, self.spans)
+        )
+
+    def fidelities_by_message(self) -> list[float]:
+        """Each message's probability-weighted fidelity, bit for bit what
+        its result's ``fidelity`` reads."""
+        probabilities, fidelities = self.probabilities, self.fidelities
+        return [
+            _weighted_fidelity(probabilities[start:end], fidelities[start:end])
+            for start, end in self.spans
+        ]
+
+    def _records(self, start: int, end: int) -> tuple[BranchResult, ...]:
+        """The records of branches ``start:end``, built without checks: every
+        field is checked already. Each gets its own copy of its outcomes
+        dict, its map's transcript and a read-only row of ``finals``."""
+        prechecked, dims, maps = qcore._prechecked, (2,), self.maps
+        return tuple(
+            prechecked(
+                BranchResult,
+                {
+                    "probability": probability,
+                    "outcomes": maps.outcomes[row].copy(),
+                    "fidelity": fidelity,
+                    "final_state": prechecked(DensityMatrix, {"matrix": matrix, "dims": dims}),
+                    "transcript": maps.transcripts[row],
+                },
+            )
+            for row, probability, fidelity, matrix in zip(
+                self.rows[start:end],
+                self.probabilities[start:end],
+                self.fidelities[start:end],
+                self.finals[start:end],
+            )
+        )
 
 
 def _build_maps(variant: str, n: int, xs) -> list[BranchMap]:

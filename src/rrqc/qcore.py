@@ -17,9 +17,10 @@ positivity through the closed-form lowest eigenvalue of each qubit state
 a batched ``eigvalsh`` deciding only when that fails. ``DensityMatrix``
 runs it on a stack of one, and ``DensityMatrix.from_stack`` once on a whole
 stack, whose rows it then keeps without checking each again; a protocol
-evaluation checks its own fresh stack and keeps its rows the same way,
-without the copy. Kraus stacks pass one check, ``check_complete``, which
-takes nothing but an array.
+evaluation checks its own fresh stack the same way, without the copy, and
+its results make the rows into states only when their records are read.
+Kraus stacks pass one check, ``check_complete``, which takes nothing but an
+array.
 
 Single-factor operations (local gates, local Kraus channels, projective
 measurements) go through one factor-local kernel that contracts the touched
@@ -107,7 +108,7 @@ def _frozen_array(values, shape_check=None) -> np.ndarray:
     return arr
 
 
-# bound once: a protocol evaluation makes two records per branch with them
+# bound once: a protocol result makes two records per branch with them when read
 _new, _set = object.__new__, object.__setattr__
 
 

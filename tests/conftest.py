@@ -49,3 +49,27 @@ def compensated_sum():
     # a reference that rounds as a left-to-right sum would show nothing
     assert CompensatedSum.neumaier([0.1] * 10) != PLAIN_SUM([0.1] * 10)
     return CompensatedSum
+
+
+@pytest.fixture
+def built_records(monkeypatch):
+    """The classes of the ``protocols.BranchResult`` records built while a
+    test runs, one entry per record, whether through the constructor or
+    without checks through ``qcore._prechecked``."""
+    from rrqc import protocols, qcore
+
+    built = []
+    prechecked, init = qcore._prechecked, protocols.BranchResult.__init__
+
+    def counting_prechecked(cls, fields):
+        if issubclass(cls, protocols.BranchResult):
+            built.append(cls)
+        return prechecked(cls, fields)
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(qcore, "_prechecked", counting_prechecked)
+    monkeypatch.setattr(protocols.BranchResult, "__init__", counting_init)
+    return built

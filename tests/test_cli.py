@@ -5,6 +5,8 @@ import io
 import itertools
 import json
 import math
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rrqc import __version__, cli, qswitch
+from rrqc import __version__, cli, protocols, qswitch
 from rrqc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -721,6 +723,43 @@ def test_report_json_rejects_what_json_rejects(value):
     assert str(raised.value) == str(expected.value)
 
 
+def per_cell_csv(values):
+    """The CSV cells of a column as the row-at-a-time renderer made them:
+    one ``json.dumps`` per dict or list."""
+    return [json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.one_of(_VALUES, _LEAVES), max_size=6),
+        record_lists(),
+        st.lists(st.lists(_LEAVES, max_size=3), max_size=6),
+        st.lists(st.one_of(st.lists(st.floats(), min_size=2, max_size=2), st.none()), max_size=6),
+    )
+)
+def test_csv_cells_match_per_cell_json_dumps(values):
+    # a column's dicts and lists rendered in one pass, made compact and put
+    # back among its other values, against json.dumps on each cell
+    assert cli._csv_cells(values) == per_cell_csv(values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [[1], [{1, 2}], {"a": object()}],
+        [{"a": 1, "b": object()}, {"a": {1}, "b": 2}],
+        [None, [b"bytes"]],
+    ],
+)
+def test_csv_cells_reject_what_json_rejects(values):
+    with pytest.raises(TypeError) as expected:
+        per_cell_csv(values)
+    with pytest.raises(TypeError) as raised:
+        cli._csv_cells(values)
+    assert str(raised.value) == str(expected.value)
+
+
 def test_real_reports_render_as_json_dumps():
     # reports as the commands build them: an empty record table (odd scan),
     # integer-matrix columns (even scan), None config values, float and bool
@@ -803,6 +842,32 @@ def test_csv_report_has_fixed_header(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(cli.CSV_COLUMNS)
     assert len(lines) == 3  # header + one row per branch
+
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_claims.py"
+
+
+def test_sweeps_build_no_branch_records(tmp_path, built_records, monkeypatch, capsys):
+    # protocol (JSON, CSV and with transcripts), baseline-sweep and the
+    # claims script read the evaluations' columns: none builds a record
+    haar = ["protocol", "--variant", "baseline", "--n", "2", "--x", "1", "--message", "HAAR(50)"]
+    for args in [
+        haar + ["--format", "json"],
+        haar + ["--format", "csv"],
+        ["protocol", "--variant", "switch", "--n", "3", "--message", "0.6,0.8i", "--transcript"],
+        ["protocol", "--variant", "controlled-ops", "--n", "2", "--transcript", "--format", "json"],
+        ["baseline-sweep", "--count", "50", "--mean-tolerance", "1", "--format", "json"],
+        ["baseline-sweep", "--count", "50", "--mean-tolerance", "1", "--format", "csv"],
+    ]:
+        assert main(args + ["--output", str(tmp_path / "report")]) == EXIT_OK
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--trials", "2", "--haar-samples", "50"])
+    runpy.run_path(str(SCRIPT), run_name="__main__")
+    assert "baseline Haar-mean fidelity" in capsys.readouterr().out
+    assert built_records == []
+    # the count sees the records a caller does read
+    result = protocols.run_switch_protocol(protocols.MessageState.plus(), 3, 1)
+    assert built_records == []
+    assert len(result.branches) == len(built_records) == 8
 
 
 def test_text_report_prints_summary(capsys):

@@ -849,7 +849,9 @@ def _fields(record):
     """A record as data to compare bit for bit: records by their type and
     fields, arrays by their bytes, shape, dtype and writeability, floats by
     their type and bits, dicts by their items in order. A transcript counts
-    by its identity: every result takes its map's."""
+    by its identity: every result takes its map's. Dataclasses count by
+    their fields, read as attributes: a result's private column slot is not
+    one, and its records are built when read."""
     if isinstance(record, np.ndarray):
         return record.tobytes(), record.shape, record.dtype, record.flags.writeable
     if isinstance(record, float):
@@ -861,7 +863,9 @@ def _fields(record):
     if isinstance(record, Transcript):
         return Transcript, id(record)
     if dataclasses.is_dataclass(record):
-        return type(record), [(k, _fields(v)) for k, v in vars(record).items()]
+        return type(record), [
+            (f.name, _fields(getattr(record, f.name))) for f in dataclasses.fields(record)
+        ]
     return type(record), record
 
 
@@ -882,6 +886,36 @@ def test_evaluated_records_equal_checked_ones(variant, n, msgs, seed):
                 for br in result.branches:
                     assert br.final_state.dims == (2,)
                     assert not br.final_state.matrix.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "variant, n, x, policy",
+    [
+        ("switch", 6, 3, OutcomePolicy.exhaustive()),
+        ("baseline", 2, 1, OutcomePolicy.sample(5)),
+        ("controlled-ops", 3, 2, OutcomePolicy.exhaustive()),
+    ],
+)
+def test_results_are_views_that_build_their_records_when_read(variant, n, x, policy, built_records):
+    maps = branch_map(variant, n, x)
+    msgs = [RANDOM_MSG, MessageState.plus(), MessageState(0.28, -0.96j)]
+    want = _reference_evaluate(maps, msgs, policy)
+    by_message = maps.evaluate_columns(msgs, policy).fidelities_by_message()
+    results = maps.evaluate_many(msgs, policy)
+    built_records.clear()  # the reference's records
+    # fidelities read from the columns are the records' values, bit for bit
+    for result, reference, fidelity in zip(results, want, by_message):
+        assert result.fidelity.hex() == reference.fidelity.hex() == fidelity.hex()
+        assert result.min_fidelity.hex() == reference.min_fidelity.hex()
+    assert built_records == []
+    # a result builds its own records on first read, and keeps them
+    branches = results[1].branches
+    assert results[1].branches is branches
+    assert len(built_records) == len(branches)
+    assert _fields(results) == _fields(want)
+    assert _fields(copy.copy(results[2])) == _fields(want[2])
+    with pytest.raises(AttributeError, match="no attribute 'probability'"):
+        results[0].probability
 
 
 def test_branch_map_check_rejects_conjugated_off_diagonal_inputs(monkeypatch):
