@@ -35,17 +35,19 @@ each (variant, n, x) is a fixed set of qubit maps E_b, one per branch
 (``BranchMap``). ``branch_map`` builds them once per key and keeps them for
 the process: it runs the engine, every branch enumerated, on four messages
 whose density matrices span the qubit operators, one message at a time. A
-stage's batch does not depend on x, so ``branch_maps`` retrieves the maps of
-several x of one (variant, n) from one stage batch per message; each x's
-four retrieved batches give its branch tree, from their levels, and each E_b,
-from their unnormalized final states. A key's first use thus costs four
-engine runs where a direct run on one message costs one; the maps pay off
-when a process evaluates several messages for the same key, or, through
-``branch_maps``, several x.
+stage's batch does not depend on x, so ``branch_maps`` runs the four stage
+batches of a (variant, n) once and keeps them, read-only, for the process;
+the maps of every x of that (variant, n), built together or one at a time,
+are retrieved from them. Each x's four retrieved batches give its branch
+tree, from their levels, and each E_b, from their unnormalized final states.
+The first x of a (variant, n) thus costs four stage runs and four
+retrievals, and any later x only its four retrievals; the maps pay off when
+a process evaluates several messages for the same key.
 Every ``run_*`` call evaluates its message through the maps: p_b =
 Tr E_b(psi), the final state E_b(psi) / p_b and its fidelity, for all
 branches at once, and ``BranchMap.evaluate_many`` does so for many messages
-in the same array operations. A branch is dropped where a conditional
+in the same array operations; exhaustively, one broadcast forms every
+(message, branch) output. A branch is dropped where a conditional
 probability along its path falls below ``PROB_FLOOR``, as the engine drops
 it, and a sampled run draws one branch by a seeded walk down the same tree:
 one ``rng.random()`` per announcement, compared in Python floats with the
@@ -693,7 +695,16 @@ class BranchMap:
         """The branches ``evaluate_many`` gives ``messages``, as the checked
         columns of one ``Evaluation``. The checks run once on the arrays of
         all the runs: one ``check_states`` on the final states, one
-        ``fidelities_pure`` and one ``_check_results``."""
+        ``fidelities_pure`` and one ``_check_results``.
+
+        Exhaustively, the unnormalized outputs of every (message, branch)
+        pair come from one broadcast product of the messages with the whole
+        transfer stack, summed over the input axis; the products and the
+        leaf probabilities are then compressed to the kept branches, before
+        the renormalization, so a cut branch is never divided by. A sampled
+        walk gathers the one transfer row it reached per message. Both
+        routes add the same four products in the same order, so a branch's
+        values are the same bits either way."""
         policy = OutcomePolicy.exhaustive() if outcome_policy is None else outcome_policy
         messages = tuple(messages)
         vecs = np.array([(m.alpha, m.beta) for m in messages], dtype=complex).reshape(-1, 2)
@@ -705,12 +716,16 @@ class BranchMap:
             cases = np.arange(len(messages))
             rng = np.random.default_rng(policy.seed)
             rows = np.array([self._walk(row, rng) for row in probs.tolist()], dtype=np.intp)
+            chosen = probs[cases, self.paths[rows, -1]]
+            outputs = (rhos[:, :, None] * self.transfer[rows].reshape(-1, 4, 4)).sum(axis=1)
         else:
             # p_child >= PROB_FLOOR * p_parent: the conditional reaches the floor
             along = probs[:, self.paths]
-            cases, rows = np.nonzero((along[..., 1:] >= PROB_FLOOR * along[..., :-1]).all(axis=-1))
-        chosen = probs[cases, self.paths[rows, -1]]
-        outputs = (rhos[cases, :, None] * self.transfer[rows].reshape(-1, 4, 4)).sum(axis=1)
+            kept = (along[..., 1:] >= PROB_FLOOR * along[..., :-1]).all(axis=-1)
+            cases, rows = np.nonzero(kept)
+            products = rhos[:, None, :, None] * self.transfer.reshape(1, -1, 4, 4)
+            outputs = products.sum(axis=2)[kept]
+            chosen = along[..., -1][kept]
         # a fresh stack, so its rows are the final states without a copy
         finals = qcore.renormalize(outputs.reshape(-1, 2, 2), chosen)
         qcore.check_states(finals)
@@ -836,20 +851,30 @@ class Evaluation:
         )
 
 
-def _build_maps(variant: str, n: int, xs) -> list[BranchMap]:
+def _stage_runs(variant: str, n: int) -> tuple[_Batch, ...]:
+    """The distribution stage of ``variant`` at n, run by the engine on each
+    ``_SPANNING`` message in turn; the retrieval alone depends on x. Every
+    x retrieves from these batches, so their arrays are made read-only."""
+    runs = tuple(_STAGES[variant](msg, n) for msg in _SPANNING)
+    for batch in runs:
+        batch.states.setflags(write=False)
+        for _, probabilities in batch.levels:
+            probabilities.setflags(write=False)
+    return runs
+
+
+def _build_maps(variant: str, n: int, xs, stages=None) -> list[BranchMap]:
     """The branch maps at every x in ``xs``, checked by ``check_branch_maps``.
 
-    The engine runs on each ``_SPANNING`` message, one at a time, up to the
-    retrieval, which alone depends on x; the retrieval at each x then runs
-    after that one run. Each x's four runs become its branch tree and maps.
+    The retrieval at each x runs on each of the four ``stages`` (by default
+    a fresh ``_stage_runs``), and each x's four runs become its branch tree
+    and maps.
     """
-    runs: dict[int, list[_Batch]] = {x: [] for x in xs}
-    for msg in _SPANNING:
-        batch = _STAGES[variant](msg, n)
-        batch.states.setflags(write=False)  # every x retrieves from it
-        for x in runs:
-            runs[x].append(_retrieve(batch, n, x))
-    return [_branch_map_from(variant, n, x, runs[x]) for x in xs]
+    stages = _stage_runs(variant, n) if stages is None else stages
+    return [
+        _branch_map_from(variant, n, x, [_retrieve(batch, n, x) for batch in stages])
+        for x in xs
+    ]
 
 
 def _branch_map_from(variant: str, n: int, x: int, runs: list[_Batch]) -> BranchMap:
@@ -881,13 +906,18 @@ def _branch_map_from(variant: str, n: int, x: int, runs: list[_Batch]) -> Branch
 
 #: Every branch map built so far, by (variant, n, x): at most 4 x 21 keys.
 _MAPS: dict[tuple[str, int, int], BranchMap] = {}
+#: The read-only ``_stage_runs`` of every (variant, n) built so far: at most
+#: 4 x 6 keys, no eviction. All 24 hold 2.0 MiB of states, those at n = 6
+#: 1.5 MiB (switch and controlled-ops 0.5 MiB each, the other two 0.25).
+_STAGE_RUNS: dict[tuple[str, int], tuple[_Batch, ...]] = {}
 
 
 def branch_maps(variant: str, n: int, xs) -> tuple[BranchMap, ...]:
     """The exact branch maps of ``variant`` (noiseless, switch, baseline or
     controlled-ops) at n for each target in ``xs``, built on first use and
     kept for the process. Those not yet built are built together
-    (``_build_maps``), sharing the engine runs up to the retrieval."""
+    (``_build_maps``) from the stage runs of (variant, n), which are run
+    once and kept too, so a later x costs only its retrievals."""
     if variant not in _STAGES:
         raise ValueError(f"unknown protocol variant {variant!r}")
     n = qcore.as_index(n)  # one key each
@@ -896,7 +926,10 @@ def branch_maps(variant: str, n: int, xs) -> tuple[BranchMap, ...]:
         _check_run_args(n, x)
     missing = [x for x in dict.fromkeys(xs) if (variant, n, x) not in _MAPS]
     if missing:
-        for x, maps in zip(missing, _build_maps(variant, n, missing)):
+        stages = _STAGE_RUNS.get((variant, n))
+        if stages is None:
+            stages = _STAGE_RUNS[variant, n] = _stage_runs(variant, n)
+        for x, maps in zip(missing, _build_maps(variant, n, missing, stages)):
             _MAPS[variant, n, x] = maps
     return tuple(_MAPS[variant, n, x] for x in xs)
 

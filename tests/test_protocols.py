@@ -635,6 +635,7 @@ def test_branch_maps_are_built_once_per_key(monkeypatch):
     with pytest.raises(TypeError):
         run_switch_protocol(RANDOM_MSG, 2.5, 1)
     assert len(protocols._MAPS) <= 4 * len(KEYS)
+    assert len(protocols._STAGE_RUNS) <= 4 * qcore.MAX_RECEIVERS
     monkeypatch.setattr(protocols, "_build_maps", None)  # a build would raise
     assert branch_maps("switch", 3, [2, 2]) == (first, first)
     run_switch_protocol(RANDOM_MSG, 3, 2)
@@ -876,7 +877,11 @@ def _fields(record):
 def test_evaluated_records_equal_checked_ones(variant, n, msgs, seed):
     # every record evaluate_many builds without its constructor's checks
     # equals, bit for bit, the one a reference evaluation builds through
-    # DensityMatrix.from_stack and the public, checking constructors
+    # DensityMatrix.from_stack and the public, checking constructors; the
+    # reference gathers each kept branch's transfer row, where an exhaustive
+    # evaluation broadcasts over every (message, branch) pair. |0> and |1>
+    # put exact zeros into the products
+    msgs = [ZERO, *msgs, ONE]
     for x in range(1, n + 1):
         maps = branch_map(variant, n, x)
         for policy in (OutcomePolicy.exhaustive(), OutcomePolicy.sample(seed)):
@@ -886,6 +891,43 @@ def test_evaluated_records_equal_checked_ones(variant, n, msgs, seed):
                 for br in result.branches:
                     assert br.final_state.dims == (2,)
                     assert not br.final_state.matrix.flags.writeable
+
+
+def _moved_on_one(maps):
+    """``maps`` with its last branch's weight moved onto its sibling through
+    the input's |1><1| entry alone: |1> reaches that branch with probability
+    0, so an exhaustive evaluation cuts it there, and |0> keeps it. The
+    moved map is not completely positive, so only |0> and |1> give valid
+    states; no check_branch_maps runs on it."""
+    leaf = len(maps.bits) - 1
+    node, parent = maps.paths[leaf, -1], maps.paths[leaf, -2]
+    (sibling,) = set(maps.children[parent]) - {node}
+    effects, transfer = maps.effects.copy(), maps.transfer.copy()
+    effects[sibling, 1, 1] += effects[node, 1, 1]
+    effects[node, 1, 1] = 0.0
+    # the leaves are the last nodes, in branch order
+    transfer[leaf - node + sibling, 1, 1] += transfer[leaf, 1, 1]
+    transfer[leaf, 1, 1] = 0.0
+    return dataclasses.replace(maps, effects=effects, transfer=transfer)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_batch_cuts_a_branch_for_some_messages_and_keeps_it_for_others():
+    # one batch cuts the moved branch for |1> and keeps it for |0>: the cut
+    # branch is dropped before the renormalization divides by its zero
+    # probability, and every field is the gathering reference's, bit for bit
+    msgs = [ONE, ZERO, ONE, ZERO]
+    for variant in RUNNERS:
+        for n in range(1, 7):
+            for maps in branch_maps(variant, n, range(1, n + 1)):
+                if len(maps.bits) == 1:
+                    continue
+                moved = _moved_on_one(maps)
+                for policy in POLICIES:
+                    results = moved.evaluate_many(msgs, policy)
+                    assert _fields(results) == _fields(_reference_evaluate(moved, msgs, policy))
+                counts = [len(r.branches) for r in moved.evaluate_many(msgs)]
+                assert counts == [len(maps.bits) - 1, len(maps.bits)] * 2
 
 
 @pytest.mark.parametrize(
@@ -985,15 +1027,58 @@ def test_maps_built_together_equal_maps_built_alone(variant):
     together = protocols._build_maps(variant, n, order)
     for built, x in zip(together, order):
         (alone,) = protocols._build_maps(variant, n, [x])
-        assert built.bits == alone.bits and built.keys == alone.keys
-        assert built.transfer.tobytes() == alone.transfer.tobytes()
-        assert built.effects.tobytes() == alone.effects.tobytes()
-        assert [_rows(t.events) for t in built.transcripts] == [
-            _rows(t.events) for t in alone.transcripts
-        ]
+        assert _map_bytes(built) == _map_bytes(alone)
     maps = branch_maps(variant, n, [2, 1, 2])
     assert maps == (branch_map(variant, n, 2), branch_map(variant, n, 1), maps[0])
     assert branch_maps(variant, n, []) == ()
+
+
+def _map_bytes(maps):
+    """Every field of a branch map as data to compare bit for bit: arrays by
+    their bytes, shape, dtype and writeability, transcripts by their events'
+    fields (an ``Operator`` compares by identity, so by its entries)."""
+    fields = []
+    for f in dataclasses.fields(maps):
+        value = getattr(maps, f.name)
+        if isinstance(value, np.ndarray):
+            value = value.tobytes(), value.shape, value.dtype, value.flags.writeable
+        elif f.name == "transcripts":
+            value = [(_rows(t.events), t.allow_nonlocal) for t in value]
+        fields.append((f.name, value))
+    return fields
+
+
+def test_stage_runs_are_kept_per_variant_and_n(monkeypatch):
+    # each (variant, n) runs its distribution stage once per spanning input,
+    # and the maps built from the kept runs one x at a time, in any order,
+    # are those built together, bit for bit
+    calls = {}
+
+    def counted(variant, stage):
+        def run(msg, n):
+            calls[variant, n] = calls.get((variant, n), 0) + 1
+            return stage(msg, n)
+
+        return run
+
+    for variant, stage in list(protocols._STAGES.items()):
+        monkeypatch.setitem(protocols._STAGES, variant, counted(variant, stage))
+    keys = [(variant, n) for variant in RUNNERS for n in range(1, 7)]
+    monkeypatch.setattr(protocols, "_MAPS", {})
+    monkeypatch.setattr(protocols, "_STAGE_RUNS", {})
+    together = {(v, n): branch_maps(v, n, range(1, n + 1)) for v, n in keys}
+    assert calls == {key: 4 for key in keys}
+    monkeypatch.setattr(protocols, "_MAPS", {})
+    monkeypatch.setattr(protocols, "_STAGE_RUNS", {})
+    calls.clear()
+    singles = [(v, n, x) for v, n in keys for x in range(1, n + 1)]
+    for i in np.random.default_rng(0).permutation(len(singles)):
+        variant, n, x = singles[i]
+        alone = branch_map(variant, n, x)
+        assert alone is not together[variant, n][x - 1]
+        assert _map_bytes(alone) == _map_bytes(together[variant, n][x - 1])
+    assert calls == {key: 4 for key in keys}
+    assert len(protocols._STAGE_RUNS) <= 4 * qcore.MAX_RECEIVERS
 
 
 def _replayed_bits(run, rng):
