@@ -182,8 +182,7 @@ def routed_channel_state_scan(
     """
     if tau.n != n:
         raise ValueError(f"permutation is on {tau.n} slots, expected {n}")
-    if not 1 <= n <= qcore.MAX_RECEIVERS:
-        raise ValueError(f"receiver count {n} outside 1..{qcore.MAX_RECEIVERS}")
+    n = qcore.receiver_count(n)
     branches = []
     all_agree = True
     for bits in itertools.product((0, 1), repeat=n):

@@ -46,15 +46,16 @@ a process evaluates several messages for the same key.
 Every ``run_*`` call evaluates its message through the maps: p_b =
 Tr E_b(psi), the final state E_b(psi) / p_b and its fidelity, for all
 branches at once, and ``BranchMap.evaluate_many`` does so for many messages
-in the same array operations; exhaustively, one broadcast forms every
-(message, branch) output. A branch is dropped where a conditional
-probability along its path falls below ``PROB_FLOOR``, as the engine drops
-it, and a sampled run draws one branch by a seeded walk down the same tree:
-one ``rng.random()`` per announcement, compared in Python floats with the
-outcomes whose conditional probability reaches ``PROB_FLOOR`` exactly as
-``rng.choice`` over them would compare it, so a seed draws the branch it drew
-through ``rng.choice``. ``evaluate_many`` walks its messages in order on one
-generator seeded once, so each message draws its own trajectory.
+in the same array operations; exhaustively, one broadcast per block of
+messages forms every (message, branch) output. A branch is dropped where a
+conditional probability along its path falls below ``PROB_FLOOR``, as the
+engine drops it, and a sampled run draws one branch by a seeded walk down the
+same tree: one ``rng.random()`` per announcement, compared in Python floats
+with the outcomes whose conditional probability reaches ``PROB_FLOOR``
+exactly as ``rng.choice`` over them would compare it, so a seed draws the
+branch it drew through ``rng.choice``. ``evaluate_many`` walks its messages
+in order on one generator seeded once, so each message draws its own
+trajectory.
 
 Validity checks run in three places. During a map build, every stack the
 engine produces, after every gate, cascade, correction and measurement,
@@ -81,7 +82,6 @@ themselves and build no record.
 from __future__ import annotations
 
 import copy
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -91,7 +91,6 @@ import numpy as np
 from . import channels, qcore, qswitch
 from .qcore import (
     ATOL,
-    MAX_RECEIVERS,
     PROB_FLOOR,
     CompletenessError,
     DensityMatrix,
@@ -385,12 +384,6 @@ _BASES = {
 }
 
 
-@functools.lru_cache(maxsize=MAX_RECEIVERS)
-def _switched_nxy(n: int) -> qswitch.SwitchedChannel:
-    """The default-control switched channel, built once per receiver count."""
-    return qswitch.closed_form_nxy_n(n)
-
-
 @dataclass(frozen=True)
 class _Announcement:
     """``party`` measures ``factor`` in ``basis``, reports the bit under
@@ -535,13 +528,6 @@ class _Batch:
         if ones.size:
             for gate in step.corrections:
                 self.correct(gate, ones)
-
-
-def _check_run_args(n: int, x: int) -> None:
-    if not 1 <= n <= MAX_RECEIVERS:
-        raise ValueError(f"receiver count {n} outside 1..{MAX_RECEIVERS}")
-    if not 1 <= x <= n:
-        raise ValueError(f"target {x} outside 1..{n}")
 
 
 def _receivers(n: int) -> dict[int, Party]:
@@ -698,8 +684,9 @@ class BranchMap:
         ``fidelities_pure`` and one ``_check_results``.
 
         Exhaustively, the unnormalized outputs of every (message, branch)
-        pair come from one broadcast product of the messages with the whole
-        transfer stack, summed over the input axis; the products and the
+        pair come from broadcast products of the messages with the whole
+        transfer stack, ``_EVALUATION_BLOCK`` messages at a time, each summed
+        over the input axis into one preallocated output; the outputs and the
         leaf probabilities are then compressed to the kept branches, before
         the renormalization, so a cut branch is never divided by. A sampled
         walk gathers the one transfer row it reached per message. Both
@@ -723,8 +710,12 @@ class BranchMap:
             along = probs[:, self.paths]
             kept = (along[..., 1:] >= PROB_FLOOR * along[..., :-1]).all(axis=-1)
             cases, rows = np.nonzero(kept)
-            products = rhos[:, None, :, None] * self.transfer.reshape(1, -1, 4, 4)
-            outputs = products.sum(axis=2)[kept]
+            transfer = self.transfer.reshape(1, -1, 4, 4)
+            outputs = np.empty((len(messages), transfer.shape[1], 4), dtype=complex)
+            for start in range(0, len(messages), _EVALUATION_BLOCK):
+                block = slice(start, start + _EVALUATION_BLOCK)
+                (rhos[block, None, :, None] * transfer).sum(axis=2, out=outputs[block])
+            outputs = outputs[kept]
             chosen = along[..., -1][kept]
         # a fresh stack, so its rows are the final states without a copy
         finals = qcore.renormalize(outputs.reshape(-1, 2, 2), chosen)
@@ -904,6 +895,11 @@ def _branch_map_from(variant: str, n: int, x: int, runs: list[_Batch]) -> Branch
     )
 
 
+#: Messages per broadcast product of an exhaustive evaluation: with at most
+#: 64 branches, a product of at most 1 MiB, where a product over all the
+#: messages of ``HAAR(10000)`` at n = 6 would take 156 MiB.
+_EVALUATION_BLOCK = 64
+
 #: Every branch map built so far, by (variant, n, x): at most 4 x 21 keys.
 _MAPS: dict[tuple[str, int, int], BranchMap] = {}
 #: The read-only ``_stage_runs`` of every (variant, n) built so far: at most
@@ -920,10 +916,11 @@ def branch_maps(variant: str, n: int, xs) -> tuple[BranchMap, ...]:
     once and kept too, so a later x costs only its retrievals."""
     if variant not in _STAGES:
         raise ValueError(f"unknown protocol variant {variant!r}")
-    n = qcore.as_index(n)  # one key each
+    n = qcore.receiver_count(n)  # one key each
     xs = [qcore.as_index(x) for x in xs]
     for x in xs:
-        _check_run_args(n, x)
+        if not 1 <= x <= n:
+            raise ValueError(f"target {x} outside 1..{n}")
     missing = [x for x in dict.fromkeys(xs) if (variant, n, x) not in _MAPS]
     if missing:
         stages = _STAGE_RUNS.get((variant, n))
@@ -954,8 +951,7 @@ def branch_map(variant: str, n: int, x: int) -> BranchMap:
 
 def ghz_encode(msg: MessageState, n: int) -> Ket:
     """Generalized GHZ encoding alpha|0...0> + beta|1...1> on n qubits."""
-    if not 1 <= n <= MAX_RECEIVERS:
-        raise ValueError(f"receiver count {n} outside 1..{MAX_RECEIVERS}")
+    n = qcore.receiver_count(n)
     vec = np.zeros(2**n, dtype=complex)
     vec[0] = msg.alpha
     vec[-1] = msg.beta
@@ -968,7 +964,7 @@ def _noiseless_stage(msg: MessageState, n: int) -> _Batch:
 
 def _switch_stage(msg: MessageState, n: int) -> _Batch:
     parties = _receivers(n)
-    batch = _Batch(_switched_nxy(n).apply(ghz_encode(msg, n).density()), parties)
+    batch = _Batch(qswitch.closed_form_nxy_n(n).apply(ghz_encode(msg, n).density()), parties)
     control_holder = Party(CONTROL_HOLDER, frozenset({n}))
     flip = LocalUnitary(parties[1], (0,), qcore.Z, "Z")
     batch.announce(_Announcement(control_holder, n, "fourier", "control", BROADCAST, (flip,)))

@@ -89,6 +89,15 @@ def as_index(value) -> int:
     return operator.index(value)
 
 
+def receiver_count(n) -> int:
+    """``as_index(n)`` for a receiver count, which must lie in
+    1..``MAX_RECEIVERS``: ValueError otherwise."""
+    n = as_index(n)
+    if not 1 <= n <= MAX_RECEIVERS:
+        raise ValueError(f"receiver count {n} outside 1..{MAX_RECEIVERS}")
+    return n
+
+
 def _clean_dims(dims: Iterable[int]) -> tuple[int, ...]:
     out = tuple(map(as_index, dims))
     if not out or any(d <= 0 for d in out):

@@ -21,11 +21,15 @@ number of qubits anticommute. Grouping the pairs by that parity gives
 
 two normalized Pauli-string channels, which ``_closed_weights`` builds for
 T pairs of products at once over arrays of the 4^n strings by code
-(``_strings``: labels read as base-4 digits, in lexicographic order).
-``closed_form_product`` is its one-pair case, ``closed_form_two_party`` and
-``closed_form_nxy_n`` its special cases, and ``SwitchedChannel.apply_stack``
-applies a closed form from its string weights as sign masks and
-permutations.
+(``_strings``: labels read as base-4 digits, in lexicographic order). A
+``SwitchedChannel`` holds one closed form as those arrays: its two branch
+probabilities and a (2, 4^n) array of string weights by code, from which
+``plus_strings`` and ``minus_strings`` derive the label tables.
+``closed_form_product`` is the one-pair case, ``closed_form_two_party`` and
+``closed_form_nxy_n`` (built once per n, and the one object both the switch
+protocol and ``validate_closed_forms`` use) its special cases, and
+``SwitchedChannel.apply_stack`` applies a closed form from its string weights
+as sign masks and permutations.
 
 ``validate_closed_forms`` and ``choi_deviation`` check the closed forms
 against the generic switch in the Pauli-transfer basis, at every n in
@@ -73,16 +77,13 @@ from .qcore import (
     ValidityError,
 )
 
-StringTable = dict[tuple[str, ...], float]
-
 # trials per stacked pass of ``validate_closed_forms``
 _BLOCK = 16
 
 # I, X, Y, Z stacked, in ``channels.PAULI_LABELS`` order
 _PAULIS = np.stack([op.entries for op in (qcore.I2, qcore.X, qcore.Y, qcore.Z)])
 _PAULIS.setflags(write=False)
-_LABELS = frozenset(channels.PAULI_LABELS)
-_LABEL_ORDER = np.array(channels.PAULI_LABELS)  # sorted, so searchsorted finds a label
+_LABEL_ORDER = np.array(channels.PAULI_LABELS)  # label of each base-4 digit
 
 
 def _register_side(stack_a: np.ndarray, stack_b: np.ndarray) -> int:
@@ -233,34 +234,46 @@ class SwitchedChannel:
 
     The output on input rho is
     p_plus * C_plus(rho) (x) omega_plus + p_minus * C_minus(rho) (x) omega_minus,
-    where C_plus/C_minus are the normalized Pauli-string channels given by
-    ``plus_strings``/``minus_strings`` and omega_minus = Z omega_plus Z.
+    where omega_minus = Z omega_plus Z and C_plus/C_minus are the normalized
+    Pauli-string channels whose string weights are the rows of ``weights``:
+    a (2, 4**n) array by code (``_strings``), kept as a read-only copy.
     """
 
     p_plus: float
     p_minus: float
     omega_plus: DensityMatrix
-    plus_strings: StringTable
-    minus_strings: StringTable
+    weights: np.ndarray
 
     def __post_init__(self):
         if self.omega_plus.dims != (2,):
             raise DimensionMismatchError("the order control must be a qubit")
-        tables = (self.plus_strings, self.minus_strings)
-        weights = np.zeros((1, 2, max(map(len, tables))))
-        for row, table in zip(weights[0], tables):
-            row[: len(table)] = np.fromiter(table.values(), float, len(table))
-        _check_branches(np.array([[self.p_plus, self.p_minus]], dtype=float), weights)
-        # both tables key Pauli strings of one length n, as label tuples
-        lengths = set()
-        for key in (*self.plus_strings, *self.minus_strings):
-            if type(key) is not tuple or not set(key) <= _LABELS:
-                raise ValidityError(f"string table key {key!r} is not a tuple of Pauli labels")
-            lengths.add(len(key))
-        if len(lengths) != 1 or not 1 <= min(lengths) <= MAX_RECEIVERS:
+        # a copy; complex or non-numeric weights raise TypeError
+        weights = np.asarray(self.weights).astype(float, casting="same_kind")
+        if weights.shape not in [(2, 4**n) for n in range(1, MAX_RECEIVERS + 1)]:
             raise DimensionMismatchError(
-                f"string table keys have lengths {sorted(lengths)}, not one n in 1..{MAX_RECEIVERS}"
+                f"string weights of shape {weights.shape}, not (2, 4**n) with n in"
+                f" 1..{MAX_RECEIVERS}"
             )
+        _check_branches(np.array([[self.p_plus, self.p_minus]], dtype=float), weights[None])
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+
+    @property
+    def plus_strings(self) -> dict[tuple[str, ...], float]:
+        """The strings of C_plus of positive weight, by label tuple, in code
+        order."""
+        return self._table(0)
+
+    @property
+    def minus_strings(self) -> dict[tuple[str, ...], float]:
+        """The strings of C_minus of positive weight, by label tuple, in code
+        order."""
+        return self._table(1)
+
+    def _table(self, branch: int) -> dict[tuple[str, ...], float]:
+        row = self.weights[branch]
+        codes = np.flatnonzero(row > 0.0)
+        return dict(zip(_labels(codes, self.num_qubits), row[codes].tolist()))
 
     @functools.cached_property
     def omega_minus(self) -> DensityMatrix:
@@ -274,7 +287,7 @@ class SwitchedChannel:
 
     @property
     def num_qubits(self) -> int:
-        return len(next(iter(self.plus_strings)))
+        return self.weights.shape[1].bit_length() // 2
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         """Total switched-channel output on message (x) control."""
@@ -302,30 +315,27 @@ class SwitchedChannel:
             )
         return (out + out.conj().transpose(0, 2, 1)) / 2
 
-    @property
-    def _branches(self) -> list[tuple[float, StringTable, DensityMatrix]]:
-        """(p, string table, control) of each branch of positive probability."""
-        plus = (self.p_plus, self.plus_strings, self.omega_plus)
-        minus = (self.p_minus, self.minus_strings, self.omega_minus)
-        return [branch for branch in (plus, minus) if branch[0] > 0.0]
-
     @functools.cached_property
     def _flip_groups(self):
-        """Each branch of positive probability with its string table grouped
-        by flip pattern (read by code from ``_strings``): per flip pattern u
+        """Each branch of positive probability with its strings of positive
+        weight grouped by flip pattern (``_strings``): per flip pattern u
         that occurs, the index permutation i -> i ^ u and one summed mask
-        sum_s w_s c_s c_s^T, its strings added in table order, so that the
+        sum_s w_s c_s c_s^T, its strings added in code order, so that the
         group applies as (mask * rho) permuted on rows and columns."""
         n = self.num_qubits
         strings = _strings(n)
         out = []
-        for prob, table, omega in self._branches:
-            codes = _codes(table, n)
+        for prob, row, omega in zip(
+            (self.p_plus, self.p_minus), self.weights, (self.omega_plus, self.omega_minus)
+        ):
+            if prob <= 0.0:
+                continue
+            codes = np.flatnonzero(row > 0.0)
             masks: dict[int, np.ndarray] = {}
             for flip, sign, w in zip(
                 strings.flips[codes].tolist(),
                 strings.signs[strings.zmasks[codes]],
-                table.values(),
+                row[codes].tolist(),
             ):
                 masks[flip] = masks.get(flip, 0.0) + w * np.outer(sign, sign)
             index = np.arange(2**n)
@@ -364,7 +374,7 @@ class _Strings(NamedTuple):
     """The 4**n Pauli strings on n qubits, by code: a string's code is its
     labels read as base-4 digits in ``channels.PAULI_LABELS`` order, qubit 0
     the most significant, so codes run in the lexicographic order of the
-    label tuples (``_codes``, ``_labels``).
+    label tuples (``_labels``).
 
     A Pauli string is, up to a global phase, X^u D with u its flip pattern
     (the qubits carrying X or Y, qubit 0 the most significant bit) and D
@@ -380,7 +390,7 @@ class _Strings(NamedTuple):
 
 @functools.cache
 def _strings(n: int) -> _Strings:
-    """The string tables on n qubits, built on first use and kept for the
+    """The string arrays on n qubits, built on first use and kept for the
     process, their arrays read-only: at n = 6 three arrays of 4096 entries."""
     digits = _digits(np.arange(4**n), n)
     bits = 1 << np.arange(n - 1, -1, -1)
@@ -399,12 +409,6 @@ def _strings(n: int) -> _Strings:
 def _digits(codes: np.ndarray, n: int) -> np.ndarray:
     """The (s, n) base-4 digits of s codes, qubit 0 first."""
     return (codes[:, None] >> 2 * np.arange(n - 1, -1, -1)) & 3
-
-
-def _codes(keys, n: int) -> np.ndarray:
-    """The codes of Pauli strings on n qubits given as label tuples."""
-    digits = np.searchsorted(_LABEL_ORDER, np.array(list(keys)).reshape(-1, n))
-    return digits @ 4 ** np.arange(n - 1, -1, -1)
 
 
 def _labels(codes: np.ndarray, n: int) -> list[tuple[str, ...]]:
@@ -471,17 +475,6 @@ def _closed_weights(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, 
         weights / np.where(degenerate, 1.0, totals)[..., None],
     )
     return np.where(degenerate, 0.0, totals), normalized
-
-
-def _switched_channel(probs: np.ndarray, weights: np.ndarray, omega: DensityMatrix):
-    """The ``SwitchedChannel`` of one closed form of ``_closed_weights``:
-    each table holds the strings of positive weight, in code order."""
-    n = weights.shape[-1].bit_length() // 2
-    tables = []
-    for row in weights:
-        codes = np.flatnonzero(row > 0.0)
-        tables.append(dict(zip(_labels(codes, n), row[codes].tolist())))
-    return SwitchedChannel(float(probs[0]), float(probs[1]), omega, *tables)
 
 
 def _per_qubit(values: np.ndarray, matrices) -> np.ndarray:
@@ -563,12 +556,11 @@ def closed_form_product(
     n = len(first)
     if len(second) != n:
         raise ValueError(f"channel products on {n} and {len(second)} qubits")
-    if not 1 <= n <= MAX_RECEIVERS:
-        raise ValueError(f"receiver count {n} outside 1..{MAX_RECEIVERS}")
+    qcore.receiver_count(n)
     weights = np.array([[ch.weights for ch in first], [ch.weights for ch in second]], dtype=float)
-    probs, strings = _closed_weights(weights[:1], weights[1:])
+    (probs,), (strings,) = _closed_weights(weights[:1], weights[1:])
     omega = qcore.KET_PLUS.density() if omega is None else omega
-    return _switched_channel(probs[0], strings[0], omega)
+    return SwitchedChannel(float(probs[0]), float(probs[1]), omega, strings)
 
 
 def closed_form_two_party(
@@ -580,9 +572,12 @@ def closed_form_two_party(
     return closed_form_product((e1, e2), (e1, e2), omega)
 
 
+@functools.lru_cache(maxsize=MAX_RECEIVERS, typed=True)
 def closed_form_nxy_n(n: int) -> SwitchedChannel:
     """Switched channel for n parallel equal-X/Y mixtures against themselves,
-    with the default |+> control.
+    with the default |+> control, built once per n and kept for the process:
+    the switch protocol applies, and ``validate_closed_forms`` checks, this
+    one read-only object.
 
     Every Z string on the n qubits appears with weight 2**-n; even-weight
     strings leave the control untouched (C_plus), odd-weight strings flip its
@@ -605,11 +600,7 @@ def choi_deviation(sw: SwitchedChannel, a: np.ndarray, b: np.ndarray) -> float:
     outputs = _switch_outputs(kernel, strings).reshape(-1, side, 2, side, 2)
     blocks = outputs.transpose(0, 2, 4, 1, 3).reshape(4**n, 2, 2, -1)  # (t, c, c', (m, m'))
     transfer = blocks @ strings.reshape(4**n, -1).conj().T / side  # (t, c, c', s)
-    weighted = np.zeros((2, 4**n))
-    for row, (prob, table) in zip(
-        weighted, ((sw.p_plus, sw.plus_strings), (sw.p_minus, sw.minus_strings))
-    ):
-        row[_codes(table, n)] = [prob * w for w in table.values()]
+    weighted = np.array([[sw.p_plus], [sw.p_minus]]) * sw.weights
     closed = _closed_transfer(weighted[None], sw.omega_plus.matrix[None])[0]
     codes = np.arange(4**n)
     diagonal = transfer[codes, :, :, codes].copy()  # (t, c, c')
@@ -673,10 +664,7 @@ def validate_closed_forms(
         raise ValueError(f"trials must be non-negative, got {trials}")
     if len(ns) == 0:
         raise ValueError("ns names no receiver count to validate")
-    ns = [qcore.as_index(n) for n in ns]
-    for n in ns:
-        if not 1 <= n <= MAX_RECEIVERS:
-            raise ValueError(f"receiver count {n} outside 1..{MAX_RECEIVERS}")
+    ns = [qcore.receiver_count(n) for n in ns]
     rng = np.random.default_rng(seed)
     records: list[ValidationRecord] = []
     for n in ns:
@@ -684,7 +672,7 @@ def validate_closed_forms(
         records.extend(fixture.records)
         records.extend(
             ValidationRecord("nxy-input", n, f"trial {t}", dev)
-            for t, dev in enumerate(_input_deviations(fixture, trials, rng))
+            for t, dev in enumerate(_input_deviations(n, fixture.maps, trials, rng))
         )
         if n == 2:
             records.extend(
@@ -704,11 +692,10 @@ def validate_closed_forms(
 
 class _NxyFixture(NamedTuple):
     """The seed-independent part of validating n equal-X/Y mixtures: the
-    closed form, the ``identity`` and ``nxy-choi`` records and the read-only
-    (n, 2, 2, 4, 4) ``_product_maps`` of the generic switch, which the
-    ``nxy-input`` trials run through with the closed form's |+> control."""
+    ``identity`` and ``nxy-choi`` records and the read-only (n, 2, 2, 4, 4)
+    ``_product_maps`` of the generic switch, which the ``nxy-input`` trials
+    run through with the control of ``closed_form_nxy_n(n)``."""
 
-    switched: SwitchedChannel
     records: tuple[ValidationRecord, ValidationRecord]
     maps: np.ndarray
 
@@ -720,16 +707,17 @@ _FIXTURES: dict[int, _NxyFixture] = {}
 def _nxy_fixture(n: int) -> _NxyFixture:
     """The fixture at n, an int in 1..``MAX_RECEIVERS`` that
     ``validate_closed_forms`` has checked, built and checked on first use
-    and kept for the process: the identity and equal-X/Y switches with the
-    |+> control as one ``_pauli_switches`` pass."""
+    and kept for the process: the identity and equal-X/Y switches as one
+    ``_pauli_switches`` pass, under the |+> control of ``closed_form_nxy_n(n)``,
+    the object the switch protocol applies."""
     if n not in _FIXTURES:
         weights = np.array([[ch.weights] * n for ch in (channels.IDENTITY, channels.N_XY)])
-        plus = qcore.KET_PLUS.density()
-        maps, probs, strings, deviations = _pauli_switches(weights, np.stack([plus.matrix] * 2))
+        plus = closed_form_nxy_n(n).omega_plus.matrix
+        maps, deviations = _pauli_switches(weights, np.stack([plus] * 2))
         kinds = ("identity", "nxy-choi")
         records = tuple(map(ValidationRecord, kinds, (n, n), ("", ""), deviations.tolist()))
         maps.setflags(write=False)  # and so its views
-        _FIXTURES[n] = _NxyFixture(_switched_channel(probs[1], strings[1], plus), records, maps[1])
+        _FIXTURES[n] = _NxyFixture(records, maps[1])
     return _FIXTURES[n]
 
 
@@ -739,15 +727,15 @@ def _blocks(trials: int):
         yield min(_BLOCK, trials - start)
 
 
-def _input_deviations(fixture: _NxyFixture, trials: int, rng):
-    """Max-entry output difference between the closed form and the generic
-    switch on each of ``trials`` random messages, a block at a time."""
-    sw = fixture.switched
-    dims = (2,) * sw.num_qubits
+def _input_deviations(n: int, maps: np.ndarray, trials: int, rng):
+    """Max-entry output difference between ``closed_form_nxy_n(n)`` and the
+    generic switch given by its ``_product_maps`` on each of ``trials``
+    random messages, a block at a time."""
+    sw = closed_form_nxy_n(n)
     for count in _blocks(trials):
-        rhos = qcore.random_density_stack(dims, rng, count)
+        rhos = qcore.random_density_stack((2,) * n, rng, count)
         qcore.check_states(rhos)
-        generic = _map_outputs(fixture.maps, sw.omega_plus.matrix, rhos)
+        generic = _map_outputs(maps, sw.omega_plus.matrix, rhos)
         closed = sw.apply_stack(rhos)
         qcore.check_states(generic)
         qcore.check_states(closed)
@@ -784,7 +772,7 @@ def _two_party_deviations(trials: int, rng):
         qcore.check_kets(kets)
         controls = kets[:, :, None] * kets[:, None, :].conj()
         qcore.check_states(controls)
-        yield from _pauli_switches(weights, controls)[3].tolist()
+        yield from _pauli_switches(weights, controls)[1].tolist()
 
 
 def _pauli_switches(weights: np.ndarray, omegas: np.ndarray):
@@ -792,11 +780,10 @@ def _pauli_switches(weights: np.ndarray, omegas: np.ndarray):
     by their (T, n, 4) weights, with themselves under the (T, 2, 2)
     controls: the generic ``_product_maps`` of the factor sets
     sqrt(w_l) sigma_l (zero weights give zero operators, and every set is
-    checked complete), the closed forms' probabilities and string weights
-    (``_closed_weights``, checked by ``_check_branches``), and the
-    ``_transfer_deviations`` between them."""
+    checked complete), and the ``_transfer_deviations`` between them and the
+    closed forms (``_closed_weights``, checked by ``_check_branches``)."""
     factors = np.sqrt(weights)[..., None, None] * _PAULIS  # (T, n, 4, 2, 2)
     maps = _product_maps(factors, factors)
     probs, strings = _closed_weights(weights, weights)
     _check_branches(probs, strings)
-    return maps, probs, strings, _transfer_deviations(maps, omegas, probs, strings)
+    return maps, _transfer_deviations(maps, omegas, probs, strings)

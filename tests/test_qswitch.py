@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rrqc import channels, qcore, qswitch
+from rrqc import channels, protocols, qcore, qswitch
 from rrqc.channels import IDENTITY, N_XY, pauli_kraus, product_pauli_kraus
 from rrqc.qcore import CompletenessError, DensityMatrix, DimensionMismatchError, ValidityError
 
@@ -296,11 +296,7 @@ def test_switched_channel_validates_control_pair():
     sw = qswitch.closed_form_nxy_n(1)
     with pytest.raises(ValidityError):
         qswitch.SwitchedChannel(
-            p_plus=0.7,
-            p_minus=0.7,
-            omega_plus=sw.omega_plus,
-            plus_strings=sw.plus_strings,
-            minus_strings=sw.minus_strings,
+            p_plus=0.7, p_minus=0.7, omega_plus=sw.omega_plus, weights=sw.weights
         )
 
 
@@ -308,7 +304,7 @@ def test_switched_channel_validates_control_pair():
     "changes, error",
     [
         ({"p_plus": np.nan, "p_minus": np.nan}, ValidityError),
-        ({"plus_strings": {("I",): np.nan}}, CompletenessError),
+        ({"weights": [[np.nan, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]}, CompletenessError),
     ],
     ids=["probabilities", "string-weight"],
 )
@@ -318,24 +314,82 @@ def test_switched_channel_rejects_nan(changes, error):
 
 
 @pytest.mark.parametrize(
-    "plus, minus, error",
+    "weights, error, message",
     [
-        ({("Q",): 1.0}, {("Z",): 1.0}, ValidityError),
-        ({"IZ": 1.0}, {("I", "Z"): 1.0}, ValidityError),
-        ({(0,): 1.0}, {("Z",): 1.0}, ValidityError),
-        ({("I", "Z"): 1.0}, {("Z",): 1.0}, DimensionMismatchError),
-        ({("I",): 0.5, ("X", "X"): 0.5}, {("Z",): 1.0}, DimensionMismatchError),
-        ({(): 1.0}, {(): 1.0}, DimensionMismatchError),
-        ({("I",) * 7: 1.0}, {("Z",) * 7: 1.0}, DimensionMismatchError),
+        ([[1.0, 0.0, 0.0, 0.0], [1.5, 0.0, -0.5, 0.0]], CompletenessError, "C_minus"),
+        (np.eye(2, 4**7), DimensionMismatchError, r"\(2, 16384\)"),
+        (np.eye(2, 8), DimensionMismatchError, r"\(2, 8\)"),
+        (np.eye(3, 4), DimensionMismatchError, r"\(3, 4\)"),
+        (np.zeros((2, 0)), DimensionMismatchError, r"\(2, 0\)"),
+        (np.eye(1, 4)[0], DimensionMismatchError, r"\(4,\)"),
+        (np.eye(2, 4) + 0j, TypeError, "complex"),
     ],
-    ids=["label", "plain-string", "index", "two-and-one", "within-a-table", "empty", "seven"],
+    ids=[
+        "negative", "seven", "eight-strings", "three-rows", "empty", "one-dimensional", "complex"
+    ],
 )
-def test_switched_channel_rejects_malformed_string_tables(plus, minus, error):
-    # each used to construct or to fail inside _string_arrays: label Q was
-    # read as I, and mixed lengths failed on apply in numpy's broadcasting
+def test_switched_channel_rejects_malformed_string_tables(weights, error, message):
+    # every row but the negative one is a distribution, so only the shape
+    # or the type fails: n = 7, 8 strings (no n), three branches, no
+    # strings, one row, and complex weights, which a cast to float would
+    # silently make real
     sw = qswitch.closed_form_nxy_n(1)
-    with pytest.raises(error):
-        dataclasses.replace(sw, plus_strings=plus, minus_strings=minus)
+    with pytest.raises(error, match=message):
+        dataclasses.replace(sw, weights=weights)
+
+
+def test_switched_channel_holds_a_read_only_copy_of_its_weights():
+    sw = qswitch.closed_form_nxy_n(2)
+    given = sw.weights.copy()
+    built = dataclasses.replace(sw, weights=given)
+    given[:] = 0.0  # a later write to the given array does not reach the copy
+    assert built.plus_strings == sw.plus_strings == {("I", "I"): 0.5, ("Z", "Z"): 0.5}
+    for switched in (sw, built):
+        assert not switched.weights.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            switched.weights[0, 0] = 1.0
+        for name in ("weights", "plus_strings", "minus_strings"):
+            with pytest.raises(AttributeError):
+                setattr(switched, name, None)
+    # each read is a fresh table
+    sw.plus_strings[("X", "X")] = 1.0
+    assert sw.plus_strings == built.plus_strings
+
+
+def table_of(row, n):
+    """The string table a (4**n,) weight row held as a dict: the strings of
+    positive weight, by label tuple, in lexicographic label order."""
+    labels = itertools.product(channels.PAULI_LABELS, repeat=n)
+    return {s: w for s, w in zip(labels, row.tolist()) if w > 0.0}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, qcore.MAX_RECEIVERS),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_string_tables_are_the_positive_weights_in_code_order(n, count, seed, single):
+    # T drawn pairs with A != B, one-label factors when ``single`` (often a
+    # zero-probability branch), and an X-product against Z (x) I...I, whose
+    # one anticommuting qubit leaves C_plus empty
+    rng = np.random.default_rng(seed)
+    pairs = [(drawn_factors(rng, n, single), drawn_factors(rng, n, single)) for _ in range(count)]
+    x_product = [channels.PauliChannel(0, 1, 0, 0)] * n
+    pairs.append((x_product, [channels.PauliChannel(0, 0, 0, 1)] + [IDENTITY] * (n - 1)))
+    first, second = (np.array([[ch.weights for ch in f] for f in side]) for side in zip(*pairs))
+    probs, strings = qswitch._closed_weights(first, second)
+    assert probs[-1].tolist() == [0.0, 1.0]
+    for (a, b), prob, row in zip(pairs, probs, strings):
+        omega = qcore.random_ket((2,), rng).density()
+        sw = qswitch.SwitchedChannel(float(prob[0]), float(prob[1]), omega, row)
+        assert sw.num_qubits == n and sw.weights.tobytes() == row.tobytes()
+        for table, branch in zip((sw.plus_strings, sw.minus_strings), row):
+            assert list(table.items()) == list(table_of(branch, n).items())
+        product = qswitch.closed_form_product(a, b, omega)
+        assert (product.p_plus, product.p_minus) == (sw.p_plus, sw.p_minus)
+        assert product.weights.tobytes() == sw.weights.tobytes()
 
 
 def test_closed_form_product_rejects_a_control_that_is_not_a_qubit():
@@ -347,8 +401,8 @@ def test_closed_form_product_rejects_a_control_that_is_not_a_qubit():
 
 def test_closed_form_product_rejects_bad_inputs():
     sw = qswitch.closed_form_nxy_n(1)
-    with pytest.raises(CompletenessError):
-        dataclasses.replace(sw, plus_strings={("I",): 0.9})
+    with pytest.raises(CompletenessError, match="C_plus"):
+        dataclasses.replace(sw, weights=[[0.9, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
     with pytest.raises(ValueError):
         qswitch.closed_form_product((N_XY, N_XY), (N_XY,))
     with pytest.raises(ValueError):
@@ -815,6 +869,40 @@ def test_lifted_kernel_outputs_match_literal_kraus_sum(n, seed, count, mixed_a, 
         )
 
 
+def test_switch_protocol_and_validation_apply_one_closed_form_per_n(monkeypatch):
+    # the nxy-input trials run, and the fixture takes its control from, the
+    # very object the switch stage applies, built once per n
+    qswitch.closed_form_nxy_n.cache_clear()
+    monkeypatch.setattr(qswitch, "_FIXTURES", {})
+    applied = []
+    apply_stack = qswitch.SwitchedChannel.apply_stack
+
+    def recording_apply_stack(self, rhos):
+        applied.append(self)
+        return apply_stack(self, rhos)
+
+    monkeypatch.setattr(qswitch.SwitchedChannel, "apply_stack", recording_apply_stack)
+    message = protocols.MessageState(0.6, 0.8j)
+    with mock.patch.object(
+        qswitch, "closed_form_product", wraps=qswitch.closed_form_product
+    ) as product, mock.patch.object(
+        qswitch, "closed_form_nxy_n", wraps=qswitch.closed_form_nxy_n
+    ) as nxy:
+        for n in (1, 3, 6):
+            protocols._switch_stage(message, n)
+            assert nxy.call_args_list[-1] == mock.call(n)
+            qswitch._nxy_fixture(n)
+            assert nxy.call_args_list[-1] == mock.call(n)
+            assert qswitch.validate_closed_forms(0, 2, ns=(n,)).passed
+            protocols._switch_stage(message, n)
+            sw = qswitch.closed_form_nxy_n(n)
+            assert len(applied) == 3 and all(s is sw for s in applied)
+            applied.clear()
+    assert [c.args for c in product.call_args_list] == [
+        ((channels.N_XY,) * n, (channels.N_XY,) * n) for n in (1, 3, 6)
+    ]
+
+
 def test_nxy_fixtures_are_built_once_per_n_and_read_only():
     with mock.patch.object(qswitch, "_FIXTURES", {}), mock.patch.object(
         qswitch, "_product_maps", wraps=qswitch._product_maps
@@ -833,8 +921,8 @@ def test_nxy_fixtures_are_built_once_per_n_and_read_only():
         for report in (first, again):
             seed_free = [r for r in report.records if r.n == n and r.kind != "nxy-input"]
             assert all(r is f for r, f in zip(seed_free, fixture.records, strict=True))
-        sw = fixture.switched
-        arrays = [fixture.maps, sw.omega_plus.matrix]
+        sw = qswitch.closed_form_nxy_n(n)
+        arrays = [fixture.maps, sw.omega_plus.matrix, sw.weights]
         arrays += [a for _, groups, _ in sw._flip_groups for group in groups for a in group]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -1037,13 +1125,19 @@ def test_product_route_catches_a_broken_commutation_rule():
     # C_minus branch; the product route does not use that rule. The closed
     # forms read the rule from the pair table, which drops each pair's
     # anticommutation bit here
+    # (the kept equal-X/Y closed forms are dropped before and after, so the
+    # broken ones are neither served from nor left in the cache)
     rng = np.random.default_rng(3)
     first, second = drawn_factors(rng, 4), drawn_factors(rng, 4)
-    with mock.patch.object(qswitch, "_FIXTURES", {}), mock.patch.object(
-        qswitch, "_PAIR_SLOTS", qswitch._PAIR_SLOTS & ~1
-    ):
-        assert transfer_deviation(first, second, random_control(rng, False))[0] > 1e-3
-        reports = [qswitch.validate_closed_forms(3, 5, ns=(n,)) for n in (2, 4, 6)]
+    qswitch.closed_form_nxy_n.cache_clear()
+    try:
+        with mock.patch.object(qswitch, "_FIXTURES", {}), mock.patch.object(
+            qswitch, "_PAIR_SLOTS", qswitch._PAIR_SLOTS & ~1
+        ):
+            assert transfer_deviation(first, second, random_control(rng, False))[0] > 1e-3
+            reports = [qswitch.validate_closed_forms(3, 5, ns=(n,)) for n in (2, 4, 6)]
+    finally:
+        qswitch.closed_form_nxy_n.cache_clear()
     assert not any(report.passed for report in reports)
     assert min(r.deviation for r in reports[0].records if r.kind == "two-party") > 1e-3
     assert all(report.records[1].deviation > 1e-3 for report in reports)  # nxy-choi
